@@ -137,11 +137,7 @@ def cmd_sweep(cfg: dict, out: str, args) -> int:
     scenario = build_scenario(cfg)
     sw = cfg["sweep"]
     result = vv_sweep(
-        scenario,
-        sw["eps_values"],
-        certificate_tol=sw["certificate_tol"],
-        n_directions=int(sw["directions"]),
-        seed=cfg["seed"],
+        scenario, sw["eps_values"], certificate_tol=sw["certificate_tol"]
     )
     header = [
         "eps", "c_gap_from_prev", "h1_gap_from_prev",

@@ -17,7 +17,7 @@ Sections::
     history:     kind (identity | convolution), initial (expression in
                  x), kernel, kernel_slope (expressions in t, the lag)
     solver:      eps, method, warm_start
-    sweep:       eps_values, certificate_tol, directions
+    sweep:       eps_values, certificate_tol
     experiment:  n_loads, n_pairs, eps_values, load_cap, n_load_terms,
                  spread_cap, jobs, refinements
     control:     basis_size, reg_weight, target_time, target_space,
@@ -165,7 +165,7 @@ def normalize_config(raw: dict) -> dict:
     solver = _mapping(top.get("solver"), "solver",
                       {"eps", "method", "warm_start"})
     sweep = _mapping(top.get("sweep"), "sweep",
-                     {"eps_values", "certificate_tol", "directions"})
+                     {"eps_values", "certificate_tol"})
     experiment = _mapping(top.get("experiment"), "experiment", {
         "n_loads", "n_pairs", "eps_values", "load_cap", "n_load_terms",
         "spread_cap", "jobs", "refinements",
@@ -208,8 +208,6 @@ def normalize_config(raw: dict) -> dict:
             ),
             "certificate_tol": _number(sweep, "certificate_tol", "sweep",
                                        1e-2, positive=True),
-            "directions": _number(sweep, "directions", "sweep", 16,
-                                  integer=True, positive=True),
         },
         "experiment": {
             "n_loads": _number(experiment, "n_loads", "experiment", 10,

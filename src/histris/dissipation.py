@@ -63,6 +63,7 @@ __all__ = [
     "WeightedL1",
     "DissipationSpec",
     "threshold_dual",
+    "force_box",
     "potential",
     "check_homogeneity",
     "check_lipschitz_axiom",
@@ -129,10 +130,6 @@ class WeightedL1:
 DissipationSpec = Union[Fatigue, WeightedL1]
 
 
-def _weight_fn(spec: DissipationSpec) -> Callable:
-    return spec.kappa if isinstance(spec, Fatigue) else spec.weight
-
-
 def threshold_dual(spec: DissipationSpec, mesh: Mesh, zeta: Field) -> DualField:
     """Assembled nodal weight vector ``M w(zeta)``.
 
@@ -140,11 +137,24 @@ def threshold_dual(spec: DissipationSpec, mesh: Mesh, zeta: Field) -> DualField:
     in the box describing admissible forces.
     """
     zeta = np.asarray(zeta, dtype=float)
-    vals = np.asarray(_weight_fn(spec)(zeta), dtype=float)
+    weight = spec.kappa if spec.one_sided else spec.weight
+    vals = np.asarray(weight(zeta), dtype=float)
     vals = np.broadcast_to(vals, (mesh.n_nodes,))
     if np.any(vals < 0):
         raise ValueError("dissipation weight must be nonnegative on the state")
     return mesh.mass @ vals
+
+
+def force_box(spec: DissipationSpec, mesh: Mesh, zeta: Field):
+    """Nodal bounds ``(lower, upper)`` of the admissible force set.
+
+    ``upper`` is the threshold ``M w(zeta)``; ``lower`` is ``-inf`` for
+    one-sided dissipation and ``-upper`` otherwise.  A dual field
+    ``phi`` is an admissible force exactly when
+    ``lower <= phi <= upper`` nodally.
+    """
+    upper = threshold_dual(spec, mesh, zeta)
+    return (-np.inf if spec.one_sided else -upper), upper
 
 
 def potential(spec: DissipationSpec, mesh: Mesh, zeta: Field, rate: Field) -> float:
@@ -154,7 +164,7 @@ def potential(spec: DissipationSpec, mesh: Mesh, zeta: Field, rate: Field) -> fl
     """
     rate = np.asarray(rate, dtype=float)
     w = threshold_dual(spec, mesh, zeta)
-    if isinstance(spec, Fatigue):
+    if spec.one_sided:
         if np.min(rate, initial=0.0) < 0.0:
             return math.inf
         return float(w @ rate)
@@ -213,7 +223,7 @@ def _prox_rate_counted(spec: DissipationSpec, mesh: Mesh, zeta: Field,
     force = np.asarray(force, dtype=float)
     w = threshold_dual(spec, mesh, zeta)
     hess = eps * mesh.riesz
-    if isinstance(spec, Fatigue):
+    if spec.one_sided:
         return solve_box_qp(hess, force - w, lower=0.0, upper=None,
                             start=start, tol=tol)
     return solve_l1_qp(hess, force, w, start=start, tol=tol)
@@ -242,11 +252,8 @@ def subdiff_zero_contains(spec: DissipationSpec, mesh: Mesh, zeta: Field,
                           candidate: DualField, tol: float = 1e-9) -> Containment:
     """Test whether a dual field is an admissible force at rate zero."""
     candidate = np.asarray(candidate, dtype=float)
-    w = threshold_dual(spec, mesh, zeta)
-    if isinstance(spec, Fatigue):
-        slack = candidate - w
-    else:
-        slack = np.abs(candidate) - w
+    lower, upper = force_box(spec, mesh, zeta)
+    slack = np.maximum(candidate - upper, lower - candidate)
     node = int(np.argmax(slack))
     worst = float(slack[node])
     return Containment(
@@ -261,15 +268,8 @@ def _project_counted(spec: DissipationSpec, mesh: Mesh, zeta: Field,
                      omega: DualField, tol: float = KKT_TOL,
                      cold_start: bool = False):
     omega = np.asarray(omega, dtype=float)
-    w = threshold_dual(spec, mesh, zeta)
-    if isinstance(spec, Fatigue):
-        lower, upper = None, w
-    else:
-        lower, upper = -w, w
-    if cold_start:
-        start = None
-    else:
-        start = np.clip(omega, -np.inf if lower is None else lower, upper)
+    lower, upper = force_box(spec, mesh, zeta)
+    start = None if cold_start else np.clip(omega, lower, upper)
     hess = mesh.riesz_inverse()
     lin = riesz_solve(mesh, omega)
     return solve_box_qp(hess, lin, lower=lower, upper=upper, start=start, tol=tol)

@@ -31,7 +31,6 @@ __all__ = [
     "HistoryAccumulator",
     "history_eval",
     "history_derivative",
-    "history_step",
 ]
 
 
@@ -172,8 +171,3 @@ class HistoryAccumulator:
         times = self.tau * np.arange(self._count)
         return history_derivative(self.kernel, times, self._samples[: self._count], k)
 
-
-def history_step(acc: HistoryAccumulator, sample: Field) -> HistoryAccumulator:
-    """Push one new state sample; returns the accumulator for chaining."""
-    acc.push(sample)
-    return acc

@@ -38,7 +38,7 @@ import numpy as np
 from .dissipation import (
     DissipationSpec,
     Fatigue,
-    WeightedL1,
+    force_box,
     potential,
     subdiff_zero_contains,
     threshold_dual,
@@ -472,27 +472,25 @@ def uniqueness_probe(scenario: Scenario, eps: float) -> ProbeResult:
     refine = max(1, math.ceil(10.0 * scenario.tau / eps - 1e-12))
     scn_exp = scenario.with_steps(scenario.n_steps * refine)
 
-    runs = {}
-    traj, _ = solve_viscous(scenario, eps, warm_start=True)
-    runs["implicit-warm"] = traj.values
-    traj, _ = solve_viscous(scenario, eps, warm_start=False)
-    runs["implicit-cold"] = traj.values
-    traj, _ = solve_viscous(scn_exp, eps, method="explicit", warm_start=True)
-    runs["explicit-warm"] = traj.values[::refine]
-    traj, _ = solve_viscous(scn_exp, eps, method="explicit", warm_start=False)
-    runs["explicit-cold"] = traj.values[::refine]
+    times = scenario.times()
+
+    def run(scn, stride, **kwargs):
+        traj, _ = solve_viscous(scn, eps, **kwargs)
+        return Trajectory(times=times, values=traj.values[::stride])
+
+    runs = {
+        "implicit-warm": run(scenario, 1, warm_start=True),
+        "implicit-cold": run(scenario, 1, warm_start=False),
+        "explicit-warm": run(scn_exp, refine, method="explicit", warm_start=True),
+        "explicit-cold": run(scn_exp, refine, method="explicit", warm_start=False),
+    }
 
     names = list(runs)
     gaps = {}
     worst = 0.0
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
-            diff = runs[names[a]] - runs[names[b]]
-            gap = float(
-                np.sqrt(
-                    np.maximum(np.einsum("ki,ij,kj->k", diff, mesh.riesz, diff), 0.0)
-                ).max()
-            )
+            gap = c_norm_diff(mesh, runs[names[a]], runs[names[b]])
             gaps[f"{names[a]} vs {names[b]}"] = gap
             worst = max(worst, gap)
     return ProbeResult(gaps=gaps, max_gap=worst, explicit_refine=refine)
@@ -609,10 +607,9 @@ def dual_equivalence(scenario: Scenario, eps: float) -> DualEquivalenceResult:
     lim_feas = -math.inf
     rate_adm = -math.inf
 
-    one_sided = diss.one_sided
     for k in range(steps):
         zeta = acc.value()
-        w = threshold_dual(diss, mesh, zeta)
+        lower, upper = force_box(diss, mesh, zeta)
         delta = values[k + 1] - values[k]
         rate = delta / tau
         f = scenario.load.value(times[k + 1]) - scenario.alpha * riesz_apply(
@@ -621,27 +618,23 @@ def dual_equivalence(scenario: Scenario, eps: float) -> DualEquivalenceResult:
         phi_visc = f - effective * riesz_apply(mesh, delta)
         phi_lim = phi_visc + eps * riesz_apply(mesh, rate)
 
-        if one_sided:
-            rate_adm = max(rate_adm, float((-rate).max()))
-            visc_feas = max(visc_feas, float((phi_visc - w).max()))
-            lim_feas = max(lim_feas, float((phi_lim - w).max()))
-            visc_comp = max(visc_comp, float(np.abs(rate * (w - phi_visc)).max()))
-            lim_comp = max(lim_comp, float(np.abs(rate * (w - phi_lim)).max()))
-        else:
-            rate_adm = max(rate_adm, 0.0)
-            visc_feas = max(visc_feas, float((np.abs(phi_visc) - w).max()))
-            lim_feas = max(lim_feas, float((np.abs(phi_lim) - w).max()))
-            on = rate != 0.0
-            if on.any():
-                sgn = np.sign(rate[on])
-                visc_comp = max(
-                    visc_comp,
-                    float((np.abs(rate[on]) * np.abs(w[on] * sgn - phi_visc[on])).max()),
-                )
-                lim_comp = max(
-                    lim_comp,
-                    float((np.abs(rate[on]) * np.abs(w[on] * sgn - phi_lim[on])).max()),
-                )
+        rate_adm = max(rate_adm, float((-rate).max()) if diss.one_sided else 0.0)
+        visc_feas = max(
+            visc_feas, float(np.maximum(phi_visc - upper, lower - phi_visc).max())
+        )
+        lim_feas = max(
+            lim_feas, float(np.maximum(phi_lim - upper, lower - phi_lim).max())
+        )
+        # Where the rate is nonzero the force sits on the bound it moves towards.
+        on = rate != 0.0
+        speed = np.abs(rate[on])
+        bound = np.where(rate > 0.0, upper, lower)[on]
+        visc_comp = max(
+            visc_comp, float((speed * np.abs(bound - phi_visc[on])).max(initial=0.0))
+        )
+        lim_comp = max(
+            lim_comp, float((speed * np.abs(bound - phi_lim[on])).max(initial=0.0))
+        )
         acc.push(values[k + 1])
 
     return DualEquivalenceResult(

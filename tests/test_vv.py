@@ -7,11 +7,14 @@ solver-free references.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from histris.config import build_scenario, normalize_config
+from histris.dissipation import WeightedL1
 from histris.history import identity_kernel
 from histris.spatial import build_mesh
 from histris.trajectory import Trajectory
@@ -83,6 +86,51 @@ def test_certificate_accepts_limit_and_rejects_shifted_copy():
     bad = certify_limit(sc, shifted, tol=1e-2)
     assert not bad.passed
     assert bad.max_balance_residual > 1e-2
+
+
+def test_certificate_rejects_non_finite_states():
+    sc = _sine_scenario()
+    traj, _ = solve_viscous(sc, 0.003125)
+    assert certify_limit(sc, traj).passed
+    values = traj.values.copy()
+    values[300:] = np.nan
+    cert = certify_limit(sc, Trajectory(times=traj.times, values=values))
+    assert not cert.passed
+    assert math.isnan(cert.max_stability_violation)
+    assert math.isnan(cert.max_balance_residual)
+
+
+@pytest.mark.parametrize("one_sided", [True, False])
+def test_stability_violation_is_relative_box_slack_density(one_sided):
+    # State at rest under a constant load density 3 against threshold
+    # density 1: the force leaves the box by density 2, relative to
+    # 1 + 3 + 1.  The two-sided family sees the same from below.
+    sc = scalar_scenario(lambda t: 3.0 if one_sided else -3.0, n_steps=10)
+    if not one_sided:
+        sc = replace(sc, dissipation=WeightedL1(
+            weight=sc.dissipation.kappa, lipschitz=0.0))
+    rest = Trajectory(times=sc.times(), values=np.zeros((11, sc.mesh.n_nodes)))
+    cert = certify_limit(sc, rest)
+    assert cert.max_stability_violation == pytest.approx(2.0 / 5.0, rel=1e-12)
+    assert cert.max_balance_residual == 0.0
+    assert not cert.passed
+
+
+def test_two_sided_stability_defect_shrinks_with_eps():
+    # Off the box the viscosity-free force differs from the viscous one
+    # by eps * Riesz(rate), so the exact check sees an O(eps) defect
+    # while the rate slips in both directions.
+    sc = build_scenario(normalize_config({
+        "mesh": {"n_nodes": 33},
+        "model": {"n_steps": 1000},
+        "load": {"time": "2*sin(2*pi*t)", "space": "1 + 0.6*cos(3*pi*x)"},
+        "dissipation": {"family": "weighted_l1"},
+    }))
+    coarse = certify_limit(sc, solve_viscous(sc, 0.02)[0])
+    fine = certify_limit(sc, solve_viscous(sc, 0.01)[0])
+    assert coarse.max_stability_violation > 1e-2
+    ratio = fine.max_stability_violation / coarse.max_stability_violation
+    assert 0.4 <= ratio <= 0.7
 
 
 def test_sweep_schedule_validation():
