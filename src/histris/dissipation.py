@@ -32,9 +32,10 @@ makes the classical identity
 
     prox(force) = (1/eps) * riesz_solve(force - project(force))
 
-hold exactly; the two sides are computed by independent solvers here
-(a primal rate problem and a dual box projection) so the identity can
-serve as a cross-check.
+hold exactly.  The two sides are independent formulations (a primal
+rate problem with Hessian ``eps * R`` and a dual box projection with
+Hessian ``R^{-1}``, in different unknowns), so the identity serves as
+a cross-check even though both run the same box active-set routine.
 """
 
 from __future__ import annotations
@@ -162,13 +163,17 @@ def potential(spec: DissipationSpec, mesh: Mesh, zeta: Field, rate: Field) -> fl
 
     Returns ``inf`` for fatigue rates outside the nonnegative cone.
     """
+    return _potential_at(spec, threshold_dual(spec, mesh, zeta), rate)
+
+
+def _potential_at(spec: DissipationSpec, threshold: DualField, rate: Field) -> float:
+    """:func:`potential` given the assembled threshold ``M w(zeta)``."""
     rate = np.asarray(rate, dtype=float)
-    w = threshold_dual(spec, mesh, zeta)
     if spec.one_sided:
         if np.min(rate, initial=0.0) < 0.0:
             return math.inf
-        return float(w @ rate)
-    return float(w @ np.abs(rate))
+        return float(threshold @ rate)
+    return float(threshold @ np.abs(rate))
 
 
 def check_homogeneity(spec: DissipationSpec, mesh: Mesh, zeta: Field, rate: Field,
@@ -216,17 +221,24 @@ def check_lipschitz_axiom(spec: DissipationSpec, mesh: Mesh, zeta1: Field,
 def _prox_rate_counted(spec: DissipationSpec, mesh: Mesh, zeta: Field,
                        force: DualField, eps: float, start=None,
                        tol: float = KKT_TOL):
-    """Rate prox with iteration count: argmin over rates of
-    ``eps/2 ||r||_H1^2 - <force, r> + potential(zeta, r)``."""
+    """Rate prox: argmin over rates of
+    ``eps/2 ||r||_H1^2 - <force, r> + potential(zeta, r)``.
+
+    Returns ``(rate, iterations, threshold)``; the threshold
+    ``M w(zeta)`` lets callers evaluate the potential without
+    assembling it again.
+    """
     if not (eps > 0 and np.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     force = np.asarray(force, dtype=float)
     w = threshold_dual(spec, mesh, zeta)
     hess = eps * mesh.riesz
     if spec.one_sided:
-        return solve_box_qp(hess, force - w, lower=0.0, upper=None,
-                            start=start, tol=tol)
-    return solve_l1_qp(hess, force, w, start=start, tol=tol)
+        rate, iterations = solve_box_qp(hess, force - w, lower=0.0, upper=None,
+                                        start=start, tol=tol)
+    else:
+        rate, iterations = solve_l1_qp(hess, force, w, start=start, tol=tol)
+    return rate, iterations, w
 
 
 def prox_rate(spec: DissipationSpec, mesh: Mesh, zeta: Field, force: DualField,

@@ -1,20 +1,17 @@
 """Dense quadratic programs with box or weighted-l1 structure.
 
-Both solvers share the same two-phase strategy:
+One active-set routine, :func:`solve_box_qp`, does the work: a few
+projected-gradient steps with Barzilai-Borwein lengths settle the
+active pattern (warm starts from the previous time step make them
+nearly free), then a direct solve on the free coordinates, a walk back
+to the box one blocking bound at a time, and the release of the worst
+mis-signed multiplier, repeated.  :func:`solve_l1_qp` fixes a sign per
+coordinate, which makes the l1 term linear, and solves the resulting
+box QPs until no sign needs to change.
 
-1. a short projected-gradient warmup with Barzilai-Borwein step lengths,
-   which settles the active pattern cheaply and makes warm starts from a
-   previous time step nearly free;
-2. an exact active-set polish: minimize over the currently free
-   coordinates by a direct solve, walk back towards the feasible set one
-   blocking constraint at a time, then release the worst mis-signed
-   multiplier and repeat.
-
-On return the complementarity conditions hold to machine precision
-(free gradients come from a direct solve, pinned coordinates sit exactly
-on their bound) and the dual feasibility margin is within ``tol``.
-Problems here are small and dense; Hessians are symmetric positive
-definite.
+On return pinned coordinates sit exactly on their bound, free
+gradients come from a direct solve, and the dual feasibility margin is
+within ``tol``.  Hessians are dense and symmetric positive definite.
 """
 
 from __future__ import annotations
@@ -46,8 +43,7 @@ def box_qp_kkt_residual(hess, lin, lower, upper, x) -> float:
     return float(np.max(np.abs(x - np.clip(x - g, lower, upper)), initial=0.0))
 
 
-def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL,
-                 pg_sweeps=3, max_cycles=None):
+def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
     """Minimize ``0.5 x'Hx - lin'x`` subject to ``lower <= x <= upper``.
 
     Returns ``(x, iterations)``.  Bounds may be scalars, arrays, or None
@@ -74,7 +70,7 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL,
 
     # Phase 1: projected gradient with BB step lengths.
     g = hess @ x - lin
-    for _ in range(pg_sweeps):
+    for _ in range(3):
         x_new = np.clip(x - step * g, lower, upper)
         s = x_new - x
         if not s.any():
@@ -89,10 +85,8 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL,
     at_lo = x <= lower
     at_hi = (x >= upper) & ~at_lo
 
-    if max_cycles is None:
-        max_cycles = 10 * n + 100
     worst = np.inf
-    for _ in range(max_cycles):
+    for _ in range(10 * n + 100):
         iterations += 1
         # Exact solve on the free block, pinning blockers one at a time.
         for _inner in range(n + 1):
@@ -154,10 +148,6 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL,
     raise NumericalFailure("box qp exceeded its cycle cap", residual=worst)
 
 
-def _soft(u: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
-
-
 def l1_qp_kkt_residual(hess, lin, weights, x) -> float:
     """KKT residual of ``min 0.5 x'Hx - lin'x + sum w_i |x_i|``."""
     g = hess @ x - lin
@@ -172,14 +162,18 @@ def l1_qp_kkt_residual(hess, lin, weights, x) -> float:
     return out
 
 
-def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL, ista_sweeps=8,
-                max_cycles=None):
+def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
     """Minimize ``0.5 x'Hx - lin'x + sum w_i |x_i|`` with ``w_i >= 0``.
 
-    Returns ``(x, iterations)``.  The warmup is iterative shrinkage
-    (forward-backward splitting); the polish fixes a sign pattern,
-    solves the support block exactly, removes coordinates whose sign
-    flips, and admits the worst off-support optimality violation.
+    Returns ``(x, iterations)``.  Once every coordinate's sign is fixed
+    the l1 term is linear, so each pass solves the box QP of one sign
+    pattern (orthant): coordinates of sign +1 range over ``[0, inf)``,
+    of sign -1 over ``(-inf, 0]``, of sign 0 are pinned at zero, and
+    unweighted ones are free.  The pattern starts from the signs of
+    ``start``.  Every zero coordinate whose gradient beats its weight
+    then takes the sign that lowers the objective, and the pass repeats
+    until none does.  Each such change strictly lowers the objective,
+    so no pattern recurs.
     """
     lin = np.asarray(lin, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -189,72 +183,25 @@ def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL, ista_sweeps=8,
     if np.any(weights < 0):
         raise ValueError("l1 weights must be nonnegative")
 
-    x = np.zeros(n) if start is None else np.asarray(start, dtype=float).copy()
-    iterations = 0
-
-    gersh = float(np.abs(hess).sum(axis=1).max())
-    if gersh <= 0.0:
-        raise ValueError("hessian is zero")
-    step = 1.0 / gersh
-
-    # Phase 1: ISTA sweeps to settle the support.
-    for _ in range(ista_sweeps):
-        g = hess @ x - lin
-        x_new = _soft(x - step * g, step * weights)
-        if np.array_equal(x_new, x):
-            break
-        x = x_new
-        iterations += 1
-
+    x = np.zeros(n) if start is None else np.asarray(start, dtype=float)
     sign = np.sign(x)
     unweighted = weights == 0.0
-
-    if max_cycles is None:
-        max_cycles = 10 * n + 100
+    iterations = 0
     worst = np.inf
-    for _ in range(max_cycles):
-        iterations += 1
-        for _inner in range(n + 1):
-            on = (sign != 0.0) | unweighted
-            x[~on] = 0.0
-            if not on.any():
-                break
-            idx = np.flatnonzero(on)
-            rhs = lin[idx] - sign[idx] * weights[idx]
-            try:
-                z = np.linalg.solve(hess[np.ix_(idx, idx)], rhs)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure("singular support block in l1 qp") from exc
-            flips = (z * sign[idx] < 0.0) & ~unweighted[idx]
-            if not flips.any():
-                x[idx] = z
-                break
-            # Walk towards z until the first weighted coordinate crosses zero.
-            d = z - x[idx]
-            alpha = 1.0
-            block = -1
-            for j in np.flatnonzero(flips):
-                dj = d[j]
-                if dj == 0.0:
-                    continue
-                a = -x[idx[j]] / dj
-                if 0.0 <= a < alpha:
-                    alpha = a
-                    block = idx[j]
-            if block < 0:
-                x[idx] = z
-                break
-            x[idx] = x[idx] + alpha * d
-            sign[block] = 0.0
-            x[block] = 0.0
-
+    for _ in range(10 * n + 100):
+        lower = np.where((sign < 0.0) | unweighted, -np.inf, 0.0)
+        upper = np.where((sign > 0.0) | unweighted, np.inf, 0.0)
+        x, inner = solve_box_qp(hess, lin - sign * weights, lower, upper,
+                                start=x, tol=tol)
+        iterations += inner
         g = hess @ x - lin
-        on = (sign != 0.0) | unweighted
-        score = np.where(~on, np.abs(g) - weights, -np.inf)
-        worst = float(score.max(initial=-np.inf))
-        if worst <= tol:
+        at_zero = (x == 0.0) & ~unweighted
+        excess = np.where(at_zero, np.abs(g) - weights, -np.inf)
+        flips = excess > tol
+        if not flips.any():
             return x, iterations
-        k = int(np.argmax(score))
-        sign[k] = -np.sign(g[k])
+        worst = float(excess.max())
+        sign = np.where(at_zero, 0.0, sign)
+        sign[flips] = -np.sign(g[flips])
 
     raise NumericalFailure("l1 qp exceeded its cycle cap", residual=worst)

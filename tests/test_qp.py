@@ -49,15 +49,35 @@ def test_box_qp_kkt_residual_small(rng):
             assert box_qp_kkt_residual(hess, lin, lower, upper, x) <= KKT_TOL
 
 
-def test_box_qp_start_point_irrelevant(rng):
-    hess = random_spd(rng, 8)
-    lin = rng.standard_normal(8)
-    lower = np.zeros(8)
-    base, _ = solve_box_qp(hess, lin, lower=lower)
-    for _ in range(10):
-        start = np.abs(rng.standard_normal(8)) * rng.uniform(0.1, 5.0)
-        x, _ = solve_box_qp(hess, lin, lower=lower, start=start)
-        assert_allclose(x, base, atol=1e-9)
+@pytest.mark.parametrize("family", ["box", "l1"])
+def test_box_qp_start_point_irrelevant(rng, family):
+    if family == "box":
+        hess = random_spd(rng, 8)
+        lin = rng.standard_normal(8)
+        lower = np.zeros(8)
+        base, _ = solve_box_qp(hess, lin, lower=lower)
+        for _ in range(10):
+            start = np.abs(rng.standard_normal(8)) * rng.uniform(0.1, 5.0)
+            x, _ = solve_box_qp(hess, lin, lower=lower, start=start)
+            assert_allclose(x, base, atol=1e-9)
+        return
+    # Signed starts, many of the wrong sign, on Hessians with positive
+    # off-diagonal entries (not M-matrices): the sign loop has to move
+    # coordinates through zero into the other orthant.
+    wrong = 0
+    for _ in range(20):
+        n = int(rng.integers(4, 25))
+        hess = random_spd(rng, n, cond=100.0)
+        assert np.any(hess - np.diag(np.diag(hess)) > 0.0)
+        lin = rng.standard_normal(n) * 2.0
+        weights = rng.uniform(0.0, 1.5, n)
+        base, _ = solve_l1_qp(hess, lin, weights)
+        for _ in range(5):
+            start = rng.standard_normal(n) * rng.uniform(0.1, 5.0)
+            wrong += np.count_nonzero(start * base < 0.0)
+            x, _ = solve_l1_qp(hess, lin, weights, start=start)
+            assert_allclose(x, base, atol=1e-9)
+    assert wrong > 0
 
 
 def test_box_qp_unconstrained_interior():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import histris.dissipation as dissipation
 from histris.config import build_scenario, normalize_config
 from histris.dissipation import WeightedL1
 from histris.history import identity_kernel
@@ -114,6 +115,30 @@ def test_stability_violation_is_relative_box_slack_density(one_sided):
     assert cert.max_stability_violation == pytest.approx(2.0 / 5.0, rel=1e-12)
     assert cert.max_balance_residual == 0.0
     assert not cert.passed
+
+
+@pytest.mark.parametrize("one_sided", [True, False])
+def test_threshold_is_assembled_once_per_step(monkeypatch, one_sided):
+    # The prox and the balance check of an implicit step share one
+    # threshold, and so do the force box and the balance check of a
+    # certificate step.
+    sc = scalar_scenario(lambda t: 2.0 * math.sin(math.pi * t), n_steps=40)
+    if not one_sided:
+        sc = replace(sc, dissipation=WeightedL1(
+            weight=sc.dissipation.kappa, lipschitz=0.0))
+    calls = []
+    real = dissipation.threshold_dual
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(dissipation, "threshold_dual", counted)
+    traj, _ = solve_viscous(sc, 0.05)
+    assert len(calls) == sc.n_steps
+    calls.clear()
+    certify_limit(sc, traj)
+    assert len(calls) == sc.n_steps
 
 
 def test_two_sided_stability_defect_shrinks_with_eps():
