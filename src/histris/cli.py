@@ -63,12 +63,17 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, cfg: dict, header, rows) -> None:
+    # One format call per all-float row; "%.17g" gives the bytes of _fmt.
+    float_row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            if len(row) == len(header) and all(isinstance(v, float) for v in row):
+                fh.write(float_row % tuple(row))
+            else:
+                writer.writerow([_fmt(v) for v in row])
 
 
 def _write_trajectory(path: str, cfg: dict, mesh, traj) -> None:

@@ -1,4 +1,4 @@
-"""Dense quadratic programs with box or weighted-l1 structure.
+"""Quadratic programs with box or weighted-l1 structure.
 
 One active-set routine, :func:`solve_box_qp`, does the work: a few
 projected-gradient steps with Barzilai-Borwein lengths settle the
@@ -11,7 +11,11 @@ box QPs until no sign needs to change.
 
 On return pinned coordinates sit exactly on their bound, free
 gradients come from a direct solve, and the dual feasibility margin is
-within ``tol``.  Hessians are dense and symmetric positive definite.
+within ``tol``.  Hessians are symmetric positive definite, either
+dense arrays or :class:`~histris.spatial.SymTridiagonal` bands.  A band
+keeps every step O(n): its free blocks are tridiagonal and are solved
+with a tridiagonal factorization; a dense Hessian goes through a dense
+solve.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalFailure
+from .spatial import SymTridiagonal
 
 __all__ = ["KKT_TOL", "solve_box_qp", "solve_l1_qp", "box_qp_kkt_residual", "l1_qp_kkt_residual"]
 
@@ -43,6 +48,54 @@ def box_qp_kkt_residual(hess, lin, lower, upper, x) -> float:
     return float(np.max(np.abs(x - np.clip(x - g, lower, upper)), initial=0.0))
 
 
+def _max_abs_row_sum(hess) -> float:
+    if isinstance(hess, SymTridiagonal):
+        return hess.max_abs_row_sum()
+    return float(np.abs(hess).sum(axis=1).max())
+
+
+def _solve_free_block(hess, free, idx, lin, x):
+    """Solve ``H_ff z = lin_f - H_fp x_p`` for the free coordinates
+    (mask ``free``, indices ``idx``)."""
+    if isinstance(hess, SymTridiagonal):
+        rhs = lin - hess @ np.where(free, 0.0, x)
+        return hess.solve_principal(idx, rhs[idx])
+    pinned = np.flatnonzero(~free)
+    rhs = lin[idx]
+    if pinned.size:
+        rhs = rhs - hess[np.ix_(idx, pinned)] @ x[pinned]
+    return np.linalg.solve(hess[np.ix_(idx, idx)], rhs)
+
+
+def _first_blocker(x, d, lower, upper, moving):
+    """First bound hit on the way from ``x`` to ``x + d``.
+
+    Only coordinates flagged ``moving`` can block.  Returns
+    ``(alpha, j)``: the step length and the blocking coordinate, or
+    ``(1.0, -1)`` when no bound blocks before the full step.  The choice
+    is that of scanning the coordinates in order, taking one whenever
+    its ratio is strictly below the running step clamped at zero: the
+    first smallest ratio or, once a ratio is <= 0, the last negative
+    one after it.
+    """
+    cand = np.flatnonzero(moving & (d != 0.0))
+    dc = d[cand]
+    bound = np.where(dc < 0.0, lower[cand], upper[cand])
+    ratio = (bound - x[cand]) / dc
+    hit = ratio < 1.0
+    if not hit.any():
+        return 1.0, -1
+    stuck = np.flatnonzero(hit & (ratio <= 0.0))
+    if stuck.size:
+        j = stuck[0]
+        later = np.flatnonzero(ratio[j + 1:] < 0.0)
+        if later.size:
+            j += 1 + later[-1]
+    else:
+        j = np.argmin(np.where(hit, ratio, np.inf))
+    return max(ratio[j], 0.0), int(cand[j])
+
+
 def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
     """Minimize ``0.5 x'Hx - lin'x`` subject to ``lower <= x <= upper``.
 
@@ -63,7 +116,7 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
     x = np.clip(x, lower, upper)
     iterations = 0
 
-    gersh = float(np.abs(hess).sum(axis=1).max())
+    gersh = _max_abs_row_sum(hess)
     if gersh <= 0.0:
         raise ValueError("hessian is zero")
     step = 1.0 / gersh
@@ -95,38 +148,26 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
             if not free.any():
                 break
             idx = np.flatnonzero(free)
-            pinned = np.flatnonzero(~free)
-            rhs = lin[idx]
-            if pinned.size:
-                rhs = rhs - hess[np.ix_(idx, pinned)] @ x[pinned]
             try:
-                z = np.linalg.solve(hess[np.ix_(idx, idx)], rhs)
+                z = _solve_free_block(hess, free, idx, lin, x)
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailure("singular free block in box qp") from exc
-            below = z < lower[idx]
-            above = z > upper[idx]
-            if not below.any() and not above.any():
+            lo_f = lower[idx]
+            hi_f = upper[idx]
+            moving = (z < lo_f) | (z > hi_f)
+            if not moving.any():
                 x[idx] = z
                 break
             # Step from x towards z until the first bound blocks.
-            d = z - x[idx]
-            alpha = 1.0
-            block = -1
-            block_low = True
-            for j in np.flatnonzero(below | above):
-                dj = d[j]
-                if dj == 0.0:
-                    continue
-                bound = lower[idx[j]] if dj < 0.0 else upper[idx[j]]
-                a = (bound - x[idx[j]]) / dj
-                if a < alpha:
-                    alpha = max(a, 0.0)
-                    block = idx[j]
-                    block_low = dj < 0.0
-            if block < 0:
-                x[idx] = np.clip(z, lower[idx], upper[idx])
+            x_f = x[idx]
+            d = z - x_f
+            alpha, j = _first_blocker(x_f, d, lo_f, hi_f, moving)
+            if j < 0:
+                x[idx] = np.clip(z, lo_f, hi_f)
                 break
-            x[idx] = x[idx] + alpha * d
+            block = idx[j]
+            block_low = d[j] < 0.0
+            x[idx] = x_f + alpha * d
             if block_low:
                 at_lo[block] = True
                 x[block] = lower[block]

@@ -8,8 +8,10 @@ uniform grid.  Two representations coexist and must not be mixed:
   dual field with a field is the plain dot product of the two vectors.
 
 The Riesz map between the representations is the H^1 Gram matrix
-(mass plus stiffness).  It is symmetric positive definite; this module
-builds it once per mesh and keeps a Cholesky factorization for solves.
+(mass plus stiffness).  On a uniform P1 grid the mass, stiffness and
+Riesz matrices are symmetric tridiagonal, so a mesh stores them as
+bands (:class:`SymTridiagonal`): products cost O(n) through banded BLAS
+and Riesz solves reuse a cached LAPACK tridiagonal (L D L') factor.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
 __all__ = [
+    "SymTridiagonal",
     "Field",
     "DualField",
     "Mesh",
@@ -45,6 +49,117 @@ Field = np.ndarray
 DualField = np.ndarray
 
 
+class SymTridiagonal:
+    """Symmetric tridiagonal matrix stored as its diagonal and off-diagonal.
+
+    ``@`` applies it to a vector, a scalar ``*`` scales both bands, and
+    ``+`` adds two of them; each returns a band or a vector, never a
+    dense matrix.  ``np.asarray`` gives the dense matrix, for tests and
+    reference computations.  numpy operators defer to this class, so a
+    band is never densified by accident.  Bands are not modified in
+    place: ``solve`` caches a factorization of them.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, diag, off):
+        diag = np.asarray(diag, dtype=float)
+        off = np.asarray(off, dtype=float)
+        if diag.ndim != 1 or diag.size == 0 or off.shape != (diag.size - 1,):
+            raise ValueError(
+                f"bands of shapes {diag.shape} and {off.shape} do not form "
+                "a tridiagonal matrix"
+            )
+        # Upper band storage, the layout dsbmv reads by default: row 0
+        # holds the superdiagonal (its first entry is not referenced),
+        # row 1 the diagonal.
+        self._bands = np.zeros((2, diag.size), order="F")
+        self._bands[0, 1:] = off
+        self._bands[1] = diag
+        self._factor = None
+
+    @classmethod
+    def _of_bands(cls, bands: np.ndarray) -> "SymTridiagonal":
+        band = cls.__new__(cls)
+        band._bands = bands
+        band._factor = None
+        return band
+
+    @property
+    def diag(self) -> np.ndarray:
+        return self._bands[1]
+
+    @property
+    def off(self) -> np.ndarray:
+        return self._bands[0, 1:]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self._bands.shape[1]
+        return (n, n)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.shape[:1]:
+            raise ValueError(f"cannot apply a {self.shape} band to shape {x.shape}")
+        return dsbmv(1, 1.0, self._bands, x)
+
+    def __mul__(self, scalar):
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return SymTridiagonal._of_bands(scalar * self._bands)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if not isinstance(other, SymTridiagonal):
+            return NotImplemented
+        return SymTridiagonal._of_bands(self._bands + other._bands)
+
+    def max_abs_row_sum(self) -> float:
+        """Largest absolute row sum (the Gershgorin bound)."""
+        rows = np.abs(self.diag)
+        rows[:-1] += np.abs(self.off)
+        rows[1:] += np.abs(self.off)
+        return float(rows.max())
+
+    def solve(self, b):
+        """Solve ``A x = b`` (``b`` of shape (n,) or (n, k)); A must be
+        positive definite.  The factorization is computed once."""
+        b = np.asarray(b, dtype=float)
+        if self.shape[0] == 1:
+            return b / self.diag[0]
+        if self._factor is None:
+            d, e, info = dpttrf(self.diag, self.off)
+            if info != 0:
+                raise np.linalg.LinAlgError("band matrix is not positive definite")
+            self._factor = (d, e)
+        x, info = dpttrs(*self._factor, b)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
+        return x
+
+    def solve_principal(self, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve with the principal sub-block on the sorted node indices
+        ``idx``; ``rhs`` has one entry per index.
+
+        The sub-block is tridiagonal again: nodes that are not
+        neighbours in the full matrix are uncoupled.
+        """
+        diag = self.diag[idx]
+        if idx.size == 1:
+            return np.asarray(rhs, dtype=float) / diag
+        off = np.where(np.diff(idx) == 1, self.off[idx[:-1]], 0.0)
+        *_, x, info = dptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("free block is not positive definite")
+        return x
+
+
 @dataclass(eq=False)
 class Mesh:
     """Uniform P1 discretization of the interval [0, length]."""
@@ -52,11 +167,10 @@ class Mesh:
     n_nodes: int
     length: float
     nodes: np.ndarray
-    mass: np.ndarray
-    stiffness: np.ndarray
-    riesz: np.ndarray
+    mass: SymTridiagonal
+    stiffness: SymTridiagonal
+    riesz: SymTridiagonal
     lumped_mass: np.ndarray
-    _factor: tuple = field(repr=False, default=None)
     _inverse: np.ndarray | None = field(repr=False, default=None)
 
     @property
@@ -67,17 +181,17 @@ class Mesh:
     def riesz_inverse(self) -> np.ndarray:
         """Dense inverse of the Riesz matrix (computed once, then cached).
 
-        Used as the Hessian of dual-side projection problems; meshes in
-        this package are small enough that the dense inverse is cheap.
+        Only the dual projection uses it, as the Hessian of its box QP;
+        the primal solve path works with the bands alone.
         """
         if self._inverse is None:
-            inv = cho_solve(self._factor, np.eye(self.n_nodes))
+            inv = self.riesz.solve(np.eye(self.n_nodes))
             self._inverse = 0.5 * (inv + inv.T)
         return self._inverse
 
 
 def build_mesh(n_nodes: int, length: float = 1.0) -> Mesh:
-    """Assemble mass, stiffness and Riesz matrices for a uniform grid.
+    """Assemble the mass, stiffness and Riesz bands for a uniform grid.
 
     Parameters
     ----------
@@ -101,24 +215,23 @@ def build_mesh(n_nodes: int, length: float = 1.0) -> Mesh:
     d_mass = np.full(n, 2.0 * h / 3.0)
     d_mass[[0, -1]] = h / 3.0
     o_mass = np.full(n - 1, h / 6.0)
-    mass = np.diag(d_mass) + np.diag(o_mass, 1) + np.diag(o_mass, -1)
+    mass = SymTridiagonal(d_mass, o_mass)
 
     d_stiff = np.full(n, 2.0 / h)
     d_stiff[[0, -1]] = 1.0 / h
-    o_stiff = np.full(n - 1, -1.0 / h)
-    stiffness = np.diag(d_stiff) + np.diag(o_stiff, 1) + np.diag(o_stiff, -1)
+    stiffness = SymTridiagonal(d_stiff, np.full(n - 1, -1.0 / h))
 
-    riesz = mass + stiffness
-    factor = cho_factor(riesz)
+    lumped_mass = d_mass.copy()
+    lumped_mass[:-1] += o_mass
+    lumped_mass[1:] += o_mass
     return Mesh(
         n_nodes=n,
         length=length,
         nodes=nodes,
         mass=mass,
         stiffness=stiffness,
-        riesz=riesz,
-        lumped_mass=mass.sum(axis=1),
-        _factor=factor,
+        riesz=mass + stiffness,
+        lumped_mass=lumped_mass,
     )
 
 
@@ -147,7 +260,7 @@ def riesz_apply(mesh: Mesh, u: Field) -> DualField:
 
 def riesz_solve(mesh: Mesh, w: DualField) -> Field:
     """Inverse Riesz map: recover the field representing a dual field."""
-    return cho_solve(mesh._factor, np.asarray(w, dtype=float))
+    return mesh.riesz.solve(w)
 
 
 def dual_pair(w: DualField, v: Field) -> float:

@@ -6,11 +6,13 @@ the CSV bytes, and the PASS/FAIL wiring of every verify experiment.
 """
 
 import csv
+import io
 import re
 
+import numpy as np
 import pytest
 
-from histris.cli import main
+from histris.cli import _fmt, _write_csv, main
 
 SMALL_CONFIG = """
 mesh: {n_nodes: 5}
@@ -230,3 +232,27 @@ def test_optimize_writes_evaluation_trace(tmp_path, small_cfg, capsys):
     assert len(rows) == 15  # the configured evaluation budget
     totals = [float(r[1]) for r in rows]
     assert min(totals) == totals[-1] or min(totals) <= totals[0]
+
+
+def test_csv_rows_match_the_per_value_writer(tmp_path):
+    # All-float rows take a one-call format; its bytes must be those of
+    # csv.writer over _fmt, including nan, infinities and signed zeros.
+    header = ["a", "b", "c", "d"]
+    special = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1]
+    rows = [
+        [np.float64(v), v, 1.0 / 3.0, -v] for v in special
+    ] + [
+        [1.5, "x,y", 2, True],   # mixed row: csv.writer quotes "x,y"
+        [2.5, 3.5],              # short row
+        [np.float64(1e-300), 2.0, 3.0, 4.0],
+    ]
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), {}, header, rows)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.readline().startswith("# config_hash=")
+        assert fh.read() == expected.getvalue()

@@ -4,11 +4,13 @@ from numpy.testing import assert_allclose
 
 from histris.qp import (
     KKT_TOL,
+    _first_blocker,
     box_qp_kkt_residual,
     l1_qp_kkt_residual,
     solve_box_qp,
     solve_l1_qp,
 )
+from histris.spatial import build_mesh
 
 from oracles import brute_force_box_qp, brute_force_l1_qp, random_spd, soft_threshold
 
@@ -145,3 +147,66 @@ def test_shape_mismatch_raises(rng):
         solve_box_qp(hess, np.zeros(3))
     with pytest.raises(ValueError):
         solve_l1_qp(hess, np.zeros(4), np.ones(3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 33, 65])
+def test_band_hessian_matches_dense_hessian(rng, n):
+    # The prox Hessian eps * R as a band and as its dense matrix: both
+    # solvers must return the same minimizer whichever form they get.
+    mesh = build_mesh(n, length=float(rng.uniform(0.5, 2.0)))
+    for _ in range(20):
+        eps = 10.0 ** rng.uniform(-3.0, 1.0)
+        band = eps * mesh.riesz
+        dense = np.asarray(band)
+        lin = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 1.0)
+        lower, upper = _random_bounds(rng, n)
+        start = rng.standard_normal(n) * rng.uniform(0.0, 3.0)
+        for st in (None, start):
+            xb, _ = solve_box_qp(band, lin, lower, upper, start=st)
+            xd, _ = solve_box_qp(dense, lin, lower, upper, start=st)
+            scale = max(np.abs(xd).max(), 1e-300)
+            assert np.abs(xb - xd).max() <= 1e-12 * scale
+            assert box_qp_kkt_residual(band, lin, lower, upper, xb) <= KKT_TOL
+
+        weights = rng.uniform(0.0, 1.5, n) * np.abs(lin).max()
+        weights[rng.random(n) < 0.1] = 0.0
+        for st in (None, start):
+            xb, _ = solve_l1_qp(band, lin, weights, start=st)
+            xd, _ = solve_l1_qp(dense, lin, weights, start=st)
+            scale = max(np.abs(xd).max(), 1e-300)
+            assert np.abs(xb - xd).max() <= 1e-12 * scale
+            assert l1_qp_kkt_residual(band, lin, weights, xb) <= KKT_TOL
+
+
+def _scan_for_blocker(x, d, lower, upper, moving):
+    # Coordinate-by-coordinate scan: a ratio strictly below the running
+    # step (clamped at zero) takes over.
+    alpha, block = 1.0, -1
+    for j in np.flatnonzero(moving):
+        if d[j] == 0.0:
+            continue
+        bound = lower[j] if d[j] < 0.0 else upper[j]
+        a = (bound - x[j]) / d[j]
+        if a < alpha:
+            alpha, block = max(a, 0.0), j
+    return alpha, block
+
+
+def test_first_blocker_matches_a_coordinate_scan(rng):
+    stuck = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 12))
+        lower = np.round(rng.uniform(-1.0, 0.0, n), 1)
+        upper = lower + np.round(rng.uniform(0.0, 1.0, n), 1)
+        x = np.clip(np.round(rng.uniform(-1.0, 1.0, n), 1), lower, upper)
+        # some points a hair outside their box, as rounding leaves them
+        nudge = rng.random(n) < 0.2
+        x[nudge] += rng.choice([-1e-17, 1e-17], nudge.sum())
+        d = np.round(rng.uniform(-2.0, 2.0, n), 1)
+        moving = rng.random(n) < 0.7
+        got = _first_blocker(x, d, lower, upper, moving)
+        want = _scan_for_blocker(x, d, lower, upper, moving)
+        assert got[1] == want[1]
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        stuck += want[1] >= 0 and want[0] == 0.0
+    assert stuck > 0

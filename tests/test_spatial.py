@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from histris.spatial import (
+    SymTridiagonal,
     assemble_dual,
     build_mesh,
     cone_project,
@@ -42,7 +43,7 @@ def test_three_node_matrices_frozen():
 
 def test_mass_row_sums_are_lumped_mass():
     mesh = build_mesh(7, length=2.0)
-    assert_allclose(mesh.mass.sum(axis=1), mesh.lumped_mass, atol=1e-14)
+    assert_allclose(np.asarray(mesh.mass).sum(axis=1), mesh.lumped_mass, atol=1e-14)
     assert_allclose(mesh.lumped_mass.sum(), mesh.length, atol=1e-14)
 
 
@@ -101,6 +102,108 @@ def test_assemble_dual_is_mass_action(rng):
 def test_l2_norm_of_constant():
     mesh = build_mesh(15, length=2.0)
     assert_allclose(l2_norm(mesh, np.full(15, 3.0)), 3.0 * np.sqrt(2.0), rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the band type against its dense matrix
+
+
+def _random_band(rng, n):
+    # Diagonally dominant, hence positive definite.
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    return SymTridiagonal(2.5 + rng.uniform(0.0, 2.0, n), off)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 65])
+def test_band_products_match_dense(rng, n):
+    band = _random_band(rng, n)
+    dense = np.asarray(band)
+    assert dense.shape == band.shape == (n, n)
+    assert_allclose(dense, dense.T, atol=0.0)
+    for _ in range(5):
+        x = rng.standard_normal(n)
+        assert_allclose(band @ x, dense @ x, rtol=1e-14, atol=1e-14)
+        s = rng.uniform(-3.0, 3.0)
+        for scaled in (s * band, band * s, np.float64(s) * band):
+            assert isinstance(scaled, SymTridiagonal)
+            assert_allclose(np.asarray(scaled), s * dense, rtol=1e-15, atol=0.0)
+    assert_allclose(band.max_abs_row_sum(), np.abs(dense).sum(axis=1).max(),
+                    rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 65])
+def test_band_solve_matches_dense(rng, n):
+    band = _random_band(rng, n)
+    dense = np.asarray(band)
+    b = rng.standard_normal(n)
+    assert_allclose(band.solve(b), np.linalg.solve(dense, b), rtol=1e-12, atol=1e-14)
+    # the cached factor serves a second, matrix right-hand side
+    rhs = rng.standard_normal((n, 3))
+    assert_allclose(band.solve(rhs), np.linalg.solve(dense, rhs), rtol=1e-12,
+                    atol=1e-14)
+
+
+def _principal_reference(dense, free, rhs):
+    idx = np.flatnonzero(free)
+    return np.linalg.solve(dense[np.ix_(idx, idx)], rhs)
+
+
+def test_band_principal_solve_matches_dense_blocks(rng):
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        band = _random_band(rng, n)
+        dense = np.asarray(band)
+        free = rng.random(n) < rng.uniform(0.1, 0.9)
+        if not free.any():
+            free[rng.integers(n)] = True
+        rhs = rng.standard_normal(int(free.sum()))
+        assert_allclose(band.solve_principal(np.flatnonzero(free), rhs),
+                        _principal_reference(dense, free, rhs),
+                        rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("free", [
+    [False, True, False, False, False],      # one-node block
+    [True, False, True, False, True],        # no two free nodes adjacent
+    [True, True, False, True, True],         # two blocks split by a pin
+    [True, True, True, True, True],          # everything free
+])
+def test_band_principal_solve_special_masks(rng, free):
+    band = build_mesh(5).riesz * 0.3
+    free = np.array(free)
+    rhs = rng.standard_normal(int(free.sum()))
+    assert_allclose(band.solve_principal(np.flatnonzero(free), rhs),
+                    _principal_reference(np.asarray(band), free, rhs),
+                    rtol=1e-12, atol=1e-14)
+
+
+def test_two_node_mesh_band_algebra(rng):
+    mesh = build_mesh(2)
+    dense = np.asarray(mesh.riesz)
+    u = rng.standard_normal(2)
+    assert_allclose(riesz_apply(mesh, u), dense @ u, rtol=1e-15)
+    assert_allclose(riesz_solve(mesh, u), np.linalg.solve(dense, u), rtol=1e-13)
+    for free in ([True, False], [False, True], [True, True]):
+        free = np.array(free)
+        rhs = rng.standard_normal(int(free.sum()))
+        assert_allclose(mesh.riesz.solve_principal(np.flatnonzero(free), rhs),
+                        _principal_reference(dense, free, rhs), rtol=1e-13)
+
+
+def test_riesz_inverse_is_the_dense_inverse():
+    mesh = build_mesh(9, length=2.0)
+    inv = mesh.riesz_inverse()
+    assert_allclose(inv @ np.asarray(mesh.riesz), np.eye(9), atol=1e-13)
+
+
+def test_band_refuses_silent_densification():
+    band = build_mesh(4).riesz
+    with pytest.raises(TypeError):
+        np.ones((4, 4)) @ band
+    with pytest.raises(TypeError):
+        np.ones(4) * band
+    with pytest.raises(ValueError):
+        band @ np.ones((4, 2))
 
 
 @pytest.mark.parametrize("bad", [1, 0, -3, 2.5, True])

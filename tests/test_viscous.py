@@ -256,3 +256,38 @@ def test_non_finite_load_fails_the_balance_gate(one_sided):
     with pytest.raises(NumericalFailure, match="step 101/200") as exc:
         solve_viscous(sc, 0.05)
     assert "cycle cap" not in str(exc.value)
+
+
+@pytest.mark.parametrize("one_sided", [True, False])
+def test_implicit_solve_uses_band_algebra_only(monkeypatch, one_sided):
+    # The implicit path must not form or factor a dense matrix: dense
+    # solves, the dense Riesz inverse and densifying a band all raise.
+    import scipy.linalg
+
+    import histris.spatial as spatial
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra on the implicit path")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
+    monkeypatch.setattr(spatial.Mesh, "riesz_inverse", refuse)
+    monkeypatch.setattr(spatial.SymTridiagonal, "__array__", refuse)
+
+    mesh = build_mesh(65)
+    dual = mesh.mass @ (1.0 + 0.6 * np.cos(3.0 * np.pi * mesh.nodes))
+    weight = lambda z: 0.4 + 0.6 / (1.0 + np.asarray(z) ** 2)
+    spec = (constant_threshold(0.5) if one_sided
+            else WeightedL1(weight=weight, lipschitz=0.65))
+    scn = Scenario(
+        mesh=mesh,
+        alpha=1.0,
+        load=Load([LoadTerm(lambda t: 2.0 * math.sin(2.0 * math.pi * t), dual)]),
+        kernel=identity_kernel(np.zeros(65)),
+        dissipation=spec,
+        horizon=1.0,
+        n_steps=100,
+    )
+    traj, report = solve_viscous(scn, 1e-3)
+    assert report.max_balance_residual <= BALANCE_TOL
+    assert np.count_nonzero(traj.values[-1]) > 0
