@@ -67,35 +67,6 @@ def _solve_free_block(hess, free, idx, lin, x):
     return np.linalg.solve(hess[np.ix_(idx, idx)], rhs)
 
 
-def _first_blocker(x, d, lower, upper, moving):
-    """First bound hit on the way from ``x`` to ``x + d``.
-
-    Only coordinates flagged ``moving`` can block.  Returns
-    ``(alpha, j)``: the step length and the blocking coordinate, or
-    ``(1.0, -1)`` when no bound blocks before the full step.  The choice
-    is that of scanning the coordinates in order, taking one whenever
-    its ratio is strictly below the running step clamped at zero: the
-    first smallest ratio or, once a ratio is <= 0, the last negative
-    one after it.
-    """
-    cand = np.flatnonzero(moving & (d != 0.0))
-    dc = d[cand]
-    bound = np.where(dc < 0.0, lower[cand], upper[cand])
-    ratio = (bound - x[cand]) / dc
-    hit = ratio < 1.0
-    if not hit.any():
-        return 1.0, -1
-    stuck = np.flatnonzero(hit & (ratio <= 0.0))
-    if stuck.size:
-        j = stuck[0]
-        later = np.flatnonzero(ratio[j + 1:] < 0.0)
-        if later.size:
-            j += 1 + later[-1]
-    else:
-        j = np.argmin(np.where(hit, ratio, np.inf))
-    return max(ratio[j], 0.0), int(cand[j])
-
-
 def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
     """Minimize ``0.5 x'Hx - lin'x`` subject to ``lower <= x <= upper``.
 
@@ -152,22 +123,30 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
                 z = _solve_free_block(hess, free, idx, lin, x)
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailure("singular free block in box qp") from exc
-            lo_f = lower[idx]
-            hi_f = upper[idx]
-            moving = (z < lo_f) | (z > hi_f)
-            if not moving.any():
+            below = z < lower[idx]
+            above = z > upper[idx]
+            if not below.any() and not above.any():
                 x[idx] = z
                 break
             # Step from x towards z until the first bound blocks.
-            x_f = x[idx]
-            d = z - x_f
-            alpha, j = _first_blocker(x_f, d, lo_f, hi_f, moving)
-            if j < 0:
-                x[idx] = np.clip(z, lo_f, hi_f)
+            d = z - x[idx]
+            alpha = 1.0
+            block = -1
+            block_low = True
+            for j in np.flatnonzero(below | above):
+                dj = d[j]
+                if dj == 0.0:
+                    continue
+                bound = lower[idx[j]] if dj < 0.0 else upper[idx[j]]
+                a = (bound - x[idx[j]]) / dj
+                if a < alpha:
+                    alpha = max(a, 0.0)
+                    block = idx[j]
+                    block_low = dj < 0.0
+            if block < 0:
+                x[idx] = np.clip(z, lower[idx], upper[idx])
                 break
-            block = idx[j]
-            block_low = d[j] < 0.0
-            x[idx] = x_f + alpha * d
+            x[idx] = x[idx] + alpha * d
             if block_low:
                 at_lo[block] = True
                 x[block] = lower[block]

@@ -127,6 +127,13 @@ class SymTridiagonal:
         rows[1:] += np.abs(self.off)
         return float(rows.max())
 
+    def quad_forms(self, rows: np.ndarray) -> np.ndarray:
+        """``r' A r`` for every row ``r`` of the (k, n) array ``rows``,
+        in O(n) a row and without (k, n) temporaries."""
+        diag = np.einsum("ki,i,ki->k", rows, self.diag, rows)
+        off = np.einsum("ki,i,ki->k", rows[:, :-1], self.off, rows[:, 1:])
+        return diag + 2.0 * off
+
     def solve(self, b):
         """Solve ``A x = b`` (``b`` of shape (n,) or (n, k)); A must be
         positive definite.  The factorization is computed once."""

@@ -57,11 +57,7 @@ class Trajectory:
 
 
 def _h1_norms_sq(mesh: Mesh, rows: np.ndarray) -> np.ndarray:
-    """Squared H^1 norm of every row, from the Riesz bands in O(n) a row."""
-    riesz = mesh.riesz
-    diag = np.einsum("ki,i,ki->k", rows, riesz.diag, rows)
-    off = np.einsum("ki,i,ki->k", rows[:, :-1], riesz.off, rows[:, 1:])
-    return diag + 2.0 * off
+    return mesh.riesz.quad_forms(rows)
 
 
 def c_norm(mesh: Mesh, traj: Trajectory) -> float:

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from histris.qp import (
     KKT_TOL,
-    _first_blocker,
     box_qp_kkt_residual,
     l1_qp_kkt_residual,
     solve_box_qp,
@@ -177,36 +176,3 @@ def test_band_hessian_matches_dense_hessian(rng, n):
             assert np.abs(xb - xd).max() <= 1e-12 * scale
             assert l1_qp_kkt_residual(band, lin, weights, xb) <= KKT_TOL
 
-
-def _scan_for_blocker(x, d, lower, upper, moving):
-    # Coordinate-by-coordinate scan: a ratio strictly below the running
-    # step (clamped at zero) takes over.
-    alpha, block = 1.0, -1
-    for j in np.flatnonzero(moving):
-        if d[j] == 0.0:
-            continue
-        bound = lower[j] if d[j] < 0.0 else upper[j]
-        a = (bound - x[j]) / d[j]
-        if a < alpha:
-            alpha, block = max(a, 0.0), j
-    return alpha, block
-
-
-def test_first_blocker_matches_a_coordinate_scan(rng):
-    stuck = 0
-    for _ in range(2000):
-        n = int(rng.integers(1, 12))
-        lower = np.round(rng.uniform(-1.0, 0.0, n), 1)
-        upper = lower + np.round(rng.uniform(0.0, 1.0, n), 1)
-        x = np.clip(np.round(rng.uniform(-1.0, 1.0, n), 1), lower, upper)
-        # some points a hair outside their box, as rounding leaves them
-        nudge = rng.random(n) < 0.2
-        x[nudge] += rng.choice([-1e-17, 1e-17], nudge.sum())
-        d = np.round(rng.uniform(-2.0, 2.0, n), 1)
-        moving = rng.random(n) < 0.7
-        got = _first_blocker(x, d, lower, upper, moving)
-        want = _scan_for_blocker(x, d, lower, upper, moving)
-        assert got[1] == want[1]
-        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-        stuck += want[1] >= 0 and want[0] == 0.0
-    assert stuck > 0

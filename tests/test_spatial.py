@@ -132,6 +132,16 @@ def test_band_products_match_dense(rng, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 65])
+def test_band_quad_forms_match_dense(rng, n):
+    band = _random_band(rng, n)
+    dense = np.asarray(band)
+    rows = rng.standard_normal((7, n))
+    want = np.einsum("ki,ij,kj->k", rows, dense, rows)
+    assert_allclose(band.quad_forms(rows), want, rtol=1e-13, atol=1e-13)
+    assert band.quad_forms(rows[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 65])
 def test_band_solve_matches_dense(rng, n):
     band = _random_band(rng, n)
     dense = np.asarray(band)
