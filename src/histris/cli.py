@@ -20,6 +20,8 @@ import csv
 import os
 import sys
 
+import numpy as np
+
 from .config import (
     ConfigError,
     build_control,
@@ -78,9 +80,7 @@ def _write_csv(path: str, cfg: dict, header, rows) -> None:
 
 def _write_trajectory(path: str, cfg: dict, mesh, traj) -> None:
     header = ["time"] + [f"q{i}" for i in range(mesh.n_nodes)]
-    rows = [
-        [traj.times[k]] + list(traj.values[k]) for k in range(len(traj.times))
-    ]
+    rows = np.column_stack((traj.times, traj.values)).tolist()
     _write_csv(path, cfg, header, rows)
 
 
@@ -96,16 +96,8 @@ def _write_report(path: str, cfg: dict, mesh, traj, report) -> None:
     rows = []
     for k in range(len(traj.times)):
         rate = report.rate_h1_norms[k - 1] if k > 0 else 0.0
-        diss = (
-            report.dissipation_rates[k - 1]
-            if k > 0 and report.dissipation_rates is not None
-            else math.nan if k > 0 else 0.0
-        )
-        bal = (
-            report.balance_residuals[k - 1]
-            if k > 0 and report.balance_residuals is not None
-            else math.nan if k > 0 else 0.0
-        )
+        diss = report.dissipation_rates[k - 1] if k > 0 else 0.0
+        bal = report.balance_residuals[k - 1] if k > 0 else 0.0
         rows.append([
             traj.times[k],
             h1_norm(mesh, traj.values[k]),
@@ -326,7 +318,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps", type=float,
                         help="viscosity override for the solver section")
     parser.add_argument("--jobs", type=int,
-                        help="max concurrent solves in experiments")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--seed", type=int, help="seed override")
 
 

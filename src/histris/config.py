@@ -13,7 +13,8 @@ Sections::
     model:       alpha, horizon, n_steps
     load:        time, space           (expressions in t and x)
     dissipation: family (fatigue | weighted_l1), weight, weight_slope
-                 (expressions in z), lipschitz
+                 (expressions in z), lipschitz; built as one
+                 ``Dissipation``, one-sided for fatigue
     history:     kind (identity | convolution), initial (expression in
                  x), kernel, kernel_slope (expressions in t, the lag)
     solver:      eps, method, warm_start
@@ -34,7 +35,7 @@ import math
 import yaml
 
 from .control import ControlProblem, sine_basis
-from .dissipation import Fatigue, WeightedL1
+from .dissipation import Dissipation
 from .expressions import Expression, ExpressionError
 from .history import convolution_kernel, identity_kernel
 from .spatial import build_mesh, interpolate
@@ -321,14 +322,11 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _build_dissipation(cfg: dict):
+def _build_dissipation(cfg: dict) -> Dissipation:
     d = cfg["dissipation"]
-    weight = Expression(d["weight"], ("z",))
     slope = Expression(d["weight_slope"], ("z",)) if d["weight_slope"] else None
-    if d["family"] == "fatigue":
-        return Fatigue(kappa=weight, lipschitz=d["lipschitz"],
-                       kappa_prime=slope)
-    return WeightedL1(weight=weight, lipschitz=d["lipschitz"])
+    return Dissipation(Expression(d["weight"], ("z",)), d["lipschitz"],
+                       one_sided=d["family"] == "fatigue", weight_prime=slope)
 
 
 def _build_kernel(cfg: dict, mesh):

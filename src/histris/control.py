@@ -27,7 +27,6 @@ from .verify import load_h1_dual_norm
 from .viscous import Load, LoadTerm, Scenario, solve_viscous
 
 __all__ = [
-    "BasisElement",
     "sine_basis",
     "load_from_coefficients",
     "ControlProblem",
@@ -38,21 +37,12 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class BasisElement:
-    """One load direction: a time profile paired with a spatial dual."""
-
-    time_profile: Callable[[float], float]
-    space_dual: np.ndarray
-    time_derivative: Callable[[float], float]
-
-
 def sine_basis(mesh: Mesh, horizon: float, m: int,
-               profile: np.ndarray | None = None) -> list[BasisElement]:
-    """Basis of ``sin(j pi t / horizon)`` profiles, j = 1..m.
+               profile: np.ndarray | None = None) -> list[LoadTerm]:
+    """Basis of ``sin(j pi t / horizon)`` load terms, j = 1..m.
 
-    All elements vanish at t = 0 and share one spatial shape (constant
-    by default).
+    All terms vanish at t = 0 and share one spatial shape (constant by
+    default).
     """
     if m < 1:
         raise ValueError("basis size must be at least 1")
@@ -63,7 +53,7 @@ def sine_basis(mesh: Mesh, horizon: float, m: int,
     for j in range(1, m + 1):
         omega = j * math.pi / horizon
         elems.append(
-            BasisElement(
+            LoadTerm(
                 time_profile=lambda t, w=omega: math.sin(w * t),
                 space_dual=dual,
                 time_derivative=lambda t, w=omega: w * math.cos(w * t),
@@ -72,22 +62,15 @@ def sine_basis(mesh: Mesh, horizon: float, m: int,
     return elems
 
 
-def load_from_coefficients(basis: Sequence[BasisElement],
+def load_from_coefficients(basis: Sequence[LoadTerm],
                            theta: np.ndarray) -> Load:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (len(basis),):
         raise ValueError(
             f"expected {len(basis)} coefficients, got shape {theta.shape}"
         )
-    terms = [
-        LoadTerm(
-            time_profile=el.time_profile,
-            space_dual=c * el.space_dual,
-            time_derivative=el.time_derivative,
-        )
-        for el, c in zip(basis, theta)
-    ]
-    return Load(terms)
+    return Load([replace(el, space_dual=c * el.space_dual)
+                 for el, c in zip(basis, theta)])
 
 
 @dataclass(eq=False)
@@ -100,7 +83,7 @@ class ControlProblem:
     """
 
     scenario: Scenario
-    basis: Sequence[BasisElement]
+    basis: Sequence[LoadTerm]
     target: Callable[[float], Field] | Trajectory
     eps: float
     reg_weight: float = 1e-3

@@ -1,15 +1,17 @@
 """State-dependent rate-independent dissipation potentials.
 
-Two families are implemented, both positively 1-homogeneous and convex
-in the rate, with the accumulated state entering only through a
-pointwise weight:
+One ``Dissipation`` spec carries the model's dissipation: a pointwise
+weight ``w`` of the accumulated state, and a flag that fixes the rate
+domain.  The potential is positively 1-homogeneous and convex in the
+rate:
 
-* ``Fatigue``: a threshold weight ``kappa`` acting on one-sided rates,
-      value = <M kappa(zeta), rate>   if rate >= 0 nodally, else +inf,
+* one-sided (``Fatigue``), the unbounded potentials of the uniqueness
+  result,
+      value = <M w(zeta), rate>   if rate >= 0 nodally, else +inf,
   where M is the consistent mass matrix.  The rate domain is the cone
   of nonnegative fields, independent of the state.
-* ``WeightedL1``: a two-sided weighted l1 density,
-      value = <M g(zeta), |rate|>,
+* two-sided (``WeightedL1``), a weighted l1 density,
+      value = <M w(zeta), |rate|>,
   finite everywhere.
 
 Both satisfy a four-point Lipschitz estimate
@@ -25,10 +27,10 @@ element with a sign flip, and the estimate holds whenever the element
 size is at most sqrt(6).
 
 The set of admissible forces (the rate subdifferential at rate zero) is
-a nodal box in the dual representation: ``phi <= M kappa(zeta)`` for
-fatigue, ``|phi| <= M g(zeta)`` for the weighted l1 family.  Projection
-onto that set is metric with respect to the inverse Riesz matrix, which
-makes the classical identity
+a nodal box in the dual representation: ``phi <= M w(zeta)`` one-sided,
+``|phi| <= M w(zeta)`` two-sided (``force_box``).  Projection onto that
+set is metric with respect to the inverse Riesz matrix, which makes the
+classical identity
 
     prox(force) = (1/eps) * riesz_solve(force - project(force))
 
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -60,9 +62,9 @@ from .spatial import (
 
 __all__ = [
     "ABS_INTERP_CONST",
+    "Dissipation",
     "Fatigue",
     "WeightedL1",
-    "DissipationSpec",
     "threshold_dual",
     "force_box",
     "potential",
@@ -81,18 +83,21 @@ ABS_INTERP_CONST = math.sqrt(3.0)
 
 
 @dataclass(eq=False)
-class Fatigue:
-    """One-sided dissipation with a state-dependent threshold weight.
+class Dissipation:
+    """Rate-independent dissipation with a state-dependent weight.
 
-    ``kappa`` maps accumulated state values to nonnegative thresholds
-    and must be Lipschitz with constant ``lipschitz``; it is applied
-    nodally and must accept numpy arrays.  ``kappa_prime`` is optional
-    and only needed by experiments that probe differentiable weights.
+    ``weight`` maps accumulated state values to nonnegative weights and
+    must be Lipschitz with constant ``lipschitz``; it is applied nodally
+    and must accept numpy arrays.  ``one_sided`` restricts rates to the
+    nonnegative cone; otherwise the potential is the weighted l1 norm of
+    the rate.  ``weight_prime`` is optional and only needed by
+    experiments that probe differentiable weights.
     """
 
-    kappa: Callable[[np.ndarray], np.ndarray]
+    weight: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
-    kappa_prime: Callable[[np.ndarray], np.ndarray] | None = None
+    one_sided: bool
+    weight_prime: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (self.lipschitz >= 0 and np.isfinite(self.lipschitz)):
@@ -103,50 +108,32 @@ class Fatigue:
         """Constant of the four-point Lipschitz estimate."""
         return ABS_INTERP_CONST * self.lipschitz
 
-    @property
-    def one_sided(self) -> bool:
-        return True
+
+def Fatigue(weight, lipschitz: float, weight_prime=None) -> Dissipation:
+    """One-sided :class:`Dissipation` (rates in the nonnegative cone)."""
+    return Dissipation(weight, lipschitz, True, weight_prime)
 
 
-@dataclass(eq=False)
-class WeightedL1:
-    """Two-sided weighted l1 dissipation with state-dependent weight."""
-
-    weight: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
-
-    def __post_init__(self):
-        if not (self.lipschitz >= 0 and np.isfinite(self.lipschitz)):
-            raise ValueError(f"lipschitz must be finite and >= 0, got {self.lipschitz}")
-
-    @property
-    def four_point_constant(self) -> float:
-        return ABS_INTERP_CONST * self.lipschitz
-
-    @property
-    def one_sided(self) -> bool:
-        return False
+def WeightedL1(weight, lipschitz: float, weight_prime=None) -> Dissipation:
+    """Two-sided :class:`Dissipation` with density ``w(zeta) |rate|``."""
+    return Dissipation(weight, lipschitz, False, weight_prime)
 
 
-DissipationSpec = Union[Fatigue, WeightedL1]
-
-
-def threshold_dual(spec: DissipationSpec, mesh: Mesh, zeta: Field) -> DualField:
+def threshold_dual(spec: Dissipation, mesh: Mesh, zeta: Field) -> DualField:
     """Assembled nodal weight vector ``M w(zeta)``.
 
     This is the dual-field threshold appearing both in the potential and
     in the box describing admissible forces.
     """
     zeta = np.asarray(zeta, dtype=float)
-    weight = spec.kappa if spec.one_sided else spec.weight
-    vals = np.asarray(weight(zeta), dtype=float)
+    vals = np.asarray(spec.weight(zeta), dtype=float)
     vals = np.broadcast_to(vals, (mesh.n_nodes,))
     if np.any(vals < 0):
         raise ValueError("dissipation weight must be nonnegative on the state")
     return mesh.mass @ vals
 
 
-def force_box(spec: DissipationSpec, mesh: Mesh, zeta: Field):
+def force_box(spec: Dissipation, mesh: Mesh, zeta: Field):
     """Nodal bounds ``(lower, upper)`` of the admissible force set.
 
     ``upper`` is the threshold ``M w(zeta)``; ``lower`` is ``-inf`` for
@@ -158,7 +145,7 @@ def force_box(spec: DissipationSpec, mesh: Mesh, zeta: Field):
     return (-np.inf if spec.one_sided else -upper), upper
 
 
-def potential(spec: DissipationSpec, mesh: Mesh, zeta: Field, rate: Field) -> float:
+def potential(spec: Dissipation, mesh: Mesh, zeta: Field, rate: Field) -> float:
     """Dissipation potential at the given accumulated state and rate.
 
     Returns ``inf`` for fatigue rates outside the nonnegative cone.
@@ -166,7 +153,7 @@ def potential(spec: DissipationSpec, mesh: Mesh, zeta: Field, rate: Field) -> fl
     return _potential_at(spec, threshold_dual(spec, mesh, zeta), rate)
 
 
-def _potential_at(spec: DissipationSpec, threshold: DualField, rate: Field) -> float:
+def _potential_at(spec: Dissipation, threshold: DualField, rate: Field) -> float:
     """:func:`potential` given the assembled threshold ``M w(zeta)``."""
     rate = np.asarray(rate, dtype=float)
     if spec.one_sided:
@@ -176,7 +163,7 @@ def _potential_at(spec: DissipationSpec, threshold: DualField, rate: Field) -> f
     return float(threshold @ np.abs(rate))
 
 
-def check_homogeneity(spec: DissipationSpec, mesh: Mesh, zeta: Field, rate: Field,
+def check_homogeneity(spec: Dissipation, mesh: Mesh, zeta: Field, rate: Field,
                       factors) -> float:
     """Max residual of positive 1-homogeneity over the given factors.
 
@@ -198,7 +185,7 @@ def check_homogeneity(spec: DissipationSpec, mesh: Mesh, zeta: Field, rate: Fiel
     return worst
 
 
-def check_lipschitz_axiom(spec: DissipationSpec, mesh: Mesh, zeta1: Field,
+def check_lipschitz_axiom(spec: Dissipation, mesh: Mesh, zeta1: Field,
                           zeta2: Field, rate1: Field, rate2: Field) -> float:
     """Residual of the four-point Lipschitz estimate (nonpositive when it holds).
 
@@ -218,7 +205,7 @@ def check_lipschitz_axiom(spec: DissipationSpec, mesh: Mesh, zeta1: Field,
     return lhs - spec.four_point_constant * gap * move
 
 
-def _prox_rate_counted(spec: DissipationSpec, mesh: Mesh, zeta: Field,
+def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
                        force: DualField, eps: float, start=None,
                        tol: float = KKT_TOL):
     """Rate prox: argmin over rates of
@@ -241,7 +228,7 @@ def _prox_rate_counted(spec: DissipationSpec, mesh: Mesh, zeta: Field,
     return rate, iterations, w
 
 
-def prox_rate(spec: DissipationSpec, mesh: Mesh, zeta: Field, force: DualField,
+def prox_rate(spec: Dissipation, mesh: Mesh, zeta: Field, force: DualField,
               eps: float, start=None) -> Field:
     """Viscosity-regularized rate response to a driving force."""
     return _prox_rate_counted(spec, mesh, zeta, force, eps, start=start)[0]
@@ -260,7 +247,7 @@ class Containment:
         return self.ok
 
 
-def subdiff_zero_contains(spec: DissipationSpec, mesh: Mesh, zeta: Field,
+def subdiff_zero_contains(spec: Dissipation, mesh: Mesh, zeta: Field,
                           candidate: DualField, tol: float = 1e-9) -> Containment:
     """Test whether a dual field is an admissible force at rate zero."""
     candidate = np.asarray(candidate, dtype=float)
@@ -276,7 +263,7 @@ def subdiff_zero_contains(spec: DissipationSpec, mesh: Mesh, zeta: Field,
     )
 
 
-def _project_counted(spec: DissipationSpec, mesh: Mesh, zeta: Field,
+def _project_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
                      omega: DualField, tol: float = KKT_TOL,
                      cold_start: bool = False):
     omega = np.asarray(omega, dtype=float)
@@ -287,7 +274,7 @@ def _project_counted(spec: DissipationSpec, mesh: Mesh, zeta: Field,
     return solve_box_qp(hess, lin, lower=lower, upper=upper, start=start, tol=tol)
 
 
-def project_subdiff_zero(spec: DissipationSpec, mesh: Mesh, zeta: Field,
+def project_subdiff_zero(spec: Dissipation, mesh: Mesh, zeta: Field,
                          omega: DualField) -> DualField:
     """Metric projection of a dual field onto the admissible force set.
 
@@ -314,7 +301,7 @@ class ConjugateReport:
     margin: float
 
 
-def conjugate_check(spec: DissipationSpec, mesh: Mesh, zeta: Field,
+def conjugate_check(spec: Dissipation, mesh: Mesh, zeta: Field,
                     omega: DualField, n_directions: int = 32, seed: int = 0,
                     tol: float = 1e-6) -> ConjugateReport:
     omega = np.asarray(omega, dtype=float)

@@ -29,14 +29,13 @@ Randomness is seeded; experiments are deterministic given their config.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .dissipation import (
-    DissipationSpec,
+    Dissipation,
     Fatigue,
     force_box,
     potential,
@@ -97,8 +96,8 @@ DUAL_SLOPE_MIN = 0.9
 HISTORY_SLOPE_TOL = 1e-5
 
 
-def smooth_fatigue(floor: float = 0.4, amp: float = 0.6) -> Fatigue:
-    """Smooth softening threshold ``kappa(z) = floor + amp / (1 + z^2)``.
+def smooth_fatigue(floor: float = 0.4, amp: float = 0.6) -> Dissipation:
+    """Smooth softening threshold ``w(z) = floor + amp / (1 + z^2)``.
 
     The derivative is bounded and square integrable, which is what the
     uniqueness experiments assume about the weight.
@@ -106,19 +105,24 @@ def smooth_fatigue(floor: float = 0.4, amp: float = 0.6) -> Fatigue:
     if floor < 0 or amp < 0:
         raise ValueError("floor and amp must be nonnegative")
 
-    def kappa(z):
+    def weight(z):
         return floor + amp / (1.0 + np.square(z))
 
-    def kappa_prime(z):
+    def weight_prime(z):
         return -2.0 * amp * z / np.square(1.0 + np.square(z))
 
     lipschitz = amp * 9.0 / (8.0 * math.sqrt(3.0))
-    return Fatigue(kappa=kappa, lipschitz=lipschitz, kappa_prime=kappa_prime)
+    return Fatigue(weight=weight, lipschitz=lipschitz, weight_prime=weight_prime)
 
 
 @dataclass
 class ExperimentConfig:
-    """Shared knobs of the verification experiments."""
+    """Shared knobs of the verification experiments.
+
+    ``jobs`` has no effect: the experiments run their solves one after
+    another, in task order.  It is kept so existing callers and configs
+    stay valid.
+    """
 
     n_nodes: int = 33
     length: float = 1.0
@@ -135,7 +139,7 @@ class ExperimentConfig:
     spread_cap: float = 2.0
     seed: int = 0
     jobs: int = 1
-    dissipation: DissipationSpec | None = None
+    dissipation: Dissipation | None = None
     kernel: KernelSpec | None = None
 
     def build(self):
@@ -287,14 +291,6 @@ def compatibility_check(scenario: Scenario, tol: float = 1e-9) -> CompatReport:
     )
 
 
-def _run_indexed(tasks, fn, jobs: int):
-    """Run ``fn`` over tasks, preserving order regardless of scheduling."""
-    if jobs <= 1:
-        return [fn(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
-
-
 @dataclass
 class BoundsResult:
     rows: list
@@ -318,37 +314,26 @@ def uniform_bound_experiment(cfg: ExperimentConfig) -> BoundsResult:
     times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
     load_norms = [load_h1_dual_norm(mesh, load, times) for load in loads]
 
-    tasks = [
-        (i, eps) for i in range(cfg.n_loads) for eps in cfg.eps_values
-    ]
-
-    def solve_one(task):
-        i, eps = task
-        scn = cfg.scenario(mesh, diss, kernel, loads[i])
-        traj, report = solve_viscous(scn, eps)
-        return h1_time_norm(mesh, traj), report.max_balance_residual
-
-    outcomes = _run_indexed(tasks, solve_one, cfg.jobs)
-
     rows = []
-    ratios = {}
-    for (i, eps), (traj_norm, residual) in zip(tasks, outcomes):
-        ratio = traj_norm / load_norms[i]
-        rows.append({
-            "load": i,
-            "eps": eps,
-            "ratio": ratio,
-            "solution_norm": traj_norm,
-            "load_norm": load_norms[i],
-            "balance_residual": residual,
-        })
-        ratios.setdefault(i, []).append(ratio)
-
     spreads = []
     for i in range(cfg.n_loads):
-        vals = ratios[i]
-        low = min(vals)
-        spreads.append(math.inf if low <= 0 else max(vals) / low)
+        scn = cfg.scenario(mesh, diss, kernel, loads[i])
+        ratios = []
+        for eps in cfg.eps_values:
+            traj, report = solve_viscous(scn, eps)
+            traj_norm = h1_time_norm(mesh, traj)
+            ratio = traj_norm / load_norms[i]
+            rows.append({
+                "load": i,
+                "eps": eps,
+                "ratio": ratio,
+                "solution_norm": traj_norm,
+                "load_norm": load_norms[i],
+                "balance_residual": report.max_balance_residual,
+            })
+            ratios.append(ratio)
+        low = min(ratios)
+        spreads.append(math.inf if low <= 0 else max(ratios) / low)
     max_spread = max(spreads)
     return BoundsResult(
         rows=rows,
@@ -395,28 +380,16 @@ def lipschitz_experiment(cfg: ExperimentConfig) -> LipschitzResult:
         load_w11_diff_norm(mesh, a, b, times) for a, b in pairs
     ]
 
-    tasks = [
-        (i, which, eps)
-        for i in range(cfg.n_pairs)
-        for eps in cfg.eps_values
-        for which in (0, 1)
-    ]
-
-    def solve_one(task):
-        i, which, eps = task
-        scn = cfg.scenario(mesh, diss, kernel, pairs[i][which])
-        traj, _ = solve_viscous(scn, eps)
-        return traj
-
-    outcomes = _run_indexed(tasks, solve_one, cfg.jobs)
-    solved = dict(zip(tasks, outcomes))
-
     rows = []
     per_pair = {i: [] for i in range(cfg.n_pairs)}
     per_eps = {eps: [] for eps in cfg.eps_values}
     for i in range(cfg.n_pairs):
         for eps in cfg.eps_values:
-            gap = c_norm_diff(mesh, solved[(i, 0, eps)], solved[(i, 1, eps)])
+            traj_a, traj_b = (
+                solve_viscous(cfg.scenario(mesh, diss, kernel, load), eps)[0]
+                for load in pairs[i]
+            )
+            gap = c_norm_diff(mesh, traj_a, traj_b)
             ratio = gap / diff_norms[i]
             rows.append({
                 "pair": i,

@@ -40,7 +40,7 @@ import numpy as np
 # ``potential`` is unused here but stays importable: the benchmark's
 # layer tracer (bench/tracer.py) patches this module's name.
 from .dissipation import (
-    DissipationSpec,
+    Dissipation,
     _potential_at,
     _project_counted,
     _prox_rate_counted,
@@ -195,7 +195,7 @@ class Scenario:
     alpha: float
     load: object
     kernel: KernelSpec
-    dissipation: DissipationSpec
+    dissipation: Dissipation
     horizon: float
     n_steps: int
 
@@ -287,23 +287,26 @@ def explicit_projection_step(scenario: Scenario, eps: float, t: float, q: Field,
 
 @dataclass
 class SolveReport:
-    """Per-step diagnostics of one viscous solve."""
+    """Per-step diagnostics of one viscous solve.
+
+    The explicit method checks no force balance and records no
+    dissipation: its ``balance_residuals`` and ``dissipation_rates``
+    are NaN.
+    """
 
     method: str
     eps: float
     tau: float
     times: np.ndarray
-    balance_residuals: np.ndarray | None
+    balance_residuals: np.ndarray
     rate_h1_norms: np.ndarray
-    dissipation_rates: np.ndarray | None
+    dissipation_rates: np.ndarray
     energies: np.ndarray
     inner_iterations: int
     warm_start: bool
 
     @property
     def max_balance_residual(self) -> float:
-        if self.balance_residuals is None:
-            return math.nan
         return float(self.balance_residuals.max(initial=0.0))
 
     @property
@@ -332,8 +335,8 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
     acc = HistoryAccumulator(scenario.kernel, tau, n, steps)
     acc.push(values[0])
 
-    balance = np.zeros(steps) if method == "implicit" else None
-    diss_rates = np.zeros(steps) if method == "implicit" else None
+    balance = np.full(steps, math.nan)
+    diss_rates = np.full(steps, math.nan)
     rate_norms = np.zeros(steps)
     energies = np.zeros(steps + 1)
     energies[0] = energy(scenario, times[0], values[0])

@@ -14,7 +14,7 @@ from histris import (
 def constant_threshold(value=1.0):
     """History-independent one-sided dissipation with a flat threshold."""
     return Fatigue(
-        kappa=lambda z, v=value: np.full_like(np.asarray(z, dtype=float), v),
+        weight=lambda z, v=value: np.full_like(np.asarray(z, dtype=float), v),
         lipschitz=0.0,
     )
 

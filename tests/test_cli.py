@@ -12,7 +12,9 @@ import re
 import numpy as np
 import pytest
 
-from histris.cli import _fmt, _write_csv, main
+from histris.cli import _fmt, _write_csv, _write_trajectory, main
+from histris.spatial import build_mesh
+from histris.trajectory import Trajectory
 
 SMALL_CONFIG = """
 mesh: {n_nodes: 5}
@@ -253,6 +255,20 @@ def test_csv_rows_match_the_per_value_writer(tmp_path):
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.readline().startswith("# config_hash=")
+        assert fh.read() == expected.getvalue()
+
+    # Trajectory rows come from one array conversion; same bytes as the
+    # per-value rows [time, q0, q1, ...].
+    traj = Trajectory(np.array([0.0, 0.1, 1e16]),
+                      np.array([special[:3], special[3:6], special[6:]]))
+    _write_trajectory(str(path), {}, build_mesh(3), traj)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["time", "q0", "q1", "q2"])
+    for t, q in zip(traj.times, traj.values):
+        writer.writerow([_fmt(t)] + [_fmt(v) for v in q])
     with open(path, newline="", encoding="utf-8") as fh:
         assert fh.readline().startswith("# config_hash=")
         assert fh.read() == expected.getvalue()

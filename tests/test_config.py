@@ -15,7 +15,6 @@ from histris.config import (
     load_config_file,
     normalize_config,
 )
-from histris.dissipation import Fatigue, WeightedL1
 from histris.verify import ExperimentConfig
 
 
@@ -151,10 +150,10 @@ def test_build_scenario_from_defaults():
     scn = build_scenario(cfg)
     assert scn.mesh.n_nodes == 9
     assert scn.n_steps == 50
-    assert isinstance(scn.dissipation, Fatigue)
+    assert scn.dissipation.one_sided is True
     # default weight at zero state is 1.0
-    assert scn.dissipation.kappa(np.zeros(3))[0] == pytest.approx(1.0)
-    assert scn.dissipation.kappa_prime(np.array([1.0]))[0] == pytest.approx(-0.3)
+    assert scn.dissipation.weight(np.zeros(3))[0] == pytest.approx(1.0)
+    assert scn.dissipation.weight_prime(np.array([1.0]))[0] == pytest.approx(-0.3)
     assert_allclose(scn.kernel.y0, 0.0, rtol=0, atol=0)
     # default load peaks at 2 in the constant spatial profile
     assert_allclose(scn.load.value(0.5), 2.0 * scn.mesh.mass @ np.ones(9),
@@ -168,8 +167,20 @@ def test_build_scenario_weighted_l1_and_history_state():
         "history": {"initial": "x"},
     })
     scn = build_scenario(cfg)
-    assert isinstance(scn.dissipation, WeightedL1)
+    assert scn.dissipation.one_sided is False
     assert_allclose(scn.kernel.y0, scn.mesh.nodes, rtol=0, atol=0)
+
+
+def test_weighted_l1_weight_slope_reaches_the_dissipation():
+    cfg = normalize_config({
+        "dissipation": {"family": "weighted_l1", "weight": "1 + z^2/(1 + z^2)",
+                        "weight_slope": "2*z/(1 + z^2)^2", "lipschitz": 0.65},
+    })
+    diss = build_scenario(cfg).dissipation
+    assert diss.one_sided is False
+    z = np.array([0.0, 0.5, 2.0])
+    assert_allclose(diss.weight_prime(z), 2.0 * z / (1.0 + z**2) ** 2,
+                    rtol=1e-15, atol=0)
 
 
 def test_build_experiment_maps_sections():

@@ -59,14 +59,14 @@ def test_threshold_dual_frozen_values():
 
 def test_threshold_dual_scalar_weight_broadcasts():
     mesh = build_mesh(5, 1.0)
-    spec = Fatigue(kappa=lambda z: 0.75, lipschitz=0.0)
+    spec = Fatigue(weight=lambda z: 0.75, lipschitz=0.0)
     w = threshold_dual(spec, mesh, np.zeros(5))
     assert_allclose(w, 0.75 * mesh.mass @ np.ones(5), rtol=0, atol=1e-16)
 
 
 def test_threshold_dual_rejects_negative_weight():
     mesh = build_mesh(4, 1.0)
-    spec = Fatigue(kappa=lambda z: np.asarray(z) - 1.0, lipschitz=1.0)
+    spec = Fatigue(weight=lambda z: np.asarray(z) - 1.0, lipschitz=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         threshold_dual(spec, mesh, np.zeros(4))
 
@@ -185,7 +185,7 @@ def test_four_point_requires_admissible_rates():
 
 
 def test_four_point_constant_is_scaled_weight_lipschitz():
-    spec = Fatigue(kappa=lambda z: np.full_like(z, 1.0), lipschitz=2.0)
+    spec = Fatigue(weight=lambda z: np.full_like(z, 1.0), lipschitz=2.0)
     assert spec.four_point_constant == pytest.approx(2.0 * ABS_INTERP_CONST, rel=1e-15)
     assert _weighted_l1().four_point_constant == pytest.approx(
         ABS_INTERP_CONST * _SMOOTH_LIPSCHITZ, rel=1e-15
@@ -362,6 +362,6 @@ def test_potential_is_convex_in_rate():
 
 def test_specs_reject_bad_lipschitz():
     with pytest.raises(ValueError, match="lipschitz"):
-        Fatigue(kappa=lambda z: z, lipschitz=-1.0)
+        Fatigue(weight=lambda z: z, lipschitz=-1.0)
     with pytest.raises(ValueError, match="lipschitz"):
         WeightedL1(weight=lambda z: z, lipschitz=math.inf)

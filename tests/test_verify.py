@@ -7,6 +7,7 @@ them at their stated sizes.
 """
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -52,14 +53,14 @@ def _sine_scenario(n_steps=200):
 
 def test_smooth_fatigue_weight():
     spec = smooth_fatigue()
-    assert spec.kappa(0.0) == pytest.approx(1.0)
-    assert spec.kappa(1e6) == pytest.approx(0.4, abs=1e-9)
+    assert spec.weight(0.0) == pytest.approx(1.0)
+    assert spec.weight(1e6) == pytest.approx(0.4, abs=1e-9)
     # steepest slope of amp/(1+z^2) is 9 amp / (8 sqrt(3)), at z=1/sqrt(3)
     assert spec.lipschitz == pytest.approx(0.6 * 9.0 / (8.0 * math.sqrt(3.0)))
     zs = np.linspace(-3.0, 3.0, 601)
     h = 1e-6
-    fd = (spec.kappa(zs + h) - spec.kappa(zs - h)) / (2.0 * h)
-    assert_allclose(spec.kappa_prime(zs), fd, rtol=0, atol=1e-8)
+    fd = (spec.weight(zs + h) - spec.weight(zs - h)) / (2.0 * h)
+    assert_allclose(spec.weight_prime(zs), fd, rtol=0, atol=1e-8)
     assert np.abs(fd).max() <= spec.lipschitz + 1e-8
     with pytest.raises(ValueError, match="nonnegative"):
         smooth_fatigue(floor=-0.1)
@@ -169,6 +170,21 @@ def test_lipschitz_experiment_small():
     assert res.passed == (res.all_finite and res.cross_eps_spread <= res.spread_cap)
 
 
+def test_experiments_start_no_thread(monkeypatch):
+    cfg = ExperimentConfig(n_nodes=5, n_steps=20, eps_values=(0.1, 0.05),
+                           n_loads=2, n_pairs=2, seed=2, jobs=4)
+    serial = replace(cfg, jobs=1)
+    expected = (uniform_bound_experiment(serial).rows,
+                lipschitz_experiment(serial).rows)
+
+    def refuse(self):
+        raise AssertionError(f"an experiment started thread {self.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert uniform_bound_experiment(cfg).rows == expected[0]
+    assert lipschitz_experiment(cfg).rows == expected[1]
+
+
 # ---------------------------------------------------------------------------
 # uniqueness probe
 
@@ -236,7 +252,7 @@ def test_history_slope_check_detects_understated_constant():
     sc = replace(_sine_scenario(), dissipation=smooth_fatigue())
     traj, _ = solve_viscous(sc, 0.02)
     honest = smooth_fatigue()
-    lying = replace(sc, dissipation=Fatigue(kappa=honest.kappa,
+    lying = replace(sc, dissipation=Fatigue(weight=honest.weight,
                                             lipschitz=honest.lipschitz / 20.0))
     report = history_lipschitz_check(lying, traj)
     assert report.max_excess > HISTORY_SLOPE_TOL
@@ -250,7 +266,7 @@ def test_experiment_config_build_defaults_and_overrides():
     cfg = ExperimentConfig(n_nodes=7)
     mesh, diss, kernel = cfg.build()
     assert mesh.n_nodes == 7
-    assert isinstance(diss, Fatigue)
+    assert diss.one_sided is True
     assert_allclose(kernel.y0, 0.0, rtol=0, atol=0)
 
     custom = ExperimentConfig(
@@ -259,7 +275,7 @@ def test_experiment_config_build_defaults_and_overrides():
         kernel=identity_kernel(np.full(7, 0.5)),
     )
     mesh2, diss2, kernel2 = custom.build()
-    assert isinstance(diss2, WeightedL1)
+    assert diss2.one_sided is False
     assert_allclose(kernel2.y0, 0.5, rtol=0, atol=0)
 
     scn = cfg.scenario(mesh, diss, kernel,

@@ -200,6 +200,14 @@ def test_solve_shapes_and_report():
     assert report.method == "implicit" and report.eps == 0.1
     assert report.inner_iterations > 0
 
+    # The explicit method checks no balance: NaN per step, same shapes.
+    _, explicit = solve_viscous(sc, 0.5, method="explicit")
+    assert explicit.balance_residuals.shape == (50,)
+    assert explicit.dissipation_rates.shape == (50,)
+    assert np.isnan(explicit.balance_residuals).all()
+    assert np.isnan(explicit.dissipation_rates).all()
+    assert math.isnan(explicit.max_balance_residual)
+
 
 def test_solve_validation():
     sc = scalar_scenario(lambda t: t, n_steps=10)
@@ -252,7 +260,7 @@ def test_non_finite_load_fails_the_balance_gate(one_sided):
     sc = scalar_scenario(a, n_steps=200)
     if not one_sided:
         sc = replace(sc, dissipation=WeightedL1(
-            weight=sc.dissipation.kappa, lipschitz=0.0))
+            weight=sc.dissipation.weight, lipschitz=0.0))
     with pytest.raises(NumericalFailure, match="step 101/200") as exc:
         solve_viscous(sc, 0.05)
     assert "cycle cap" not in str(exc.value)

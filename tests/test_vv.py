@@ -109,7 +109,7 @@ def test_stability_violation_is_relative_box_slack_density(one_sided):
     sc = scalar_scenario(lambda t: 3.0 if one_sided else -3.0, n_steps=10)
     if not one_sided:
         sc = replace(sc, dissipation=WeightedL1(
-            weight=sc.dissipation.kappa, lipschitz=0.0))
+            weight=sc.dissipation.weight, lipschitz=0.0))
     rest = Trajectory(times=sc.times(), values=np.zeros((11, sc.mesh.n_nodes)))
     cert = certify_limit(sc, rest)
     assert cert.max_stability_violation == pytest.approx(2.0 / 5.0, rel=1e-12)
@@ -125,7 +125,7 @@ def test_threshold_is_assembled_once_per_step(monkeypatch, one_sided):
     sc = scalar_scenario(lambda t: 2.0 * math.sin(math.pi * t), n_steps=40)
     if not one_sided:
         sc = replace(sc, dissipation=WeightedL1(
-            weight=sc.dissipation.kappa, lipschitz=0.0))
+            weight=sc.dissipation.weight, lipschitz=0.0))
     calls = []
     real = dissipation.threshold_dual
 
