@@ -127,7 +127,8 @@ def threshold_dual(spec: Dissipation, mesh: Mesh, zeta: Field) -> DualField:
     """
     zeta = np.asarray(zeta, dtype=float)
     vals = np.asarray(spec.weight(zeta), dtype=float)
-    vals = np.broadcast_to(vals, (mesh.n_nodes,))
+    if vals.shape != (mesh.n_nodes,):
+        vals = np.broadcast_to(vals, (mesh.n_nodes,))
     if np.any(vals < 0):
         raise ValueError("dissipation weight must be nonnegative on the state")
     return mesh.mass @ vals

@@ -13,6 +13,13 @@ derivative of the accumulated state is
 
 which is what the growth estimates of the dissipation functional are
 checked against.
+
+``history_eval`` and ``history_derivative`` evaluate both from scratch
+at one grid index.  ``HistoryAccumulator`` follows a run step by step:
+it tabulates the kernel once on the grid and advances a geometric table
+``b_j = b_0 r^j`` (exponential kernels, and the identity as ``r = 1``)
+by an exact trapezoid recurrence in O(1) per step; any other table is
+re-weighted against the stored samples, O(k) at step k.
 """
 
 from __future__ import annotations
@@ -114,12 +121,68 @@ def history_derivative(kernel: KernelSpec, times: np.ndarray, values: np.ndarray
     return out
 
 
+def _tabulate(fn: Callable[[np.ndarray], np.ndarray],
+              lags: np.ndarray) -> np.ndarray:
+    """Kernel values on the lag grid, from one vectorized call."""
+    return np.broadcast_to(np.asarray(fn(lags), dtype=float), lags.shape)
+
+
+def _geometric_ratio(table: np.ndarray) -> float | None:
+    """Ratio ``r`` with ``b_{j+1} = r b_j`` to 8 eps relative, or None."""
+    b0 = table[0]
+    if b0 == 0 or not np.all(np.isfinite(table)):
+        return None
+    r = table[1] / b0 if table.size > 1 else 1.0
+    slack = 8.0 * np.finfo(float).eps * np.abs(table[1:])
+    if np.all(np.abs(table[1:] - r * table[:-1]) <= slack):
+        return float(r)
+    return None
+
+
+class _TrapezoidConvolution:
+    """Trapezoid sums ``I_k = sum_j w_j b_{k-j} y_j`` over one kernel table.
+
+    A geometric table advances the exact recurrence
+    ``I_k = r I_{k-1} + (tau/2 b_0) (r y_{k-1} + y_k)``; with ``r = 1``
+    every product by ``r`` is exact, so ``b = 1`` gives the plain running
+    trapezoid sum bit for bit.  Other tables (including non-finite ones)
+    take the dot product with the stored samples.
+    """
+
+    def __init__(self, table: np.ndarray, tau: float, n_nodes: int):
+        self.table = table
+        self.tau = tau
+        self.ratio = _geometric_ratio(table)
+        self._half_b0 = 0.5 * tau * table[0]
+        self._sum = np.zeros(n_nodes)
+
+    def advance(self, prev: Field, sample: Field) -> None:
+        r = self.ratio
+        if r is None:
+            return
+        if r != 1.0:  # a product by r = 1.0 is exact: skip the two ops
+            self._sum *= r
+            prev = r * prev
+        self._sum += self._half_b0 * (prev + sample)
+
+    def at(self, samples: np.ndarray, k: int):
+        """``I_k`` after samples ``0..k`` have been advanced."""
+        if self.ratio is not None:
+            return self._sum
+        if k == 0:
+            return 0.0
+        w = _trapezoid_weights(k, self.tau) * self.table[k::-1]
+        return w @ samples[: k + 1]
+
+
 class HistoryAccumulator:
     """Incrementally maintained history state along a uniform grid.
 
-    For the identity kind the running trapezoid integral is updated in
-    O(1) per step; convolution kernels re-weight the stored samples,
-    which costs O(k) at step k.
+    The kernel is tabulated once, at lags ``j * tau`` for
+    ``j = 0..n_max``, and so is its derivative on the first call of
+    ``derivative``.  Geometric tables (the identity kind, exponential
+    kernels) update in O(1) per step; other kernels re-weight the stored
+    samples, which costs O(k) at step k.
     """
 
     def __init__(self, kernel: KernelSpec, tau: float, n_nodes: int, n_max: int):
@@ -134,7 +197,13 @@ class HistoryAccumulator:
         self.tau = float(tau)
         self._samples = np.zeros((n_max + 1, n_nodes))
         self._count = 0
-        self._integral = np.zeros(n_nodes)
+        if kernel.kind == "identity":
+            table = np.ones(n_max + 1)
+        else:
+            table = _tabulate(kernel.b, self.tau * np.arange(n_max + 1))
+        self._b0 = table[0]
+        self._zeta = _TrapezoidConvolution(table, self.tau, n_nodes)
+        self._slope = None  # the b' table, built by the first derivative()
 
     @property
     def n_samples(self) -> int:
@@ -145,29 +214,36 @@ class HistoryAccumulator:
         return (self._count - 1) * self.tau
 
     def push(self, sample: Field) -> None:
-        if self._count >= self._samples.shape[0]:
+        k = self._count
+        if k >= self._samples.shape[0]:
             raise ValueError("accumulator is full")
-        sample = np.asarray(sample, dtype=float)
-        self._samples[self._count] = sample
-        if self._count > 0:
-            self._integral += 0.5 * self.tau * (self._samples[self._count - 1] + sample)
+        self._samples[k] = sample
+        if k > 0:
+            prev, cur = self._samples[k - 1], self._samples[k]
+            self._zeta.advance(prev, cur)
+            if self._slope is not None:
+                self._slope.advance(prev, cur)
         self._count += 1
 
     def value(self) -> Field:
         """Accumulated state at the time of the latest sample."""
         if self._count == 0:
             raise ValueError("no samples pushed yet")
-        if self.kernel.kind == "identity":
-            return self.kernel.y0 + self._integral
-        k = self._count - 1
-        times = self.tau * np.arange(self._count)
-        return history_eval(self.kernel, times, self._samples[: self._count], k)
+        return self.kernel.y0 + self._zeta.at(self._samples, self._count - 1)
 
     def derivative(self) -> Field:
         """Weak derivative of the accumulated state at the latest sample."""
         if self._count == 0:
             raise ValueError("no samples pushed yet")
         k = self._count - 1
-        times = self.tau * np.arange(self._count)
-        return history_derivative(self.kernel, times, self._samples[: self._count], k)
-
+        if self.kernel.kind == "identity":
+            return self._samples[k].copy()
+        if self._slope is None:
+            n_rows, n_nodes = self._samples.shape
+            lags = self.tau * np.arange(n_rows)
+            self._slope = _TrapezoidConvolution(
+                _tabulate(self.kernel.b_prime, lags), self.tau, n_nodes
+            )
+            for j in range(k):
+                self._slope.advance(self._samples[j], self._samples[j + 1])
+        return self._b0 * self._samples[k] + self._slope.at(self._samples, k)

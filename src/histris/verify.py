@@ -45,8 +45,6 @@ from .dissipation import (
 from .history import (
     HistoryAccumulator,
     KernelSpec,
-    history_derivative,
-    history_eval,
     identity_kernel,
 )
 from .spatial import (
@@ -483,10 +481,11 @@ def history_lipschitz_check(scenario: Scenario, traj: Trajectory, *,
     ``s -> potential(history(s), rate)`` in ``s`` by central differences
     and compare against ``four_point_constant * speed * rate_norm``,
     where ``speed`` is the L^2 norm of the history time derivative.
+    The history and its derivative are read step by step from a
+    ``HistoryAccumulator``.
     """
     mesh = scenario.mesh
     diss = scenario.dissipation
-    kernel = scenario.kernel
     times = traj.times
     values = traj.values
     steps = traj.n_steps
@@ -496,11 +495,13 @@ def history_lipschitz_check(scenario: Scenario, traj: Trajectory, *,
     rate_indices = sorted(
         {int(round(x)) for x in np.linspace(0, steps - 1, n_rates)}
     )
-    zetas = [history_eval(kernel, times, values, k) for k in range(steps + 1)]
-    speeds = [
-        l2_norm(mesh, history_derivative(kernel, times, values, k))
-        for k in range(steps + 1)
-    ]
+    acc = HistoryAccumulator(scenario.kernel, tau, mesh.n_nodes, steps)
+    zetas = []
+    speeds = []
+    for q in values:
+        acc.push(q)
+        zetas.append(acc.value())
+        speeds.append(l2_norm(mesh, acc.derivative()))
 
     rows = []
     worst = -math.inf

@@ -64,6 +64,19 @@ def test_threshold_dual_scalar_weight_broadcasts():
     assert_allclose(w, 0.75 * mesh.mass @ np.ones(5), rtol=0, atol=1e-16)
 
 
+def test_threshold_dual_uses_a_nodal_weight_as_is(monkeypatch):
+    mesh = build_mesh(5, 1.0)
+    spec = Fatigue(weight=lambda z: 1.0 + np.asarray(z) ** 2, lipschitz=2.0)
+    zeta = np.linspace(0.0, 1.0, 5)
+    want = mesh.mass @ (1.0 + zeta ** 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a weight of shape (n,) needs no broadcast")
+
+    monkeypatch.setattr(np, "broadcast_to", refuse)
+    assert_allclose(threshold_dual(spec, mesh, zeta), want, rtol=0, atol=0)
+
+
 def test_threshold_dual_rejects_negative_weight():
     mesh = build_mesh(4, 1.0)
     spec = Fatigue(weight=lambda z: np.asarray(z) - 1.0, lipschitz=1.0)

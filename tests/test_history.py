@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from histris.errors import NumericalFailure
 from histris.history import (
     HistoryAccumulator,
     KernelSpec,
@@ -12,7 +14,10 @@ from histris.history import (
     history_eval,
     identity_kernel,
 )
+from histris.verify import smooth_fatigue
+from histris.viscous import solve_viscous
 
+from helpers import scalar_scenario
 from oracles import convolution_history_ramp
 
 
@@ -130,3 +135,132 @@ def test_kernel_spec_validation():
     assert ident.kind == "identity"
     conv = convolution_kernel(lambda r: r, lambda r: 1.0, np.zeros(2))
     assert conv.kind == "convolution"
+
+
+# Kernels with their derivatives, and whether the accumulator may advance
+# the value (b) and slope (b') tables by the geometric recurrence.
+KERNELS = {
+    "exp(-2t)": (lambda t: np.exp(-2.0 * t), lambda t: -2.0 * np.exp(-2.0 * t),
+                 True, True),
+    "exp(+t)": (lambda t: np.exp(t), lambda t: np.exp(t), True, True),
+    "1/(1+t)": (lambda t: 1.0 / (1.0 + t), lambda t: -1.0 / (1.0 + t) ** 2,
+                False, False),
+    # geometric to 1e-10 only: the recurrence would be off by more than that
+    "exp(-2t+1e-9t^2)": (lambda t: np.exp(-2.0 * t + 1e-9 * t * t),
+                         lambda t: (2e-9 * t - 2.0) * np.exp(-2.0 * t + 1e-9 * t * t),
+                         False, False),
+    "cos(3t)": (lambda t: np.cos(3.0 * t), lambda t: -3.0 * np.sin(3.0 * t),
+                False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_accumulator_matches_the_oracle_step_by_step(rng, name):
+    b, b_prime, value_geometric, slope_geometric = KERNELS[name]
+    n_steps = 300
+    times = np.linspace(0.0, 3.0, n_steps + 1)
+    values = rng.standard_normal((n_steps + 1, 3))
+    kernel = convolution_kernel(b, b_prime, rng.standard_normal(3))
+    acc = HistoryAccumulator(kernel, times[1] - times[0], 3, n_steps)
+    assert (acc._zeta.ratio is not None) == value_geometric
+    for k in range(n_steps + 1):
+        acc.push(values[k])
+        assert_allclose(acc.value(), history_eval(kernel, times, values, k),
+                        rtol=1e-12, atol=1e-12)
+        assert_allclose(acc.derivative(),
+                        history_derivative(kernel, times, values, k),
+                        rtol=1e-12, atol=1e-12)
+    assert (acc._slope.ratio is not None) == slope_geometric
+
+
+def test_derivative_table_catches_up_on_first_use(rng):
+    # The b' table is built by the first derivative() call, after any
+    # number of pushes, and must then fold in the samples already stored.
+    times = np.linspace(0.0, 1.0, 101)
+    values = rng.standard_normal((101, 2))
+    b, b_prime, _, _ = KERNELS["exp(-2t)"]
+    kernel = convolution_kernel(b, b_prime, np.zeros(2))
+    acc = HistoryAccumulator(kernel, times[1] - times[0], 2, 100)
+    for k in range(101):
+        acc.push(values[k])
+        if k in (37, 38, 100):
+            assert_allclose(acc.derivative(),
+                            history_derivative(kernel, times, values, k),
+                            rtol=1e-12, atol=1e-12)
+
+
+def test_identity_accumulator_is_the_running_trapezoid_sum(rng):
+    # The identity kind runs the geometric recurrence with r = 1, whose
+    # products by r are exact: bit for bit the plain running sum.
+    n_steps, tau = 500, 1.0 / 300.0
+    values = rng.standard_normal((n_steps + 1, 4))
+    y0 = rng.standard_normal(4)
+    acc = HistoryAccumulator(identity_kernel(y0), tau, 4, n_steps)
+    integral = np.zeros(4)
+    for k in range(n_steps + 1):
+        acc.push(values[k])
+        if k > 0:
+            integral += 0.5 * tau * (values[k - 1] + values[k])
+        assert (acc.value() == y0 + integral).all()
+        assert (acc.derivative() == values[k]).all()
+
+
+def test_long_geometric_run_stays_on_the_oracle(rng):
+    n_steps = 16_000
+    times = np.linspace(0.0, 8.0, n_steps + 1)
+    values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 3))
+    b, b_prime, _, _ = KERNELS["exp(-2t)"]
+    kernel = convolution_kernel(b, b_prime, np.zeros(3))
+    acc = HistoryAccumulator(kernel, times[1] - times[0], 3, n_steps)
+    assert acc._zeta.ratio is not None
+    for q in values:
+        acc.push(q)
+    assert_allclose(acc.value(), history_eval(kernel, times, values, n_steps),
+                    rtol=0, atol=1e-10)
+    assert_allclose(acc.derivative(),
+                    history_derivative(kernel, times, values, n_steps),
+                    rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernels_are_tabulated_by_one_call_each(rng, name):
+    b, b_prime, _, _ = KERNELS[name]
+    calls = {"b": 0, "b_prime": 0}
+
+    def counted(key, fn):
+        def wrapper(t):
+            calls[key] += 1
+            return fn(t)
+        return wrapper
+
+    kernel = convolution_kernel(counted("b", b), counted("b_prime", b_prime),
+                                np.zeros(2))
+    acc = HistoryAccumulator(kernel, 0.01, 2, 100)
+    assert calls == {"b": 1, "b_prime": 0}
+    for q in rng.standard_normal((101, 2)):
+        acc.push(q)
+        acc.value()
+    assert calls == {"b": 1, "b_prime": 0}
+    acc.derivative()
+    acc.derivative()
+    assert calls == {"b": 1, "b_prime": 1}
+
+
+def test_infinite_kernel_entry_fails_the_solve():
+    # 1/(t - 0.25) is infinite at the grid lag 16 * (1/64) = 0.25; the
+    # non-finite history must reach the balance gate, not a trajectory.
+    def b(t):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (t - 0.25)
+
+    def b_prime(t):
+        with np.errstate(divide="ignore"):
+            return -1.0 / (t - 0.25) ** 2
+
+    sc = scalar_scenario(lambda t: 2.0 * math.sin(math.pi * t), n_steps=64)
+    sc = replace(sc, dissipation=smooth_fatigue(),
+                 kernel=convolution_kernel(b, b_prime, np.zeros(5)))
+    assert np.isinf(b(np.array([16 * sc.tau]))).all()
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalFailure, match="step 17/64"):
+        solve_viscous(sc, 0.05)
