@@ -32,7 +32,7 @@ from .dissipation import (
     threshold_dual,
 )
 from .errors import NumericalFailure
-from .expressions import Expression, ExpressionError, compile_expression
+from .expressions import Expression, ExpressionError
 from .history import (
     HistoryAccumulator,
     KernelSpec,
@@ -46,7 +46,6 @@ from .spatial import (
     Mesh,
     assemble_dual,
     build_mesh,
-    cone_project,
     dual_norm,
     dual_pair,
     h1_inner,
@@ -74,7 +73,6 @@ from .viscous import (
     LoadTerm,
     Scenario,
     SolveReport,
-    TabulatedLoad,
     constant_in_space_load,
     driving_force,
     energy,
@@ -115,7 +113,6 @@ __all__ = [
     "OptimizeResult",
     "Scenario",
     "SolveReport",
-    "TabulatedLoad",
     "Trajectory",
     "VVResult",
     "WeightedL1",
@@ -128,8 +125,6 @@ __all__ = [
     "check_lipschitz_axiom",
     "check_rate_independence",
     "compatibility_check",
-    "compile_expression",
-    "cone_project",
     "conjugate_check",
     "constant_in_space_load",
     "convolution_kernel",

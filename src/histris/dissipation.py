@@ -270,9 +270,9 @@ def _project_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
     omega = np.asarray(omega, dtype=float)
     lower, upper = force_box(spec, mesh, zeta)
     start = None if cold_start else np.clip(omega, lower, upper)
-    hess = mesh.riesz_inverse()
     lin = riesz_solve(mesh, omega)
-    return solve_box_qp(hess, lin, lower=lower, upper=upper, start=start, tol=tol)
+    return solve_box_qp(mesh.riesz.inverse, lin, lower=lower, upper=upper,
+                        start=start, tol=tol)
 
 
 def project_subdiff_zero(spec: Dissipation, mesh: Mesh, zeta: Field,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["ExpressionError", "Expression", "compile_expression"]
+__all__ = ["ExpressionError", "Expression"]
 
 
 class ExpressionError(ValueError):
@@ -226,7 +226,3 @@ class Expression:
     def __repr__(self) -> str:
         return f"Expression({self.text!r}, variables={self.variables!r})"
 
-
-def compile_expression(text: str, variables: Sequence[str] = ("t",)) -> Expression:
-    """Compile ``text`` into a callable over the given variables."""
-    return Expression(text, variables)

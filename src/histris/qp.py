@@ -11,19 +11,20 @@ box QPs until no sign needs to change.
 
 On return pinned coordinates sit exactly on their bound, free
 gradients come from a direct solve, and the dual feasibility margin is
-within ``tol``.  Hessians are symmetric positive definite, either
-dense arrays or :class:`~histris.spatial.SymTridiagonal` bands.  A band
-keeps every step O(n): its free blocks are tridiagonal and are solved
-with a tridiagonal factorization; a dense Hessian goes through a dense
-solve.
+within ``tol``.  A Hessian is a symmetric positive definite operator
+asked for exactly three things: ``hess @ x``, ``hess.max_abs_row_sum()``
+(the Gershgorin bound that scales the first step) and
+``hess.solve_principal(idx, rhs)``, a solve with its principal block on
+the free indices ``idx``.  The operators of :mod:`~histris.spatial`, a
+band and the inverse of a band, answer each in O(n).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .errors import NumericalFailure
-from .spatial import SymTridiagonal
 
 __all__ = ["KKT_TOL", "solve_box_qp", "solve_l1_qp", "box_qp_kkt_residual", "l1_qp_kkt_residual"]
 
@@ -48,25 +49,6 @@ def box_qp_kkt_residual(hess, lin, lower, upper, x) -> float:
     return float(np.max(np.abs(x - np.clip(x - g, lower, upper)), initial=0.0))
 
 
-def _max_abs_row_sum(hess) -> float:
-    if isinstance(hess, SymTridiagonal):
-        return hess.max_abs_row_sum()
-    return float(np.abs(hess).sum(axis=1).max())
-
-
-def _solve_free_block(hess, free, idx, lin, x):
-    """Solve ``H_ff z = lin_f - H_fp x_p`` for the free coordinates
-    (mask ``free``, indices ``idx``)."""
-    if isinstance(hess, SymTridiagonal):
-        rhs = lin - hess @ np.where(free, 0.0, x)
-        return hess.solve_principal(idx, rhs[idx])
-    pinned = np.flatnonzero(~free)
-    rhs = lin[idx]
-    if pinned.size:
-        rhs = rhs - hess[np.ix_(idx, pinned)] @ x[pinned]
-    return np.linalg.solve(hess[np.ix_(idx, idx)], rhs)
-
-
 def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
     """Minimize ``0.5 x'Hx - lin'x`` subject to ``lower <= x <= upper``.
 
@@ -87,7 +69,7 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
     x = np.clip(x, lower, upper)
     iterations = 0
 
-    gersh = _max_abs_row_sum(hess)
+    gersh = hess.max_abs_row_sum()
     if gersh <= 0.0:
         raise ValueError("hessian is zero")
     step = 1.0 / gersh
@@ -119,9 +101,10 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
             if not free.any():
                 break
             idx = np.flatnonzero(free)
+            rhs = lin - hess @ np.where(free, 0.0, x)
             try:
-                z = _solve_free_block(hess, free, idx, lin, x)
-            except np.linalg.LinAlgError as exc:
+                z = hess.solve_principal(idx, rhs[idx])
+            except LinAlgError as exc:
                 raise NumericalFailure("singular free block in box qp") from exc
             below = z < lower[idx]
             above = z > upper[idx]

@@ -12,15 +12,20 @@ The Riesz map between the representations is the H^1 Gram matrix
 Riesz matrices are symmetric tridiagonal, so a mesh stores them as
 bands (:class:`SymTridiagonal`): products cost O(n) through banded BLAS
 and Riesz solves reuse a cached LAPACK tridiagonal (L D L') factor.
+The inverse of a band is an operator too (:class:`InverseBand`), so no
+module stores a dense matrix: every Hessian of the box QP answers
+``@``, ``max_abs_row_sum()`` and ``solve_principal(idx, rhs)`` in O(n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
@@ -38,7 +43,6 @@ __all__ = [
     "riesz_solve",
     "dual_pair",
     "dual_norm",
-    "cone_project",
     "interpolate",
     "assemble_dual",
 ]
@@ -57,7 +61,8 @@ class SymTridiagonal:
     dense matrix.  ``np.asarray`` gives the dense matrix, for tests and
     reference computations.  numpy operators defer to this class, so a
     band is never densified by accident.  Bands are not modified in
-    place: ``solve`` caches a factorization of them.
+    place: ``solve`` caches a factorization of them, and ``inverse``
+    the operator built on it.
     """
 
     __array_ufunc__ = None
@@ -143,11 +148,11 @@ class SymTridiagonal:
         if self._factor is None:
             d, e, info = dpttrf(self.diag, self.off)
             if info != 0:
-                raise np.linalg.LinAlgError("band matrix is not positive definite")
+                raise LinAlgError("band matrix is not positive definite")
             self._factor = (d, e)
         x, info = dpttrs(*self._factor, b)
         if info != 0:
-            raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
+            raise LinAlgError(f"dpttrs failed with info={info}")
         return x
 
     def solve_principal(self, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -163,8 +168,56 @@ class SymTridiagonal:
         off = np.where(np.diff(idx) == 1, self.off[idx[:-1]], 0.0)
         *_, x, info = dptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1)
         if info != 0:
-            raise np.linalg.LinAlgError("free block is not positive definite")
+            raise LinAlgError("free block is not positive definite")
         return x
+
+    @cached_property
+    def inverse(self) -> "InverseBand":
+        """The inverse matrix as an operator; built once per band."""
+        return InverseBand(self)
+
+
+class InverseBand:
+    """Inverse ``A^-1`` of a positive definite :class:`SymTridiagonal`.
+
+    It stores no dense matrix.  ``@`` solves with the band's cached
+    factor.  A principal block of the inverse is solved through its
+    Schur complement, ``((A^-1)_ff)^-1 = A_ff - A_fp A_pp^-1 A_pf``: two
+    band products and one band solve on the complementary nodes p.
+    """
+
+    def __init__(self, band: SymTridiagonal):
+        self.band = band
+
+    def __matmul__(self, x):
+        return self.band.solve(x)
+
+    def max_abs_row_sum(self) -> float:
+        """Largest absolute row sum of ``A^-1`` (the Gershgorin bound)."""
+        # For a tridiagonal A some sign matrix S = diag(+-1) makes every
+        # off-diagonal entry of S A S nonpositive: S A S is the comparison
+        # matrix <A> (diagonal a_ii, off-diagonal -|a_ij|), positive
+        # definite with nonpositive off-diagonal, so <A>^-1 >= 0.  As
+        # A^-1 = S <A>^-1 S, |A^-1| = <A>^-1, and <A>^-1 1 holds the
+        # absolute row sums of A^-1.
+        band = self.band
+        comparison = SymTridiagonal(band.diag, -np.abs(band.off))
+        return float(comparison.solve(np.ones(band.shape[0])).max())
+
+    def solve_principal(self, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``(A^-1)_ff z = rhs`` on the sorted node indices ``idx``."""
+        band = self.band
+        u = np.zeros(band.shape[0])
+        u[idx] = rhs
+        v = band @ u  # A_ff rhs on idx, A_pf rhs on the pinned nodes
+        pinned = np.ones(u.size, dtype=bool)
+        pinned[idx] = False
+        if not pinned.any():
+            return v[idx]
+        pidx = np.flatnonzero(pinned)
+        w = np.zeros(u.size)
+        w[pidx] = band.solve_principal(pidx, v[pidx])
+        return v[idx] - (band @ w)[idx]
 
 
 @dataclass(eq=False)
@@ -178,23 +231,6 @@ class Mesh:
     stiffness: SymTridiagonal
     riesz: SymTridiagonal
     lumped_mass: np.ndarray
-    _inverse: np.ndarray | None = field(repr=False, default=None)
-
-    @property
-    def h(self) -> float:
-        """Element size."""
-        return self.length / (self.n_nodes - 1)
-
-    def riesz_inverse(self) -> np.ndarray:
-        """Dense inverse of the Riesz matrix (computed once, then cached).
-
-        Only the dual projection uses it, as the Hessian of its box QP;
-        the primal solve path works with the bands alone.
-        """
-        if self._inverse is None:
-            inv = self.riesz.solve(np.eye(self.n_nodes))
-            self._inverse = 0.5 * (inv + inv.T)
-        return self._inverse
 
 
 def build_mesh(n_nodes: int, length: float = 1.0) -> Mesh:
@@ -278,11 +314,6 @@ def dual_pair(w: DualField, v: Field) -> float:
 def dual_norm(mesh: Mesh, w: DualField) -> float:
     """Dual H^1 norm of an assembled functional."""
     return math.sqrt(max(dual_pair(w, riesz_solve(mesh, w)), 0.0))
-
-
-def cone_project(v: Field) -> Field:
-    """Nodal projection onto the cone of nonnegative fields."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0)
 
 
 def interpolate(mesh: Mesh, fn: Callable[[np.ndarray], np.ndarray]) -> Field:

@@ -67,7 +67,6 @@ __all__ = [
     "BALANCE_TOL",
     "LoadTerm",
     "Load",
-    "TabulatedLoad",
     "expression_load",
     "constant_in_space_load",
     "Scenario",
@@ -123,49 +122,6 @@ class Load:
             LoadTerm(term.time_profile, factor * term.space_dual, term.time_derivative)
             for term in self.terms
         ])
-
-
-class TabulatedLoad:
-    """Load given by assembled dual fields at sample times.
-
-    Values interpolate linearly; the derivative is the slope of the
-    containing segment and zero outside the table.
-    """
-
-    def __init__(self, times, values):
-        self.times = np.asarray(times, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.times.ndim != 1 or len(self.times) < 2:
-            raise ValueError("tabulated loads need at least two sample times")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("tabulated load times must strictly increase")
-        if self.values.shape[0] != self.times.shape[0]:
-            raise ValueError(
-                f"{self.values.shape[0]} samples on {self.times.shape[0]} times"
-            )
-
-    def _segment(self, t: float) -> int:
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        return min(max(k, 0), len(self.times) - 2)
-
-    def value(self, t: float) -> DualField:
-        t = float(t)
-        if t <= self.times[0]:
-            return self.values[0].copy()
-        if t >= self.times[-1]:
-            return self.values[-1].copy()
-        k = self._segment(t)
-        w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
-
-    def derivative(self, t: float) -> DualField:
-        t = float(t)
-        if t < self.times[0] or t > self.times[-1]:
-            return np.zeros_like(self.values[0])
-        k = self._segment(t)
-        return (self.values[k + 1] - self.values[k]) / (
-            self.times[k + 1] - self.times[k]
-        )
 
 
 def expression_load(mesh: Mesh, time_expr: str, space_expr: str = "1") -> Load:

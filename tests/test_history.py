@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from histris.errors import NumericalFailure
+from histris.expressions import Expression
 from histris.history import (
     HistoryAccumulator,
     KernelSpec,
@@ -219,6 +220,48 @@ def test_long_geometric_run_stays_on_the_oracle(rng):
                     rtol=0, atol=1e-10)
     assert_allclose(acc.derivative(),
                     history_derivative(kernel, times, values, n_steps),
+                    rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("horizon,n_steps", [(10.0, 6000), (8.0, 20_000)])
+def test_expression_exponential_kernel_takes_the_recurrence(rng, horizon, n_steps):
+    # exp(-2t) through the expression evaluator, as a config builds it:
+    # rounding the lags moves the table off r*b_j by up to 15 eps here,
+    # which the lag-scaled tolerance must still accept.
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    tau = times[1] - times[0]
+    values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 2))
+    kernel = convolution_kernel(Expression("exp(-2*t)", ("t",)),
+                                Expression("-2*exp(-2*t)", ("t",)), np.zeros(2))
+    acc = HistoryAccumulator(kernel, tau, 2, n_steps)
+    assert acc._zeta.ratio is not None
+    for q in values:
+        acc.push(q)
+    assert_allclose(acc.value(), history_eval(kernel, times, values, n_steps),
+                    rtol=0, atol=1e-10)
+    # a kernel geometric only to 1e-10 still takes the dot product
+    b, b_prime, _, _ = KERNELS["exp(-2t+1e-9t^2)"]
+    near = HistoryAccumulator(convolution_kernel(b, b_prime, np.zeros(2)), tau, 2,
+                              n_steps)
+    assert near._zeta.ratio is None
+
+
+@pytest.mark.parametrize("c,geometric", [(4e-12, True), (1e-11, False)])
+def test_near_geometric_kernel_at_the_tolerance_margin(rng, c, geometric):
+    # exp(-2t + c t^2) at horizon 8 / 20 000 steps sits at the edge of the
+    # lag-scaled tolerance: 4e-12 is accepted, 1e-11 is not.  Either way
+    # the history value must stay on the oracle.
+    n_steps = 20_000
+    times = np.linspace(0.0, 8.0, n_steps + 1)
+    values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 2))
+    kernel = convolution_kernel(lambda t: np.exp(-2.0 * t + c * t * t),
+                                lambda t: (2.0 * c * t - 2.0) * np.exp(-2.0 * t + c * t * t),
+                                np.zeros(2))
+    acc = HistoryAccumulator(kernel, times[1] - times[0], 2, n_steps)
+    assert (acc._zeta.ratio is not None) == geometric
+    for q in values:
+        acc.push(q)
+    assert_allclose(acc.value(), history_eval(kernel, times, values, n_steps),
                     rtol=0, atol=1e-10)
 
 

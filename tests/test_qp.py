@@ -11,7 +11,13 @@ from histris.qp import (
 )
 from histris.spatial import build_mesh
 
-from oracles import brute_force_box_qp, brute_force_l1_qp, random_spd, soft_threshold
+from oracles import (
+    DenseHessian,
+    brute_force_box_qp,
+    brute_force_l1_qp,
+    random_spd,
+    soft_threshold,
+)
 
 
 def _random_bounds(rng, n):
@@ -33,7 +39,7 @@ def test_box_qp_matches_brute_force_at_n3(rng):
         hess = random_spd(rng, 3, cond=30.0)
         lin = rng.standard_normal(3) * 2.0
         lower, upper = _random_bounds(rng, 3)
-        x, _ = solve_box_qp(hess, lin, lower, upper)
+        x, _ = solve_box_qp(DenseHessian(hess), lin, lower, upper)
         ref, ref_val = brute_force_box_qp(hess, lin, lower, upper)
         val = 0.5 * x @ hess @ x - lin @ x
         assert val <= ref_val + 1e-9
@@ -46,14 +52,14 @@ def test_box_qp_kkt_residual_small(rng):
             hess = random_spd(rng, n, cond=100.0)
             lin = rng.standard_normal(n) * 3.0
             lower, upper = _random_bounds(rng, n)
-            x, _ = solve_box_qp(hess, lin, lower, upper)
+            x, _ = solve_box_qp(DenseHessian(hess), lin, lower, upper)
             assert box_qp_kkt_residual(hess, lin, lower, upper, x) <= KKT_TOL
 
 
 @pytest.mark.parametrize("family", ["box", "l1"])
 def test_box_qp_start_point_irrelevant(rng, family):
     if family == "box":
-        hess = random_spd(rng, 8)
+        hess = DenseHessian(random_spd(rng, 8))
         lin = rng.standard_normal(8)
         lower = np.zeros(8)
         base, _ = solve_box_qp(hess, lin, lower=lower)
@@ -72,17 +78,17 @@ def test_box_qp_start_point_irrelevant(rng, family):
         assert np.any(hess - np.diag(np.diag(hess)) > 0.0)
         lin = rng.standard_normal(n) * 2.0
         weights = rng.uniform(0.0, 1.5, n)
-        base, _ = solve_l1_qp(hess, lin, weights)
+        base, _ = solve_l1_qp(DenseHessian(hess), lin, weights)
         for _ in range(5):
             start = rng.standard_normal(n) * rng.uniform(0.1, 5.0)
             wrong += np.count_nonzero(start * base < 0.0)
-            x, _ = solve_l1_qp(hess, lin, weights, start=start)
+            x, _ = solve_l1_qp(DenseHessian(hess), lin, weights, start=start)
             assert_allclose(x, base, atol=1e-9)
     assert wrong > 0
 
 
 def test_box_qp_unconstrained_interior():
-    hess = np.diag([2.0, 4.0])
+    hess = DenseHessian(np.diag([2.0, 4.0]))
     lin = np.array([2.0, 4.0])
     x, _ = solve_box_qp(hess, lin, lower=np.full(2, -10.0), upper=np.full(2, 10.0))
     assert_allclose(x, [1.0, 1.0], atol=1e-12)
@@ -95,7 +101,7 @@ def test_box_qp_degenerate_equal_bounds(rng):
     lo = rng.standard_normal(6)
     hi = lo.copy()
     hi[3:] = lo[3:] + 1.0
-    x, _ = solve_box_qp(hess, lin, lo, hi)
+    x, _ = solve_box_qp(DenseHessian(hess), lin, lo, hi)
     assert_allclose(x[:3], lo[:3], atol=0.0)
     assert box_qp_kkt_residual(hess, lin, lo, hi, x) <= KKT_TOL
 
@@ -106,7 +112,7 @@ def test_l1_qp_matches_brute_force_at_n3(rng):
         lin = rng.standard_normal(3) * 2.0
         weights = rng.uniform(0.0, 1.5, 3)
         weights[rng.integers(0, 3)] *= rng.integers(0, 2)  # sometimes a free coord
-        x, _ = solve_l1_qp(hess, lin, weights)
+        x, _ = solve_l1_qp(DenseHessian(hess), lin, weights)
         ref, ref_val = brute_force_l1_qp(hess, lin, weights)
         val = 0.5 * x @ hess @ x - lin @ x + weights @ np.abs(x)
         assert val <= ref_val + 1e-9
@@ -119,7 +125,7 @@ def test_l1_qp_identity_hessian_is_shrinkage(rng):
         n = int(rng.integers(2, 9))
         lin = rng.standard_normal(n) * 2.0
         weights = rng.uniform(0.0, 1.0, n)
-        x, _ = solve_l1_qp(np.eye(n), lin, weights)
+        x, _ = solve_l1_qp(DenseHessian(np.eye(n)), lin, weights)
         assert_allclose(x, soft_threshold(lin, weights), atol=1e-10)
 
 
@@ -129,19 +135,19 @@ def test_l1_qp_kkt_residual_small(rng):
             hess = random_spd(rng, n, cond=100.0)
             lin = rng.standard_normal(n) * 3.0
             weights = rng.uniform(0.0, 2.0, n)
-            x, _ = solve_l1_qp(hess, lin, weights)
+            x, _ = solve_l1_qp(DenseHessian(hess), lin, weights)
             assert l1_qp_kkt_residual(hess, lin, weights, x) <= KKT_TOL
 
 
 def test_l1_qp_zero_weights_reduce_to_linear_solve(rng):
     hess = random_spd(rng, 7)
     lin = rng.standard_normal(7)
-    x, _ = solve_l1_qp(hess, lin, np.zeros(7))
+    x, _ = solve_l1_qp(DenseHessian(hess), lin, np.zeros(7))
     assert_allclose(x, np.linalg.solve(hess, lin), atol=1e-9)
 
 
 def test_shape_mismatch_raises(rng):
-    hess = random_spd(rng, 4)
+    hess = DenseHessian(random_spd(rng, 4))
     with pytest.raises(ValueError):
         solve_box_qp(hess, np.zeros(3))
     with pytest.raises(ValueError):
@@ -162,7 +168,7 @@ def test_band_hessian_matches_dense_hessian(rng, n):
         start = rng.standard_normal(n) * rng.uniform(0.0, 3.0)
         for st in (None, start):
             xb, _ = solve_box_qp(band, lin, lower, upper, start=st)
-            xd, _ = solve_box_qp(dense, lin, lower, upper, start=st)
+            xd, _ = solve_box_qp(DenseHessian(dense), lin, lower, upper, start=st)
             scale = max(np.abs(xd).max(), 1e-300)
             assert np.abs(xb - xd).max() <= 1e-12 * scale
             assert box_qp_kkt_residual(band, lin, lower, upper, xb) <= KKT_TOL
@@ -171,7 +177,7 @@ def test_band_hessian_matches_dense_hessian(rng, n):
         weights[rng.random(n) < 0.1] = 0.0
         for st in (None, start):
             xb, _ = solve_l1_qp(band, lin, weights, start=st)
-            xd, _ = solve_l1_qp(dense, lin, weights, start=st)
+            xd, _ = solve_l1_qp(DenseHessian(dense), lin, weights, start=st)
             scale = max(np.abs(xd).max(), 1e-300)
             assert np.abs(xb - xd).max() <= 1e-12 * scale
             assert l1_qp_kkt_residual(band, lin, weights, xb) <= KKT_TOL

@@ -6,7 +6,6 @@ from histris.spatial import (
     SymTridiagonal,
     assemble_dual,
     build_mesh,
-    cone_project,
     dual_norm,
     dual_pair,
     h1_inner,
@@ -73,18 +72,6 @@ def test_dual_norm_matches_primal_norm_through_riesz(rng):
         w = riesz_apply(mesh, u)
         assert_allclose(dual_norm(mesh, w), h1_norm(mesh, u), rtol=1e-12)
         assert_allclose(dual_pair(w, u), h1_inner(mesh, u, u), rtol=1e-12)
-
-
-def test_cone_project_properties(rng):
-    for _ in range(200):
-        v = rng.standard_normal(13) * rng.uniform(0.1, 10.0)
-        w = rng.standard_normal(13) * rng.uniform(0.1, 10.0)
-        pv = cone_project(v)
-        assert np.all(pv >= 0.0)
-        assert_allclose(cone_project(pv), pv, atol=0.0)
-        # 1-Lipschitz in the Euclidean nodal norm
-        gap = np.linalg.norm(cone_project(v) - cone_project(w))
-        assert gap <= np.linalg.norm(v - w) + 1e-14
 
 
 def test_interpolate_broadcasts_scalars():
@@ -200,10 +187,45 @@ def test_two_node_mesh_band_algebra(rng):
                         _principal_reference(dense, free, rhs), rtol=1e-13)
 
 
-def test_riesz_inverse_is_the_dense_inverse():
-    mesh = build_mesh(9, length=2.0)
-    inv = mesh.riesz_inverse()
-    assert_allclose(inv @ np.asarray(mesh.riesz), np.eye(9), atol=1e-13)
+def test_riesz_inverse_is_the_dense_inverse(rng):
+    # The inverse operator against the dense inverse, including a
+    # two-node mesh with h = 3 > sqrt(6), where the Riesz matrix has a
+    # positive off-diagonal entry and its inverse a negative one.
+    meshes = [build_mesh(n) for n in (2, 3, 4, 5, 9, 17, 33, 65)]
+    meshes += [build_mesh(2, length=3.0), build_mesh(9, length=2.0)]
+    for mesh in meshes:
+        n = mesh.n_nodes
+        dense = np.linalg.inv(np.asarray(mesh.riesz))
+        inv = mesh.riesz.inverse
+        assert inv is mesh.riesz.inverse  # built once per band
+        for _ in range(3):
+            x = rng.standard_normal(n)
+            want = dense @ x
+            assert np.abs(inv @ x - want).max() <= 1e-12 * np.abs(want).max()
+
+        # The bound is at least every absolute row sum, and for a band
+        # it is the largest one: |A^-1| is the inverse of the comparison
+        # matrix.  The signed row sums would not do on the h = 3 mesh.
+        rows = np.abs(dense).sum(axis=1)
+        bound = inv.max_abs_row_sum()
+        assert bound >= rows.max() * (1.0 - 1e-13)
+        assert bound <= rows.max() * (1.0 + 1e-12)
+        if np.any(mesh.riesz.off > 0.0):
+            assert dense.sum(axis=1).max() < 0.9 * bound
+
+        masks = [np.ones(n, dtype=bool)]                     # nothing pinned
+        masks += [np.arange(n) == k for k in (0, n - 1, n // 2)]  # one free node
+        masks += [np.arange(n) != k for k in (0, n - 1, n // 2)]  # one pinned node
+        for _ in range(10):
+            free = rng.random(n) < rng.uniform(0.1, 0.9)
+            free[rng.integers(n)] = True
+            masks.append(free)
+        for free in masks:
+            idx = np.flatnonzero(free)
+            rhs = rng.standard_normal(idx.size)
+            want = np.linalg.solve(dense[np.ix_(idx, idx)], rhs)
+            got = inv.solve_principal(idx, rhs)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_band_refuses_silent_densification():

@@ -1,8 +1,8 @@
 """Tests for loads, scenarios, and the viscous incremental solver.
 
-Covers load evaluation and derivatives, tabulated loads, scenario
-validation, the single implicit step (force balance, stick/slip, the
-closed-form spatially constant increment), the analytic viscous ramp,
+Covers load evaluation and derivatives, scenario validation, the
+single implicit step (force balance, stick/slip, the closed-form
+spatially constant increment), the analytic viscous ramp,
 implicit/explicit agreement, warm-start irrelevance, and the sampled
 one-sided force inequality.
 """
@@ -24,7 +24,6 @@ from histris.viscous import (
     Load,
     LoadTerm,
     Scenario,
-    TabulatedLoad,
     constant_in_space_load,
     driving_force,
     energy,
@@ -78,27 +77,6 @@ def test_expression_load_derivative_fallback():
     load = expression_load(mesh, "sin(2*pi*t)")
     expected = 2.0 * math.pi * math.cos(2.0 * math.pi * 0.3) * (mesh.mass @ np.ones(5))
     assert_allclose(load.derivative(0.3), expected, rtol=0, atol=1e-7)
-
-
-def test_tabulated_load_interpolates_linearly():
-    times = [0.0, 0.5, 1.0]
-    rows = np.array([[0.0, 0.0], [1.0, 2.0], [1.0, 0.0]])
-    load = TabulatedLoad(times, rows)
-    assert_allclose(load.value(0.25), [0.5, 1.0], rtol=0, atol=1e-15)
-    assert_allclose(load.value(-1.0), rows[0], rtol=0, atol=0)
-    assert_allclose(load.value(2.0), rows[-1], rtol=0, atol=0)
-    assert_allclose(load.derivative(0.25), [2.0, 4.0], rtol=0, atol=1e-14)
-    assert_allclose(load.derivative(0.75), [0.0, -4.0], rtol=0, atol=1e-14)
-    assert_allclose(load.derivative(1.5), [0.0, 0.0], rtol=0, atol=0)
-
-
-def test_tabulated_load_validation():
-    with pytest.raises(ValueError, match="two sample times"):
-        TabulatedLoad([0.0], [[1.0]])
-    with pytest.raises(ValueError, match="strictly increase"):
-        TabulatedLoad([0.0, 0.0], [[1.0], [2.0]])
-    with pytest.raises(ValueError, match="samples"):
-        TabulatedLoad([0.0, 1.0], [[1.0], [2.0], [3.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +244,19 @@ def test_non_finite_load_fails_the_balance_gate(one_sided):
     assert "cycle cap" not in str(exc.value)
 
 
-@pytest.mark.parametrize("one_sided", [True, False])
-def test_implicit_solve_uses_band_algebra_only(monkeypatch, one_sided):
-    # The implicit path must not form or factor a dense matrix: dense
-    # solves, the dense Riesz inverse and densifying a band all raise.
+def _solve_with_band_algebra_only(monkeypatch, one_sided, method, eps):
+    # Dense solves and inverses and densifying a band all raise, so the
+    # solve must not form or factor a dense matrix.
     import scipy.linalg
 
     import histris.spatial as spatial
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dense linear algebra on the implicit path")
+        raise AssertionError(f"dense linear algebra on the {method} path")
 
     monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
     monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
-    monkeypatch.setattr(spatial.Mesh, "riesz_inverse", refuse)
     monkeypatch.setattr(spatial.SymTridiagonal, "__array__", refuse)
 
     mesh = build_mesh(65)
@@ -296,6 +273,23 @@ def test_implicit_solve_uses_band_algebra_only(monkeypatch, one_sided):
         horizon=1.0,
         n_steps=100,
     )
-    traj, report = solve_viscous(scn, 1e-3)
+    return solve_viscous(scn, eps, method=method)
+
+
+@pytest.mark.parametrize("one_sided", [True, False])
+def test_implicit_solve_uses_band_algebra_only(monkeypatch, one_sided):
+    traj, report = _solve_with_band_algebra_only(monkeypatch, one_sided,
+                                                 "implicit", 1e-3)
     assert report.max_balance_residual <= BALANCE_TOL
+    assert np.count_nonzero(traj.values[-1]) > 0
+
+
+@pytest.mark.parametrize("one_sided", [True, False])
+def test_explicit_solve_uses_band_algebra_only(monkeypatch, one_sided):
+    # The explicit step projects with the Hessian R^-1: an inverse-band
+    # operator, not a dense inverse.
+    traj, report = _solve_with_band_algebra_only(monkeypatch, one_sided,
+                                                 "explicit", 0.1)
+    assert np.all(np.isfinite(traj.values))
+    assert report.inner_iterations > 0
     assert np.count_nonzero(traj.values[-1]) > 0
