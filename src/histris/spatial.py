@@ -13,8 +13,9 @@ Riesz matrices are symmetric tridiagonal, so a mesh stores them as
 bands (:class:`SymTridiagonal`): products cost O(n) through banded BLAS
 and Riesz solves reuse a cached LAPACK tridiagonal (L D L') factor.
 The inverse of a band is an operator too (:class:`InverseBand`), so no
-module stores a dense matrix: every Hessian of the box QP answers
-``@``, ``max_abs_row_sum()`` and ``solve_principal(idx, rhs)`` in O(n).
+module stores a dense matrix: every Hessian of the box and l1 QPs
+answers the two requests of the QP protocol, ``@`` and
+``solve_principal(idx, rhs)``, in O(n).
 """
 
 from __future__ import annotations
@@ -125,13 +126,6 @@ class SymTridiagonal:
             return NotImplemented
         return SymTridiagonal._of_bands(self._bands + other._bands)
 
-    def max_abs_row_sum(self) -> float:
-        """Largest absolute row sum (the Gershgorin bound)."""
-        rows = np.abs(self.diag)
-        rows[:-1] += np.abs(self.off)
-        rows[1:] += np.abs(self.off)
-        return float(rows.max())
-
     def quad_forms(self, rows: np.ndarray) -> np.ndarray:
         """``r' A r`` for every row ``r`` of the (k, n) array ``rows``,
         in O(n) a row and without (k, n) temporaries."""
@@ -191,18 +185,6 @@ class InverseBand:
 
     def __matmul__(self, x):
         return self.band.solve(x)
-
-    def max_abs_row_sum(self) -> float:
-        """Largest absolute row sum of ``A^-1`` (the Gershgorin bound)."""
-        # For a tridiagonal A some sign matrix S = diag(+-1) makes every
-        # off-diagonal entry of S A S nonpositive: S A S is the comparison
-        # matrix <A> (diagonal a_ii, off-diagonal -|a_ij|), positive
-        # definite with nonpositive off-diagonal, so <A>^-1 >= 0.  As
-        # A^-1 = S <A>^-1 S, |A^-1| = <A>^-1, and <A>^-1 1 holds the
-        # absolute row sums of A^-1.
-        band = self.band
-        comparison = SymTridiagonal(band.diag, -np.abs(band.off))
-        return float(comparison.solve(np.ones(band.shape[0])).max())
 
     def solve_principal(self, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(A^-1)_ff z = rhs`` on the sorted node indices ``idx``."""

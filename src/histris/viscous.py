@@ -247,7 +247,8 @@ class SolveReport:
 
     The explicit method checks no force balance and records no
     dissipation: its ``balance_residuals`` and ``dissipation_rates``
-    are NaN.
+    are NaN.  ``inner_iterations`` totals the QP iterations of all
+    steps; one iteration is one free-block solve (see :mod:`histris.qp`).
     """
 
     method: str
@@ -327,6 +328,10 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
             q, rate, iters = explicit_projection_step(
                 scenario, eps, times[k], q, zeta, cold_start=not warm_start
             )
+            if not np.all(np.isfinite(q)):
+                raise NumericalFailure(
+                    f"non-finite state at explicit step {k + 1}/{steps}"
+                )
             rate_norms[k] = h1_norm(mesh, rate)
             total_iters += iters
         values[k + 1] = q

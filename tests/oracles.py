@@ -169,18 +169,14 @@ def random_spd(rng, n, cond=10.0):
 
 
 class DenseHessian:
-    """A dense symmetric matrix behind the Hessian protocol of
-    ``solve_box_qp``: ``@``, the largest absolute row sum, and a dense
-    solve with a principal block."""
+    """A dense symmetric matrix behind the Hessian protocol of the QP
+    solvers: ``@`` and a dense solve with a principal block."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
 
     def __matmul__(self, x):
         return self.matrix @ x
-
-    def max_abs_row_sum(self):
-        return float(np.abs(self.matrix).sum(axis=1).max())
 
     def solve_principal(self, idx, rhs):
         return np.linalg.solve(self.matrix[np.ix_(idx, idx)], rhs)

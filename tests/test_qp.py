@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import histris.qp as qp
 from histris.qp import (
     KKT_TOL,
     box_qp_kkt_residual,
@@ -182,3 +183,91 @@ def test_band_hessian_matches_dense_hessian(rng, n):
             assert np.abs(xb - xd).max() <= 1e-12 * scale
             assert l1_qp_kkt_residual(band, lin, weights, xb) <= KKT_TOL
 
+
+
+def _count_calls(monkeypatch, name):
+    # Wrap a private helper of histris.qp; the list grows by one per call.
+    calls = []
+    inner = getattr(qp, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(qp, name, counted)
+    return calls
+
+
+def test_dual_projection_recovers_from_a_recurring_pinned_set(rng, monkeypatch):
+    # R^-1 is not an M-matrix, so bulk pin/release steps can revisit a
+    # pinned set.  The monotone walk then takes over, and its result
+    # must still be the projection the dense inverse gives.
+    walks = _count_calls(monkeypatch, "_monotone_box")
+    for n in (9, 17, 33, 65):
+        mesh = build_mesh(n)
+        inv = mesh.riesz.inverse
+        dense = DenseHessian(np.linalg.inv(np.asarray(mesh.riesz)))
+        wave = 1.5 * np.sin(np.linspace(0.0, 9.0, n))
+        for _ in range(25):
+            upper = mesh.mass @ (0.4 + 0.6 * rng.random(n))
+            omega = mesh.mass @ (2.0 * rng.standard_normal(n) + wave)
+            lin = mesh.riesz.solve(omega)
+            for lower in (-np.inf, -upper):
+                for start in (None, np.clip(omega, lower, upper)):
+                    mu, _ = solve_box_qp(inv, lin, lower, upper, start=start)
+                    ref, _ = solve_box_qp(dense, lin, lower, upper, start=start)
+                    diff = mu - ref
+                    assert diff @ (inv @ diff) <= 1e-24 * (ref @ (inv @ ref))
+                    assert box_qp_kkt_residual(inv, lin, lower, upper, mu) <= KKT_TOL
+    assert walks
+
+
+# Hessians with positive off-diagonal entries (A A' + 0.05 I, A >= 0,
+# rounded) on which the three-state l1 steps revisit a sign state.
+_L1_CYCLES = [
+    ([[1.0, 0.9, 0.4], [0.9, 1.5, 1.0], [0.4, 1.0, 0.9]],
+     [-1.0, 0.8, 1.9], [0.1, 0.7, 0.5], None),
+    ([[1.0, 0.9, 0.4], [0.9, 1.5, 1.0], [0.4, 1.0, 0.9]],
+     [-1.0, 0.8, 1.9], [0.1, 0.7, 0.5], [-1.2, 0.2, -1.4]),
+    ([[2.5, 1.2, 0.9], [1.2, 0.8, 0.3], [0.9, 0.3, 0.5]],
+     [0.9, -1.8, 2.8], [1.3, 1.3, 1.4], [-2.7, -2.6, 1.3]),
+]
+
+
+@pytest.mark.parametrize("hess, lin, weights, start", _L1_CYCLES)
+def test_l1_qp_recovers_from_a_recurring_sign_state(monkeypatch, hess, lin,
+                                                    weights, start):
+    loops = _count_calls(monkeypatch, "_sign_loop")
+    hess, lin, weights = (np.array(a) for a in (hess, lin, weights))
+    assert np.all(np.linalg.eigvalsh(hess) > 0.0)
+    x, _ = solve_l1_qp(DenseHessian(hess), lin, weights, start=start)
+    assert loops
+    ref, _ = brute_force_l1_qp(hess, lin, weights)
+    assert_allclose(x, ref, atol=1e-10)
+    assert l1_qp_kkt_residual(hess, lin, weights, x) <= KKT_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 33, 129, 257])
+def test_prox_steps_on_m_matrices_never_need_the_safeguard(rng, monkeypatch, n):
+    # eps * Riesz has nonpositive off-diagonal entries on these meshes.
+    # Under loads of one sign in space, as in the solver's time steps,
+    # the bulk steps converge from cold and warm starts, whichever way
+    # the load points, without handing over to a monotone walk.
+    walks = _count_calls(monkeypatch, "_monotone_box")
+    loops = _count_calls(monkeypatch, "_sign_loop")
+    mesh = build_mesh(n)
+    assert np.all(mesh.riesz.off < 0.0)
+    for _ in range(10):
+        hess = 10.0 ** rng.uniform(-3.0, 1.0) * mesh.riesz
+        wave = np.cos(int(rng.integers(1, 6)) * np.pi * mesh.nodes)
+        profile = 1.0 + rng.uniform(-0.9, 0.9) * wave
+        weights = mesh.mass @ rng.uniform(0.2, 1.5, n)
+        box_start = l1_start = None
+        for _step in range(6):
+            force = mesh.mass @ (rng.uniform(-3.0, 3.0) * profile)
+            x, _ = solve_box_qp(hess, force - weights, lower=0.0, start=box_start)
+            assert box_qp_kkt_residual(hess, force - weights, 0.0, None, x) <= KKT_TOL
+            y, _ = solve_l1_qp(hess, force, weights, start=l1_start)
+            assert l1_qp_kkt_residual(hess, force, weights, y) <= KKT_TOL
+            box_start, l1_start = x, y
+    assert not walks and not loops

@@ -114,8 +114,6 @@ def test_band_products_match_dense(rng, n):
         for scaled in (s * band, band * s, np.float64(s) * band):
             assert isinstance(scaled, SymTridiagonal)
             assert_allclose(np.asarray(scaled), s * dense, rtol=1e-15, atol=0.0)
-    assert_allclose(band.max_abs_row_sum(), np.abs(dense).sum(axis=1).max(),
-                    rtol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 65])
@@ -202,16 +200,6 @@ def test_riesz_inverse_is_the_dense_inverse(rng):
             x = rng.standard_normal(n)
             want = dense @ x
             assert np.abs(inv @ x - want).max() <= 1e-12 * np.abs(want).max()
-
-        # The bound is at least every absolute row sum, and for a band
-        # it is the largest one: |A^-1| is the inverse of the comparison
-        # matrix.  The signed row sums would not do on the h = 3 mesh.
-        rows = np.abs(dense).sum(axis=1)
-        bound = inv.max_abs_row_sum()
-        assert bound >= rows.max() * (1.0 - 1e-13)
-        assert bound <= rows.max() * (1.0 + 1e-12)
-        if np.any(mesh.riesz.off > 0.0):
-            assert dense.sum(axis=1).max() < 0.9 * bound
 
         masks = [np.ones(n, dtype=bool)]                     # nothing pinned
         masks += [np.arange(n) == k for k in (0, n - 1, n // 2)]  # one free node

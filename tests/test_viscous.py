@@ -244,6 +244,19 @@ def test_non_finite_load_fails_the_balance_gate(one_sided):
     assert "cycle cap" not in str(exc.value)
 
 
+@pytest.mark.parametrize("one_sided", [True, False])
+def test_non_finite_load_fails_the_explicit_integrator(one_sided):
+    # The explicit method has no balance gate to catch a NaN, so the
+    # state itself is checked after every step.
+    a = lambda t: 2.0 * t if t <= 0.5 else math.nan
+    sc = scalar_scenario(a, n_steps=20, n_nodes=9)
+    if not one_sided:
+        sc = replace(sc, dissipation=WeightedL1(
+            weight=sc.dissipation.weight, lipschitz=0.0))
+    with pytest.raises(NumericalFailure, match="explicit step 12/20"):
+        solve_viscous(sc, 0.5, method="explicit")
+
+
 def _solve_with_band_algebra_only(monkeypatch, one_sided, method, eps):
     # Dense solves and inverses and densifying a band all raise, so the
     # solve must not form or factor a dense matrix.
