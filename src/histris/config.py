@@ -79,14 +79,14 @@ def _number(sec: dict, key: str, path: str, default, *, integer: bool = False,
     value = sec.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}.{key} must be finite, got {value!r}")
     if integer:
         if int(value) != value:
             raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
         value = int(value)
     else:
         value = float(value)
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}.{key} must be finite, got {value!r}")
     if positive and value <= 0:
         raise ConfigError(f"{path}.{key} must be positive, got {value!r}")
     if nonnegative and value < 0:
@@ -121,6 +121,8 @@ def _number_list(sec: dict, key: str, path: str, default: list) -> list:
     for i, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"{path}.{key}[{i}] must be a number, got {item!r}")
+        if isinstance(item, float) and not math.isfinite(item):
+            raise ConfigError(f"{path}.{key}[{i}] must be finite, got {item!r}")
         out.append(float(item))
     return out
 

@@ -4,9 +4,10 @@ The accumulated state is
 
     zeta(t) = offset + integral_0^t b(t - s) y(s) ds,
 
-with a scalar convolution kernel ``b`` (the ``identity`` kind is
-``b = 1``, plain time integration).  Quadrature in time is the
-composite trapezoid rule on the trajectory grid.  The weak time
+with a scalar convolution kernel ``b``.  The ``identity`` kind is the
+kernel ``b = 1``, ``b' = 0`` (plain time integration), evaluated on the
+same path as any other kernel.  Quadrature in time is the composite
+trapezoid rule on the trajectory grid.  The weak time
 derivative of the accumulated state is
 
     d/dt zeta(t) = b(0) y(t) + integral_0^t b'(t - s) y(s) ds,
@@ -17,9 +18,10 @@ checked against.
 ``history_eval`` and ``history_derivative`` evaluate both from scratch
 at one grid index.  ``HistoryAccumulator`` follows a run step by step:
 it tabulates the kernel once on the grid and advances a geometric table
-``b_j = b_0 r^j`` (exponential kernels, and the identity as ``r = 1``)
-by an exact trapezoid recurrence in O(1) per step; any other table is
-re-weighted against the stored samples, O(k) at step k.
+``b_j = b_0 r^j`` (exponential kernels, the identity as ``r = 1``, and
+the zero table of its derivative) by an exact trapezoid recurrence in
+O(1) per step; any other table is re-weighted against the stored
+samples, O(k) at step k.
 """
 
 from __future__ import annotations
@@ -55,13 +57,15 @@ class KernelSpec:
         if self.kind not in ("identity", "convolution"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
-        if self.kind == "convolution":
-            if self.b is None or self.b_prime is None:
-                raise ValueError("convolution kernels need b and b_prime")
+        if self.kind == "identity":
+            self.b, self.b_prime = np.ones_like, np.zeros_like
+        elif self.b is None or self.b_prime is None:
+            raise ValueError("convolution kernels need b and b_prime")
 
 
 def identity_kernel(y0) -> KernelSpec:
-    """Plain running time integral on top of the initial state."""
+    """Plain running time integral on top of the initial state: the
+    kernel ``b = 1`` with ``b' = 0``."""
     return KernelSpec(kind="identity", y0=y0)
 
 
@@ -96,8 +100,6 @@ def history_eval(kernel: KernelSpec, times: np.ndarray, values: np.ndarray,
         return kernel.y0.copy()
     tau = times[1] - times[0]
     w = _trapezoid_weights(k, tau)
-    if kernel.kind == "identity":
-        return kernel.y0 + w @ values[: k + 1]
     lag = times[k] - times[: k + 1]
     return kernel.y0 + (w * np.asarray(kernel.b(lag), dtype=float)) @ values[: k + 1]
 
@@ -110,8 +112,6 @@ def history_derivative(kernel: KernelSpec, times: np.ndarray, values: np.ndarray
     k = int(index)
     if not 0 <= k < len(times):
         raise ValueError(f"index {k} outside the grid of {len(times)} times")
-    if kernel.kind == "identity":
-        return values[k].astype(float).copy()
     b0 = float(np.asarray(kernel.b(np.zeros(1)), dtype=float)[0])
     out = b0 * values[k].astype(float)
     if k > 0:
@@ -145,8 +145,11 @@ def _geometric_ratio(table: np.ndarray) -> float | None:
     at ``lam = 2``, ``tau = 4e-4`` (horizon 8, 20 000 steps).
     """
     b0 = table[0]
-    if b0 == 0 or not np.all(np.isfinite(table)):
+    if not np.all(np.isfinite(table)):
         return None
+    if b0 == 0:
+        # b = 0 is geometric for any r, and r = 1 costs no products.
+        return None if table.any() else 1.0
     r = table[1] / b0 if table.size > 1 else 1.0
     growth = abs(math.log(abs(r))) if r else 0.0
     lag = np.arange(table.size - 1)
@@ -214,10 +217,7 @@ class HistoryAccumulator:
         self.tau = float(tau)
         self._samples = np.zeros((n_max + 1, n_nodes))
         self._count = 0
-        if kernel.kind == "identity":
-            table = np.ones(n_max + 1)
-        else:
-            table = _tabulate(kernel.b, self.tau * np.arange(n_max + 1))
+        table = _tabulate(kernel.b, self.tau * np.arange(n_max + 1))
         self._b0 = table[0]
         self._zeta = _TrapezoidConvolution(table, self.tau, n_nodes)
         self._slope = None  # the b' table, built by the first derivative()
@@ -253,8 +253,6 @@ class HistoryAccumulator:
         if self._count == 0:
             raise ValueError("no samples pushed yet")
         k = self._count - 1
-        if self.kernel.kind == "identity":
-            return self._samples[k].copy()
         if self._slope is None:
             n_rows, n_nodes = self._samples.shape
             lags = self.tau * np.arange(n_rows)

@@ -157,24 +157,18 @@ def _monotone_box(hess, lin, lower, upper, fixed, x, tol):
                 break
             # Step from x towards z until the first bound blocks.
             d = z - x[idx]
-            alpha = 1.0
-            block = -1
-            block_low = True
-            for j in np.flatnonzero(below | above):
-                dj = d[j]
-                if dj == 0.0:
-                    continue
-                bound = lower[idx[j]] if dj < 0.0 else upper[idx[j]]
-                a = (bound - x[idx[j]]) / dj
-                if a < alpha:
-                    alpha = max(a, 0.0)
-                    block = idx[j]
-                    block_low = dj < 0.0
-            if block < 0:
+            cand = np.flatnonzero((below | above) & (d != 0.0))
+            dc = d[cand]
+            bound = np.where(dc < 0.0, lower[idx[cand]], upper[idx[cand]])
+            steps = (bound - x[idx[cand]]) / dc
+            first = int(np.argmin(steps)) if cand.size else -1
+            if first < 0 or not steps[first] < 1.0:
                 x[idx] = np.clip(z, lower[idx], upper[idx])
                 break
+            alpha = max(float(steps[first]), 0.0)
+            block = idx[cand[first]]
             x[idx] = x[idx] + alpha * d
-            if block_low:
+            if dc[first] < 0.0:
                 at_lo[block] = True
                 x[block] = lower[block]
             else:

@@ -37,7 +37,6 @@ import numpy as np
 from .dissipation import (
     Dissipation,
     Fatigue,
-    force_box,
     potential,
     subdiff_zero_contains,
     threshold_dual,
@@ -58,6 +57,7 @@ from .spatial import (
 )
 from .trajectory import Trajectory, c_norm_diff, h1_time_norm
 from .viscous import Load, LoadTerm, Scenario, solve_viscous
+from .vv import replay
 
 __all__ = [
     "UNIQUENESS_GAP_TOL",
@@ -552,65 +552,47 @@ class DualEquivalenceResult:
         return max(self.limit_complementarity, self.limit_feasibility)
 
 
+def _inclusion_defects(force, rate, lower, upper):
+    """``(feasibility, complementarity)`` of one step's force inclusion.
+
+    Feasibility is the worst nodal excess of the force over its box.
+    Where the rate is nonzero the force must sit on the bound it moves
+    towards; complementarity is the worst speed-weighted distance from
+    that bound.
+    """
+    feas = float(np.maximum(force - upper, lower - force).max())
+    on = rate != 0.0
+    bound = np.where(rate > 0.0, upper, lower)[on]
+    comp = float((np.abs(rate[on]) * np.abs(bound - force[on])).max(initial=0.0))
+    return feas, comp
+
+
 def dual_equivalence(scenario: Scenario, eps: float) -> DualEquivalenceResult:
     """Solve, then re-read the force inclusion as complementarity.
 
     For the fatigue family: the rate must be nonnegative, the force must
     stay below the threshold, and their product must vanish nodally.
     For weighted l1: the force sits in the weight box and is sign-aligned
-    with the rate on its support.  The check runs once against the
-    viscous force (exact at solver tolerance) and once against the
-    viscosity-free force, whose residual carries the O(eps + tau) defect
-    of the limit reading.
+    with the rate on its support.  The steps come from
+    :func:`~histris.vv.replay`.  The check runs once against the
+    viscosity-free force it yields, whose residual carries the
+    O(eps + tau) defect of the limit reading, and once against the
+    viscous force ``force - eps * Riesz(rate)`` (exact at solver
+    tolerance).
     """
-    mesh = scenario.mesh
-    diss = scenario.dissipation
-    tau = scenario.tau
     traj, report = solve_viscous(scenario, eps)
-    times = traj.times
-    values = traj.values
-    steps = traj.n_steps
-
-    acc = HistoryAccumulator(scenario.kernel, tau, mesh.n_nodes, steps)
-    acc.push(values[0])
-
-    effective = scenario.alpha + eps / tau
-    visc_comp = 0.0
-    visc_feas = -math.inf
-    lim_comp = 0.0
-    lim_feas = -math.inf
+    visc = []
+    lim = []
     rate_adm = -math.inf
+    one_sided = scenario.dissipation.one_sided
+    for rate, force, lower, upper in replay(scenario, traj):
+        visc_force = force - eps * riesz_apply(scenario.mesh, rate)
+        visc.append(_inclusion_defects(visc_force, rate, lower, upper))
+        lim.append(_inclusion_defects(force, rate, lower, upper))
+        rate_adm = max(rate_adm, float((-rate).max()) if one_sided else 0.0)
 
-    for k in range(steps):
-        zeta = acc.value()
-        lower, upper = force_box(diss, mesh, zeta)
-        delta = values[k + 1] - values[k]
-        rate = delta / tau
-        f = scenario.load.value(times[k + 1]) - scenario.alpha * riesz_apply(
-            mesh, values[k]
-        )
-        phi_visc = f - effective * riesz_apply(mesh, delta)
-        phi_lim = phi_visc + eps * riesz_apply(mesh, rate)
-
-        rate_adm = max(rate_adm, float((-rate).max()) if diss.one_sided else 0.0)
-        visc_feas = max(
-            visc_feas, float(np.maximum(phi_visc - upper, lower - phi_visc).max())
-        )
-        lim_feas = max(
-            lim_feas, float(np.maximum(phi_lim - upper, lower - phi_lim).max())
-        )
-        # Where the rate is nonzero the force sits on the bound it moves towards.
-        on = rate != 0.0
-        speed = np.abs(rate[on])
-        bound = np.where(rate > 0.0, upper, lower)[on]
-        visc_comp = max(
-            visc_comp, float((speed * np.abs(bound - phi_visc[on])).max(initial=0.0))
-        )
-        lim_comp = max(
-            lim_comp, float((speed * np.abs(bound - phi_lim[on])).max(initial=0.0))
-        )
-        acc.push(values[k + 1])
-
+    visc_feas, visc_comp = np.max(visc, axis=0)
+    lim_feas, lim_comp = np.max(lim, axis=0)
     return DualEquivalenceResult(
         primal_balance=report.max_balance_residual,
         viscous_complementarity=float(visc_comp),
@@ -619,7 +601,7 @@ def dual_equivalence(scenario: Scenario, eps: float) -> DualEquivalenceResult:
         limit_feasibility=float(lim_feas),
         rate_admissibility=float(rate_adm),
         eps=float(eps),
-        tau=float(tau),
+        tau=float(scenario.tau),
     )
 
 

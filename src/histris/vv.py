@@ -13,7 +13,10 @@ discrete trajectory:
   trajectory's own rate,
 
 where ``force`` is the negative energy gradient and ``zeta`` the
-accumulated history at the start of each step.  Both residuals are
+accumulated history at the start of each step.  :func:`replay` reads
+both off a finished trajectory in one pass, step by step: the rate,
+the viscosity-free force and the force box.  The certificate and
+:func:`~histris.verify.dual_equivalence` consume it.  Both residuals are
 relative and inherit an O(eps + tau) floor from the discretization, so
 certificates carry an explicit tolerance.  The stability residual is
 the worst nodal box slack read as a density (divided by the lumped
@@ -48,6 +51,7 @@ from .viscous import Scenario, SolveReport, driving_force, solve_viscous
 __all__ = [
     "DEFAULT_EPS_LEVELS",
     "LimitCertificate",
+    "replay",
     "certify_limit",
     "VVResult",
     "vv_sweep",
@@ -68,25 +72,33 @@ class LimitCertificate:
     passed: bool
 
 
+def replay(scenario: Scenario, traj: Trajectory):
+    """Yield ``(rate, force, lower, upper)`` for each step of ``traj``.
+
+    ``rate`` is the backward difference ``(q_{k+1} - q_k) / tau``,
+    ``force`` the viscosity-free ``driving_force(t_{k+1}, q_{k+1})``,
+    and ``(lower, upper)`` the :func:`force_box` at the history where
+    the step starts.  The history is advanced once, in step order.
+    """
+    mesh = scenario.mesh
+    acc = HistoryAccumulator(scenario.kernel, traj.tau, mesh.n_nodes, traj.n_steps)
+    acc.push(traj.values[0])
+    for k in range(traj.n_steps):
+        q_next = traj.values[k + 1]
+        lower, upper = force_box(scenario.dissipation, mesh, acc.value())
+        yield ((q_next - traj.values[k]) / traj.tau,
+               driving_force(scenario, traj.times[k + 1], q_next), lower, upper)
+        acc.push(q_next)
+
+
 def certify_limit(scenario: Scenario, traj: Trajectory, *,
                   tol: float = 1e-2) -> LimitCertificate:
     """Check stability and balance of a trajectory as a limit candidate."""
-    mesh = scenario.mesh
     spec = scenario.dissipation
-    tau = traj.tau
-    steps = traj.n_steps
-    acc = HistoryAccumulator(scenario.kernel, tau, mesh.n_nodes, steps)
-    acc.push(traj.values[0])
-    m = mesh.lumped_mass
-
-    stab = np.zeros(steps)
-    bal = np.zeros(steps)
-    for k in range(steps):
-        zeta = acc.value()
-        q_next = traj.values[k + 1]
-        omega = driving_force(scenario, traj.times[k + 1], q_next)
-        rate = (q_next - traj.values[k]) / tau
-        lower, upper = force_box(spec, mesh, zeta)
+    m = scenario.mesh.lumped_mass
+    stab = np.zeros(traj.n_steps)
+    bal = np.zeros(traj.n_steps)
+    for k, (rate, omega, lower, upper) in enumerate(replay(scenario, traj)):
         lhs = dual_pair(omega, rate)
         rhs = _potential_at(spec, upper, rate)
         bal[k] = (
@@ -95,7 +107,6 @@ def certify_limit(scenario: Scenario, traj: Trajectory, *,
         )
         slack = np.maximum(omega - upper, lower - omega) / m
         stab[k] = (slack / (1.0 + np.abs(omega / m) + upper / m)).max()
-        acc.push(q_next)
 
     # max() propagates NaN, and NaN <= tol is False.
     max_stab = float(stab.max(initial=0.0))
@@ -104,7 +115,7 @@ def certify_limit(scenario: Scenario, traj: Trajectory, *,
         tolerance=float(tol),
         max_stability_violation=max_stab,
         max_balance_residual=max_bal,
-        n_steps_checked=steps,
+        n_steps_checked=traj.n_steps,
         passed=bool(max_stab <= tol and max_bal <= tol),
     )
 
@@ -179,10 +190,6 @@ class _MappedLoad:
 
     def value(self, t: float):
         return self.inner.value(float(self.time_map(t)))
-
-    def derivative(self, t: float):
-        dt = 1e-6
-        return (self.value(t + dt) - self.value(t - dt)) / (2.0 * dt)
 
 
 @dataclass

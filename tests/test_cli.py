@@ -144,6 +144,20 @@ def test_config_errors_exit_two(tmp_path, small_cfg, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, key", [
+    (["solve"], "model: {n_steps: .inf}", "model.n_steps"),
+    (["solve"], "mesh: {n_nodes: .nan}", "mesh.n_nodes"),
+    (["verify", "dual"], "experiment: {refinements: [.inf, 250]}",
+     "experiment.refinements[0]"),
+    (["sweep"], "sweep: {eps_values: [.nan]}", "sweep.eps_values[0]"),
+])
+def test_non_finite_config_numbers_exit_two(tmp_path, capsys, command, text, key):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text + "\n")
+    assert main(command + ["--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+
+
 def test_argparse_rejects_bad_invocations(small_cfg):
     with pytest.raises(SystemExit) as exc:
         main([])

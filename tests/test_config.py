@@ -65,6 +65,19 @@ def test_numeric_validation_names_the_field():
         normalize_config({"control": {"shrink": 1.0}})
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"model": {"n_steps": math.inf}}, "model.n_steps"),
+    ({"mesh": {"n_nodes": math.nan}}, "mesh.n_nodes"),
+    ({"model": {"horizon": -math.inf}}, "model.horizon"),
+    ({"experiment": {"refinements": [math.inf, 250]}},
+     r"experiment.refinements\[0\]"),
+    ({"sweep": {"eps_values": [math.nan]}}, r"sweep.eps_values\[0\]"),
+])
+def test_non_finite_numbers_are_rejected_with_their_key(raw, key):
+    with pytest.raises(ConfigError, match=key + " must be finite"):
+        normalize_config(raw)
+
+
 def test_expression_fields_are_compiled_early():
     with pytest.raises(ConfigError, match="load.time"):
         normalize_config({"load": {"time": "2*sin(pi*"}})

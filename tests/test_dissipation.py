@@ -372,6 +372,48 @@ def test_conjugate_check_consistent_on_random_forces():
             assert conjugate_check(spec, mesh, zeta, omega).consistent
 
 
+def test_conjugate_check_flags_potential_that_disagrees_with_box(monkeypatch):
+    # The ray supremum is computed from the potential, the verdict from
+    # the force box; a potential with half the threshold must show up.
+    import histris.dissipation as dissipation
+
+    exact = dissipation._potential_at
+    monkeypatch.setattr(dissipation, "_potential_at",
+                        lambda spec, threshold, rate: exact(spec, 0.5 * threshold, rate))
+    mesh = build_mesh(5, 1.0)
+    zeta = np.linspace(0.0, 2.0, 5)
+    for spec in (smooth_fatigue(), _weighted_l1()):
+        w = threshold_dual(spec, mesh, zeta)
+        report = conjugate_check(spec, mesh, zeta, 0.75 * w)
+        assert report.is_member
+        assert report.sup_estimate > 0.0
+        assert not report.consistent
+
+
+def test_conjugate_verdict_on_nodal_rays_holds_for_every_rate():
+    # <omega, v> - potential(v) is linear on each orthant, so a force the
+    # nodal rays accept stays below the potential on any admissible rate,
+    # and a rejected force has a ray along which the gap is positive.
+    mesh = build_mesh(6, 1.0)
+    rng = np.random.default_rng(5)
+    for spec in (smooth_fatigue(), _weighted_l1()):
+        for _ in range(20):
+            zeta = rng.uniform(-1.0, 1.0, 6)
+            w = threshold_dual(spec, mesh, zeta)
+            omega = w * rng.uniform(-1.3, 1.3, 6)
+            report = conjugate_check(spec, mesh, zeta, omega)
+            rates = rng.standard_normal((200, 6))
+            if spec.one_sided:
+                rates = np.abs(rates)
+            gaps = rates @ omega - np.array(
+                [potential(spec, mesh, zeta, v) for v in rates])
+            if report.is_member:
+                assert report.sup_estimate == 0.0
+                assert gaps.max() <= 1e-12 * np.abs(w).sum()
+            else:
+                assert report.sup_estimate > 0.0
+
+
 # ---------------------------------------------------------------------------
 # convexity in the rate
 

@@ -15,16 +15,22 @@ from numpy.testing import assert_allclose
 
 import histris.dissipation as dissipation
 from histris.config import build_scenario, normalize_config
-from histris.dissipation import WeightedL1
-from histris.history import identity_kernel
+from histris.dissipation import WeightedL1, force_box
+from histris.history import history_eval, identity_kernel
 from histris.spatial import build_mesh
 from histris.trajectory import Trajectory
 from histris.verify import smooth_fatigue
-from histris.viscous import Scenario, constant_in_space_load, solve_viscous
+from histris.viscous import (
+    Scenario,
+    constant_in_space_load,
+    driving_force,
+    solve_viscous,
+)
 from histris.vv import (
     DEFAULT_EPS_LEVELS,
     certify_limit,
     check_rate_independence,
+    replay,
     vv_sweep,
 )
 
@@ -99,6 +105,43 @@ def test_certificate_rejects_non_finite_states():
     assert not cert.passed
     assert math.isnan(cert.max_stability_violation)
     assert math.isnan(cert.max_balance_residual)
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+@pytest.mark.parametrize("kernel, slope", [
+    ("exp(-2*t)", "-2*exp(-2*t)"),              # geometric: O(1) recurrence
+    ("1/(1 + t)^2", "-2/(1 + t)^3"),            # re-weighted every step
+])
+def test_replay_matches_from_scratch_oracle(family, kernel, slope):
+    # Every step the replay yields must agree with the history, force
+    # and box rebuilt from scratch at that step.
+    sc = build_scenario(normalize_config({
+        "mesh": {"n_nodes": 9},
+        "model": {"n_steps": 300},
+        "load": {"time": "2*sin(2*pi*t)", "space": "1 + 0.6*cos(3*pi*x)"},
+        "dissipation": {"family": family},
+        "history": {"kind": "convolution", "kernel": kernel,
+                    "kernel_slope": slope},
+    }))
+    traj, _ = solve_viscous(sc, 0.01)
+    q, t = traj.values, traj.times
+
+    def close(got, want):
+        scale = max(1.0, float(np.abs(want).max()))
+        return float(np.abs(got - want).max()) <= 1e-14 * scale
+
+    steps = list(replay(sc, traj))
+    assert len(steps) == sc.n_steps
+    for k, (rate, force, lower, upper) in enumerate(steps):
+        zeta = history_eval(sc.kernel, t, q, k)
+        want_lower, want_upper = force_box(sc.dissipation, sc.mesh, zeta)
+        assert close(rate, (q[k + 1] - q[k]) / traj.tau)
+        assert close(force, driving_force(sc, t[k + 1], q[k + 1]))
+        assert close(upper, want_upper)
+        if family == "fatigue":
+            assert lower == want_lower == -np.inf
+        else:
+            assert close(lower, want_lower)
 
 
 @pytest.mark.parametrize("one_sided", [True, False])
