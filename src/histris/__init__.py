@@ -37,8 +37,6 @@ from .history import (
     HistoryAccumulator,
     KernelSpec,
     convolution_kernel,
-    history_derivative,
-    history_eval,
     identity_kernel,
 )
 from .qp import KKT_TOL, solve_box_qp, solve_l1_qp
@@ -139,8 +137,6 @@ __all__ = [
     "h1_inner",
     "h1_norm",
     "h1_time_norm",
-    "history_derivative",
-    "history_eval",
     "history_lipschitz_check",
     "identity_kernel",
     "interpolate",

@@ -74,23 +74,32 @@ def _mapping(raw, path: str, allowed: set[str]) -> dict:
     return raw
 
 
-def _number(sec: dict, key: str, path: str, default, *, integer: bool = False,
-            positive: bool = False, nonnegative: bool = False):
-    value = sec.get(key, default)
+def _number(sec: dict, key: str, path: str, default, **kinds):
+    return _checked_number(sec.get(key, default), f"{path}.{key}", **kinds)
+
+
+def _checked_number(value, name: str, *, integer: bool = False,
+                    positive: bool = False, nonnegative: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}.{key} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        as_float = float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{name} must be finite, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(as_float):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     if integer:
         if int(value) != value:
-            raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     else:
-        value = float(value)
+        value = as_float
     if positive and value <= 0:
-        raise ConfigError(f"{path}.{key} must be positive, got {value!r}")
+        raise ConfigError(f"{name} must be positive, got {value!r}")
     if nonnegative and value < 0:
-        raise ConfigError(f"{path}.{key} must be nonnegative, got {value!r}")
+        raise ConfigError(f"{name} must be nonnegative, got {value!r}")
     return value
 
 
@@ -113,18 +122,13 @@ def _bool(sec: dict, key: str, path: str, default: bool) -> bool:
     return value
 
 
-def _number_list(sec: dict, key: str, path: str, default: list) -> list:
+def _number_list(sec: dict, key: str, path: str, default: list,
+                 **kinds) -> list:
     value = sec.get(key, default)
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path}.{key} must be a nonempty list of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{path}.{key}[{i}] must be a number, got {item!r}")
-        if isinstance(item, float) and not math.isfinite(item):
-            raise ConfigError(f"{path}.{key}[{i}] must be finite, got {item!r}")
-        out.append(float(item))
-    return out
+    return [_checked_number(item, f"{path}.{key}[{i}]", **kinds)
+            for i, item in enumerate(value)]
 
 
 def _expression(sec: dict, key: str, path: str, default: str,
@@ -204,9 +208,9 @@ def normalize_config(raw: dict) -> dict:
             "warm_start": _bool(solver, "warm_start", "solver", True),
         },
         "sweep": {
-            "eps_values": _positive_decreasing(
+            "eps_values": _decreasing(
                 _number_list(sweep, "eps_values", "sweep",
-                             [0.1 * 0.5 ** k for k in range(8)]),
+                             [0.1 * 0.5 ** k for k in range(8)], positive=True),
                 "sweep.eps_values",
             ),
             "certificate_tol": _number(sweep, "certificate_tol", "sweep",
@@ -217,9 +221,9 @@ def normalize_config(raw: dict) -> dict:
                                integer=True, positive=True),
             "n_pairs": _number(experiment, "n_pairs", "experiment", 20,
                                integer=True, positive=True),
-            "eps_values": _positive_decreasing(
+            "eps_values": _decreasing(
                 _number_list(experiment, "eps_values", "experiment",
-                             [1e-1, 1e-2, 1e-3, 1e-4]),
+                             [1e-1, 1e-2, 1e-3, 1e-4], positive=True),
                 "experiment.eps_values",
             ),
             "load_cap": _number(experiment, "load_cap", "experiment", 6.0,
@@ -230,12 +234,10 @@ def normalize_config(raw: dict) -> dict:
                                   positive=True),
             "jobs": _number(experiment, "jobs", "experiment", 1, integer=True,
                             positive=True),
-            "refinements": [
-                int(v) for v in _number_list(
-                    experiment, "refinements", "experiment",
-                    [125, 250, 500, 1000],
-                )
-            ],
+            "refinements": _number_list(
+                experiment, "refinements", "experiment",
+                [125, 250, 500, 1000], integer=True, positive=True,
+            ),
         },
         "control": {
             "basis_size": _number(control, "basis_size", "control", 4,
@@ -263,10 +265,7 @@ def normalize_config(raw: dict) -> dict:
     return out
 
 
-def _positive_decreasing(values: list, path: str) -> list:
-    for i, v in enumerate(values):
-        if v <= 0:
-            raise ConfigError(f"{path}[{i}] must be positive, got {v!r}")
+def _decreasing(values: list, path: str) -> list:
     if values != sorted(values, reverse=True) or len(set(values)) != len(values):
         raise ConfigError(f"{path} must be strictly decreasing")
     return values

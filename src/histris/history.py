@@ -15,9 +15,8 @@ derivative of the accumulated state is
 which is what the growth estimates of the dissipation functional are
 checked against.
 
-``history_eval`` and ``history_derivative`` evaluate both from scratch
-at one grid index.  ``HistoryAccumulator`` follows a run step by step:
-it tabulates the kernel once on the grid and advances a geometric table
+``HistoryAccumulator`` evaluates both along a run, step by step: it
+tabulates the kernel once on the grid and advances a geometric table
 ``b_j = b_0 r^j`` (exponential kernels, the identity as ``r = 1``, and
 the zero table of its derivative) by an exact trapezoid recurrence in
 O(1) per step; any other table is re-weighted against the stored
@@ -39,8 +38,6 @@ __all__ = [
     "identity_kernel",
     "convolution_kernel",
     "HistoryAccumulator",
-    "history_eval",
-    "history_derivative",
 ]
 
 
@@ -82,44 +79,6 @@ def _trapezoid_weights(k: int, tau: float) -> np.ndarray:
     w[0] = 0.5 * tau
     w[-1] = 0.5 * tau
     return w
-
-
-def history_eval(kernel: KernelSpec, times: np.ndarray, values: np.ndarray,
-                 index: int) -> Field:
-    """Accumulated state at grid time ``times[index]``.
-
-    ``values`` holds one state sample per row; only rows ``0..index``
-    enter the quadrature.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    k = int(index)
-    if not 0 <= k < len(times):
-        raise ValueError(f"index {k} outside the grid of {len(times)} times")
-    if k == 0:
-        return kernel.y0.copy()
-    tau = times[1] - times[0]
-    w = _trapezoid_weights(k, tau)
-    lag = times[k] - times[: k + 1]
-    return kernel.y0 + (w * np.asarray(kernel.b(lag), dtype=float)) @ values[: k + 1]
-
-
-def history_derivative(kernel: KernelSpec, times: np.ndarray, values: np.ndarray,
-                       index: int) -> Field:
-    """Weak time derivative of the accumulated state at ``times[index]``."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    k = int(index)
-    if not 0 <= k < len(times):
-        raise ValueError(f"index {k} outside the grid of {len(times)} times")
-    b0 = float(np.asarray(kernel.b(np.zeros(1)), dtype=float)[0])
-    out = b0 * values[k].astype(float)
-    if k > 0:
-        tau = times[1] - times[0]
-        w = _trapezoid_weights(k, tau)
-        lag = times[k] - times[: k + 1]
-        out = out + (w * np.asarray(kernel.b_prime(lag), dtype=float)) @ values[: k + 1]
-    return out
 
 
 def _tabulate(fn: Callable[[np.ndarray], np.ndarray],

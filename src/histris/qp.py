@@ -19,12 +19,14 @@ box steps converge monotonically in finitely many steps.  The inverse
 of a band and general SPD matrices are not M-matrices, and there bulk
 steps can cycle; the l1 steps can also cycle on an M-matrix when the
 load changes sign in space.  So when a pinned set (or l1 sign state)
-recurs, or bulk steps reach the cycle cap, the solver carries on with
-monotone steps instead.  The box QP pins the first blocking bound on
-the way to each free-block solution and releases the worst mis-signed
-multiplier.  The l1 QP solves the box QP of one sign pattern at a
-time.  Both strictly lower the objective, so no set recurs, and their
-cycle cap raises :class:`NumericalFailure`.
+recurs, or bulk steps reach the cycle cap, both solvers carry on with
+one monotone step on a box (More & Toraldo, SIAM J. Optim. 1(1), 1991):
+a projected search along the negative gradient, one free-block solve on
+the face it reaches, and a projected search towards that solution.
+The box QP steps on its own box.  The l1 QP steps on the orthant of
+its iterate, where the l1 term is linear, widened along every zero
+coordinate whose gradient beats its weight.  No step raises the
+objective, and the cycle cap on steps raises :class:`NumericalFailure`.
 
 On return pinned coordinates sit exactly on their bound, free
 coordinates come from a direct solve and lie inside the box, and the
@@ -60,6 +62,10 @@ def _as_bound(value, n: int, default: float) -> np.ndarray:
     return arr.copy()
 
 
+# Halvings before a projected search gives up and stays put.
+_HALVINGS = 60
+
+
 def _cycle_cap(n: int) -> int:
     return 10 * n + 100
 
@@ -85,8 +91,8 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
     coordinates of ``start`` that sit on a bound with a multiplier of
     the right sign, and every coordinate with ``lower == upper``.  A
     recurring pinned set, or a cycle cap's worth of bulk steps, hands
-    over to the monotone walk from the last iterate clipped to the box.
-    Raises :class:`NumericalFailure` if the walk exceeds its cycle cap.
+    over to monotone steps from the last iterate clipped to the box.
+    Raises :class:`NumericalFailure` if they exceed the cycle cap.
     """
     lin = np.asarray(lin, dtype=float)
     n = lin.shape[0]
@@ -124,69 +130,64 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
             break
         seen.add(state)
 
-    x, walked = _monotone_box(hess, lin, lower, upper, fixed,
-                              np.clip(x, lower, upper), tol)
-    return x, iterations + walked
+    x = np.clip(x, lower, upper)
+    for steps in range(1, _cycle_cap(n) + 1):
+        x, done = _descend(hess, lin, lower, upper, x, tol)
+        if done:
+            return x, iterations + steps
+    raise NumericalFailure("box qp exceeded its cycle cap",
+                           residual=box_qp_kkt_residual(hess, lin, lower, upper, x))
 
 
-def _monotone_box(hess, lin, lower, upper, fixed, x, tol):
-    """Active-set walk from the feasible point ``x`` that lowers the
-    objective at every step: each free-block solve is followed towards
-    its solution until the first bound blocks, that bound is pinned,
-    and once the free-block solution is feasible the worst mis-signed
-    multiplier is released.  Returns ``(x, solves)``."""
-    n = x.size
-    at_lo = x <= lower
-    at_hi = (x >= upper) & ~at_lo
-    solves = 0
-    worst = np.inf
-    for _ in range(_cycle_cap(n)):
-        for _inner in range(n + 1):
-            solves += 1
-            x = np.where(at_lo, lower, np.where(at_hi, upper, x))
-            free = ~(at_lo | at_hi)
-            if not free.any():
-                break
-            idx = np.flatnonzero(free)
-            rhs = lin - hess @ np.where(free, 0.0, x)
-            z = _solve_free(hess, idx, rhs[idx], "box")
-            below = z < lower[idx]
-            above = z > upper[idx]
-            if not below.any() and not above.any():
-                x[idx] = z
-                break
-            # Step from x towards z until the first bound blocks.
-            d = z - x[idx]
-            cand = np.flatnonzero((below | above) & (d != 0.0))
-            dc = d[cand]
-            bound = np.where(dc < 0.0, lower[idx[cand]], upper[idx[cand]])
-            steps = (bound - x[idx[cand]]) / dc
-            first = int(np.argmin(steps)) if cand.size else -1
-            if first < 0 or not steps[first] < 1.0:
-                x[idx] = np.clip(z, lower[idx], upper[idx])
-                break
-            alpha = max(float(steps[first]), 0.0)
-            block = idx[cand[first]]
-            x[idx] = x[idx] + alpha * d
-            if dc[first] < 0.0:
-                at_lo[block] = True
-                x[block] = lower[block]
-            else:
-                at_hi[block] = True
-                x[block] = upper[block]
+def _descend(hess, lin, lower, upper, x, tol):
+    """One monotone step on ``min 0.5 x'Hx - lin'x`` over a box from
+    the feasible point ``x`` (More & Toraldo, SIAM J. Optim. 1(1), 1991).
 
-        g = hess @ x - lin
-        release_lo = np.where(at_lo, -g, -np.inf)
-        release_hi = np.where(at_hi, g, -np.inf)
-        score = np.where(fixed, -np.inf, np.maximum(release_lo, release_hi))
-        worst = float(score.max(initial=-np.inf))
-        if worst <= tol:
-            return x, solves
-        k = int(np.argmax(score))
-        at_lo[k] = False
-        at_hi[k] = False
+    A projected search along ``clip(x + t d)`` with ``d = -g``, where a
+    coordinate on a bound stays put unless its multiplier is mis-signed
+    by more than ``tol``, starts at the Cauchy step ``t = d'd / d'Hd``.
+    Then one free-block solve on the face the search reaches, and a
+    projected search towards that solution from ``t = 1``.  Returns
+    ``(x, done)``: ``done`` only when the free-block solution is
+    feasible and no pinned multiplier is mis-signed by more than ``tol``.
+    """
+    g = hess @ x - lin
+    d = _descent_direction(x, g, lower, upper, tol)
+    if d.any():
+        x, g = _search(hess, lower, upper, x, g, d, (d @ d) / (d @ (hess @ d)))
+    pinned = (x <= lower) | (x >= upper)
+    z = x.copy()
+    if not pinned.all():
+        idx = np.flatnonzero(~pinned)
+        rhs = lin - hess @ np.where(pinned, x, 0.0)
+        z[idx] = _solve_free(hess, idx, rhs[idx], "box")
+    if np.any(z < lower) or np.any(z > upper):
+        return _search(hess, lower, upper, x, g, z - x, 1.0)[0], False
+    released = _descent_direction(z, hess @ z - lin, lower, upper, tol)[pinned]
+    return z, not released.any()
 
-    raise NumericalFailure("box qp exceeded its cycle cap", residual=worst)
+
+def _descent_direction(x, g, lower, upper, tol):
+    """``-g`` with the coordinates on a bound zeroed unless their
+    multiplier is mis-signed by more than ``tol``."""
+    d = -g
+    held = ((x <= lower) & (d <= tol)) | ((x >= upper) & (d >= -tol))
+    return np.where(held, 0.0, d)
+
+
+def _search(hess, lower, upper, x, g, d, t):
+    """Halve ``t`` until ``y = clip(x + t d)`` lowers the objective by at
+    least a quarter of the linear prediction ``g'(y - x)``.  Returns
+    ``(y, gradient at y)``, or ``(x, g)`` if no ``t`` passes."""
+    for _ in range(_HALVINGS):
+        y = np.clip(x + t * d, lower, upper)
+        s = y - x
+        hs = hess @ s
+        gs = g @ s
+        if gs + 0.5 * (s @ hs) <= 0.25 * gs:
+            return y, g + hs
+        t *= 0.5
+    return x, g
 
 
 def l1_qp_kkt_residual(hess, lin, weights, x) -> float:
@@ -211,7 +212,7 @@ def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
     right-hand side ``lin - sign * w``, zero ones are pinned at zero,
     and unweighted ones are always free.  The signs start from those of
     ``start``.  A recurring sign state, or a cycle cap's worth of bulk
-    steps, hands over to the monotone sign-pattern walk from the last
+    steps, hands over to monotone steps on orthants from the last
     iterate.
     """
     lin = np.asarray(lin, dtype=float)
@@ -245,42 +246,16 @@ def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
             break
         seen.add(state)
 
-    x, passes = _sign_loop(hess, lin, weights, x, tol)
-    return x, iterations + passes
-
-
-def _sign_loop(hess, lin, weights, x, tol):
-    """Sign-pattern walk from ``x`` that lowers the objective at every
-    pass.
-
-    Each pass solves the box QP of one sign pattern (orthant), starting
-    from the signs of ``x``: coordinates of sign +1 range over
-    ``[0, inf)``, of sign -1 over ``(-inf, 0]``, of sign 0 are pinned at
-    zero, and unweighted ones are free.  Every zero coordinate whose
-    gradient beats its weight then takes the sign that lowers the
-    objective, and the pass repeats until none does.  Each such change
-    strictly lowers the objective, so no pattern recurs.  Returns
-    ``(x, solves)``.
-    """
-    n = x.size
-    sign = np.sign(x)
-    unweighted = weights == 0.0
-    solves = 0
-    worst = np.inf
-    for _ in range(_cycle_cap(n)):
+    done = False
+    for steps in range(_cycle_cap(n) + 1):
+        g = lin - hess @ x
+        enter = (x == 0.0) & ~unweighted & (np.abs(g) - weights > tol)
+        if done and not enter.any():
+            return x, iterations + steps
+        # The orthant of x, widened along the entering coordinates.
+        sign = np.where(enter, np.sign(g), np.sign(x))
         lower = np.where((sign < 0.0) | unweighted, -np.inf, 0.0)
         upper = np.where((sign > 0.0) | unweighted, np.inf, 0.0)
-        x, inner = solve_box_qp(hess, lin - sign * weights, lower, upper,
-                                start=x, tol=tol)
-        solves += inner
-        g = hess @ x - lin
-        at_zero = (x == 0.0) & ~unweighted
-        excess = np.where(at_zero, np.abs(g) - weights, -np.inf)
-        flips = excess > tol
-        if not flips.any():
-            return x, solves
-        worst = float(excess.max())
-        sign = np.where(at_zero, 0.0, sign)
-        sign[flips] = -np.sign(g[flips])
-
-    raise NumericalFailure("l1 qp exceeded its cycle cap", residual=worst)
+        x, done = _descend(hess, lin - sign * weights, lower, upper, x, tol)
+    raise NumericalFailure("l1 qp exceeded its cycle cap",
+                           residual=l1_qp_kkt_residual(hess, lin, weights, x))

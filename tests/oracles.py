@@ -61,6 +61,53 @@ def convolution_history_ramp(t, y0=0.0):
     return y0 + t - 1.0 + math.exp(-t)
 
 
+def _trapezoid_weights(k, tau):
+    """Composite trapezoid weights for k steps (k+1 samples)."""
+    if k == 0:
+        return np.zeros(1)
+    w = np.full(k + 1, tau)
+    w[0] = 0.5 * tau
+    w[-1] = 0.5 * tau
+    return w
+
+
+def history_eval(kernel, times, values, index):
+    """Accumulated state ``y0 + int_0^t b(t - s) y(s) ds`` at grid time
+    ``times[index]``, by the trapezoid sum over rows ``0..index`` of
+    ``values`` (one state sample per row), from scratch.  ``kernel``
+    supplies ``y0`` and the vectorized kernel ``b``.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    k = int(index)
+    if not 0 <= k < len(times):
+        raise ValueError(f"index {k} outside the grid of {len(times)} times")
+    if k == 0:
+        return kernel.y0.copy()
+    tau = times[1] - times[0]
+    w = _trapezoid_weights(k, tau)
+    lag = times[k] - times[: k + 1]
+    return kernel.y0 + (w * np.asarray(kernel.b(lag), dtype=float)) @ values[: k + 1]
+
+
+def history_derivative(kernel, times, values, index):
+    """Weak time derivative ``b(0) y(t) + int_0^t b'(t - s) y(s) ds`` of
+    the accumulated state at ``times[index]``, from scratch."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    k = int(index)
+    if not 0 <= k < len(times):
+        raise ValueError(f"index {k} outside the grid of {len(times)} times")
+    b0 = float(np.asarray(kernel.b(np.zeros(1)), dtype=float)[0])
+    out = b0 * values[k].astype(float)
+    if k > 0:
+        tau = times[1] - times[0]
+        w = _trapezoid_weights(k, tau)
+        lag = times[k] - times[: k + 1]
+        out = out + (w * np.asarray(kernel.b_prime(lag), dtype=float)) @ values[: k + 1]
+    return out
+
+
 def soft_threshold(v, w):
     """Closed-form weighted-l1 shrinkage for an identity Hessian."""
     return np.sign(v) * np.maximum(np.abs(v) - np.asarray(w, dtype=float), 0.0)

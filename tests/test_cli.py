@@ -150,6 +150,9 @@ def test_config_errors_exit_two(tmp_path, small_cfg, capsys):
     (["verify", "dual"], "experiment: {refinements: [.inf, 250]}",
      "experiment.refinements[0]"),
     (["sweep"], "sweep: {eps_values: [.nan]}", "sweep.eps_values[0]"),
+    (["solve"], "model: {horizon: 1%s}" % ("0" * 400), "model.horizon"),
+    (["verify", "dual"], "experiment: {refinements: [1%s]}" % ("0" * 400),
+     "experiment.refinements[0]"),
 ])
 def test_non_finite_config_numbers_exit_two(tmp_path, capsys, command, text, key):
     bad = tmp_path / "bad.yaml"

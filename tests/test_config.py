@@ -72,9 +72,22 @@ def test_numeric_validation_names_the_field():
     ({"experiment": {"refinements": [math.inf, 250]}},
      r"experiment.refinements\[0\]"),
     ({"sweep": {"eps_values": [math.nan]}}, r"sweep.eps_values\[0\]"),
+    ({"model": {"horizon": 10 ** 400}}, "model.horizon"),
+    ({"seed": -10 ** 400}, "config.seed"),
+    ({"sweep": {"eps_values": [0.1, 10 ** 400]}}, r"sweep.eps_values\[1\]"),
+    ({"experiment": {"refinements": [10 ** 400]}},
+     r"experiment.refinements\[0\]"),
+    # Refinements are step counts: whole and positive, never truncated.
+    ({"experiment": {"refinements": [50, 0.7]}},
+     r"experiment.refinements\[1\] must be an integer"),
+    ({"experiment": {"refinements": [1.5]}},
+     r"experiment.refinements\[0\] must be an integer"),
+    ({"experiment": {"refinements": [0]}},
+     r"experiment.refinements\[0\] must be positive"),
 ])
 def test_non_finite_numbers_are_rejected_with_their_key(raw, key):
-    with pytest.raises(ConfigError, match=key + " must be finite"):
+    reason = "" if " must be " in key else " must be finite"
+    with pytest.raises(ConfigError, match=key + reason):
         normalize_config(raw)
 
 

@@ -11,15 +11,17 @@ from histris.history import (
     HistoryAccumulator,
     KernelSpec,
     convolution_kernel,
-    history_derivative,
-    history_eval,
     identity_kernel,
 )
 from histris.verify import smooth_fatigue
 from histris.viscous import solve_viscous
 
 from helpers import scalar_scenario
-from oracles import convolution_history_ramp
+from oracles import (
+    convolution_history_ramp,
+    history_derivative,
+    history_eval,
+)
 
 
 def _ramp_samples(n_steps, n_nodes=4, horizon=1.0):

@@ -185,24 +185,103 @@ def test_band_hessian_matches_dense_hessian(rng, n):
 
 
 
-def _count_calls(monkeypatch, name):
-    # Wrap a private helper of histris.qp; the list grows by one per call.
-    calls = []
-    inner = getattr(qp, name)
+def _objective(hess, lin, x):
+    return 0.5 * x @ (hess @ x) - lin @ x
 
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(qp, name, counted)
-    return calls
+def _recorded_steps(monkeypatch):
+    # Wrap the monotone step of histris.qp; the list grows by one
+    # (objective before, objective after) pair per step.  On an l1
+    # orthant the box objective is the l1 objective, and the next step
+    # starts from the same point, so pairs that never rise mean the
+    # objective never rises along the whole fallback.
+    steps = []
+    inner = qp._descend
+
+    def recorded(hess, lin, lower, upper, x, tol):
+        out, done = inner(hess, lin, lower, upper, x, tol)
+        steps.append((_objective(hess, lin, x), _objective(hess, lin, out)))
+        return out, done
+
+    monkeypatch.setattr(qp, "_descend", recorded)
+    return steps
+
+
+def _never_rises(steps):
+    return all(after <= before + 1e-12 * max(1.0, abs(before))
+               for before, after in steps)
+
+
+def _box_steps(hess, lin, lower, upper, x):
+    # Steps on a fixed box until one reports done, as the box fallback.
+    for _ in range(qp._cycle_cap(x.size)):
+        x, done = qp._descend(hess, lin, lower, upper, x, KKT_TOL)
+        if done:
+            return x
+    raise AssertionError("monotone steps did not finish")
+
+
+def _l1_steps(hess, lin, weights, x):
+    # Steps on the orthant of x, widened along every zero coordinate
+    # whose gradient beats its weight, as the l1 fallback.
+    unweighted = weights == 0.0
+    done = False
+    for _ in range(qp._cycle_cap(x.size)):
+        g = lin - hess @ x
+        enter = (x == 0.0) & ~unweighted & (np.abs(g) - weights > KKT_TOL)
+        if done and not enter.any():
+            return x
+        sign = np.where(enter, np.sign(g), np.sign(x))
+        lower = np.where((sign < 0.0) | unweighted, -np.inf, 0.0)
+        upper = np.where((sign > 0.0) | unweighted, np.inf, 0.0)
+        x, done = qp._descend(hess, lin - sign * weights, lower, upper, x,
+                              KKT_TOL)
+    raise AssertionError("monotone steps did not finish")
+
+
+@pytest.mark.parametrize("family", ["box", "l1"])
+def test_monotone_steps_reach_the_minimizer(rng, monkeypatch, family):
+    # The fallback step called directly, on Hessians that are not
+    # M-matrices, from feasible starts on and off the bounds (box) and
+    # from arbitrary signed starts (l1).  Every step must keep the
+    # objective from rising, and the last one must stop at the global
+    # minimizer with pinned coordinates exactly on their bounds.
+    steps = _recorded_steps(monkeypatch)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        matrix = random_spd(rng, n, cond=10.0 ** rng.uniform(0.0, 4.0))
+        hess = DenseHessian(matrix)
+        lin = rng.standard_normal(n) * 2.0
+        if family == "box":
+            lower, upper = _random_bounds(rng, n)
+            lo = np.full(n, -np.inf) if lower is None else lower
+            hi = np.full(n, np.inf) if upper is None else upper
+            ref, _ = brute_force_box_qp(matrix, lin, lower, upper)
+            for spread in (0.5, 5.0):
+                start = np.clip(rng.standard_normal(n) * spread, lo, hi)
+                x = _box_steps(hess, lin, lo, hi, start)
+                assert_allclose(x, ref, atol=1e-8)
+                assert box_qp_kkt_residual(matrix, lin, lo, hi, x) <= KKT_TOL
+                on_bound = np.isclose(ref, lo, atol=1e-8) | np.isclose(ref, hi, atol=1e-8)
+                assert np.all((x == lo) | (x == hi) | ~on_bound)
+        else:
+            weights = rng.uniform(0.0, 1.5, n)
+            weights[rng.random(n) < 0.1] = 0.0
+            ref, _ = brute_force_l1_qp(matrix, lin, weights)
+            for spread in (0.0, 0.5, 5.0):
+                start = rng.standard_normal(n) * spread
+                x = _l1_steps(hess, lin, weights, start)
+                assert_allclose(x, ref, atol=1e-8)
+                assert l1_qp_kkt_residual(matrix, lin, weights, x) <= KKT_TOL
+                assert np.all((x == 0.0) | (np.abs(ref) > 1e-8) | (weights == 0.0))
+    assert steps and _never_rises(steps)
 
 
 def test_dual_projection_recovers_from_a_recurring_pinned_set(rng, monkeypatch):
     # R^-1 is not an M-matrix, so bulk pin/release steps can revisit a
-    # pinned set.  The monotone walk then takes over, and its result
+    # pinned set.  Monotone steps then take over, and their result
     # must still be the projection the dense inverse gives.
-    walks = _count_calls(monkeypatch, "_monotone_box")
+    steps = _recorded_steps(monkeypatch)
     for n in (9, 17, 33, 65):
         mesh = build_mesh(n)
         inv = mesh.riesz.inverse
@@ -219,7 +298,7 @@ def test_dual_projection_recovers_from_a_recurring_pinned_set(rng, monkeypatch):
                     diff = mu - ref
                     assert diff @ (inv @ diff) <= 1e-24 * (ref @ (inv @ ref))
                     assert box_qp_kkt_residual(inv, lin, lower, upper, mu) <= KKT_TOL
-    assert walks
+    assert steps and _never_rises(steps)
 
 
 # Hessians with positive off-diagonal entries (A A' + 0.05 I, A >= 0,
@@ -231,17 +310,24 @@ _L1_CYCLES = [
      [-1.0, 0.8, 1.9], [0.1, 0.7, 0.5], [-1.2, 0.2, -1.4]),
     ([[2.5, 1.2, 0.9], [1.2, 0.8, 0.3], [0.9, 0.3, 0.5]],
      [0.9, -1.8, 2.8], [1.3, 1.3, 1.4], [-2.7, -2.6, 1.3]),
+    # In these two a zero coordinate must still enter after the orthant
+    # step that found its face solution feasible.
+    ([[1.1, 0.5, 0.8], [0.5, 0.7, 0.8], [0.8, 0.8, 1.0]],
+     [2.6, -0.9, 0.5], [0.5, 1.0, 0.8], [0.8, -1.5, 0.9]),
+    ([[0.6, 0.2, 0.7, 0.9], [0.2, 1.3, 1.3, 1.0], [0.7, 1.3, 1.8, 1.7],
+      [0.9, 1.0, 1.7, 1.9]],
+     [-1.7, -0.2, 0.8, -1.0], [0.1, 0.8, 1.0, 1.1], None),
 ]
 
 
 @pytest.mark.parametrize("hess, lin, weights, start", _L1_CYCLES)
 def test_l1_qp_recovers_from_a_recurring_sign_state(monkeypatch, hess, lin,
                                                     weights, start):
-    loops = _count_calls(monkeypatch, "_sign_loop")
+    steps = _recorded_steps(monkeypatch)
     hess, lin, weights = (np.array(a) for a in (hess, lin, weights))
     assert np.all(np.linalg.eigvalsh(hess) > 0.0)
     x, _ = solve_l1_qp(DenseHessian(hess), lin, weights, start=start)
-    assert loops
+    assert steps and _never_rises(steps)
     ref, _ = brute_force_l1_qp(hess, lin, weights)
     assert_allclose(x, ref, atol=1e-10)
     assert l1_qp_kkt_residual(hess, lin, weights, x) <= KKT_TOL
@@ -252,9 +338,8 @@ def test_prox_steps_on_m_matrices_never_need_the_safeguard(rng, monkeypatch, n):
     # eps * Riesz has nonpositive off-diagonal entries on these meshes.
     # Under loads of one sign in space, as in the solver's time steps,
     # the bulk steps converge from cold and warm starts, whichever way
-    # the load points, without handing over to a monotone walk.
-    walks = _count_calls(monkeypatch, "_monotone_box")
-    loops = _count_calls(monkeypatch, "_sign_loop")
+    # the load points, without handing over to monotone steps.
+    steps = _recorded_steps(monkeypatch)
     mesh = build_mesh(n)
     assert np.all(mesh.riesz.off < 0.0)
     for _ in range(10):
@@ -270,4 +355,4 @@ def test_prox_steps_on_m_matrices_never_need_the_safeguard(rng, monkeypatch, n):
             y, _ = solve_l1_qp(hess, force, weights, start=l1_start)
             assert l1_qp_kkt_residual(hess, force, weights, y) <= KKT_TOL
             box_start, l1_start = x, y
-    assert not walks and not loops
+    assert not steps

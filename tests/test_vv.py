@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 import histris.dissipation as dissipation
 from histris.config import build_scenario, normalize_config
 from histris.dissipation import WeightedL1, force_box
-from histris.history import history_eval, identity_kernel
+from histris.history import identity_kernel
 from histris.spatial import build_mesh
 from histris.trajectory import Trajectory
 from histris.verify import smooth_fatigue
@@ -35,7 +35,7 @@ from histris.vv import (
 )
 
 from helpers import scalar_scenario
-from oracles import running_max_solution, scalar_fatigue_steps
+from oracles import history_eval, running_max_solution, scalar_fatigue_steps
 
 
 def _sine_scenario(n_steps=500):
