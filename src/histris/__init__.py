@@ -75,6 +75,7 @@ from .viscous import (
     driving_force,
     energy,
     expression_load,
+    solve_levels,
     solve_viscous,
     viscous_step,
 )
@@ -153,6 +154,7 @@ __all__ = [
     "smooth_fatigue",
     "solve_box_qp",
     "solve_l1_qp",
+    "solve_levels",
     "solve_viscous",
     "subdiff_zero_contains",
     "threshold_dual",

@@ -48,6 +48,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .qp import KKT_TOL, solve_box_qp, solve_l1_qp
 from .spatial import (
     DualField,
@@ -122,15 +123,22 @@ def threshold_dual(spec: Dissipation, mesh: Mesh, zeta: Field) -> DualField:
     """Assembled nodal weight vector ``M w(zeta)``.
 
     This is the dual-field threshold appearing both in the potential and
-    in the box describing admissible forces.
+    in the box describing admissible forces.  A (B, n) stack of states
+    gives a stack of thresholds, one row per member, from one call of
+    the weight.
     """
     zeta = np.asarray(zeta, dtype=float)
     vals = np.asarray(spec.weight(zeta), dtype=float)
-    if vals.shape != (mesh.n_nodes,):
-        vals = np.broadcast_to(vals, (mesh.n_nodes,))
-    if np.any(vals < 0):
+    if vals.shape != zeta.shape:
+        vals = np.broadcast_to(vals, zeta.shape)
+    if (vals < 0).any():
         raise ValueError("dissipation weight must be nonnegative on the state")
-    return mesh.mass @ vals
+    if vals.ndim == 1:
+        return mesh.mass @ vals
+    out = np.empty(vals.shape)
+    for b, row in enumerate(vals):
+        out[b] = mesh.mass @ row
+    return out
 
 
 def force_box(spec: Dissipation, mesh: Mesh, zeta: Field):
@@ -153,11 +161,16 @@ def potential(spec: Dissipation, mesh: Mesh, zeta: Field, rate: Field) -> float:
     return _potential_at(spec, threshold_dual(spec, mesh, zeta), rate)
 
 
-def _potential_at(spec: Dissipation, threshold: DualField, rate: Field) -> float:
-    """:func:`potential` given the assembled threshold ``M w(zeta)``."""
+def _potential_at(spec: Dissipation, threshold: DualField, rate: Field):
+    """:func:`potential` given the assembled threshold ``M w(zeta)``.
+
+    (B, n) stacks of thresholds and rates give a list, one value a row.
+    """
     rate = np.asarray(rate, dtype=float)
+    if rate.ndim == 2:
+        return [_potential_at(spec, t, r) for t, r in zip(threshold, rate)]
     if spec.one_sided:
-        if np.min(rate, initial=0.0) < 0.0:
+        if rate.min(initial=0.0) < 0.0:
             return math.inf
         return float(threshold @ rate)
     return float(threshold @ np.abs(rate))
@@ -206,22 +219,33 @@ def check_lipschitz_axiom(spec: Dissipation, mesh: Mesh, zeta1: Field,
 
 
 def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
-                       force: DualField, eps: float, start=None,
+                       force: DualField, hess, start=None,
                        tol: float = KKT_TOL):
     """Rate prox: argmin over rates of
-    ``eps/2 ||r||_H1^2 - <force, r> + potential(zeta, r)``.
+    ``1/2 r'Hr - <force, r> + potential(zeta, r)``, where the prox
+    Hessian ``H`` is ``eps * R`` for viscosity ``eps``.
 
-    Returns ``(rate, iterations, threshold)``; the threshold
-    ``M w(zeta)`` lets callers evaluate the potential without
-    assembling it again.
+    ``zeta``, ``force`` and ``start`` may be (B, n) stacks, one member a
+    row, with ``hess`` the stack of the members' Hessians (see
+    :mod:`histris.qp`); then one QP call solves every member.  Returns
+    ``(rate, iterations, threshold)``: the iterations a
+    :class:`~histris.qp.StepCount`, and the threshold ``M w(zeta)``, so
+    callers can evaluate the potential without assembling it again.
+    Raises :class:`NumericalFailure` on a force or threshold that is not
+    finite, naming the first member it hits, or none when it hits all.
     """
-    if not (eps > 0 and np.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
     force = np.asarray(force, dtype=float)
     w = threshold_dual(spec, mesh, zeta)
-    hess = eps * mesh.riesz
+    lin = force - w
+    # Checked before any band product: a zero coupling between members
+    # does not stop 0 * inf = nan from reaching the next block.
+    if not np.isfinite(lin).all():
+        finite = np.isfinite(lin).reshape(-1, mesh.n_nodes).all(axis=1)
+        raise NumericalFailure(
+            "non-finite force or dissipation threshold",
+            member=int(np.argmin(finite)) if finite.any() else None)
     if spec.one_sided:
-        rate, iterations = solve_box_qp(hess, force - w, lower=0.0, upper=None,
+        rate, iterations = solve_box_qp(hess, lin, lower=0.0, upper=None,
                                         start=start, tol=tol)
     else:
         rate, iterations = solve_l1_qp(hess, force, w, start=start, tol=tol)
@@ -231,7 +255,10 @@ def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
 def prox_rate(spec: Dissipation, mesh: Mesh, zeta: Field, force: DualField,
               eps: float, start=None) -> Field:
     """Viscosity-regularized rate response to a driving force."""
-    return _prox_rate_counted(spec, mesh, zeta, force, eps, start=start)[0]
+    if not (eps > 0 and np.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    return _prox_rate_counted(spec, mesh, zeta, force, eps * mesh.riesz,
+                              start=start)[0]
 
 
 @dataclass

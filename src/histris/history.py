@@ -20,7 +20,9 @@ tabulates the kernel once on the grid and advances a geometric table
 ``b_j = b_0 r^j`` (exponential kernels, the identity as ``r = 1``, and
 the zero table of its derivative) by an exact trapezoid recurrence in
 O(1) per step; any other table is re-weighted against the stored
-samples, O(k) at step k.
+samples, O(k) at step k.  One accumulator holds the histories of all
+members of a lockstep loop, each bit for bit its own: the recurrence
+runs elementwise on the stack, the dot product member by member.
 """
 
 from __future__ import annotations
@@ -122,18 +124,24 @@ class _TrapezoidConvolution:
     """Trapezoid sums ``I_k = sum_j w_j b_{k-j} y_j`` over one kernel table.
 
     A geometric table advances the exact recurrence
-    ``I_k = r I_{k-1} + (tau/2 b_0) (r y_{k-1} + y_k)``; with ``r = 1``
-    every product by ``r`` is exact, so ``b = 1`` gives the plain running
-    trapezoid sum bit for bit.  Other tables (including non-finite ones)
-    take the dot product with the stored samples.
+    ``I_k = r I_{k-1} + (tau/2 b_0) (r y_{k-1} + y_k)``, elementwise, so
+    a stack of members advances as each member would alone; with
+    ``r = 1`` every product by ``r`` is exact, so ``b = 1`` gives the
+    plain running trapezoid sum bit for bit.  Other tables (including
+    non-finite ones) take the dot product with the stored samples, one
+    member at a time: a stacked product would sum in another order.
     """
 
-    def __init__(self, table: np.ndarray, tau: float, n_nodes: int):
+    def __init__(self, table: np.ndarray, tau: float):
         self.table = table
         self.tau = tau
         self.ratio = _geometric_ratio(table)
         self._half_b0 = 0.5 * tau * table[0]
-        self._sum = np.zeros(n_nodes)
+        self._sum = None
+
+    def start(self, shape: tuple) -> None:
+        """Start the sums at zero for (B, n) stacks of samples."""
+        self._sum = np.zeros(shape)
 
     def advance(self, prev: Field, sample: Field) -> None:
         r = self.ratio
@@ -145,13 +153,14 @@ class _TrapezoidConvolution:
         self._sum += self._half_b0 * (prev + sample)
 
     def at(self, samples: np.ndarray, k: int):
-        """``I_k`` after samples ``0..k`` have been advanced."""
+        """``I_k`` after samples ``0..k`` have been advanced; ``samples``
+        holds one (steps, n) table per member."""
         if self.ratio is not None:
             return self._sum
         if k == 0:
-            return 0.0
+            return np.zeros(self._sum.shape)
         w = _trapezoid_weights(k, self.tau) * self.table[k::-1]
-        return w @ samples[: k + 1]
+        return np.stack([w @ member[: k + 1] for member in samples])
 
 
 class HistoryAccumulator:
@@ -162,6 +171,12 @@ class HistoryAccumulator:
     ``derivative``.  Geometric tables (the identity kind, exponential
     kernels) update in O(1) per step; other kernels re-weight the stored
     samples, which costs O(k) at step k.
+
+    A sample is a field, or a (B, n) stack of the fields of B members
+    advanced in lockstep (one viscosity level each); every push has the
+    shape of the first, and ``value`` and ``derivative`` return that
+    shape.  Each member's history is what an accumulator of its own
+    would hold, bit for bit.
     """
 
     def __init__(self, kernel: KernelSpec, tau: float, n_nodes: int, n_max: int):
@@ -174,11 +189,13 @@ class HistoryAccumulator:
             )
         self.kernel = kernel
         self.tau = float(tau)
-        self._samples = np.zeros((n_max + 1, n_nodes))
+        self._n_rows = n_max + 1
+        # (members, n_max + 1, n), allocated by the first push; a field
+        # is one member.
+        self._samples = None
         self._count = 0
-        table = _tabulate(kernel.b, self.tau * np.arange(n_max + 1))
-        self._b0 = table[0]
-        self._zeta = _TrapezoidConvolution(table, self.tau, n_nodes)
+        self._table = _tabulate(kernel.b, self.tau * np.arange(self._n_rows))
+        self._zeta = _TrapezoidConvolution(self._table, self.tau)
         self._slope = None  # the b' table, built by the first derivative()
 
     @property
@@ -190,12 +207,26 @@ class HistoryAccumulator:
         return (self._count - 1) * self.tau
 
     def push(self, sample: Field) -> None:
+        sample = np.asarray(sample, dtype=float)
         k = self._count
-        if k >= self._samples.shape[0]:
+        if k == 0:
+            n_nodes = self.kernel.y0.shape[0]
+            if sample.shape[-1:] != (n_nodes,) or sample.ndim > 2:
+                raise ValueError(
+                    f"sample has shape {sample.shape}, expected ({n_nodes},) "
+                    f"or (members, {n_nodes})"
+                )
+            self._shape = sample.shape
+            members = sample.size // n_nodes
+            self._samples = np.zeros((members, self._n_rows, n_nodes))
+            self._zeta.start((members, n_nodes))
+        elif sample.shape != self._shape:
+            raise ValueError(f"sample has shape {sample.shape}, expected {self._shape}")
+        if k >= self._n_rows:
             raise ValueError("accumulator is full")
-        self._samples[k] = sample
+        self._samples[:, k] = sample
         if k > 0:
-            prev, cur = self._samples[k - 1], self._samples[k]
+            prev, cur = self._samples[:, k - 1], self._samples[:, k]
             self._zeta.advance(prev, cur)
             if self._slope is not None:
                 self._slope.advance(prev, cur)
@@ -205,7 +236,8 @@ class HistoryAccumulator:
         """Accumulated state at the time of the latest sample."""
         if self._count == 0:
             raise ValueError("no samples pushed yet")
-        return self.kernel.y0 + self._zeta.at(self._samples, self._count - 1)
+        zeta = self.kernel.y0 + self._zeta.at(self._samples, self._count - 1)
+        return zeta.reshape(self._shape)
 
     def derivative(self) -> Field:
         """Weak derivative of the accumulated state at the latest sample."""
@@ -213,11 +245,12 @@ class HistoryAccumulator:
             raise ValueError("no samples pushed yet")
         k = self._count - 1
         if self._slope is None:
-            n_rows, n_nodes = self._samples.shape
-            lags = self.tau * np.arange(n_rows)
+            lags = self.tau * np.arange(self._n_rows)
             self._slope = _TrapezoidConvolution(
-                _tabulate(self.kernel.b_prime, lags), self.tau, n_nodes
+                _tabulate(self.kernel.b_prime, lags), self.tau
             )
+            self._slope.start((self._samples.shape[0], self._samples.shape[2]))
             for j in range(k):
-                self._slope.advance(self._samples[j], self._samples[j + 1])
-        return self._b0 * self._samples[k] + self._slope.at(self._samples, k)
+                self._slope.advance(self._samples[:, j], self._samples[:, j + 1])
+        slope = self._table[0] * self._samples[:, k] + self._slope.at(self._samples, k)
+        return slope.reshape(self._shape)

@@ -36,6 +36,20 @@ and ``hess.solve_principal(idx, rhs)``, a solve with its principal
 block on the free indices ``idx``.  The operators of
 :mod:`~histris.spatial`, a band and the inverse of a band, answer both
 in O(n).
+
+A stacked call solves B independent QPs of size n in lockstep: ``lin``
+(and every array bound, weight and start) has shape (B, n), and
+``hess`` is a band on B n nodes whose diagonal blocks, the members'
+Hessians, are coupled by zeros
+(:meth:`~histris.spatial.SymTridiagonal.stack`).  A step makes one
+free-block solve for every member still stepping.  Each member keeps
+its own pinned set or sign state, recurrence set and step count, and
+stops at the step where it would stop alone; a member whose state
+recurs hands over to monotone steps on its own block
+(``hess.section``).  Inputs must be finite: a zero coupling does not
+stop ``0 * inf = nan`` from reaching the next block.  The step count
+comes back as a :class:`StepCount`, an ``int`` total over the members
+that keeps each member's count in ``per_block``.
 """
 
 from __future__ import annotations
@@ -45,21 +59,39 @@ from numpy.linalg import LinAlgError
 
 from .errors import NumericalFailure
 
-__all__ = ["KKT_TOL", "solve_box_qp", "solve_l1_qp", "box_qp_kkt_residual", "l1_qp_kkt_residual"]
+__all__ = [
+    "KKT_TOL",
+    "StepCount",
+    "solve_box_qp",
+    "solve_l1_qp",
+    "box_qp_kkt_residual",
+    "l1_qp_kkt_residual",
+]
 
 # Absolute tolerance on the nodal KKT residual.
 KKT_TOL = 1e-10
 
 
-def _as_bound(value, n: int, default: float) -> np.ndarray:
-    if value is None:
-        return np.full(n, default)
-    arr = np.asarray(value, dtype=float)
+class StepCount(int):
+    """Steps of one QP call: the total over its members, with each
+    member's count in ``per_block`` (one entry for an unstacked call)."""
+
+    def __new__(cls, per_block):
+        per_block = tuple(per_block)
+        count = super().__new__(cls, sum(per_block))
+        count.per_block = per_block
+        return count
+
+
+def _as_bound(value, shape, default: float) -> np.ndarray:
+    arr = np.asarray(default if value is None else value, dtype=float)
     if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"bound has shape {arr.shape}, expected ({n},)")
-    return arr.copy()
+        out = np.empty(shape)
+        out.fill(arr)
+        return out
+    if arr.shape != shape:
+        raise ValueError(f"bound has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 # Halvings before a projected search gives up and stays put.
@@ -77,6 +109,62 @@ def _solve_free(hess, idx, rhs, kind):
         raise NumericalFailure(f"singular free block in {kind} qp") from exc
 
 
+class _Members:
+    """Per-member bookkeeping of a call on flat (B n) arrays: step
+    counts, the members still stepping, and each one's recurrence set,
+    all set up by the first step that changes anything.  ``held`` marks
+    the coordinates of finished members, which no later step touches;
+    None while every member steps."""
+
+    def __init__(self, hess, shape):
+        self.hess = hess
+        self.n = shape[-1]
+        self.size = 1 if len(shape) == 1 else shape[0]
+        self.count = None
+        self.held = None
+
+    def block(self, b: int):
+        """Member ``b``'s coordinates, and its Hessian: the diagonal
+        block of a stacked call."""
+        part = slice(b * self.n, (b + 1) * self.n)
+        if self.size == 1:
+            return part, self.hess
+        return part, self.hess.section(part.start, part.stop)
+
+    def finish(self, changed: np.ndarray, iterations: int) -> np.ndarray:
+        """Record the members a step left unchanged as done; returns the
+        members still stepping.  ``changed`` has an entry set."""
+        if self.count is None:
+            self.count = np.zeros(self.size, dtype=int)
+            self.live = np.ones(self.size, dtype=bool)
+            self.seen = [set() for _ in range(self.size)]
+        if self.size > 1:
+            moved = changed.reshape(-1, self.n).any(axis=1)
+            self.count[self.live & ~moved] = iterations
+            self.live &= moved
+        return np.flatnonzero(self.live)
+
+    def recurs(self, b: int, state: bytes) -> bool:
+        if state in self.seen[b]:
+            return True
+        self.seen[b].add(state)
+        return False
+
+    def hold(self) -> np.ndarray:
+        """Mark every finished member's coordinates as held."""
+        self.held = np.repeat(~self.live, self.n)
+        return self.held
+
+    def result(self, x, shape, iterations=None):
+        """``(x, StepCount)``; ``iterations`` ends the members still
+        stepping."""
+        if self.count is None:
+            return x.reshape(shape), StepCount((iterations,) * self.size)
+        if iterations is not None:
+            self.count[self.live] = iterations
+        return x.reshape(shape), StepCount(self.count.tolist())
+
+
 def box_qp_kkt_residual(hess, lin, lower, upper, x) -> float:
     """Projected-gradient residual of ``min 0.5 x'Hx - lin'x`` on a box."""
     g = hess @ x - lin
@@ -86,7 +174,8 @@ def box_qp_kkt_residual(hess, lin, lower, upper, x) -> float:
 def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
     """Minimize ``0.5 x'Hx - lin'x`` subject to ``lower <= x <= upper``.
 
-    Returns ``(x, iterations)``.  Bounds may be scalars, arrays, or None
+    Returns ``(x, iterations)``, the count a :class:`StepCount`.
+    Bounds may be scalars, arrays of the shape of ``lin``, or None
     (unbounded on that side).  The first pinned set holds the
     coordinates of ``start`` that sit on a bound with a multiplier of
     the right sign, and every coordinate with ``lower == upper``.  A
@@ -95,24 +184,27 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
     Raises :class:`NumericalFailure` if they exceed the cycle cap.
     """
     lin = np.asarray(lin, dtype=float)
-    n = lin.shape[0]
-    lower = _as_bound(lower, n, -np.inf)
-    upper = _as_bound(upper, n, np.inf)
-    if np.any(lower > upper):
+    shape = lin.shape
+    lower = _as_bound(lower, shape, -np.inf).ravel()
+    upper = _as_bound(upper, shape, np.inf).ravel()
+    if (lower > upper).any():
         raise ValueError("box is empty: lower > upper somewhere")
+    lin = lin.ravel()
     # Coordinates with a degenerate box entry are fixed and never released.
     fixed = lower == upper
 
-    x = np.zeros(n) if start is None else np.asarray(start, dtype=float).copy()
+    x = np.zeros(lin.size) if start is None else np.asarray(start, dtype=float).ravel()
     x = np.clip(x, lower, upper)
     g = hess @ x - lin
     at_lo = fixed | ((x <= lower) & (g >= -tol))
     at_hi = (x >= upper) & (g <= tol) & ~at_lo
 
-    seen = set()
-    for iterations in range(1, _cycle_cap(n) + 1):
+    members = _Members(hess, shape)
+    for iterations in range(1, _cycle_cap(members.n) + 1):
         x = np.where(at_lo, lower, np.where(at_hi, upper, x))
         free = ~(at_lo | at_hi)
+        if members.held is not None:
+            free &= ~members.held
         if free.any():
             idx = np.flatnonzero(free)
             rhs = lin - hess @ np.where(free, 0.0, x)
@@ -121,22 +213,44 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
         pin_lo = free & (x < lower)
         pin_hi = free & (x > upper)
         release = ~fixed & ((at_lo & (g < -tol)) | (at_hi & (g > tol)))
-        if not (pin_lo.any() or pin_hi.any() or release.any()):
-            return x, iterations
+        changed = pin_lo | pin_hi | release
+        if not changed.any():
+            return members.result(x, shape, iterations)
         at_lo = (at_lo | pin_lo) & ~release
         at_hi = (at_hi | pin_hi) & ~release
-        state = np.packbits(at_lo).tobytes() + np.packbits(at_hi).tobytes()
-        if state in seen:
-            break
-        seen.add(state)
+        for b in members.finish(changed, iterations):
+            part, _ = members.block(b)
+            state = np.packbits(at_lo[part]).tobytes() + np.packbits(at_hi[part]).tobytes()
+            if members.recurs(b, state):
+                _box_fallback(members, b, iterations, lin, lower, upper, x, tol)
+        if not members.live.any():
+            return members.result(x, shape)
+        if not members.live.all():
+            held = members.hold()
+            at_lo &= ~held
+            at_hi &= ~held
 
-    x = np.clip(x, lower, upper)
-    for steps in range(1, _cycle_cap(n) + 1):
-        x, done = _descend(hess, lin, lower, upper, x, tol)
+    for b in np.flatnonzero(members.live):
+        _box_fallback(members, b, iterations, lin, lower, upper, x, tol)
+    return members.result(x, shape)
+
+
+def _box_fallback(members, b, iterations, lin, lower, upper, x, tol):
+    """Monotone steps for member ``b`` from its iterate clipped to its
+    box, written back into ``x``."""
+    part, hess = members.block(b)
+    lin, lower, upper = lin[part], lower[part], upper[part]
+    y = np.clip(x[part], lower, upper)
+    for steps in range(1, _cycle_cap(y.size) + 1):
+        y, done = _descend(hess, lin, lower, upper, y, tol)
         if done:
-            return x, iterations + steps
+            x[part] = y
+            members.count[b] = iterations + steps
+            members.live[b] = False
+            return
     raise NumericalFailure("box qp exceeded its cycle cap",
-                           residual=box_qp_kkt_residual(hess, lin, lower, upper, x))
+                           residual=box_qp_kkt_residual(hess, lin, lower, upper, y),
+                           member=b)
 
 
 def _descend(hess, lin, lower, upper, x, tol):
@@ -207,55 +321,85 @@ def l1_qp_kkt_residual(hess, lin, weights, x) -> float:
 def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
     """Minimize ``0.5 x'Hx - lin'x + sum w_i |x_i|`` with ``w_i >= 0``.
 
-    Returns ``(x, iterations)``.  Once every coordinate's sign is fixed
-    the l1 term is linear: signed coordinates solve the free block with
-    right-hand side ``lin - sign * w``, zero ones are pinned at zero,
-    and unweighted ones are always free.  The signs start from those of
-    ``start``.  A recurring sign state, or a cycle cap's worth of bulk
-    steps, hands over to monotone steps on orthants from the last
-    iterate.
+    Returns ``(x, iterations)``, the count a :class:`StepCount`.  Once
+    every coordinate's sign is fixed the l1 term is linear: signed
+    coordinates solve the free block with right-hand side
+    ``lin - sign * w``, zero ones are pinned at zero, and unweighted
+    ones are always free.  The signs start from those of ``start``.  A
+    recurring sign state, or a cycle cap's worth of bulk steps, hands
+    over to monotone steps on orthants from the last iterate.
     """
     lin = np.asarray(lin, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    n = lin.shape[0]
-    if weights.shape != (n,):
-        raise ValueError(f"weights have shape {weights.shape}, expected ({n},)")
-    if np.any(weights < 0):
+    shape = lin.shape
+    if weights.shape != shape:
+        raise ValueError(f"weights have shape {weights.shape}, expected {shape}")
+    if (weights < 0).any():
         raise ValueError("l1 weights must be nonnegative")
+    lin, weights = lin.ravel(), weights.ravel()
 
     unweighted = weights == 0.0
-    sign = np.zeros(n) if start is None else np.sign(np.asarray(start, dtype=float))
+    sign = (np.zeros(lin.size) if start is None
+            else np.sign(np.asarray(start, dtype=float)).ravel())
     sign[unweighted] = 0.0
 
-    seen = set()
-    for iterations in range(1, _cycle_cap(n) + 1):
+    x = np.zeros(lin.size)
+    members = _Members(hess, shape)
+    for iterations in range(1, _cycle_cap(members.n) + 1):
         free = (sign != 0.0) | unweighted
-        x = np.zeros(n)
+        if members.held is None:
+            x = np.zeros(lin.size)
+        else:
+            free &= ~members.held
+            x = np.where(members.held, x, 0.0)
         if free.any():
             idx = np.flatnonzero(free)
             x[idx] = _solve_free(hess, idx, (lin - sign * weights)[idx], "l1")
         g = lin - hess @ x
         crossed = sign * x < 0.0
         enter = ~free & (np.abs(g) - weights > tol)
-        if not (crossed.any() or enter.any()):
-            return x, iterations
+        if members.held is not None:
+            enter &= ~members.held
+        changed = crossed | enter
+        if not changed.any():
+            return members.result(x, shape, iterations)
         sign[crossed] = 0.0
         sign[enter] = np.sign(g[enter])
-        state = sign.astype(np.int8).tobytes()
-        if state in seen:
-            break
-        seen.add(state)
+        for b in members.finish(changed, iterations):
+            part, _ = members.block(b)
+            if members.recurs(b, sign[part].astype(np.int8).tobytes()):
+                _l1_fallback(members, b, iterations, lin, weights, x, tol)
+        if not members.live.any():
+            return members.result(x, shape)
+        if not members.live.all():
+            # Finished members keep their iterate: none of their signs is set.
+            sign[members.hold()] = 0.0
 
+    for b in np.flatnonzero(members.live):
+        _l1_fallback(members, b, iterations, lin, weights, x, tol)
+    return members.result(x, shape)
+
+
+def _l1_fallback(members, b, iterations, lin, weights, x, tol):
+    """Monotone steps on orthants for member ``b`` from its iterate,
+    written back into ``x``."""
+    part, hess = members.block(b)
+    lin, weights, y = lin[part], weights[part], x[part]
+    unweighted = weights == 0.0
     done = False
-    for steps in range(_cycle_cap(n) + 1):
-        g = lin - hess @ x
-        enter = (x == 0.0) & ~unweighted & (np.abs(g) - weights > tol)
+    for steps in range(_cycle_cap(y.size) + 1):
+        g = lin - hess @ y
+        enter = (y == 0.0) & ~unweighted & (np.abs(g) - weights > tol)
         if done and not enter.any():
-            return x, iterations + steps
-        # The orthant of x, widened along the entering coordinates.
-        sign = np.where(enter, np.sign(g), np.sign(x))
+            x[part] = y
+            members.count[b] = iterations + steps
+            members.live[b] = False
+            return
+        # The orthant of y, widened along the entering coordinates.
+        sign = np.where(enter, np.sign(g), np.sign(y))
         lower = np.where((sign < 0.0) | unweighted, -np.inf, 0.0)
         upper = np.where((sign > 0.0) | unweighted, np.inf, 0.0)
-        x, done = _descend(hess, lin - sign * weights, lower, upper, x, tol)
+        y, done = _descend(hess, lin - sign * weights, lower, upper, y, tol)
     raise NumericalFailure("l1 qp exceeded its cycle cap",
-                           residual=l1_qp_kkt_residual(hess, lin, weights, x))
+                           residual=l1_qp_kkt_residual(hess, lin, weights, y),
+                           member=b)

@@ -15,7 +15,9 @@ and Riesz solves reuse a cached LAPACK tridiagonal (L D L') factor.
 The inverse of a band is an operator too (:class:`InverseBand`), so no
 module stores a dense matrix: every Hessian of the box and l1 QPs
 answers the two requests of the QP protocol, ``@`` and
-``solve_principal(idx, rhs)``, in O(n).
+``solve_principal(idx, rhs)``, in O(n).  ``SymTridiagonal.stack``
+places scaled copies of a band end to end with zero couplings, the
+block band on which a stacked QP solves several members at once.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "riesz_apply",
     "riesz_solve",
     "dual_pair",
+    "dual_pairs",
     "dual_norm",
     "interpolate",
     "assemble_dual",
@@ -125,6 +128,22 @@ class SymTridiagonal:
         if not isinstance(other, SymTridiagonal):
             return NotImplemented
         return SymTridiagonal._of_bands(self._bands + other._bands)
+
+    def stack(self, scales) -> "SymTridiagonal":
+        """The block-diagonal band of the blocks ``scales[b] * self``,
+        placed end to end with zero couplings between blocks."""
+        n = self.shape[0]
+        bands = np.empty((2, len(scales) * n), order="F")
+        for b, scale in enumerate(scales):
+            bands[:, b * n:(b + 1) * n] = scale * self._bands
+        return SymTridiagonal._of_bands(bands)
+
+    def section(self, start: int, stop: int) -> "SymTridiagonal":
+        """The principal band on the nodes ``start..stop-1``; a block of
+        a :meth:`stack`."""
+        bands = self._bands[:, start:stop].copy(order="F")
+        bands[0, 0] = 0.0
+        return SymTridiagonal._of_bands(bands)
 
     def quad_forms(self, rows: np.ndarray) -> np.ndarray:
         """``r' A r`` for every row ``r`` of the (k, n) array ``rows``,
@@ -291,6 +310,15 @@ def riesz_solve(mesh: Mesh, w: DualField) -> Field:
 def dual_pair(w: DualField, v: Field) -> float:
     """Duality pairing of an assembled functional with a field."""
     return float(np.dot(w, v))
+
+
+def dual_pairs(w: np.ndarray, v: np.ndarray) -> list:
+    """:func:`dual_pair` of each row of two (B, n) stacks, as a list; a
+    single field ``w`` pairs with every row of ``v``.  Row by row, so
+    every entry is the pairing of that row alone, bit for bit."""
+    if w.ndim == 1:
+        return [dual_pair(w, row) for row in v]
+    return [dual_pair(a, b) for a, b in zip(w, v)]
 
 
 def dual_norm(mesh: Mesh, w: DualField) -> float:

@@ -20,6 +20,15 @@ holds to solver precision; every step is checked against a hard bound
 and the solve raises :class:`NumericalFailure` rather than return an
 unbalanced trajectory.
 
+:func:`solve_levels` is the one implicit time loop.  It advances
+several viscosities of one scenario in lockstep: they share the mesh,
+load, kernel, dissipation and time grid, and their prox Hessians
+``(alpha + eps/tau) R`` are scalar multiples of one band.  So a step
+evaluates the load once and makes one QP call on the block band of all
+members, and every member's trajectory and report are bit for bit what
+it gives alone; :func:`solve_viscous`'s implicit method is this loop
+with one level.
+
 An explicit alternative integrator advances the state with the
 projection form of the flow,
 
@@ -32,6 +41,7 @@ requires ``tau <= eps/10`` and makes no per-step balance claim.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -55,6 +65,7 @@ from .spatial import (
     Mesh,
     assemble_dual,
     dual_pair,
+    dual_pairs,
     h1_inner,
     h1_norm,
     interpolate,
@@ -74,6 +85,7 @@ __all__ = [
     "energy",
     "StepResult",
     "viscous_step",
+    "solve_levels",
     "explicit_projection_step",
     "SolveReport",
     "solve_viscous",
@@ -190,40 +202,91 @@ def energy(scenario: Scenario, t: float, q: Field) -> float:
     )
 
 
+class _Levels:
+    """Viscosity levels of one scenario that a time loop advances in
+    lockstep, and the bands built once for them, each stacked end to end
+    (:meth:`~histris.spatial.SymTridiagonal.stack`): the members' prox
+    Hessians ``(alpha + eps_b / tau) R`` and B copies of ``R``."""
+
+    def __init__(self, scenario: Scenario, eps_values):
+        self.eps = [float(e) for e in eps_values]
+        if not self.eps:
+            raise ValueError("no viscosity to solve for")
+        for eps in self.eps:
+            if not (np.isfinite(eps) and eps > 0):
+                raise ValueError(f"eps must be positive, got {eps}")
+        tau = scenario.tau
+        effective = [scenario.alpha + eps / tau for eps in self.eps]
+        riesz = scenario.mesh.riesz
+        self.hessian = riesz.stack(effective)
+        self.riesz = riesz.stack([1.0] * len(self.eps))
+        self.effective = np.array(effective)[:, None]  # a column, one row a member
+
+    def apply_riesz(self, fields: np.ndarray) -> np.ndarray:
+        """``R`` applied to each row of a (B, n) stack, in one product."""
+        return (self.riesz @ fields.ravel()).reshape(fields.shape)
+
+    def name(self, member: int | None) -> str:
+        """The eps of a failing member, or of all of them."""
+        eps = self.eps if member is None else [self.eps[member]]
+        return "eps=" + ", ".join(f"{e:g}" for e in eps)
+
+
 @dataclass
 class StepResult:
+    """One implicit step.  In a lockstep loop the fields are stacked, one
+    member a row (lists of numbers for the scalars), except the shared
+    ``load``."""
+
     q_next: np.ndarray
     increment: np.ndarray
     force_after: np.ndarray
     balance_residual: float
     dissipation_rate: float
     iterations: int
+    rate_h1_norm: float
+    # The load at t_next and R q at the start state, for the energies.
+    load: DualField
+    riesz_q: DualField
 
 
 def viscous_step(scenario: Scenario, eps: float, t_next: float, q: Field,
                  zeta: Field, start_increment=None) -> StepResult:
-    """One implicit incremental minimization step ending at ``t_next``."""
+    """One implicit incremental minimization step ending at ``t_next``.
+
+    Called with one viscosity and fields, it steps one member.  Inside
+    :func:`solve_levels` ``eps`` is the loop's levels, and ``q``,
+    ``zeta`` and ``start_increment`` are (B, n) stacks: one load
+    evaluation, one stacked QP call, and one product each for ``R q``
+    and ``R delta`` serve every member.
+    """
+    levels = eps if isinstance(eps, _Levels) else _Levels(scenario, [eps])
+    one = levels is not eps
+    if one:
+        q, zeta = np.asarray(q, dtype=float)[None], np.asarray(zeta, dtype=float)[None]
+        if start_increment is not None:
+            start_increment = np.asarray(start_increment, dtype=float)[None]
     tau = scenario.tau
-    f = driving_force(scenario, t_next, q)
-    effective = scenario.alpha + eps / tau
+    spec = scenario.dissipation
+    load = scenario.load.value(t_next)
+    riesz_q = levels.apply_riesz(q)
+    f = load - scenario.alpha * riesz_q
     delta, iters, threshold = _prox_rate_counted(
-        scenario.dissipation, scenario.mesh, zeta, f, effective,
-        start=start_increment,
+        spec, scenario.mesh, zeta, f, levels.hessian, start=start_increment,
     )
     q_next = q + delta
     rate = delta / tau
-    phi = f - effective * riesz_apply(scenario.mesh, delta)
-    lhs = dual_pair(phi, rate)
-    rhs = _potential_at(scenario.dissipation, threshold, rate)
-    residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-    return StepResult(
-        q_next=q_next,
-        increment=delta,
-        force_after=phi,
-        balance_residual=float(residual),
-        dissipation_rate=float(rhs),
-        iterations=iters,
-    )
+    riesz_delta = levels.apply_riesz(delta)
+    phi = f - levels.effective * riesz_delta
+    rhs = _potential_at(spec, threshold, rate)
+    balance = [abs(lhs - r) / (1.0 + abs(lhs) + abs(r))
+               for lhs, r in zip(dual_pairs(phi, rate), rhs)]
+    norms = [math.sqrt(max(sq, 0.0)) / tau for sq in dual_pairs(delta, riesz_delta)]
+    if one:
+        return StepResult(q_next[0], delta[0], phi[0], balance[0], rhs[0], iters,
+                          norms[0], load, riesz_q[0])
+    return StepResult(q_next, delta, phi, balance, rhs, iters.per_block, norms,
+                      load, riesz_q)
 
 
 def explicit_projection_step(scenario: Scenario, eps: float, t: float, q: Field,
@@ -271,16 +334,108 @@ class SolveReport:
         return float(self.rate_h1_norms.max(initial=0.0))
 
 
+def _energies(alpha: float, q: np.ndarray, riesz_q: np.ndarray,
+              load: DualField) -> list:
+    """:func:`energy` of each member of a stack, given ``R q`` and the load."""
+    return [0.5 * alpha * qrq - lq
+            for qrq, lq in zip(dual_pairs(q, riesz_q), dual_pairs(load, q))]
+
+
+def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
+    """Advance every viscosity of ``eps_values`` in one implicit time loop.
+
+    Returns one ``(Trajectory, SolveReport)`` per level, in order, each
+    bit for bit what the level gives alone.  A step makes one load
+    evaluation and one stacked QP call for all levels; the history
+    accumulator holds them all.  Raises :class:`NumericalFailure` at the
+    first step where a level fails, naming the step and the level's eps.
+    """
+    levels = _Levels(scenario, eps_values)
+    tau = scenario.tau
+    n = scenario.mesh.n_nodes
+    steps = scenario.n_steps
+    members = len(levels.eps)
+    times = scenario.times()
+    values = np.zeros((members, steps + 1, n))
+    acc = HistoryAccumulator(scenario.kernel, tau, n, steps)
+    q = np.zeros((members, n))
+    acc.push(q)
+
+    # Per step one entry a member, appended in step order.
+    balance, diss_rates, rate_norms = array("d"), array("d"), array("d")
+    energies = array("d", [energy(scenario, times[0], q[0])] * members)
+    iterations = array("q")
+
+    load = None
+    warm = None
+    for k in range(steps):
+        try:
+            res = viscous_step(
+                scenario, levels, times[k + 1], q, acc.value(),
+                start_increment=warm if warm_start else None,
+            )
+        except NumericalFailure as exc:
+            raise NumericalFailure(
+                f"step {k + 1}/{steps} failed ({levels.name(exc.member)}): {exc}",
+                residual=exc.residual, member=exc.member,
+            ) from exc
+        for b, residual in enumerate(res.balance_residual):
+            if not residual <= BALANCE_TOL:
+                raise NumericalFailure(
+                    f"force balance violated at step {k + 1}/{steps} ({levels.name(b)})",
+                    residual=residual, member=b,
+                )
+        if k > 0:  # the energies at t_k, from this step's R q
+            energies.extend(_energies(scenario.alpha, q, res.riesz_q, load))
+        q = res.q_next
+        load = res.load
+        warm = res.increment
+        values[:, k + 1] = q
+        balance.extend(res.balance_residual)
+        diss_rates.extend(res.dissipation_rate)
+        rate_norms.extend(res.rate_h1_norm)
+        iterations.extend(res.iterations)
+        acc.push(q)
+    energies.extend(_energies(scenario.alpha, q, levels.apply_riesz(q), load))
+
+    def by_member(entries):
+        return np.array(entries).reshape(-1, members).T.copy()
+
+    balance, diss_rates, rate_norms, energies, iterations = (
+        by_member(e) for e in (balance, diss_rates, rate_norms, energies, iterations))
+    out = []
+    for b, eps in enumerate(levels.eps):
+        report = SolveReport(
+            method="implicit",
+            eps=eps,
+            tau=float(tau),
+            times=times,
+            balance_residuals=balance[b],
+            rate_h1_norms=rate_norms[b],
+            dissipation_rates=diss_rates[b],
+            energies=energies[b],
+            inner_iterations=int(iterations[b].sum()),
+            warm_start=warm_start,
+        )
+        out.append((Trajectory(times=times, values=values[b]), report))
+    return out
+
+
 def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
                   warm_start: bool = True):
-    """Run the time loop; returns ``(Trajectory, SolveReport)``."""
+    """Run the time loop; returns ``(Trajectory, SolveReport)``.
+
+    The implicit method is :func:`solve_levels` with one level.
+    """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
     if method not in ("implicit", "explicit"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "implicit":
+        return solve_levels(scenario, [eps], warm_start=warm_start)[0]
     mesh = scenario.mesh
     tau = scenario.tau
-    if method == "explicit" and tau > eps / 10.0 * (1.0 + 1e-12):
+    if tau > eps / 10.0 * (1.0 + 1e-12):
         raise ValueError(
             f"explicit stepping needs tau <= eps/10; got tau={tau:.3e}, eps={eps:.3e}"
         )
@@ -292,48 +447,22 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
     acc = HistoryAccumulator(scenario.kernel, tau, n, steps)
     acc.push(values[0])
 
-    balance = np.full(steps, math.nan)
-    diss_rates = np.full(steps, math.nan)
     rate_norms = np.zeros(steps)
     energies = np.zeros(steps + 1)
     energies[0] = energy(scenario, times[0], values[0])
     total_iters = 0
 
     q = values[0]
-    warm = None
     for k in range(steps):
-        zeta = acc.value()
-        if method == "implicit":
-            try:
-                res = viscous_step(
-                    scenario, eps, times[k + 1], q, zeta,
-                    start_increment=warm if warm_start else None,
-                )
-            except NumericalFailure as exc:
-                raise NumericalFailure(
-                    f"step {k + 1}/{steps} failed: {exc}", residual=exc.residual
-                ) from exc
-            if not res.balance_residual <= BALANCE_TOL:
-                raise NumericalFailure(
-                    f"force balance violated at step {k + 1}/{steps}",
-                    residual=res.balance_residual,
-                )
-            q = res.q_next
-            warm = res.increment.copy()
-            balance[k] = res.balance_residual
-            diss_rates[k] = res.dissipation_rate
-            rate_norms[k] = h1_norm(mesh, res.increment) / tau
-            total_iters += res.iterations
-        else:
-            q, rate, iters = explicit_projection_step(
-                scenario, eps, times[k], q, zeta, cold_start=not warm_start
+        q, rate, iters = explicit_projection_step(
+            scenario, eps, times[k], q, acc.value(), cold_start=not warm_start
+        )
+        if not np.all(np.isfinite(q)):
+            raise NumericalFailure(
+                f"non-finite state at explicit step {k + 1}/{steps}"
             )
-            if not np.all(np.isfinite(q)):
-                raise NumericalFailure(
-                    f"non-finite state at explicit step {k + 1}/{steps}"
-                )
-            rate_norms[k] = h1_norm(mesh, rate)
-            total_iters += iters
+        rate_norms[k] = h1_norm(mesh, rate)
+        total_iters += iters
         values[k + 1] = q
         energies[k + 1] = energy(scenario, times[k + 1], q)
         acc.push(q)
@@ -343,9 +472,9 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
         eps=float(eps),
         tau=float(tau),
         times=times,
-        balance_residuals=balance,
+        balance_residuals=np.full(steps, math.nan),
         rate_h1_norms=rate_norms,
-        dissipation_rates=diss_rates,
+        dissipation_rates=np.full(steps, math.nan),
         energies=energies,
         inner_iterations=total_iters,
         warm_start=warm_start,

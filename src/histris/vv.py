@@ -1,7 +1,9 @@
 """Vanishing-viscosity sweeps and limit certification.
 
-A sweep solves the same scenario over a decreasing viscosity schedule
-and reports consecutive trajectory differences as Cauchy evidence.  The
+A sweep solves the same scenario over a decreasing viscosity schedule,
+every level in one lockstep time loop
+(:func:`~histris.viscous.solve_levels`), and reports consecutive
+trajectory differences as Cauchy evidence.  The
 finest-viscosity trajectory is the limit candidate; its certificate
 checks the two defining properties of the limit evolution along the
 discrete trajectory:
@@ -46,7 +48,13 @@ from .spatial import dual_pair, h1_norm
 # layer tracer (bench/tracer.py) patches this module's name.
 from .dissipation import _potential_at, force_box, potential
 from .trajectory import Trajectory, c_norm_diff, h1_time_norm
-from .viscous import Scenario, SolveReport, driving_force, solve_viscous
+from .viscous import (
+    Scenario,
+    SolveReport,
+    driving_force,
+    solve_levels,
+    solve_viscous,
+)
 
 __all__ = [
     "DEFAULT_EPS_LEVELS",
@@ -140,7 +148,10 @@ def vv_sweep(scenario: Scenario, eps_values: Sequence[float] | None = None, *,
              seed: int = 0, warm_start: bool = True) -> VVResult:
     """Solve over a decreasing viscosity schedule and certify the finest.
 
-    ``seed`` has no effect: sweeps and certificates draw no random
+    Every level advances in one lockstep time loop
+    (:func:`~histris.viscous.solve_levels`); each trajectory and report
+    is bit for bit what :func:`~histris.viscous.solve_viscous` gives at
+    that level.  ``seed`` has no effect: sweeps and certificates draw no random
     numbers.  It is kept so existing callers stay valid.
     """
     if eps_values is None:
@@ -154,27 +165,22 @@ def vv_sweep(scenario: Scenario, eps_values: Sequence[float] | None = None, *,
         raise ValueError("the viscosity schedule must decrease")
 
     mesh = scenario.mesh
-    trajectories = []
-    reports = []
+    trajectories, reports = zip(*solve_levels(scenario, eps_values,
+                                              warm_start=warm_start))
     c_diffs = []
     h1_diffs = []
-    for eps in eps_values:
-        traj, report = solve_viscous(scenario, eps, warm_start=warm_start)
-        if trajectories:
-            prev = trajectories[-1]
-            c_diffs.append(c_norm_diff(mesh, traj, prev))
-            diff = Trajectory(times=traj.times, values=traj.values - prev.values)
-            h1_diffs.append(h1_time_norm(mesh, diff))
-        trajectories.append(traj)
-        reports.append(report)
+    for prev, traj in zip(trajectories, trajectories[1:]):
+        c_diffs.append(c_norm_diff(mesh, traj, prev))
+        diff = Trajectory(times=traj.times, values=traj.values - prev.values)
+        h1_diffs.append(h1_time_norm(mesh, diff))
 
     certificate = None
     if certify:
         certificate = certify_limit(scenario, trajectories[-1], tol=certificate_tol)
     return VVResult(
         eps_values=eps_values,
-        trajectories=trajectories,
-        reports=reports,
+        trajectories=list(trajectories),
+        reports=list(reports),
         c_diffs=c_diffs,
         h1_diffs=h1_diffs,
         certificate=certificate,

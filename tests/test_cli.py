@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from histris.cli import _fmt, _write_csv, _write_trajectory, main
+from histris.config import build_scenario, load_config_file
 from histris.spatial import build_mesh
 from histris.trajectory import Trajectory
+from histris.viscous import solve_viscous
 
 SMALL_CONFIG = """
 mesh: {n_nodes: 5}
@@ -187,6 +189,24 @@ def test_sweep_writes_summary_and_per_level_trajectories(tmp_path, small_cfg,
     assert len(rows) == 3
     for i in range(3):
         assert (out / f"trajectory_eps{i:02d}.csv").exists()
+
+
+def test_sweep_trajectories_are_the_per_level_solves(tmp_path, small_cfg):
+    # The sweep advances its levels in lockstep; each trajectory file
+    # must hold the bytes that level's own solve writes, run after run.
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["sweep", "--config", small_cfg, "--out", str(out)]) == 0
+    cfg = load_config_file(small_cfg)
+    scenario = build_scenario(cfg)
+    for i, eps in enumerate(cfg["sweep"]["eps_values"]):
+        name = f"trajectory_eps{i:02d}.csv"
+        traj, _ = solve_viscous(scenario, eps)
+        _write_trajectory(str(tmp_path / name), cfg, scenario.mesh, traj)
+        for out in runs:
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+    summary = [(out / "sweep_summary.csv").read_bytes() for out in runs]
+    assert summary[0] == summary[1]
 
 
 def test_sweep_failing_certificate_exits_one(tmp_path, capsys):

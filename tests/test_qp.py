@@ -356,3 +356,94 @@ def test_prox_steps_on_m_matrices_never_need_the_safeguard(rng, monkeypatch, n):
             assert l1_qp_kkt_residual(hess, force, weights, y) <= KKT_TOL
             box_start, l1_start = x, y
     assert not steps
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _counted_descends(monkeypatch):
+    # The size of every monotone step's problem: in a stacked call they
+    # must run on one member's block.
+    sizes = []
+    inner = qp._descend
+
+    def counted(hess, lin, lower, upper, x, tol):
+        sizes.append(x.size)
+        return inner(hess, lin, lower, upper, x, tol)
+
+    monkeypatch.setattr(qp, "_descend", counted)
+    return sizes
+
+
+def _assert_stacked_matches_blocks(solve, scales, band, args, starts):
+    # One call on the block band against one call per block.
+    stacked = band.stack(scales)
+    x, count = solve(stacked, *(np.stack(a) for a in args), start=np.stack(starts))
+    assert x.shape == (len(scales), band.shape[0])
+    per_block = []
+    for b, scale in enumerate(scales):
+        xb, cb = solve(scale * band, *(a[b] for a in args), start=starts[b])
+        assert _same_bits(x[b], xb)
+        per_block.append(int(cb))
+    assert count.per_block == tuple(per_block)
+    assert int(count) == sum(per_block)
+    return per_block
+
+
+def test_stacked_l1_qp_matches_per_block_solves(monkeypatch):
+    # A force that changes sign in space makes the three-state steps of
+    # the first member recur on the M-matrix eps * R, so it hands over
+    # to monotone steps while the other members, warm-started at their
+    # minimizers, converge in one step.
+    sizes = _counted_descends(monkeypatch)
+    mesh = build_mesh(9)
+    hard = np.random.default_rng(145)
+    scales = [10.0 ** hard.uniform(-3.0, 1.0), 0.5, 2.0]
+    wave = int(hard.integers(1, 6))
+    lin = [mesh.mass @ (hard.uniform(-3.0, 3.0) * np.sin(
+        wave * np.pi * mesh.nodes + hard.uniform(0.0, 6.0)))]
+    weights = [mesh.mass @ hard.uniform(0.2, 1.5, 9)]
+    starts = [hard.standard_normal(9)]
+    for scale in scales[1:]:
+        lin.append(mesh.mass @ (1.0 + np.cos(np.pi * mesh.nodes)) * 3.0 * scale)
+        weights.append(mesh.mass @ np.full(9, 0.5))
+        starts.append(solve_l1_qp(scale * mesh.riesz, lin[-1], weights[-1])[0])
+    per_block = _assert_stacked_matches_blocks(
+        solve_l1_qp, scales, mesh.riesz, (lin, weights), starts)
+    assert per_block[0] > 1 and per_block[1:] == [1, 1]
+    assert sizes and set(sizes) == {9}
+
+
+def test_stacked_box_qp_matches_per_block_solves(rng, monkeypatch):
+    # Bulk steps on eps * R do not recur, so the test caps the bulk
+    # phase of each call at one step: every member that needs a second
+    # step hands over to monotone steps on its own block, and the
+    # members that converge in one step do not.
+    sizes = _counted_descends(monkeypatch)
+    real_cap = qp._cycle_cap
+    armed = []
+
+    def cap(n):
+        return 1 if armed and armed.pop() else real_cap(n)
+
+    monkeypatch.setattr(qp, "_cycle_cap", cap)
+
+    def solve(hess, lin, lower, start):
+        armed.append(True)
+        return solve_box_qp(hess, lin, lower, None, start)
+
+    mesh = build_mesh(17)
+    scales = [0.03, 0.3, 3.0, 0.003]
+    force = mesh.mass @ (2.0 * np.sin(3.0 * np.pi * mesh.nodes))
+    lin = [force - mesh.mass @ rng.uniform(0.2, 1.0, 17) for _ in scales]
+    lower = [np.zeros(17)] * len(scales)
+    # All free from a start inside the box: the first solve leaves it.
+    starts = [np.ones(17), None, np.ones(17), None]
+    for b in (1, 3):  # warm-started at the minimizer: one step
+        starts[b] = solve_box_qp(scales[b] * mesh.riesz, lin[b], 0.0)[0]
+    per_block = _assert_stacked_matches_blocks(
+        solve, scales, mesh.riesz, (lin, lower), starts)
+    assert per_block[1] == per_block[3] == 1
+    assert per_block[0] > 1 and per_block[2] > 1
+    assert sizes and set(sizes) == {17}

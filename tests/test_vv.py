@@ -14,8 +14,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import histris.dissipation as dissipation
+import histris.qp as qp
 from histris.config import build_scenario, normalize_config
 from histris.dissipation import WeightedL1, force_box
+from histris.errors import NumericalFailure
 from histris.history import identity_kernel
 from histris.spatial import build_mesh
 from histris.trajectory import Trajectory
@@ -257,3 +259,79 @@ def test_rate_independence_validates_the_map():
         check_rate_independence(sc, lambda s: -s, 1.0, eps=0.1)
     with pytest.raises(ValueError, match="beyond the horizon"):
         check_rate_independence(sc, lambda s: 2.0 * s, 1.0, eps=0.1)
+
+
+def _same_bits(a, b):
+    if not isinstance(a, (float, np.ndarray)):
+        return type(a) is type(b) and a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+_KERNELS = {
+    "1": {"kind": "identity"},
+    "exp(-2*t)": {"kind": "convolution", "kernel": "exp(-2*t)",
+                  "kernel_slope": "-2*exp(-2*t)"},
+    "1/(1+t)^2": {"kind": "convolution", "kernel": "1/(1+t)^2",
+                  "kernel_slope": "-2/(1+t)^3"},
+}
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_lockstep_sweep_is_bit_identical_to_per_level_solves(monkeypatch, family,
+                                                             kernel):
+    # The sweep advances all levels in one loop with one stacked QP per
+    # step; every trajectory and report field must be the level's own
+    # solve, bit for bit and with the sign of every zero.  The load
+    # changes sign in space, which at n = 65 sends weighted-l1 members
+    # to the monotone steps of the QP.
+    descends = []
+    inner = qp._descend
+
+    def counted(*args):
+        descends.append(args[4].size)
+        return inner(*args)
+
+    monkeypatch.setattr(qp, "_descend", counted)
+    eps_values = (0.1, 0.02, 0.004)
+    for n in (2, 17, 65):
+        sc = build_scenario(normalize_config({
+            "mesh": {"n_nodes": n},
+            "model": {"n_steps": 60, "horizon": 2.0},
+            "load": {"time": "2*sin(2*pi*t)", "space": "cos(3*pi*x)"},
+            "dissipation": {"family": family},
+            "history": _KERNELS[kernel],
+        }))
+        for warm in (True, False):
+            before = len(descends)
+            res = vv_sweep(sc, eps_values, certify=False, warm_start=warm)
+            swept = len(descends) - before
+            for eps, traj, report in zip(eps_values, res.trajectories, res.reports):
+                ref_traj, ref = solve_viscous(sc, eps, warm_start=warm)
+                assert _same_bits(traj.times, ref_traj.times)
+                assert _same_bits(traj.values, ref_traj.values)
+                for field in vars(ref):
+                    assert _same_bits(getattr(report, field), getattr(ref, field)), field
+            # The per-level solves took the same monotone steps.
+            assert len(descends) - before == 2 * swept
+            if family == "weighted_l1" and n == 65:
+                assert swept > 0 and set(descends[before:]) == {n}
+
+
+def test_lockstep_failure_names_the_failing_level():
+    # The threshold turns infinite once the history passes 0.68, which
+    # only the finest level's history does.  The coarser levels solve
+    # alone; the sweep fails at the finest level's step and names it.
+    sc = _sine_scenario(n_steps=200)
+    sc = replace(sc, dissipation=dissipation.Fatigue(
+        weight=lambda z: np.where(z < 0.68, 1.0, np.inf), lipschitz=0.0))
+    for eps in (0.2, 0.05):
+        solve_viscous(sc, eps)
+    with pytest.raises(NumericalFailure, match="step 197/200") as exc:
+        vv_sweep(sc, (0.2, 0.05, 0.0125))
+    assert "eps=0.0125" in str(exc.value)
+    assert "eps=0.2" not in str(exc.value) and "eps=0.05" not in str(exc.value)
+    assert exc.value.member == 2
+    assert math.isnan(exc.value.residual)
