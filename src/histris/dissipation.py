@@ -161,14 +161,9 @@ def potential(spec: Dissipation, mesh: Mesh, zeta: Field, rate: Field) -> float:
     return _potential_at(spec, threshold_dual(spec, mesh, zeta), rate)
 
 
-def _potential_at(spec: Dissipation, threshold: DualField, rate: Field):
-    """:func:`potential` given the assembled threshold ``M w(zeta)``.
-
-    (B, n) stacks of thresholds and rates give a list, one value a row.
-    """
+def _potential_at(spec: Dissipation, threshold: DualField, rate: Field) -> float:
+    """:func:`potential` given the assembled threshold ``M w(zeta)``."""
     rate = np.asarray(rate, dtype=float)
-    if rate.ndim == 2:
-        return [_potential_at(spec, t, r) for t, r in zip(threshold, rate)]
     if spec.one_sided:
         if rate.min(initial=0.0) < 0.0:
             return math.inf

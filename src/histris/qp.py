@@ -343,7 +343,6 @@ def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
             else np.sign(np.asarray(start, dtype=float)).ravel())
     sign[unweighted] = 0.0
 
-    x = np.zeros(lin.size)
     members = _Members(hess, shape)
     for iterations in range(1, _cycle_cap(members.n) + 1):
         free = (sign != 0.0) | unweighted

@@ -45,7 +45,6 @@ __all__ = [
     "riesz_apply",
     "riesz_solve",
     "dual_pair",
-    "dual_pairs",
     "dual_norm",
     "interpolate",
     "assemble_dual",
@@ -310,15 +309,6 @@ def riesz_solve(mesh: Mesh, w: DualField) -> Field:
 def dual_pair(w: DualField, v: Field) -> float:
     """Duality pairing of an assembled functional with a field."""
     return float(np.dot(w, v))
-
-
-def dual_pairs(w: np.ndarray, v: np.ndarray) -> list:
-    """:func:`dual_pair` of each row of two (B, n) stacks, as a list; a
-    single field ``w`` pairs with every row of ``v``.  Row by row, so
-    every entry is the pairing of that row alone, bit for bit."""
-    if w.ndim == 1:
-        return [dual_pair(w, row) for row in v]
-    return [dual_pair(a, b) for a, b in zip(w, v)]
 
 
 def dual_norm(mesh: Mesh, w: DualField) -> float:

@@ -65,7 +65,6 @@ from .spatial import (
     Mesh,
     assemble_dual,
     dual_pair,
-    dual_pairs,
     h1_inner,
     h1_norm,
     interpolate,
@@ -278,10 +277,13 @@ def viscous_step(scenario: Scenario, eps: float, t_next: float, q: Field,
     rate = delta / tau
     riesz_delta = levels.apply_riesz(delta)
     phi = f - levels.effective * riesz_delta
-    rhs = _potential_at(spec, threshold, rate)
-    balance = [abs(lhs - r) / (1.0 + abs(lhs) + abs(r))
-               for lhs, r in zip(dual_pairs(phi, rate), rhs)]
-    norms = [math.sqrt(max(sq, 0.0)) / tau for sq in dual_pairs(delta, riesz_delta)]
+    # Member by member: a stacked reduction would sum in another order.
+    balance, rhs, norms = [], [], []
+    for b in range(len(levels.eps)):
+        lhs = dual_pair(phi[b], rate[b])
+        rhs.append(_potential_at(spec, threshold[b], rate[b]))
+        balance.append(abs(lhs - rhs[b]) / (1.0 + abs(lhs) + abs(rhs[b])))
+        norms.append(math.sqrt(max(dual_pair(delta[b], riesz_delta[b]), 0.0)) / tau)
     if one:
         return StepResult(q_next[0], delta[0], phi[0], balance[0], rhs[0], iters,
                           norms[0], load, riesz_q[0])
@@ -337,8 +339,8 @@ class SolveReport:
 def _energies(alpha: float, q: np.ndarray, riesz_q: np.ndarray,
               load: DualField) -> list:
     """:func:`energy` of each member of a stack, given ``R q`` and the load."""
-    return [0.5 * alpha * qrq - lq
-            for qrq, lq in zip(dual_pairs(q, riesz_q), dual_pairs(load, q))]
+    return [0.5 * alpha * dual_pair(qb, rb) - dual_pair(load, qb)
+            for qb, rb in zip(q, riesz_q)]
 
 
 def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
