@@ -206,7 +206,7 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
         if members.held is not None:
             free &= ~members.held
         if free.any():
-            idx = np.flatnonzero(free)
+            idx = free.nonzero()[0]
             rhs = lin - hess @ np.where(free, 0.0, x)
             x[idx] = _solve_free(hess, idx, rhs[idx], "box")
         g = hess @ x - lin
@@ -352,7 +352,7 @@ def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
             free &= ~members.held
             x = np.where(members.held, x, 0.0)
         if free.any():
-            idx = np.flatnonzero(free)
+            idx = free.nonzero()[0]
             x[idx] = _solve_free(hess, idx, (lin - sign * weights)[idx], "l1")
         g = lin - hess @ x
         crossed = sign * x < 0.0

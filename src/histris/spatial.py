@@ -112,7 +112,7 @@ class SymTridiagonal:
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != self.shape[:1]:
+        if x.shape != self._bands.shape[1:]:
             raise ValueError(f"cannot apply a {self.shape} band to shape {x.shape}")
         return dsbmv(1, 1.0, self._bands, x)
 
@@ -177,7 +177,7 @@ class SymTridiagonal:
         diag = self.diag[idx]
         if idx.size == 1:
             return np.asarray(rhs, dtype=float) / diag
-        off = np.where(np.diff(idx) == 1, self.off[idx[:-1]], 0.0)
+        off = np.where(idx[1:] - idx[:-1] == 1, self.off[idx[:-1]], 0.0)
         *_, x, info = dptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise LinAlgError("free block is not positive definite")
