@@ -123,13 +123,8 @@ class _Members:
         self.count = None
         self.held = None
 
-    def block(self, b: int):
-        """Member ``b``'s coordinates, and its Hessian: the diagonal
-        block of a stacked call."""
-        part = slice(b * self.n, (b + 1) * self.n)
-        if self.size == 1:
-            return part, self.hess
-        return part, self.hess.section(part.start, part.stop)
+    def part(self, b: int) -> slice:
+        return slice(b * self.n, (b + 1) * self.n)
 
     def finish(self, changed: np.ndarray, iterations: int) -> np.ndarray:
         """Record the members a step left unchanged as done; returns the
@@ -149,6 +144,19 @@ class _Members:
             return True
         self.seen[b].add(state)
         return False
+
+    def hand_over(self, b: int, iterations: int, steps, x, *arrays, tol):
+        """Member ``b`` carries on with the monotone ``steps`` on its own
+        block from its iterate; the result is written into ``x``."""
+        part = self.part(b)
+        hess = self.hess if self.size == 1 else self.hess.section(part.start, part.stop)
+        try:
+            x[part], count = steps(hess, *(a[part] for a in arrays), x[part], tol)
+        except NumericalFailure as exc:
+            exc.member = b
+            raise
+        self.count[b] = iterations + count
+        self.live[b] = False
 
     def hold(self) -> np.ndarray:
         """Mark every finished member's coordinates as held."""
@@ -219,10 +227,10 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
         at_lo = (at_lo | pin_lo) & ~release
         at_hi = (at_hi | pin_hi) & ~release
         for b in members.finish(changed, iterations):
-            part, _ = members.block(b)
+            part = members.part(b)
             state = np.packbits(at_lo[part]).tobytes() + np.packbits(at_hi[part]).tobytes()
             if members.recurs(b, state):
-                _box_fallback(members, b, iterations, lin, lower, upper, x, tol)
+                members.hand_over(b, iterations, _box_steps, x, lin, lower, upper, tol=tol)
         if not members.live.any():
             return members.result(x, shape)
         if not members.live.all():
@@ -231,26 +239,19 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
             at_hi &= ~held
 
     for b in np.flatnonzero(members.live):
-        _box_fallback(members, b, iterations, lin, lower, upper, x, tol)
+        members.hand_over(b, iterations, _box_steps, x, lin, lower, upper, tol=tol)
     return members.result(x, shape)
 
 
-def _box_fallback(members, b, iterations, lin, lower, upper, x, tol):
-    """Monotone steps for member ``b`` from its iterate clipped to its
-    box, written back into ``x``."""
-    part, hess = members.block(b)
-    lin, lower, upper = lin[part], lower[part], upper[part]
-    y = np.clip(x[part], lower, upper)
-    for steps in range(1, _cycle_cap(y.size) + 1):
-        y, done = _descend(hess, lin, lower, upper, y, tol)
+def _box_steps(hess, lin, lower, upper, x, tol):
+    """Monotone steps from ``x`` clipped to the box; ``(x, steps)``."""
+    x = np.clip(x, lower, upper)
+    for steps in range(1, _cycle_cap(x.size) + 1):
+        x, done = _descend(hess, lin, lower, upper, x, tol)
         if done:
-            x[part] = y
-            members.count[b] = iterations + steps
-            members.live[b] = False
-            return
+            return x, steps
     raise NumericalFailure("box qp exceeded its cycle cap",
-                           residual=box_qp_kkt_residual(hess, lin, lower, upper, y),
-                           member=b)
+                           residual=box_qp_kkt_residual(hess, lin, lower, upper, x))
 
 
 def _descend(hess, lin, lower, upper, x, tol):
@@ -365,9 +366,8 @@ def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
         sign[crossed] = 0.0
         sign[enter] = np.sign(g[enter])
         for b in members.finish(changed, iterations):
-            part, _ = members.block(b)
-            if members.recurs(b, sign[part].astype(np.int8).tobytes()):
-                _l1_fallback(members, b, iterations, lin, weights, x, tol)
+            if members.recurs(b, sign[members.part(b)].astype(np.int8).tobytes()):
+                members.hand_over(b, iterations, _l1_steps, x, lin, weights, tol=tol)
         if not members.live.any():
             return members.result(x, shape)
         if not members.live.all():
@@ -375,30 +375,23 @@ def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
             sign[members.hold()] = 0.0
 
     for b in np.flatnonzero(members.live):
-        _l1_fallback(members, b, iterations, lin, weights, x, tol)
+        members.hand_over(b, iterations, _l1_steps, x, lin, weights, tol=tol)
     return members.result(x, shape)
 
 
-def _l1_fallback(members, b, iterations, lin, weights, x, tol):
-    """Monotone steps on orthants for member ``b`` from its iterate,
-    written back into ``x``."""
-    part, hess = members.block(b)
-    lin, weights, y = lin[part], weights[part], x[part]
+def _l1_steps(hess, lin, weights, x, tol):
+    """Monotone steps on orthants from ``x``; ``(x, steps)``."""
     unweighted = weights == 0.0
     done = False
-    for steps in range(_cycle_cap(y.size) + 1):
-        g = lin - hess @ y
-        enter = (y == 0.0) & ~unweighted & (np.abs(g) - weights > tol)
+    for steps in range(_cycle_cap(x.size) + 1):
+        g = lin - hess @ x
+        enter = (x == 0.0) & ~unweighted & (np.abs(g) - weights > tol)
         if done and not enter.any():
-            x[part] = y
-            members.count[b] = iterations + steps
-            members.live[b] = False
-            return
-        # The orthant of y, widened along the entering coordinates.
-        sign = np.where(enter, np.sign(g), np.sign(y))
+            return x, steps
+        # The orthant of x, widened along the entering coordinates.
+        sign = np.where(enter, np.sign(g), np.sign(x))
         lower = np.where((sign < 0.0) | unweighted, -np.inf, 0.0)
         upper = np.where((sign > 0.0) | unweighted, np.inf, 0.0)
-        y, done = _descend(hess, lin - sign * weights, lower, upper, y, tol)
+        x, done = _descend(hess, lin - sign * weights, lower, upper, x, tol)
     raise NumericalFailure("l1 qp exceeded its cycle cap",
-                           residual=l1_qp_kkt_residual(hess, lin, weights, y),
-                           member=b)
+                           residual=l1_qp_kkt_residual(hess, lin, weights, x))
