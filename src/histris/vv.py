@@ -48,13 +48,7 @@ from .spatial import dual_pair, h1_norm
 # layer tracer (bench/tracer.py) patches this module's name.
 from .dissipation import _potential_at, force_box, potential
 from .trajectory import Trajectory, c_norm_diff, h1_time_norm
-from .viscous import (
-    Scenario,
-    SolveReport,
-    driving_force,
-    solve_levels,
-    solve_viscous,
-)
+from .viscous import Scenario, driving_force, solve_levels, solve_viscous
 
 __all__ = [
     "DEFAULT_EPS_LEVELS",
