@@ -42,14 +42,21 @@ A stacked call solves B independent QPs of size n in lockstep: ``lin``
 ``hess`` is a band on B n nodes whose diagonal blocks, the members'
 Hessians, are coupled by zeros
 (:meth:`~histris.spatial.SymTridiagonal.stack`).  A step makes one
-free-block solve for every member still stepping.  Each member keeps
-its own pinned set or sign state, recurrence set and step count, and
-stops at the step where it would stop alone; a member whose state
-recurs hands over to monotone steps on its own block
-(``hess.section``).  Inputs must be finite: a zero coupling does not
-stop ``0 * inf = nan`` from reaching the next block.  The step count
-comes back as a :class:`StepCount`, an ``int`` total over the members
-that keeps each member's count in ``per_block``.
+free-block solve for all members.  With no couplings, a member that a
+step leaves unchanged is a fixed point of every later step, so it keeps
+stepping with the others and keeps its bits; its step count is one
+plus the number of steps that changed it, which is the count it gets
+alone.  The loop keeps one recurrence set over the whole state.  When
+that state recurs, or at the cycle cap, each member the last step
+still changed is solved alone: one call on its own block
+(``hess.section``) from its own start, which gives exactly its result
+and count.  A :class:`NumericalFailure` of that call names the member.
+Inputs must be finite: a zero coupling does not stop ``0 * inf = nan``
+from reaching the next block.  The bit-identity can also fail in the
+sign of an exactly zero solution entry at a block boundary, where the
+band's free-block solve (``dptsv``) computes ``-0.0 - 0 * x``.  The
+step count comes back as a :class:`StepCount`, an ``int`` total over
+the members that keeps each member's count in ``per_block``.
 """
 
 from __future__ import annotations
@@ -109,68 +116,20 @@ def _solve_free(hess, idx, rhs, kind):
         raise NumericalFailure(f"singular free block in {kind} qp") from exc
 
 
-class _Members:
-    """Per-member bookkeeping of a call on flat (B n) arrays: step
-    counts, the members still stepping, and each one's recurrence set,
-    all set up by the first step that changes anything.  ``held`` marks
-    the coordinates of finished members, which no later step touches;
-    None while every member steps."""
-
-    def __init__(self, hess, shape):
-        self.hess = hess
-        self.n = shape[-1]
-        self.size = 1 if len(shape) == 1 else shape[0]
-        self.count = None
-        self.held = None
-
-    def part(self, b: int) -> slice:
-        return slice(b * self.n, (b + 1) * self.n)
-
-    def finish(self, changed: np.ndarray, iterations: int) -> np.ndarray:
-        """Record the members a step left unchanged as done; returns the
-        members still stepping.  ``changed`` has an entry set."""
-        if self.count is None:
-            self.count = np.zeros(self.size, dtype=int)
-            self.live = np.ones(self.size, dtype=bool)
-            self.seen = [set() for _ in range(self.size)]
-        if self.size > 1:
-            moved = changed.reshape(-1, self.n).any(axis=1)
-            self.count[self.live & ~moved] = iterations
-            self.live &= moved
-        return np.flatnonzero(self.live)
-
-    def recurs(self, b: int, state: bytes) -> bool:
-        if state in self.seen[b]:
-            return True
-        self.seen[b].add(state)
-        return False
-
-    def hand_over(self, b: int, iterations: int, steps, x, *arrays, tol):
-        """Member ``b`` carries on with the monotone ``steps`` on its own
-        block from its iterate; the result is written into ``x``."""
-        part = self.part(b)
-        hess = self.hess if self.size == 1 else self.hess.section(part.start, part.stop)
+def _solve_alone(solve, hess, moving, n, arrays, start, x, counts, tol):
+    """Solve each unfinished member of a stacked call alone: one
+    ``solve`` call on its own block and arrays, from its own start.
+    Writes the member's result into ``x`` and its count into
+    ``counts``."""
+    for b in np.flatnonzero(moving):
+        part = slice(b * n, (b + 1) * n)
         try:
-            x[part], count = steps(hess, *(a[part] for a in arrays), x[part], tol)
+            x[part], counts[b] = solve(
+                hess.section(part.start, part.stop), *(a[part] for a in arrays),
+                start=None if start is None else start[part], tol=tol)
         except NumericalFailure as exc:
-            exc.member = b
+            exc.member = int(b)
             raise
-        self.count[b] = iterations + count
-        self.live[b] = False
-
-    def hold(self) -> np.ndarray:
-        """Mark every finished member's coordinates as held."""
-        self.held = np.repeat(~self.live, self.n)
-        return self.held
-
-    def result(self, x, shape, iterations=None):
-        """``(x, StepCount)``; ``iterations`` ends the members still
-        stepping."""
-        if self.count is None:
-            return x.reshape(shape), StepCount((iterations,) * self.size)
-        if iterations is not None:
-            self.count[self.live] = iterations
-        return x.reshape(shape), StepCount(self.count.tolist())
 
 
 def box_qp_kkt_residual(hess, lin, lower, upper, x) -> float:
@@ -201,18 +160,19 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
     # Coordinates with a degenerate box entry are fixed and never released.
     fixed = lower == upper
 
-    x = np.zeros(lin.size) if start is None else np.asarray(start, dtype=float).ravel()
-    x = np.clip(x, lower, upper)
+    if start is not None:
+        start = np.asarray(start, dtype=float).ravel()
+    x = np.clip(np.zeros(lin.size) if start is None else start, lower, upper)
     g = hess @ x - lin
     at_lo = fixed | ((x <= lower) & (g >= -tol))
     at_hi = (x >= upper) & (g <= tol) & ~at_lo
 
-    members = _Members(hess, shape)
-    for iterations in range(1, _cycle_cap(members.n) + 1):
+    n, size = shape[-1], 1 if len(shape) == 1 else shape[0]
+    counts = np.ones(size, dtype=int)
+    seen = set()
+    for iterations in range(1, _cycle_cap(n) + 1):
         x = np.where(at_lo, lower, np.where(at_hi, upper, x))
         free = ~(at_lo | at_hi)
-        if members.held is not None:
-            free &= ~members.held
         if free.any():
             idx = free.nonzero()[0]
             rhs = lin - hess @ np.where(free, 0.0, x)
@@ -223,24 +183,22 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
         release = ~fixed & ((at_lo & (g < -tol)) | (at_hi & (g > tol)))
         changed = pin_lo | pin_hi | release
         if not changed.any():
-            return members.result(x, shape, iterations)
+            return x.reshape(shape), StepCount(counts.tolist() if size > 1 else (iterations,))
         at_lo = (at_lo | pin_lo) & ~release
         at_hi = (at_hi | pin_hi) & ~release
-        for b in members.finish(changed, iterations):
-            part = members.part(b)
-            state = np.packbits(at_lo[part]).tobytes() + np.packbits(at_hi[part]).tobytes()
-            if members.recurs(b, state):
-                members.hand_over(b, iterations, _box_steps, x, lin, lower, upper, tol=tol)
-        if not members.live.any():
-            return members.result(x, shape)
-        if not members.live.all():
-            held = members.hold()
-            at_lo &= ~held
-            at_hi &= ~held
+        if size > 1:
+            moved = changed.reshape(size, n).any(axis=1)
+            counts += moved
+        state = np.packbits(at_lo).tobytes() + np.packbits(at_hi).tobytes()
+        if state in seen:
+            break
+        seen.add(state)
 
-    for b in np.flatnonzero(members.live):
-        members.hand_over(b, iterations, _box_steps, x, lin, lower, upper, tol=tol)
-    return members.result(x, shape)
+    if size == 1:
+        x, steps = _box_steps(hess, lin, lower, upper, x, tol)
+        return x.reshape(shape), StepCount((iterations + steps,))
+    _solve_alone(solve_box_qp, hess, moved, n, (lin, lower, upper), start, x, counts, tol)
+    return x.reshape(shape), StepCount(counts.tolist())
 
 
 def _box_steps(hess, lin, lower, upper, x, tol):
@@ -340,43 +298,41 @@ def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
     lin, weights = lin.ravel(), weights.ravel()
 
     unweighted = weights == 0.0
-    sign = (np.zeros(lin.size) if start is None
-            else np.sign(np.asarray(start, dtype=float)).ravel())
+    if start is not None:
+        start = np.asarray(start, dtype=float).ravel()
+    sign = np.zeros(lin.size) if start is None else np.sign(start)
     sign[unweighted] = 0.0
 
-    members = _Members(hess, shape)
-    for iterations in range(1, _cycle_cap(members.n) + 1):
+    n, size = shape[-1], 1 if len(shape) == 1 else shape[0]
+    counts = np.ones(size, dtype=int)
+    seen = set()
+    for iterations in range(1, _cycle_cap(n) + 1):
         free = (sign != 0.0) | unweighted
-        if members.held is None:
-            x = np.zeros(lin.size)
-        else:
-            free &= ~members.held
-            x = np.where(members.held, x, 0.0)
+        x = np.zeros(lin.size)
         if free.any():
             idx = free.nonzero()[0]
             x[idx] = _solve_free(hess, idx, (lin - sign * weights)[idx], "l1")
         g = lin - hess @ x
         crossed = sign * x < 0.0
         enter = ~free & (np.abs(g) - weights > tol)
-        if members.held is not None:
-            enter &= ~members.held
         changed = crossed | enter
         if not changed.any():
-            return members.result(x, shape, iterations)
+            return x.reshape(shape), StepCount(counts.tolist() if size > 1 else (iterations,))
         sign[crossed] = 0.0
         sign[enter] = np.sign(g[enter])
-        for b in members.finish(changed, iterations):
-            if members.recurs(b, sign[members.part(b)].astype(np.int8).tobytes()):
-                members.hand_over(b, iterations, _l1_steps, x, lin, weights, tol=tol)
-        if not members.live.any():
-            return members.result(x, shape)
-        if not members.live.all():
-            # Finished members keep their iterate: none of their signs is set.
-            sign[members.hold()] = 0.0
+        if size > 1:
+            moved = changed.reshape(size, n).any(axis=1)
+            counts += moved
+        state = sign.astype(np.int8).tobytes()
+        if state in seen:
+            break
+        seen.add(state)
 
-    for b in np.flatnonzero(members.live):
-        members.hand_over(b, iterations, _l1_steps, x, lin, weights, tol=tol)
-    return members.result(x, shape)
+    if size == 1:
+        x, steps = _l1_steps(hess, lin, weights, x, tol)
+        return x.reshape(shape), StepCount((iterations + steps,))
+    _solve_alone(solve_l1_qp, hess, moved, n, (lin, weights), start, x, counts, tol)
+    return x.reshape(shape), StepCount(counts.tolist())
 
 
 def _l1_steps(hess, lin, weights, x, tol):

@@ -211,8 +211,6 @@ def check_rate_independence(scenario: Scenario, time_map: Callable[[float], floa
     ``time_map`` must be nondecreasing with ``time_map(0) = 0`` and
     ``time_map(new_horizon) <= horizon``.
     """
-    base_traj, _ = solve_viscous(scenario, eps, warm_start=warm_start)
-
     steps = scenario.n_steps if n_steps is None else int(n_steps)
     times2 = np.linspace(0.0, float(new_horizon), steps + 1)
     mapped = np.array([float(time_map(t)) for t in times2])
@@ -231,6 +229,7 @@ def check_rate_independence(scenario: Scenario, time_map: Callable[[float], floa
         horizon=float(new_horizon),
         n_steps=steps,
     )
+    base_traj, _ = solve_viscous(scenario, eps, warm_start=warm_start)
     traj2, _ = solve_viscous(scn2, eps, warm_start=warm_start)
 
     worst = 0.0

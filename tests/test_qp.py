@@ -414,6 +414,26 @@ def test_stacked_l1_qp_matches_per_block_solves(monkeypatch):
     assert per_block[0] > 1 and per_block[1:] == [1, 1]
     assert sizes and set(sizes) == {9}
 
+    # A member whose sign state recurs at a step where a slower member,
+    # started on the wrong side, still takes bulk steps: the recurrence
+    # set over the whole state waits for the slower member.
+    early = np.random.default_rng(2190)
+    scales = [10.0 ** early.uniform(-3.0, 1.0), 1.0]
+    wave = int(early.integers(1, 6))
+    lin = [mesh.mass @ (early.uniform(-3.0, 3.0) * np.sin(
+        wave * np.pi * mesh.nodes + early.uniform(0.0, 6.0))),
+        mesh.mass @ (3.0 * np.sin(3.0 * np.pi * mesh.nodes))]
+    weights = [mesh.mass @ early.uniform(0.2, 1.5, 9), mesh.mass @ np.full(9, 0.5)]
+    starts = [early.standard_normal(9), -np.ones(9)]
+    mark = len(sizes)
+    per_block = _assert_stacked_matches_blocks(
+        solve_l1_qp, scales, mesh.riesz, (lin, weights), starts)
+    # The first member's re-solve and its own solve take the same
+    # monotone steps, the second member none; the first recurs after
+    # its count less those steps.
+    descends = (len(sizes) - mark) // 2
+    assert descends > 0 and per_block[1] > per_block[0] - descends
+
 
 def test_stacked_box_qp_matches_per_block_solves(rng, monkeypatch):
     # Bulk steps on eps * R do not recur, so the test caps the bulk
@@ -429,9 +449,15 @@ def test_stacked_box_qp_matches_per_block_solves(rng, monkeypatch):
 
     monkeypatch.setattr(qp, "_cycle_cap", cap)
 
-    def solve(hess, lin, lower, start):
+    # Armed on every call, the re-solve of an unfinished member included.
+    def armed_solve(*args, **kwargs):
         armed.append(True)
-        return solve_box_qp(hess, lin, lower, None, start)
+        return solve_box_qp(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "solve_box_qp", armed_solve)
+
+    def solve(hess, lin, lower, start):
+        return qp.solve_box_qp(hess, lin, lower, None, start)
 
     mesh = build_mesh(17)
     scales = [0.03, 0.3, 3.0, 0.003]
@@ -447,3 +473,13 @@ def test_stacked_box_qp_matches_per_block_solves(rng, monkeypatch):
     assert per_block[1] == per_block[3] == 1
     assert per_block[0] > 1 and per_block[2] > 1
     assert sizes and set(sizes) == {17}
+
+    # No cap, cold starts: the members finish after different numbers
+    # of bulk steps, those that finish first keep stepping as fixed
+    # points, and none hands over to monotone steps.
+    mark = len(sizes)
+    cold = [mesh.mass @ (3.0 * np.sin(k * np.pi * mesh.nodes) - 0.3) for k in (2, 3, 5, 1)]
+    per_block = _assert_stacked_matches_blocks(
+        solve_box_qp, scales, mesh.riesz, (cold, lower), [np.zeros(17)] * len(scales))
+    assert len(set(per_block)) == len(scales) and min(per_block) > 1
+    assert len(sizes) == mark

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 import histris.dissipation as dissipation
 import histris.qp as qp
+import histris.vv as vv
 from histris.config import build_scenario, normalize_config
 from histris.dissipation import WeightedL1, force_box
 from histris.errors import NumericalFailure
@@ -251,7 +252,16 @@ def test_rate_independence_probe():
     assert slow.base_sup_norm > 0.5
 
 
-def test_rate_independence_validates_the_map():
+def test_rate_independence_validates_the_map(monkeypatch):
+    # A bad map is rejected before any solve runs.
+    solves = []
+    inner = vv.solve_viscous
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(vv, "solve_viscous", counted)
     sc = _sine_scenario(n_steps=20)
     with pytest.raises(ValueError, match="start at zero"):
         check_rate_independence(sc, lambda s: s + 0.5, 1.0, eps=0.1)
@@ -259,6 +269,7 @@ def test_rate_independence_validates_the_map():
         check_rate_independence(sc, lambda s: -s, 1.0, eps=0.1)
     with pytest.raises(ValueError, match="beyond the horizon"):
         check_rate_independence(sc, lambda s: 2.0 * s, 1.0, eps=0.1)
+    assert len(solves) == 0
 
 
 def _same_bits(a, b):
