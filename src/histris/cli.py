@@ -35,6 +35,7 @@ from .control import optimize
 from .errors import NumericalFailure
 from .expressions import ExpressionError
 from .spatial import h1_norm
+from .trajectory import h1_norms
 from .verify import (
     DUAL_RESIDUAL_TOL,
     DUAL_SLOPE_MIN,
@@ -93,19 +94,14 @@ def _write_report(path: str, cfg: dict, mesh, traj, report) -> None:
         "energy",
         "balance_residual",
     ]
-    rows = []
-    for k in range(len(traj.times)):
-        rate = report.rate_h1_norms[k - 1] if k > 0 else 0.0
-        diss = report.dissipation_rates[k - 1] if k > 0 else 0.0
-        bal = report.balance_residuals[k - 1] if k > 0 else 0.0
-        rows.append([
-            traj.times[k],
-            h1_norm(mesh, traj.values[k]),
-            float(rate),
-            float(diss),
-            report.energies[k],
-            float(bal),
-        ])
+    rows = np.column_stack((  # the per-step columns read 0 at the start
+        traj.times,
+        h1_norms(mesh, traj.values),
+        np.r_[0.0, report.rate_h1_norms],
+        np.r_[0.0, report.dissipation_rates],
+        report.energies,
+        np.r_[0.0, report.balance_residuals],
+    )).tolist()
     _write_csv(path, cfg, header, rows)
 
 

@@ -262,6 +262,14 @@ def normalize_config(raw: dict) -> dict:
         raise ConfigError("mesh.n_nodes must be at least 2")
     if out["control"]["shrink"] >= 1.0:
         raise ConfigError("control.shrink must be below 1")
+    # A sweep compares consecutive levels, and the dual check fits an
+    # order to the residuals over the refinements: each needs two.
+    if len(out["sweep"]["eps_values"]) < 2:
+        raise ConfigError("sweep.eps_values must have at least two levels")
+    if len(set(out["experiment"]["refinements"])) < 2:
+        raise ConfigError(
+            "experiment.refinements must have at least two distinct step counts"
+        )
     return out
 
 

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalFailure
-from .spatial import Field, Mesh, assemble_dual, l2_norm
-from .trajectory import Trajectory, h1_time_norm
+from .spatial import Field, Mesh, assemble_dual
+from .trajectory import Trajectory, h1_time_norm, trapezoid
 from .verify import load_h1_dual_norm
 from .viscous import Load, LoadTerm, Scenario, solve_viscous
 
@@ -130,12 +130,9 @@ def evaluate_objective(problem: ControlProblem,
             regularization=math.inf, load_norm=load_norm,
             response_norm=math.nan, bound_ratio=math.nan,
         )
-    tau = scn.tau
-    errs = np.array([
-        l2_norm(scn.mesh, traj.values[k] - problem.target_at(times[k])) ** 2
-        for k in range(len(times))
-    ])
-    tracking = 0.5 * tau * float(errs.sum() - 0.5 * errs[0] - 0.5 * errs[-1])
+    targets = np.array([problem.target_at(t) for t in times])
+    errs = scn.mesh.mass.quad_forms(traj.values - targets)
+    tracking = 0.5 * float(trapezoid(errs, scn.tau))
     regularization = 0.5 * problem.reg_weight * load_norm ** 2
     response_norm = h1_time_norm(scn.mesh, traj)
     ratio = response_norm / load_norm if load_norm > 0 else 0.0

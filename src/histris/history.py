@@ -206,6 +206,18 @@ class HistoryAccumulator:
     def time(self) -> float:
         return (self._count - 1) * self.tau
 
+    @property
+    def samples(self) -> np.ndarray:
+        """Read-only view of the pushed samples, one row a push: (k, n)
+        for fields, (B, k, n) for stacks of B members."""
+        if self._count == 0:
+            raise ValueError("no samples pushed yet")
+        view = self._samples[:, : self._count]
+        if len(self._shape) == 1:
+            view = view[0]
+        view.flags.writeable = False
+        return view
+
     def push(self, sample: Field) -> None:
         sample = np.asarray(sample, dtype=float)
         k = self._count

@@ -1,4 +1,5 @@
-"""Time-discrete state trajectories and their space-time norms."""
+"""Time-discrete state trajectories and the space-time norms of the
+package: one trapezoid rule in time, batched row norms in space."""
 
 from __future__ import annotations
 
@@ -10,6 +11,9 @@ from .spatial import Mesh
 
 __all__ = [
     "Trajectory",
+    "trapezoid",
+    "row_norms",
+    "h1_norms",
     "c_norm",
     "c_norm_diff",
     "h1_time_norm",
@@ -56,13 +60,24 @@ class Trajectory:
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
 
 
-def _h1_norms_sq(mesh: Mesh, rows: np.ndarray) -> np.ndarray:
-    return mesh.riesz.quad_forms(rows)
+def trapezoid(samples: np.ndarray, tau: float) -> float:
+    """Composite trapezoid rule for samples on a uniform grid of step ``tau``."""
+    return tau * (samples.sum() - 0.5 * samples[0] - 0.5 * samples[-1])
+
+
+def row_norms(form, rows: np.ndarray) -> np.ndarray:
+    """``sqrt(r' A r)`` for each row ``r``; ``form`` (A) is a band or its inverse."""
+    return np.sqrt(np.maximum(form.quad_forms(rows), 0.0))
+
+
+def h1_norms(mesh: Mesh, rows: np.ndarray) -> np.ndarray:
+    """H^1 norm of every row of a (k, n) array of fields."""
+    return row_norms(mesh.riesz, rows)
 
 
 def c_norm(mesh: Mesh, traj: Trajectory) -> float:
     """Sup-in-time H^1 norm."""
-    return float(np.sqrt(np.maximum(_h1_norms_sq(mesh, traj.values), 0.0)).max())
+    return float(h1_norms(mesh, traj.values).max())
 
 
 def c_norm_diff(mesh: Mesh, a: Trajectory, b: Trajectory) -> float:
@@ -72,8 +87,7 @@ def c_norm_diff(mesh: Mesh, a: Trajectory, b: Trajectory) -> float:
     """
     if a.values.shape != b.values.shape or not np.allclose(a.times, b.times):
         raise ValueError("trajectories live on different grids")
-    diff = a.values - b.values
-    return float(np.sqrt(np.maximum(_h1_norms_sq(mesh, diff), 0.0)).max())
+    return float(h1_norms(mesh, a.values - b.values).max())
 
 
 def h1_time_norm(mesh: Mesh, traj: Trajectory) -> float:
@@ -83,8 +97,6 @@ def h1_time_norm(mesh: Mesh, traj: Trajectory) -> float:
     through the midpoint (piecewise constant) rule.
     """
     tau = traj.tau
-    states = _h1_norms_sq(mesh, traj.values)
-    state_part = tau * (states.sum() - 0.5 * states[0] - 0.5 * states[-1])
-    rates = _h1_norms_sq(mesh, traj.rates())
-    rate_part = tau * rates.sum()
+    state_part = trapezoid(mesh.riesz.quad_forms(traj.values), tau)
+    rate_part = tau * mesh.riesz.quad_forms(traj.rates()).sum()
     return float(np.sqrt(max(state_part + rate_part, 0.0)))

@@ -28,6 +28,7 @@ Randomness is seeded; experiments are deterministic given their config.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -46,16 +47,18 @@ from .history import (
     KernelSpec,
     identity_kernel,
 )
+# ``dual_norm`` is unused here but stays importable: the benchmark's
+# layer tracer (bench/tracer.py) patches this module's name.
 from .spatial import (
     Mesh,
     assemble_dual,
     build_mesh,
     dual_norm,
     h1_norm,
-    l2_norm,
     riesz_apply,
 )
-from .trajectory import Trajectory, c_norm_diff, h1_time_norm
+from .trajectory import (Trajectory, c_norm_diff, h1_time_norm, row_norms,
+                         trapezoid)
 from .viscous import Load, LoadTerm, Scenario, solve_viscous
 from .vv import replay
 
@@ -166,11 +169,11 @@ class ExperimentConfig:
 def load_h1_dual_norm(mesh: Mesh, load, times: np.ndarray) -> float:
     """Discrete H^1-in-time norm of a load in the dual H^1 spatial norm."""
     times = np.asarray(times, dtype=float)
-    vals = np.array([dual_norm(mesh, load.value(t)) ** 2 for t in times])
-    ders = np.array([dual_norm(mesh, load.derivative(t)) ** 2 for t in times])
-    tau = times[1] - times[0]
-    total = vals + ders
-    return float(math.sqrt(max(tau * (total.sum() - 0.5 * total[0] - 0.5 * total[-1]), 0.0)))
+    dual = mesh.riesz.inverse
+    vals = np.array([load.value(t) for t in times])
+    ders = np.array([load.derivative(t) for t in times])
+    total = dual.quad_forms(vals) + dual.quad_forms(ders)
+    return math.sqrt(max(trapezoid(total, times[1] - times[0]), 0.0))
 
 
 def load_w11_diff_norm(mesh: Mesh, load_a, load_b, times: np.ndarray) -> float:
@@ -181,13 +184,10 @@ def load_w11_diff_norm(mesh: Mesh, load_a, load_b, times: np.ndarray) -> float:
     increments).
     """
     times = np.asarray(times, dtype=float)
-    diffs = [load_a.value(t) - load_b.value(t) for t in times]
-    norms = np.array([dual_norm(mesh, d) for d in diffs])
-    tau = times[1] - times[0]
-    value_part = tau * (norms.sum() - 0.5 * norms[0] - 0.5 * norms[-1])
-    tv_part = sum(
-        dual_norm(mesh, diffs[k + 1] - diffs[k]) for k in range(len(diffs) - 1)
-    )
+    dual = mesh.riesz.inverse
+    diffs = np.array([load_a.value(t) - load_b.value(t) for t in times])
+    value_part = trapezoid(row_norms(dual, diffs), times[1] - times[0])
+    tv_part = row_norms(dual, np.diff(diffs, axis=0)).sum()
     return float(value_part + tv_part)
 
 
@@ -236,13 +236,11 @@ def random_load(mesh: Mesh, horizon: float, rng, *, n_terms: int = 3,
         load = load.scaled(target / norm)
         if threshold0 is None:
             return load
-        ratios = []
         positive = threshold0 > 0
-        for t in probe_times:
-            vals = load.value(t)
-            if positive.any():
-                ratios.append(float((vals[positive] / threshold0[positive]).max()))
-        got = max(ratios) if ratios else math.inf
+        got = math.inf
+        if positive.any():
+            vals = np.array([load.value(t)[positive] for t in probe_times])
+            got = float((vals / threshold0[positive]).max())
         if got >= margin:
             return load
         if got > best_margin:
@@ -456,15 +454,9 @@ def uniqueness_probe(scenario: Scenario, eps: float) -> ProbeResult:
         "explicit-cold": run(scn_exp, refine, method="explicit", warm_start=False),
     }
 
-    names = list(runs)
-    gaps = {}
-    worst = 0.0
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            gap = c_norm_diff(mesh, runs[names[a]], runs[names[b]])
-            gaps[f"{names[a]} vs {names[b]}"] = gap
-            worst = max(worst, gap)
-    return ProbeResult(gaps=gaps, max_gap=worst, explicit_refine=refine)
+    gaps = {f"{a} vs {b}": c_norm_diff(mesh, runs[a], runs[b])
+            for a, b in itertools.combinations(runs, 2)}
+    return ProbeResult(gaps=gaps, max_gap=max(gaps.values()), explicit_refine=refine)
 
 
 @dataclass
@@ -497,11 +489,12 @@ def history_lipschitz_check(scenario: Scenario, traj: Trajectory, *,
     )
     acc = HistoryAccumulator(scenario.kernel, tau, mesh.n_nodes, steps)
     zetas = []
-    speeds = []
+    slopes = []
     for q in values:
         acc.push(q)
         zetas.append(acc.value())
-        speeds.append(l2_norm(mesh, acc.derivative()))
+        slopes.append(acc.derivative())
+    speeds = row_norms(mesh.mass, np.array(slopes))
 
     rows = []
     worst = -math.inf
@@ -611,10 +604,14 @@ def dual_equivalence_slope(scenario: Scenario,
 
     Viscosity is coupled to the step (eps = tau) so the defect of the
     viscosity-free complementarity must vanish at first order.  Returns
-    ``(taus, residuals, slope)``.
+    ``(taus, residuals, slope)``; fewer than two distinct step counts
+    raise ``ValueError``.
     """
     if n_steps_list is None:
         n_steps_list = (125, 250, 500, 1000)
+    if len({int(n) for n in n_steps_list}) < 2:
+        raise ValueError("an order needs at least two distinct step counts, "
+                         f"got {list(n_steps_list)}")
     taus = []
     residuals = []
     for n in n_steps_list:

@@ -358,7 +358,6 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
     steps = scenario.n_steps
     members = len(levels.eps)
     times = scenario.times()
-    values = np.zeros((members, steps + 1, n))
     acc = HistoryAccumulator(scenario.kernel, tau, n, steps)
     q = np.zeros((members, n))
     acc.push(q)
@@ -392,7 +391,6 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
         q = res.q_next
         load = res.load
         warm = res.increment
-        values[:, k + 1] = q
         balance.extend(res.balance_residual)
         diss_rates.extend(res.dissipation_rate)
         rate_norms.extend(res.rate_h1_norm)
@@ -406,6 +404,7 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
     balance, diss_rates, rate_norms, energies, iterations = (
         by_member(e) for e in (balance, diss_rates, rate_norms, energies, iterations))
     out = []
+    values = acc.samples  # the states are the history's samples
     for b, eps in enumerate(levels.eps):
         report = SolveReport(
             method="implicit",
@@ -445,16 +444,15 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
     n = mesh.n_nodes
     steps = scenario.n_steps
     times = scenario.times()
-    values = np.zeros((steps + 1, n))
+    q = np.zeros(n)
     acc = HistoryAccumulator(scenario.kernel, tau, n, steps)
-    acc.push(values[0])
+    acc.push(q)
 
     rate_norms = np.zeros(steps)
     energies = np.zeros(steps + 1)
-    energies[0] = energy(scenario, times[0], values[0])
+    energies[0] = energy(scenario, times[0], q)
     total_iters = 0
 
-    q = values[0]
     for k in range(steps):
         q, rate, iters = explicit_projection_step(
             scenario, eps, times[k], q, acc.value(), cold_start=not warm_start
@@ -465,7 +463,6 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
             )
         rate_norms[k] = h1_norm(mesh, rate)
         total_iters += iters
-        values[k + 1] = q
         energies[k + 1] = energy(scenario, times[k + 1], q)
         acc.push(q)
 
@@ -481,4 +478,4 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
         inner_iterations=total_iters,
         warm_start=warm_start,
     )
-    return Trajectory(times=times, values=values), report
+    return Trajectory(times=times, values=acc.samples), report

@@ -145,6 +145,20 @@ def test_config_errors_exit_two(tmp_path, small_cfg, capsys):
                  "--out", str(tmp_path / "w"), "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
 
+    # A sweep needs two levels to compare, an order fit two step counts.
+    for command, text, key in [
+        (["sweep"], "sweep: {eps_values: [0.1]}", "sweep.eps_values"),
+        (["verify", "dual"], "experiment: {refinements: [50]}",
+         "experiment.refinements"),
+        (["verify", "dual"], "experiment: {refinements: [50, 50]}",
+         "experiment.refinements"),
+    ]:
+        bad.write_text(text + "\n")
+        out = tmp_path / "v"
+        assert main(command + ["--config", str(bad), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, text, key", [
     (["solve"], "model: {n_steps: .inf}", "model.n_steps"),

@@ -105,6 +105,15 @@ def test_sweep_schedule_must_decrease():
         normalize_config({"sweep": {"eps_values": [0.1, -0.01]}})
     with pytest.raises(ConfigError, match="nonempty"):
         normalize_config({"sweep": {"eps_values": []}})
+    with pytest.raises(ConfigError, match="sweep.eps_values must have at least two"):
+        normalize_config({"sweep": {"eps_values": [0.1]}})
+
+
+@pytest.mark.parametrize("refinements", [[50], [50, 50]])
+def test_dual_order_needs_two_distinct_refinements(refinements):
+    with pytest.raises(ConfigError,
+                       match="experiment.refinements must have at least two distinct"):
+        normalize_config({"experiment": {"refinements": refinements}})
 
 
 def test_custom_weight_requires_lipschitz():

@@ -120,9 +120,13 @@ def test_accumulator_agrees_with_direct_evaluation(rng):
 
 def test_accumulator_capacity_and_time():
     acc = HistoryAccumulator(identity_kernel(np.zeros(1)), 0.5, 1, 2)
+    with pytest.raises(ValueError, match="no samples"):
+        acc.samples
     acc.push(np.zeros(1))
     acc.push(np.ones(1))
     assert acc.n_samples == 2
+    assert acc.samples.tolist() == [[0.0], [1.0]]
+    assert not acc.samples.flags.writeable
     assert acc.time == pytest.approx(0.5)
     acc.push(np.ones(1))
     with pytest.raises(ValueError):

@@ -126,6 +126,18 @@ def test_band_quad_forms_match_dense(rng, n):
     assert band.quad_forms(rows[:0]).shape == (0,)
 
 
+def test_band_quad_forms_do_not_cancel_on_a_fine_riesz_band():
+    # On a fine mesh the diagonal and off-diagonal sums of r' R r are each
+    # O(n^2) times the result for a smooth r; summed apart they cancel to
+    # about 3e-10 relative at n = 1025.  Row by row, the band product and
+    # a dot product keep it at rounding.
+    mesh = build_mesh(1025)
+    x = mesh.nodes
+    rows = np.array([1.0 + 0.6 * np.cos(3 * np.pi * x), x * x, np.sin(np.pi * x)])
+    want = [r @ (mesh.riesz @ r) for r in rows]
+    assert_allclose(mesh.riesz.quad_forms(rows), want, rtol=1e-11, atol=0.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 65])
 def test_band_solve_matches_dense(rng, n):
     band = _random_band(rng, n)
@@ -200,6 +212,10 @@ def test_riesz_inverse_is_the_dense_inverse(rng):
             x = rng.standard_normal(n)
             want = dense @ x
             assert np.abs(inv @ x - want).max() <= 1e-12 * np.abs(want).max()
+        rows = rng.standard_normal((5, n))
+        want = np.einsum("ki,ij,kj->k", rows, dense, rows)
+        assert_allclose(inv.quad_forms(rows), want, rtol=1e-12, atol=0.0)
+        assert inv.quad_forms(rows[:0]).shape == (0,)
 
         masks = [np.ones(n, dtype=bool)]                     # nothing pinned
         masks += [np.arange(n) == k for k in (0, n - 1, n // 2)]  # one free node

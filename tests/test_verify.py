@@ -91,17 +91,42 @@ def test_load_w11_diff_norm_analytic():
     assert got == pytest.approx(1.5 * c, rel=1e-12)
 
 
+def _trapezoid_loop(samples, tau):
+    return tau * (sum(samples) - 0.5 * samples[0] - 0.5 * samples[-1])
+
+
+def _h1_dual_norm_by_rows(mesh, load, times):
+    # The load norms one time at a time, one dual_norm call a row.
+    total = [
+        dual_norm(mesh, load.value(t)) ** 2 + dual_norm(mesh, load.derivative(t)) ** 2
+        for t in times
+    ]
+    return math.sqrt(_trapezoid_loop(total, times[1] - times[0]))
+
+
+def _w11_diff_norm_by_rows(mesh, load_a, load_b, times):
+    diffs = [load_a.value(t) - load_b.value(t) for t in times]
+    values = [dual_norm(mesh, d) for d in diffs]
+    variation = sum(dual_norm(mesh, b - a) for a, b in zip(diffs, diffs[1:]))
+    return _trapezoid_loop(values, times[1] - times[0]) + variation
+
+
 def test_random_load_properties():
     mesh = build_mesh(9, 1.0)
     rng = np.random.default_rng(12)
     spec = smooth_fatigue()
     w0 = threshold_dual(spec, mesh, np.zeros(9))
     probe = np.linspace(0.0, 1.0, 201)
+    loads = []
     for _ in range(5):
         load = random_load(mesh, 1.0, rng, cap=6.0, threshold0=w0, margin=1.5)
+        loads.append(load)
         assert_allclose(load.value(0.0), 0.0, rtol=0, atol=1e-14)
         norm = load_h1_dual_norm(mesh, load, probe)
         assert 0.5 * 6.0 <= norm <= 6.0
+        # The batched row norms against one dual_norm call a time.
+        assert norm == pytest.approx(_h1_dual_norm_by_rows(mesh, load, probe),
+                                     rel=1e-12)
         ratio = max(
             (load.value(t)[w0 > 0] / w0[w0 > 0]).max() for t in probe
         )
@@ -111,6 +136,10 @@ def test_random_load_properties():
         h = 1e-6
         fd = (load.value(t + h) - load.value(t - h)) / (2.0 * h)
         assert_allclose(load.derivative(t), fd, rtol=0, atol=1e-5)
+    for a, b in zip(loads, loads[1:]):
+        got = load_w11_diff_norm(mesh, a, b, probe)
+        assert got == pytest.approx(_w11_diff_norm_by_rows(mesh, a, b, probe),
+                                    rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +263,10 @@ def test_dual_equivalence_slope_refines_at_first_order():
     assert len(taus) == len(residuals) == 3
     assert residuals[0] > residuals[1] > residuals[2]
     assert slope >= 0.8  # the acceptance suite pins >= 0.9 at its schedule
+    # An order needs two distinct step counts.
+    for counts in ((50,), (50, 50)):
+        with pytest.raises(ValueError, match="two distinct step counts"):
+            dual_equivalence_slope(_sine_scenario(), counts)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,13 @@ def test_lockstep_sweep_is_bit_identical_to_per_level_solves(monkeypatch, family
             before = len(descends)
             res = vv_sweep(sc, eps_values, certify=False, warm_start=warm)
             swept = len(descends) - before
+            # The levels' states are read-only views of the history's one
+            # sample table.
+            table = res.trajectories[0].values.base
+            assert table.shape == (len(eps_values), 61, n)
+            for traj in res.trajectories:
+                assert traj.values.base is table
+                assert not traj.values.flags.writeable
             for eps, traj, report in zip(eps_values, res.trajectories, res.reports):
                 ref_traj, ref = solve_viscous(sc, eps, warm_start=warm)
                 assert _same_bits(traj.times, ref_traj.times)
