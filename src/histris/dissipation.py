@@ -158,17 +158,19 @@ def potential(spec: Dissipation, mesh: Mesh, zeta: Field, rate: Field) -> float:
 
     Returns ``inf`` for fatigue rates outside the nonnegative cone.
     """
-    return _potential_at(spec, threshold_dual(spec, mesh, zeta), rate)
+    return float(_potential_at(spec, threshold_dual(spec, mesh, zeta), rate))
 
 
-def _potential_at(spec: Dissipation, threshold: DualField, rate: Field) -> float:
-    """:func:`potential` given the assembled threshold ``M w(zeta)``."""
+def _potential_at(spec: Dissipation, threshold: DualField, rate: Field):
+    """:func:`potential` given the threshold ``M w(zeta)``; (m, n) stacks (a row
+    broadcasts) give m row dots, ``inf`` where a one-sided rate is negative."""
     rate = np.asarray(rate, dtype=float)
-    if spec.one_sided:
-        if rate.min(initial=0.0) < 0.0:
-            return math.inf
-        return float(threshold @ rate)
-    return float(threshold @ np.abs(rate))
+    if not spec.one_sided:
+        return np.vecdot(threshold, np.abs(rate))
+    pot = np.vecdot(threshold, rate)
+    if rate.min(initial=0.0) < 0.0:  # some row leaves the cone
+        pot = np.where(rate.min(axis=-1, initial=0.0) < 0.0, math.inf, pot)
+    return pot
 
 
 def check_homogeneity(spec: Dissipation, mesh: Mesh, zeta: Field, rate: Field,
@@ -199,18 +201,15 @@ def check_lipschitz_axiom(spec: Dissipation, mesh: Mesh, zeta1: Field,
 
     All four potential values must be finite; pass admissible rates.
     """
-    values = [
-        potential(spec, mesh, zeta1, rate2),
-        potential(spec, mesh, zeta1, rate1),
-        potential(spec, mesh, zeta2, rate1),
-        potential(spec, mesh, zeta2, rate2),
-    ]
-    if any(math.isinf(v) for v in values):
+    zetas = np.array([zeta1, zeta1, zeta2, zeta2], dtype=float)
+    values = _potential_at(spec, threshold_dual(spec, mesh, zetas),
+                           np.array([rate2, rate1, rate1, rate2], dtype=float))
+    if np.isinf(values).any():
         raise ValueError("four-point check needs admissible rates")
     lhs = values[0] - values[1] + values[2] - values[3]
     gap = l2_norm(mesh, np.asarray(zeta1, float) - np.asarray(zeta2, float))
     move = h1_norm(mesh, np.asarray(rate1, float) - np.asarray(rate2, float))
-    return lhs - spec.four_point_constant * gap * move
+    return float(lhs - spec.four_point_constant * gap * move)
 
 
 def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,

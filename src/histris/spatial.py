@@ -131,11 +131,13 @@ class SymTridiagonal:
     def stack(self, scales) -> "SymTridiagonal":
         """The block-diagonal band of the blocks ``scales[b] * self``,
         placed end to end with zero couplings between blocks."""
-        n = self.shape[0]
-        bands = np.empty((2, len(scales) * n), order="F")
-        for b, scale in enumerate(scales):
-            bands[:, b * n:(b + 1) * n] = scale * self._bands
-        return SymTridiagonal._of_bands(bands)
+        scales = np.repeat(np.asarray(scales, dtype=float), self.shape[0])
+        copies = np.tile(self._bands, scales.size // self.shape[0])
+        return SymTridiagonal._of_bands(np.asfortranarray(scales * copies))
+
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``A r`` for each row ``r`` of a (k, n) array: one product on a :meth:`stack`."""
+        return (self.stack(np.ones(len(rows))) @ rows.ravel()).reshape(rows.shape)
 
     def section(self, start: int, stop: int) -> "SymTridiagonal":
         """The principal band on the nodes ``start..stop-1``; a block of

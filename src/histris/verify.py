@@ -35,9 +35,12 @@ from typing import Sequence
 
 import numpy as np
 
+# ``potential``, ``dual_norm`` and ``riesz_apply`` are unused here but stay
+# importable: the benchmark's layer tracer (bench/tracer.py) patches them.
 from .dissipation import (
     Dissipation,
     Fatigue,
+    _potential_at,
     potential,
     subdiff_zero_contains,
     threshold_dual,
@@ -47,8 +50,6 @@ from .history import (
     KernelSpec,
     identity_kernel,
 )
-# ``dual_norm`` is unused here but stays importable: the benchmark's
-# layer tracer (bench/tracer.py) patches this module's name.
 from .spatial import (
     Mesh,
     assemble_dual,
@@ -169,8 +170,12 @@ class ExperimentConfig:
 def load_h1_dual_norm(mesh: Mesh, load, times: np.ndarray) -> float:
     """Discrete H^1-in-time norm of a load in the dual H^1 spatial norm."""
     times = np.asarray(times, dtype=float)
+    return _h1_dual_norm(mesh, np.array([load.value(t) for t in times]), load, times)
+
+
+def _h1_dual_norm(mesh: Mesh, vals: np.ndarray, load, times: np.ndarray) -> float:
+    """:func:`load_h1_dual_norm` given the load's values at ``times``."""
     dual = mesh.riesz.inverse
-    vals = np.array([load.value(t) for t in times])
     ders = np.array([load.derivative(t) for t in times])
     total = dual.quad_forms(vals) + dual.quad_forms(ders)
     return math.sqrt(max(trapezoid(total, times[1] - times[0]), 0.0))
@@ -231,7 +236,8 @@ def random_load(mesh: Mesh, horizon: float, rng, *, n_terms: int = 3,
                 )
             )
         load = Load(terms)
-        norm = load_h1_dual_norm(mesh, load, probe_times)
+        vals = np.array([load.value(t) for t in probe_times])
+        norm = _h1_dual_norm(mesh, vals, load, probe_times)
         target = cap * float(rng.uniform(0.55, 0.95))
         load = load.scaled(target / norm)
         if threshold0 is None:
@@ -239,7 +245,7 @@ def random_load(mesh: Mesh, horizon: float, rng, *, n_terms: int = 3,
         positive = threshold0 > 0
         got = math.inf
         if positive.any():
-            vals = np.array([load.value(t)[positive] for t in probe_times])
+            vals = vals[:, positive] * (target / norm)  # the scaled load's values
             got = float((vals / threshold0[positive]).max())
         if got >= margin:
             return load
@@ -478,8 +484,6 @@ def history_lipschitz_check(scenario: Scenario, traj: Trajectory, *,
     """
     mesh = scenario.mesh
     diss = scenario.dissipation
-    times = traj.times
-    values = traj.values
     steps = traj.n_steps
     tau = traj.tau
     rates = traj.rates()
@@ -488,34 +492,27 @@ def history_lipschitz_check(scenario: Scenario, traj: Trajectory, *,
         {int(round(x)) for x in np.linspace(0, steps - 1, n_rates)}
     )
     acc = HistoryAccumulator(scenario.kernel, tau, mesh.n_nodes, steps)
-    zetas = []
-    slopes = []
-    for q in values:
+    zetas, slopes = [], []
+    for q in traj.values:
         acc.push(q)
         zetas.append(acc.value())
         slopes.append(acc.derivative())
     speeds = row_norms(mesh.mass, np.array(slopes))
+    thresholds = threshold_dual(diss, mesh, np.array(zetas))
 
     rows = []
     worst = -math.inf
     for j in rate_indices:
         rate = rates[j]
         rate_norm = h1_norm(mesh, rate)
-        pots = np.array(
-            [potential(diss, mesh, zetas[k], rate) for k in range(steps + 1)]
-        )
-        for k in range(1, steps):
-            slope = (pots[k + 1] - pots[k - 1]) / (2.0 * tau)
-            bound = diss.four_point_constant * speeds[k] * rate_norm
-            excess = abs(slope) - bound
-            rows.append({
-                "rate_index": j,
-                "time": times[k],
-                "slope": float(slope),
-                "bound": float(bound),
-                "excess": float(excess),
-            })
-            worst = max(worst, excess)
+        pots = _potential_at(diss, thresholds, rate)
+        slope = (pots[2:] - pots[:-2]) / (2.0 * tau)
+        bound = diss.four_point_constant * speeds[1:steps] * rate_norm
+        excess = np.abs(slope) - bound
+        rows += [{"rate_index": j, "time": t, "slope": s, "bound": b, "excess": e}
+                 for t, s, b, e in zip(traj.times[1:steps], slope.tolist(),
+                                       bound.tolist(), excess.tolist())]
+        worst = np.fmax.reduce(excess, initial=worst)  # NaN skipped, as by max()
     return HistorySlopeReport(rows=rows, max_excess=float(worst))
 
 
@@ -546,18 +543,18 @@ class DualEquivalenceResult:
 
 
 def _inclusion_defects(force, rate, lower, upper):
-    """``(feasibility, complementarity)`` of one step's force inclusion.
+    """``(feasibility, complementarity)`` of each step (row) of a block.
 
     Feasibility is the worst nodal excess of the force over its box.
     Where the rate is nonzero the force must sit on the bound it moves
     towards; complementarity is the worst speed-weighted distance from
     that bound.
     """
-    feas = float(np.maximum(force - upper, lower - force).max())
-    on = rate != 0.0
-    bound = np.where(rate > 0.0, upper, lower)[on]
-    comp = float((np.abs(rate[on]) * np.abs(bound - force[on])).max(initial=0.0))
-    return feas, comp
+    feas = np.maximum(force - upper, lower - force).max(axis=1)
+    bound = np.where(rate < 0.0, lower, upper)
+    comp = np.multiply(np.abs(rate), np.abs(bound - force),
+                       out=np.zeros(rate.shape), where=rate != 0.0)
+    return np.stack([feas, comp.max(axis=1, initial=0.0)], axis=1)
 
 
 def dual_equivalence(scenario: Scenario, eps: float) -> DualEquivalenceResult:
@@ -566,7 +563,7 @@ def dual_equivalence(scenario: Scenario, eps: float) -> DualEquivalenceResult:
     For the fatigue family: the rate must be nonnegative, the force must
     stay below the threshold, and their product must vanish nodally.
     For weighted l1: the force sits in the weight box and is sign-aligned
-    with the rate on its support.  The steps come from
+    with the rate on its support.  The steps come in blocks from
     :func:`~histris.vv.replay`.  The check runs once against the
     viscosity-free force it yields, whose residual carries the
     O(eps + tau) defect of the limit reading, and once against the
@@ -574,18 +571,17 @@ def dual_equivalence(scenario: Scenario, eps: float) -> DualEquivalenceResult:
     tolerance).
     """
     traj, report = solve_viscous(scenario, eps)
-    visc = []
-    lim = []
-    rate_adm = -math.inf
-    one_sided = scenario.dissipation.one_sided
+    visc, lim, adm = [], [], []
     for rate, force, lower, upper in replay(scenario, traj):
-        visc_force = force - eps * riesz_apply(scenario.mesh, rate)
+        visc_force = force - eps * scenario.mesh.riesz.apply_rows(rate)
         visc.append(_inclusion_defects(visc_force, rate, lower, upper))
         lim.append(_inclusion_defects(force, rate, lower, upper))
-        rate_adm = max(rate_adm, float((-rate).max()) if one_sided else 0.0)
+        adm.append((-rate).max(axis=1))
 
-    visc_feas, visc_comp = np.max(visc, axis=0)
-    lim_feas, lim_comp = np.max(lim, axis=0)
+    visc_feas, visc_comp = np.max(np.concatenate(visc), axis=0)
+    lim_feas, lim_comp = np.max(np.concatenate(lim), axis=0)
+    rate_adm = (np.fmax.reduce(np.concatenate(adm), initial=-math.inf)  # NaN skipped
+                if scenario.dissipation.one_sided else 0.0)
     return DualEquivalenceResult(
         primal_balance=report.max_balance_residual,
         viscous_complementarity=float(visc_comp),

@@ -277,18 +277,25 @@ def viscous_step(scenario: Scenario, eps: float, t_next: float, q: Field,
     rate = delta / tau
     riesz_delta = levels.apply_riesz(delta)
     phi = f - levels.effective * riesz_delta
-    # Member by member: a stacked reduction would sum in another order.
-    balance, rhs, norms = [], [], []
-    for b in range(len(levels.eps)):
-        lhs = dual_pair(phi[b], rate[b])
-        rhs.append(_potential_at(spec, threshold[b], rate[b]))
-        balance.append(abs(lhs - rhs[b]) / (1.0 + abs(lhs) + abs(rhs[b])))
-        norms.append(math.sqrt(max(dual_pair(delta[b], riesz_delta[b]), 0.0)) / tau)
+    # Row reductions, a row a member: np.vecdot takes each row through the BLAS
+    # dot of dual_pair, so a member keeps its bits (einsum would sum otherwise).
+    rhs = _potential_at(spec, threshold, rate)
+    balance = _balance_residuals(np.vecdot(phi, rate), rhs).tolist()
+    norms = (np.sqrt(np.maximum(np.vecdot(delta, riesz_delta), 0.0)) / tau).tolist()
+    rhs = rhs.tolist()
     if one:
         return StepResult(q_next[0], delta[0], phi[0], balance[0], rhs[0], iters,
                           norms[0], load, riesz_q[0])
     return StepResult(q_next, delta, phi, balance, rhs, iters.per_block, norms,
                       load, riesz_q)
+
+
+def _balance_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``|lhs - rhs| / (1 + |lhs| + |rhs|)`` by rows; ``inf`` where ``rhs`` is."""
+    with np.errstate(invalid="ignore"):  # inf/inf is NaN, as with Python floats
+        ratio = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+    ratio[np.isinf(rhs)] = math.inf
+    return ratio
 
 
 def explicit_projection_step(scenario: Scenario, eps: float, t: float, q: Field,
@@ -339,8 +346,7 @@ class SolveReport:
 def _energies(alpha: float, q: np.ndarray, riesz_q: np.ndarray,
               load: DualField) -> list:
     """:func:`energy` of each member of a stack, given ``R q`` and the load."""
-    return [0.5 * alpha * dual_pair(qb, rb) - dual_pair(load, qb)
-            for qb, rb in zip(q, riesz_q)]
+    return (0.5 * alpha * np.vecdot(q, riesz_q) - np.vecdot(load, q)).tolist()
 
 
 def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
@@ -403,23 +409,14 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
 
     balance, diss_rates, rate_norms, energies, iterations = (
         by_member(e) for e in (balance, diss_rates, rate_norms, energies, iterations))
-    out = []
     values = acc.samples  # the states are the history's samples
-    for b, eps in enumerate(levels.eps):
-        report = SolveReport(
-            method="implicit",
-            eps=eps,
-            tau=float(tau),
-            times=times,
-            balance_residuals=balance[b],
-            rate_h1_norms=rate_norms[b],
-            dissipation_rates=diss_rates[b],
-            energies=energies[b],
-            inner_iterations=int(iterations[b].sum()),
-            warm_start=warm_start,
-        )
-        out.append((Trajectory(times=times, values=values[b]), report))
-    return out
+    return [(Trajectory(times=times, values=values[b]),
+             SolveReport(method="implicit", eps=eps, tau=float(tau), times=times,
+                         balance_residuals=balance[b], rate_h1_norms=rate_norms[b],
+                         dissipation_rates=diss_rates[b], energies=energies[b],
+                         inner_iterations=int(iterations[b].sum()),
+                         warm_start=warm_start))
+            for b, eps in enumerate(levels.eps)]
 
 
 def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",

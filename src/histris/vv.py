@@ -16,14 +16,15 @@ discrete trajectory:
 
 where ``force`` is the negative energy gradient and ``zeta`` the
 accumulated history at the start of each step.  :func:`replay` reads
-both off a finished trajectory in one pass, step by step: the rate,
-the viscosity-free force and the force box.  The certificate and
-:func:`~histris.verify.dual_equivalence` consume it.  Both residuals are
-relative and inherit an O(eps + tau) floor from the discretization, so
-certificates carry an explicit tolerance.  The stability residual is
-the worst nodal box slack read as a density (divided by the lumped
-mass), relative to ``1 + |force| + upper`` in the same units.  A
-non-finite residual at any step fails the certificate.
+both off a finished trajectory in one pass, in blocks of steps: the
+rate, the viscosity-free force and the force box, one row a step.  The
+certificate and :func:`~histris.verify.dual_equivalence` reduce the
+blocks row by row.  Both residuals are relative and inherit an
+O(eps + tau) floor from the discretization, so certificates carry an
+explicit tolerance.  The stability residual is the worst nodal box
+slack read as a density (divided by the lumped mass), relative to
+``1 + |force| + upper`` in the same units.  A non-finite residual at
+any step fails the certificate.
 
 Rate independence is probed by solving a time-reparametrized copy of
 the scenario and comparing against the reparametrized base solution.
@@ -36,7 +37,6 @@ independence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -45,10 +45,10 @@ import numpy as np
 from .history import HistoryAccumulator
 # ``h1_norm`` and ``potential`` are unused here but stay importable: the
 # benchmark's layer tracer (bench/tracer.py) patches this module's names.
-from .spatial import dual_pair, h1_norm
+from .spatial import h1_norm
 from .dissipation import _potential_at, force_box, potential
 from .trajectory import Trajectory, c_norm, c_norm_diff, h1_time_norm
-from .viscous import Scenario, driving_force, solve_levels, solve_viscous
+from .viscous import Scenario, _balance_residuals, solve_levels, solve_viscous
 
 __all__ = [
     "DEFAULT_EPS_LEVELS",
@@ -64,6 +64,8 @@ __all__ = [
 # Default viscosity schedule: geometric halving from 0.1, eight levels.
 DEFAULT_EPS_LEVELS = tuple(0.1 * 0.5**k for k in range(8))
 
+_BLOCK_ENTRIES = 2**14  # about this many (steps times nodes) in a replay block
+
 
 @dataclass
 class LimitCertificate:
@@ -75,44 +77,47 @@ class LimitCertificate:
 
 
 def replay(scenario: Scenario, traj: Trajectory):
-    """Yield ``(rate, force, lower, upper)`` for each step of ``traj``.
+    """Yield ``(rate, force, lower, upper)`` for blocks of ``max(1,
+    _BLOCK_ENTRIES // n)`` steps of ``traj`` (the last block: the rest),
+    as (m, n) stacks with one row a step.
 
     ``rate`` is the backward difference ``(q_{k+1} - q_k) / tau``,
     ``force`` the viscosity-free ``driving_force(t_{k+1}, q_{k+1})``,
     and ``(lower, upper)`` the :func:`force_box` at the history where
-    the step starts.  The history is advanced once, in step order.
+    the step starts.  The history still advances once a step, in step
+    order; each block makes one ``force_box`` call and one Riesz product.
     """
     mesh = scenario.mesh
+    size = max(1, _BLOCK_ENTRIES // mesh.n_nodes)
     acc = HistoryAccumulator(scenario.kernel, traj.tau, mesh.n_nodes, traj.n_steps)
     acc.push(traj.values[0])
-    for k in range(traj.n_steps):
-        q_next = traj.values[k + 1]
-        lower, upper = force_box(scenario.dissipation, mesh, acc.value())
-        yield ((q_next - traj.values[k]) / traj.tau,
-               driving_force(scenario, traj.times[k + 1], q_next), lower, upper)
-        acc.push(q_next)
+    for start in range(0, traj.n_steps, size):
+        stop = min(start + size, traj.n_steps)
+        zeta = np.empty((stop - start, mesh.n_nodes))
+        for k in range(start, stop):
+            zeta[k - start] = acc.value()
+            acc.push(traj.values[k + 1])
+        q = traj.values[start:stop + 1]
+        loads = np.array([scenario.load.value(t) for t in traj.times[start + 1:stop + 1]])
+        yield (np.diff(q, axis=0) / traj.tau,
+               loads - scenario.alpha * mesh.riesz.apply_rows(q[1:]),
+               *force_box(scenario.dissipation, mesh, zeta))
 
 
 def certify_limit(scenario: Scenario, traj: Trajectory, *,
                   tol: float = 1e-2) -> LimitCertificate:
     """Check stability and balance of a trajectory as a limit candidate."""
-    spec = scenario.dissipation
     m = scenario.mesh.lumped_mass
-    stab = np.zeros(traj.n_steps)
-    bal = np.zeros(traj.n_steps)
-    for k, (rate, omega, lower, upper) in enumerate(replay(scenario, traj)):
-        lhs = dual_pair(omega, rate)
-        rhs = _potential_at(spec, upper, rate)
-        bal[k] = (
-            math.inf if math.isinf(rhs)
-            else abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-        )
+    stab, bal = [np.zeros(0)], [np.zeros(0)]
+    for rate, omega, lower, upper in replay(scenario, traj):
+        bal.append(_balance_residuals(
+            np.vecdot(omega, rate), _potential_at(scenario.dissipation, upper, rate)))
         slack = np.maximum(omega - upper, lower - omega) / m
-        stab[k] = (slack / (1.0 + np.abs(omega / m) + upper / m)).max()
+        stab.append((slack / (1.0 + np.abs(omega / m) + upper / m)).max(axis=1))
 
     # max() propagates NaN, and NaN <= tol is False.
-    max_stab = float(stab.max(initial=0.0))
-    max_bal = float(bal.max(initial=0.0))
+    max_stab = float(np.concatenate(stab).max(initial=0.0))
+    max_bal = float(np.concatenate(bal).max(initial=0.0))
     return LimitCertificate(
         tolerance=float(tol),
         max_stability_violation=max_stab,

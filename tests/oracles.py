@@ -1,8 +1,10 @@
 """Independent reference results for the test suite.
 
 Nothing in this file imports solver code: references are scalar closed
-forms, direct quadrature, and exhaustive enumeration at tiny sizes.
-Tests compare package output against these, never the other way round.
+forms, direct quadrature, exhaustive enumeration at tiny sizes, and the
+step-by-step loops that the certificate's row reductions replaced (these
+take the package's objects as arguments).  Tests compare package output
+against these, never the other way round.
 """
 
 import itertools
@@ -227,3 +229,91 @@ class DenseHessian:
 
     def solve_principal(self, idx, rhs):
         return np.linalg.solve(self.matrix[np.ix_(idx, idx)], rhs)
+
+
+def replay_per_step(scenario, traj, accumulator):
+    """Step-by-step ``(rate, force, lower, upper)`` of a finished
+    trajectory: the history advanced by ``accumulator`` (the package's
+    accumulator class, passed in), the force box ``M w(zeta)`` and the
+    viscosity-free force ``load - alpha R q`` written out, one step at a
+    time."""
+    mesh = scenario.mesh
+    spec = scenario.dissipation
+    acc = accumulator(scenario.kernel, traj.tau, mesh.n_nodes, traj.n_steps)
+    acc.push(traj.values[0])
+    for k in range(traj.n_steps):
+        q_next = traj.values[k + 1]
+        zeta = acc.value()
+        weight = np.asarray(spec.weight(zeta), dtype=float)
+        upper = mesh.mass @ np.broadcast_to(weight, zeta.shape)
+        lower = -np.inf if spec.one_sided else -upper
+        force = (scenario.load.value(traj.times[k + 1])
+                 - scenario.alpha * (mesh.riesz @ q_next))
+        yield (q_next - traj.values[k]) / traj.tau, force, lower, upper
+        acc.push(q_next)
+
+
+def _dual_pair(w, v):
+    return float(np.dot(w, v))
+
+
+def _potential_at(spec, threshold, rate):
+    rate = np.asarray(rate, dtype=float)
+    if spec.one_sided:
+        if rate.min(initial=0.0) < 0.0:
+            return math.inf
+        return float(threshold @ rate)
+    return float(threshold @ np.abs(rate))
+
+
+def certify_limit_per_step(scenario, traj, steps):
+    """``(max_stability_violation, max_balance_residual)`` of the limit
+    certificate, one step of ``steps`` (see :func:`replay_per_step`) at
+    a time."""
+    spec = scenario.dissipation
+    m = scenario.mesh.lumped_mass
+    stab = np.zeros(traj.n_steps)
+    bal = np.zeros(traj.n_steps)
+    for k, (rate, omega, lower, upper) in enumerate(steps):
+        lhs = _dual_pair(omega, rate)
+        rhs = _potential_at(spec, upper, rate)
+        bal[k] = (
+            math.inf if math.isinf(rhs)
+            else abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+        )
+        slack = np.maximum(omega - upper, lower - omega) / m
+        stab[k] = (slack / (1.0 + np.abs(omega / m) + upper / m)).max()
+    return float(stab.max(initial=0.0)), float(bal.max(initial=0.0))
+
+
+def _inclusion_defects(force, rate, lower, upper):
+    feas = float(np.maximum(force - upper, lower - force).max())
+    on = rate != 0.0
+    bound = np.where(rate > 0.0, upper, lower)[on]
+    comp = float((np.abs(rate[on]) * np.abs(bound - force[on])).max(initial=0.0))
+    return feas, comp
+
+
+def dual_equivalence_per_step(scenario, eps, steps):
+    """The residuals of the dual reading of the force inclusion, one step
+    of ``steps`` (see :func:`replay_per_step`) at a time: a dict with the
+    complementarity, feasibility and rate admissibility fields."""
+    visc = []
+    lim = []
+    rate_adm = -math.inf
+    one_sided = scenario.dissipation.one_sided
+    for rate, force, lower, upper in steps:
+        visc_force = force - eps * (scenario.mesh.riesz @ rate)
+        visc.append(_inclusion_defects(visc_force, rate, lower, upper))
+        lim.append(_inclusion_defects(force, rate, lower, upper))
+        rate_adm = max(rate_adm, float((-rate).max()) if one_sided else 0.0)
+
+    visc_feas, visc_comp = np.max(visc, axis=0)
+    lim_feas, lim_comp = np.max(lim, axis=0)
+    return {
+        "viscous_complementarity": float(visc_comp),
+        "viscous_feasibility": float(visc_feas),
+        "limit_complementarity": float(lim_comp),
+        "limit_feasibility": float(lim_feas),
+        "rate_admissibility": float(rate_adm),
+    }

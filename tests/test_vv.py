@@ -7,6 +7,7 @@ solver-free references.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,10 +20,10 @@ import histris.vv as vv
 from histris.config import build_scenario, normalize_config
 from histris.dissipation import WeightedL1, force_box
 from histris.errors import NumericalFailure
-from histris.history import identity_kernel
+from histris.history import HistoryAccumulator, identity_kernel
 from histris.spatial import build_mesh
 from histris.trajectory import Trajectory
-from histris.verify import smooth_fatigue
+from histris.verify import dual_equivalence, smooth_fatigue
 from histris.viscous import (
     Scenario,
     constant_in_space_load,
@@ -38,7 +39,14 @@ from histris.vv import (
 )
 
 from helpers import scalar_scenario
-from oracles import history_eval, running_max_solution, scalar_fatigue_steps
+from oracles import (
+    certify_limit_per_step,
+    dual_equivalence_per_step,
+    history_eval,
+    replay_per_step,
+    running_max_solution,
+    scalar_fatigue_steps,
+)
 
 
 def _sine_scenario(n_steps=500):
@@ -110,41 +118,59 @@ def test_certificate_rejects_non_finite_states():
     assert math.isnan(cert.max_balance_residual)
 
 
-@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
-@pytest.mark.parametrize("kernel, slope", [
+_REPLAY_KERNELS = [
     ("exp(-2*t)", "-2*exp(-2*t)"),              # geometric: O(1) recurrence
     ("1/(1 + t)^2", "-2/(1 + t)^3"),            # re-weighted every step
-])
-def test_replay_matches_from_scratch_oracle(family, kernel, slope):
-    # Every step the replay yields must agree with the history, force
-    # and box rebuilt from scratch at that step.
-    sc = build_scenario(normalize_config({
-        "mesh": {"n_nodes": 9},
+]
+
+
+def _replay_scenario(family, kernel, slope, n_nodes):
+    return build_scenario(normalize_config({
+        "mesh": {"n_nodes": n_nodes},
         "model": {"n_steps": 300},
         "load": {"time": "2*sin(2*pi*t)", "space": "1 + 0.6*cos(3*pi*x)"},
         "dissipation": {"family": family},
         "history": {"kind": "convolution", "kernel": kernel,
                     "kernel_slope": slope},
     }))
-    traj, _ = solve_viscous(sc, 0.01)
-    q, t = traj.values, traj.times
 
+
+def _per_step(blocks):
+    """The steps of :func:`replay`'s blocks, one ``(rate, force, lower,
+    upper)`` a step; a one-sided ``lower`` stays the scalar ``-inf``."""
+    for rate, force, lower, upper in blocks:
+        for k in range(len(rate)):
+            yield (rate[k], force[k],
+                   lower if np.isscalar(lower) else lower[k], upper[k])
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+@pytest.mark.parametrize("kernel, slope", _REPLAY_KERNELS)
+def test_replay_matches_from_scratch_oracle(family, kernel, slope):
+    # Every step the replay yields must agree with the history, force
+    # and box rebuilt from scratch at that step.  At n = 257 the 300
+    # steps come in five blocks, the last one partial.
     def close(got, want):
         scale = max(1.0, float(np.abs(want).max()))
         return float(np.abs(got - want).max()) <= 1e-14 * scale
 
-    steps = list(replay(sc, traj))
-    assert len(steps) == sc.n_steps
-    for k, (rate, force, lower, upper) in enumerate(steps):
-        zeta = history_eval(sc.kernel, t, q, k)
-        want_lower, want_upper = force_box(sc.dissipation, sc.mesh, zeta)
-        assert close(rate, (q[k + 1] - q[k]) / traj.tau)
-        assert close(force, driving_force(sc, t[k + 1], q[k + 1]))
-        assert close(upper, want_upper)
-        if family == "fatigue":
-            assert lower == want_lower == -np.inf
-        else:
-            assert close(lower, want_lower)
+    for n_nodes in (9, 257):
+        sc = _replay_scenario(family, kernel, slope, n_nodes)
+        traj, _ = solve_viscous(sc, 0.01)
+        q, t = traj.values, traj.times
+
+        steps = list(_per_step(replay(sc, traj)))
+        assert len(steps) == sc.n_steps
+        for k, (rate, force, lower, upper) in enumerate(steps):
+            zeta = history_eval(sc.kernel, t, q, k)
+            want_lower, want_upper = force_box(sc.dissipation, sc.mesh, zeta)
+            assert close(rate, (q[k + 1] - q[k]) / traj.tau)
+            assert close(force, driving_force(sc, t[k + 1], q[k + 1]))
+            assert close(upper, want_upper)
+            if family == "fatigue":
+                assert lower == want_lower == -np.inf
+            else:
+                assert close(lower, want_lower)
 
 
 @pytest.mark.parametrize("one_sided", [True, False])
@@ -172,11 +198,11 @@ def test_threshold_is_assembled_once_per_step(monkeypatch, one_sided):
     if not one_sided:
         sc = replace(sc, dissipation=WeightedL1(
             weight=sc.dissipation.weight, lipschitz=0.0))
-    calls = []
+    calls = []  # one entry an assembled row: a (m, n) stack counts m
     real = dissipation.threshold_dual
 
     def counted(*args):
-        calls.append(None)
+        calls.extend([None] * len(np.atleast_2d(args[2])))
         return real(*args)
 
     monkeypatch.setattr(dissipation, "threshold_dual", counted)
@@ -185,6 +211,50 @@ def test_threshold_is_assembled_once_per_step(monkeypatch, one_sided):
     calls.clear()
     certify_limit(sc, traj)
     assert len(calls) == sc.n_steps
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+@pytest.mark.parametrize("kernel, slope", _REPLAY_KERNELS)
+def test_block_replay_keeps_the_per_step_bits(family, kernel, slope):
+    # 300 steps at n = 257 make blocks of 63 steps, the last of 48.  The
+    # blocks, the certificate's residuals and every field of the dual
+    # reading equal the step-by-step loops bit for bit.
+    sc = _replay_scenario(family, kernel, slope, 257)
+    eps = 0.01
+    traj, _ = solve_viscous(sc, eps)
+    blocks = list(replay(sc, traj))
+    assert [len(b[0]) for b in blocks] == [63, 63, 63, 63, 48]
+    oracle = list(replay_per_step(sc, traj, HistoryAccumulator))
+    for got, want in zip(_per_step(blocks), oracle, strict=True):
+        assert all(_same_bits(np.asarray(g, dtype=float), np.asarray(w, dtype=float))
+                   for g, w in zip(got, want))
+
+    cert = certify_limit(sc, traj)
+    want_stab, want_bal = certify_limit_per_step(sc, traj, iter(oracle))
+    assert _same_bits(cert.max_stability_violation, want_stab)
+    assert _same_bits(cert.max_balance_residual, want_bal)
+
+    res = dual_equivalence(sc, eps)
+    want = dual_equivalence_per_step(sc, eps, iter(oracle))
+    for name, value in want.items():
+        assert _same_bits(getattr(res, name), value), name
+
+
+def test_balance_is_infinite_where_a_one_sided_rate_decreases():
+    # One node moving down is outside the fatigue rate cone: the
+    # potential is inf at that step, and the residual is inf with no
+    # RuntimeWarning from inf/inf.
+    sc = _sine_scenario(n_steps=50)
+    traj, _ = solve_viscous(sc, 0.01)
+    assert certify_limit(sc, traj).max_balance_residual < math.inf
+    values = traj.values.copy()
+    values[30:, 2] -= 0.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify_limit(sc, Trajectory(times=traj.times, values=values))
+    assert cert.max_balance_residual == math.inf
+    assert math.isfinite(cert.max_stability_violation)
+    assert not cert.passed
 
 
 def test_two_sided_stability_defect_shrinks_with_eps():
