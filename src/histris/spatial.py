@@ -136,8 +136,10 @@ class SymTridiagonal:
         return SymTridiagonal._of_bands(np.asfortranarray(scales * copies))
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """``A r`` for each row ``r`` of a (k, n) array: one product on a :meth:`stack`."""
-        return (self.stack(np.ones(len(rows))) @ rows.ravel()).reshape(rows.shape)
+        """``A r`` for each row ``r`` (the last axis) of an array: one
+        product on a :meth:`stack`."""
+        flat = rows.reshape(-1, rows.shape[-1])
+        return (self.stack(np.ones(len(flat))) @ flat.ravel()).reshape(rows.shape)
 
     def section(self, start: int, stop: int) -> "SymTridiagonal":
         """The principal band on the nodes ``start..stop-1``; a block of

@@ -1,5 +1,6 @@
 """Time-discrete state trajectories and the space-time norms of the
-package: one trapezoid rule in time, batched row norms in space."""
+package: one trapezoid rule in time, batched row norms in space, and
+the one rule that cuts a run of steps into blocks for row reductions."""
 
 from __future__ import annotations
 
@@ -17,7 +18,11 @@ __all__ = [
     "c_norm",
     "c_norm_diff",
     "h1_time_norm",
+    "step_blocks",
 ]
+
+# About this many entries (steps times members times nodes) in a block.
+_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(eq=False)
@@ -58,6 +63,14 @@ class Trajectory:
         k = int(np.searchsorted(self.times, t, side="right")) - 1
         w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+
+
+def step_blocks(n_steps: int, width: int) -> list:
+    """The steps ``0..n_steps-1`` as consecutive ``range`` blocks of
+    ``max(1, _BLOCK_ENTRIES // width)`` steps (the last: the rest), for
+    steps of ``width`` entries each."""
+    size = max(1, _BLOCK_ENTRIES // width)
+    return [range(start, min(start + size, n_steps)) for start in range(0, n_steps, size)]
 
 
 def trapezoid(samples: np.ndarray, tau: float) -> float:

@@ -170,7 +170,7 @@ class ExperimentConfig:
 def load_h1_dual_norm(mesh: Mesh, load, times: np.ndarray) -> float:
     """Discrete H^1-in-time norm of a load in the dual H^1 spatial norm."""
     times = np.asarray(times, dtype=float)
-    return _h1_dual_norm(mesh, np.array([load.value(t) for t in times]), load, times)
+    return _h1_dual_norm(mesh, load.values(times), load, times)
 
 
 def _h1_dual_norm(mesh: Mesh, vals: np.ndarray, load, times: np.ndarray) -> float:
@@ -190,7 +190,7 @@ def load_w11_diff_norm(mesh: Mesh, load_a, load_b, times: np.ndarray) -> float:
     """
     times = np.asarray(times, dtype=float)
     dual = mesh.riesz.inverse
-    diffs = np.array([load_a.value(t) - load_b.value(t) for t in times])
+    diffs = load_a.values(times) - load_b.values(times)
     value_part = trapezoid(row_norms(dual, diffs), times[1] - times[0])
     tv_part = row_norms(dual, np.diff(diffs, axis=0)).sum()
     return float(value_part + tv_part)
@@ -236,7 +236,7 @@ def random_load(mesh: Mesh, horizon: float, rng, *, n_terms: int = 3,
                 )
             )
         load = Load(terms)
-        vals = np.array([load.value(t) for t in probe_times])
+        vals = load.values(probe_times)
         norm = _h1_dual_norm(mesh, vals, load, probe_times)
         target = cap * float(rng.uniform(0.55, 0.95))
         load = load.scaled(target / norm)

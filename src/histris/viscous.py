@@ -24,10 +24,21 @@ unbalanced trajectory.
 several viscosities of one scenario in lockstep: they share the mesh,
 load, kernel, dissipation and time grid, and their prox Hessians
 ``(alpha + eps/tau) R`` are scalar multiples of one band.  So a step
-evaluates the load once and makes one QP call on the block band of all
-members, and every member's trajectory and report are bit for bit what
-it gives alone; :func:`solve_viscous`'s implicit method is this loop
-with one level.
+makes one QP call on the block band of all members, and every member's
+trajectory and report are bit for bit what it gives alone;
+:func:`solve_viscous`'s implicit method is this loop with one level.
+
+A step only advances the state: it forms the driving force, makes the
+stacked QP call and pushes the new states to the history.  The loops
+take the steps in blocks of :func:`~histris.trajectory.step_blocks`
+(about ``2**14`` entries: members times nodes times steps).  A block
+evaluates its loads in one :meth:`Load.values` call, records each
+step's increment and threshold, and at its end reduces the force
+balance, dissipation rates, rate norms and energies of all its steps
+as rows, with the bits of a step taken alone.  The balance gate then
+reads the block in step order, so the failure names the first
+unbalanced step.  An exception inside a block (a QP failure, a load
+that raises) first settles the block's finished steps the same way.
 
 An explicit alternative integrator advances the state with the
 projection form of the flow,
@@ -35,7 +46,9 @@ projection form of the flow,
     rate = (1/eps) * riesz_solve(force - project(force)),
 
 evaluated at the start of the step.  It is a cross-check only: it
-requires ``tau <= eps/10`` and makes no per-step balance claim.
+requires ``tau <= eps/10`` and makes no per-step balance claim; it
+checks every new state for finiteness and reduces rate norms and
+energies over the same blocks.
 """
 
 from __future__ import annotations
@@ -47,8 +60,8 @@ from typing import Callable
 
 import numpy as np
 
-# ``potential`` is unused here but stays importable: the benchmark's
-# layer tracer (bench/tracer.py) patches this module's name.
+# ``potential`` and ``h1_norm`` are unused here but stay importable: the
+# benchmark's layer tracer (bench/tracer.py) patches this module's names.
 from .dissipation import (
     Dissipation,
     _potential_at,
@@ -71,7 +84,7 @@ from .spatial import (
     riesz_apply,
     riesz_solve,
 )
-from .trajectory import Trajectory
+from .trajectory import Trajectory, step_blocks
 
 __all__ = [
     "BALANCE_TOL",
@@ -115,9 +128,19 @@ class Load:
         self.terms = list(terms)
 
     def value(self, t: float) -> DualField:
-        out = float(self.terms[0].time_profile(t)) * self.terms[0].space_dual
+        return self.values([t])[0]
+
+    def values(self, times) -> np.ndarray:
+        """The load at each of ``times``, one row a time: each term's
+        coefficients scale its profile, and the terms add in order, so a
+        row has the bits of the load at that time alone."""
+        def part(term):
+            coefficients = np.array([float(term.time_profile(t)) for t in times])
+            return coefficients[:, None] * term.space_dual
+
+        out = part(self.terms[0])
         for term in self.terms[1:]:
-            out = out + float(term.time_profile(t)) * term.space_dual
+            out = out + part(term)
         return out
 
     def derivative(self, t: float) -> DualField:
@@ -219,7 +242,8 @@ class _Levels:
         riesz = scenario.mesh.riesz
         self.hessian = riesz.stack(effective)
         self.riesz = riesz.stack([1.0] * len(self.eps))
-        self.effective = np.array(effective)[:, None]  # a column, one row a member
+        # One entry a member, broadcast over the (B, m, n) stacks of a block.
+        self.effective = np.array(effective)[:, None, None]
 
     def apply_riesz(self, fields: np.ndarray) -> np.ndarray:
         """``R`` applied to each row of a (B, n) stack, in one product."""
@@ -233,9 +257,7 @@ class _Levels:
 
 @dataclass
 class StepResult:
-    """One implicit step.  In a lockstep loop the fields are stacked, one
-    member a row (lists of numbers for the scalars), except the shared
-    ``load``."""
+    """One implicit step of one member."""
 
     q_next: np.ndarray
     increment: np.ndarray
@@ -244,50 +266,73 @@ class StepResult:
     dissipation_rate: float
     iterations: int
     rate_h1_norm: float
-    # The load at t_next and R q at the start state, for the energies.
-    load: DualField
-    riesz_q: DualField
+
+
+def _advance(scenario: Scenario, levels: _Levels, load: DualField, q: np.ndarray,
+             zeta: np.ndarray, start):
+    """The prox increments of a (B, n) stack of states ``q`` under the
+    load at the step's end, from one stacked QP call: ``(delta,
+    iterations, threshold)`` as :func:`_prox_rate_counted` returns them."""
+    f = load - scenario.alpha * levels.apply_riesz(q)
+    return _prox_rate_counted(scenario.dissipation, scenario.mesh, zeta, f,
+                              levels.hessian, start=start)
+
+
+def _diagnostics(scenario: Scenario, levels: _Levels, loads: np.ndarray,
+                 states: np.ndarray, delta: np.ndarray, threshold: np.ndarray):
+    """Force after, balance residuals, dissipation rates, rate norms and
+    end-of-step energies of m consecutive steps of B members, by rows.
+
+    ``loads`` (m, n) holds the load at each step's end, ``states``
+    (B, m + 1, n) the states from the first step's start to the last
+    one's end, ``delta`` and ``threshold`` (B, m, n) each step's
+    increment and ``M w(zeta)``.  Each result is (B, m), the force
+    (B, m, n).  Every entry has the bits of its step evaluated alone:
+    a band product keeps each row's bits, and np.vecdot takes each row
+    through the BLAS dot of dual_pair (einsum would sum otherwise).
+    """
+    m = delta.shape[1]
+    if m > 1 and not (np.isfinite(states).all() and np.isfinite(delta).all()):
+        # A stacked band product spreads a non-finite entry to the rows
+        # next to it (0 * inf); such a block is reduced a step at a time.
+        parts = [_diagnostics(scenario, levels, loads[j:j + 1], states[:, j:j + 2],
+                              delta[:, j:j + 1], threshold[:, j:j + 1])
+                 for j in range(m)]
+        return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
+    apply = scenario.mesh.riesz.apply_rows
+    tau = scenario.tau
+    riesz_delta = apply(delta)
+    f = loads - scenario.alpha * apply(states[:, :-1])
+    phi = f - levels.effective * riesz_delta
+    rate = delta / tau
+    rhs = _potential_at(scenario.dissipation, threshold, rate)
+    balance = _balance_residuals(np.vecdot(phi, rate), rhs)
+    norms = np.sqrt(np.maximum(np.vecdot(delta, riesz_delta), 0.0)) / tau
+    after = states[:, 1:]
+    energies = _energies(scenario.alpha, after, apply(after), loads)
+    return phi, balance, rhs, norms, energies
 
 
 def viscous_step(scenario: Scenario, eps: float, t_next: float, q: Field,
                  zeta: Field, start_increment=None) -> StepResult:
     """One implicit incremental minimization step ending at ``t_next``.
 
-    Called with one viscosity and fields, it steps one member.  Inside
-    :func:`solve_levels` ``eps`` is the loop's levels, and ``q``,
-    ``zeta`` and ``start_increment`` are (B, n) stacks: one load
-    evaluation, one stacked QP call, and one product each for ``R q``
-    and ``R delta`` serve every member.
+    The time loops take the same step and reduce the same diagnostics
+    over blocks of steps; here the block is this one step.
     """
-    levels = eps if isinstance(eps, _Levels) else _Levels(scenario, [eps])
-    one = levels is not eps
-    if one:
-        q, zeta = np.asarray(q, dtype=float)[None], np.asarray(zeta, dtype=float)[None]
-        if start_increment is not None:
-            start_increment = np.asarray(start_increment, dtype=float)[None]
-    tau = scenario.tau
-    spec = scenario.dissipation
+    levels = _Levels(scenario, [eps])
+    q = np.asarray(q, dtype=float)[None]
+    if start_increment is not None:
+        start_increment = np.asarray(start_increment, dtype=float)[None]
     load = scenario.load.value(t_next)
-    riesz_q = levels.apply_riesz(q)
-    f = load - scenario.alpha * riesz_q
-    delta, iters, threshold = _prox_rate_counted(
-        spec, scenario.mesh, zeta, f, levels.hessian, start=start_increment,
-    )
-    q_next = q + delta
-    rate = delta / tau
-    riesz_delta = levels.apply_riesz(delta)
-    phi = f - levels.effective * riesz_delta
-    # Row reductions, a row a member: np.vecdot takes each row through the BLAS
-    # dot of dual_pair, so a member keeps its bits (einsum would sum otherwise).
-    rhs = _potential_at(spec, threshold, rate)
-    balance = _balance_residuals(np.vecdot(phi, rate), rhs).tolist()
-    norms = (np.sqrt(np.maximum(np.vecdot(delta, riesz_delta), 0.0)) / tau).tolist()
-    rhs = rhs.tolist()
-    if one:
-        return StepResult(q_next[0], delta[0], phi[0], balance[0], rhs[0], iters,
-                          norms[0], load, riesz_q[0])
-    return StepResult(q_next, delta, phi, balance, rhs, iters.per_block, norms,
-                      load, riesz_q)
+    delta, iters, threshold = _advance(scenario, levels, load, q,
+                                       np.asarray(zeta, dtype=float)[None],
+                                       start_increment)
+    states = np.stack([q, q + delta], axis=1)
+    phi, balance, rhs, norms, _ = _diagnostics(scenario, levels, load[None], states,
+                                               delta[:, None], threshold[:, None])
+    return StepResult(states[0, 1], delta[0], phi[0, 0], float(balance[0, 0]),
+                      float(rhs[0, 0]), iters, float(norms[0, 0]))
 
 
 def _balance_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -298,6 +343,31 @@ def _balance_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return ratio
 
 
+def _load_rows(load, times: np.ndarray):
+    """``(load.values(times), None)``, or, when that raises, the rows of
+    the times before the first one that raises and its error: the steps
+    those rows serve run, and are checked, before the error surfaces."""
+    try:
+        return load.values(times), None
+    except Exception:
+        for j, t in enumerate(times):
+            try:
+                load.values(times[j:j + 1])
+            except Exception as err:
+                return load.values(times[:j]), err
+        raise
+
+
+def _explicit_advance(scenario: Scenario, eps: float, load: DualField, q: Field,
+                      zeta: Field, cold_start: bool):
+    """:func:`explicit_projection_step` given the load at the step's start."""
+    omega = load - scenario.alpha * riesz_apply(scenario.mesh, q)
+    mu, iters = _project_counted(scenario.dissipation, scenario.mesh, zeta, omega,
+                                 cold_start=cold_start)
+    rate = riesz_solve(scenario.mesh, omega - mu) / eps
+    return q + scenario.tau * rate, rate, iters
+
+
 def explicit_projection_step(scenario: Scenario, eps: float, t: float, q: Field,
                              zeta: Field, cold_start: bool = False):
     """One forward step of the projection form of the viscous flow.
@@ -306,11 +376,7 @@ def explicit_projection_step(scenario: Scenario, eps: float, t: float, q: Field,
     the driving force at the start of the step.  ``cold_start`` makes
     the inner projection start from zero instead of the clipped force.
     """
-    omega = driving_force(scenario, t, q)
-    mu, iters = _project_counted(scenario.dissipation, scenario.mesh, zeta, omega,
-                                 cold_start=cold_start)
-    rate = riesz_solve(scenario.mesh, omega - mu) / eps
-    return q + scenario.tau * rate, rate, iters
+    return _explicit_advance(scenario, eps, scenario.load.value(t), q, zeta, cold_start)
 
 
 @dataclass
@@ -344,19 +410,22 @@ class SolveReport:
 
 
 def _energies(alpha: float, q: np.ndarray, riesz_q: np.ndarray,
-              load: DualField) -> list:
-    """:func:`energy` of each member of a stack, given ``R q`` and the load."""
-    return (0.5 * alpha * np.vecdot(q, riesz_q) - np.vecdot(load, q)).tolist()
+              load: DualField) -> np.ndarray:
+    """:func:`energy` of each row of ``q``, given its ``R q`` and the load
+    (whose rows broadcast)."""
+    return 0.5 * alpha * np.vecdot(q, riesz_q) - np.vecdot(load, q)
 
 
 def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
     """Advance every viscosity of ``eps_values`` in one implicit time loop.
 
     Returns one ``(Trajectory, SolveReport)`` per level, in order, each
-    bit for bit what the level gives alone.  A step makes one load
-    evaluation and one stacked QP call for all levels; the history
-    accumulator holds them all.  Raises :class:`NumericalFailure` at the
-    first step where a level fails, naming the step and the level's eps.
+    bit for bit what the level gives alone.  A step makes one stacked QP
+    call for all levels; the history accumulator holds them all.  The
+    balance gate reads each block of steps at its end, or, when a step
+    raises, the steps before it (see the module docstring).  Raises
+    :class:`NumericalFailure` for the first step where a level fails,
+    naming the step and the level's eps.
     """
     levels = _Levels(scenario, eps_values)
     tau = scenario.tau
@@ -368,53 +437,66 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
     q = np.zeros((members, n))
     acc.push(q)
 
-    # Per step one entry a member, appended in step order.
-    balance, diss_rates, rate_norms = array("d"), array("d"), array("d")
-    energies = array("d", [energy(scenario, times[0], q[0])] * members)
-    iterations = array("q")
+    energies = np.empty((members, steps + 1))
+    energies[:, 0] = _energies(scenario.alpha, q, levels.apply_riesz(q),
+                               scenario.load.values(times[:1]))
+    balance, diss_rates, rate_norms = (np.empty((members, steps)) for _ in range(3))
+    iterations = array("q")  # per step one entry a member
+    blocks = step_blocks(steps, members * n)
+    # A block's increments and thresholds, one (m, n) table a member.
+    delta, threshold = (np.empty((members, len(blocks[0]), n)) for _ in range(2))
 
-    load = None
-    warm = None
-    for k in range(steps):
-        try:
-            res = viscous_step(
-                scenario, levels, times[k + 1], q, acc.value(),
-                start_increment=warm if warm_start else None,
-            )
-        except NumericalFailure as exc:
+    def settle(start: int, loads: np.ndarray) -> None:
+        """Reduce the block's steps from ``start`` that ``loads`` serve,
+        then apply the balance gate to them in step order."""
+        stop = start + len(loads)
+        _, bal, rhs, norms, ener = _diagnostics(
+            scenario, levels, loads, acc.samples[:, start:stop + 1],
+            delta[:, :len(loads)], threshold[:, :len(loads)])
+        bad = ~(bal <= BALANCE_TOL)  # NaN fails
+        if bad.any():
+            k, b = np.argwhere(bad.T)[0]  # the first step, then its first member
             raise NumericalFailure(
-                f"step {k + 1}/{steps} failed ({levels.name(exc.member)}): {exc}",
-                residual=exc.residual, member=exc.member,
-            ) from exc
-        for b, residual in enumerate(res.balance_residual):
-            if not residual <= BALANCE_TOL:
+                f"force balance violated at step {start + k + 1}/{steps} ({levels.name(b)})",
+                residual=bal[b, k], member=int(b),
+            )
+        balance[:, start:stop], diss_rates[:, start:stop] = bal, rhs
+        rate_norms[:, start:stop], energies[:, start + 1:stop + 1] = norms, ener
+
+    warm = None
+    for block in blocks:
+        loads, error = _load_rows(scenario.load, times[block.start + 1:block.stop + 1])
+        done = 0
+        try:
+            for j, load in enumerate(loads):
+                step, count, thr = _advance(scenario, levels, load, q, acc.value(), warm)
+                q = q + step
+                acc.push(q)
+                delta[:, j], threshold[:, j] = step, thr
+                iterations.extend(count.per_block)
+                warm = step if warm_start else None
+                done += 1
+            if error is not None:
+                raise error
+        except Exception as exc:
+            if done:  # the steps before the one that raised come first
+                settle(block.start, loads[:done])
+            if isinstance(exc, NumericalFailure):
+                k = block.start + done
                 raise NumericalFailure(
-                    f"force balance violated at step {k + 1}/{steps} ({levels.name(b)})",
-                    residual=residual, member=b,
-                )
-        if k > 0:  # the energies at t_k, from this step's R q
-            energies.extend(_energies(scenario.alpha, q, res.riesz_q, load))
-        q = res.q_next
-        load = res.load
-        warm = res.increment
-        balance.extend(res.balance_residual)
-        diss_rates.extend(res.dissipation_rate)
-        rate_norms.extend(res.rate_h1_norm)
-        iterations.extend(res.iterations)
-        acc.push(q)
-    energies.extend(_energies(scenario.alpha, q, levels.apply_riesz(q), load))
+                    f"step {k + 1}/{steps} failed ({levels.name(exc.member)}): {exc}",
+                    residual=exc.residual, member=exc.member,
+                ) from exc
+            raise
+        settle(block.start, loads)
 
-    def by_member(entries):
-        return np.array(entries).reshape(-1, members).T.copy()
-
-    balance, diss_rates, rate_norms, energies, iterations = (
-        by_member(e) for e in (balance, diss_rates, rate_norms, energies, iterations))
+    iterations = np.array(iterations).reshape(steps, members)
     values = acc.samples  # the states are the history's samples
     return [(Trajectory(times=times, values=values[b]),
              SolveReport(method="implicit", eps=eps, tau=float(tau), times=times,
                          balance_residuals=balance[b], rate_h1_norms=rate_norms[b],
                          dissipation_rates=diss_rates[b], energies=energies[b],
-                         inner_iterations=int(iterations[b].sum()),
+                         inner_iterations=int(iterations[:, b].sum()),
                          warm_start=warm_start))
             for b, eps in enumerate(levels.eps)]
 
@@ -423,7 +505,9 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
                   warm_start: bool = True):
     """Run the time loop; returns ``(Trajectory, SolveReport)``.
 
-    The implicit method is :func:`solve_levels` with one level.
+    The implicit method is :func:`solve_levels` with one level.  The
+    explicit loop takes its steps in the same blocks, checking each new
+    state for finiteness as it goes.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
@@ -447,21 +531,32 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
 
     rate_norms = np.zeros(steps)
     energies = np.zeros(steps + 1)
-    energies[0] = energy(scenario, times[0], q)
+    energies[0] = _energies(scenario.alpha, q, mesh.riesz @ q,
+                            scenario.load.values(times[:1])[0])
     total_iters = 0
+    blocks = step_blocks(steps, n)
+    rates = np.empty((len(blocks[0]), n))
 
-    for k in range(steps):
-        q, rate, iters = explicit_projection_step(
-            scenario, eps, times[k], q, acc.value(), cold_start=not warm_start
-        )
-        if not np.all(np.isfinite(q)):
-            raise NumericalFailure(
-                f"non-finite state at explicit step {k + 1}/{steps}"
-            )
-        rate_norms[k] = h1_norm(mesh, rate)
-        total_iters += iters
-        energies[k + 1] = energy(scenario, times[k + 1], q)
-        acc.push(q)
+    for block in blocks:
+        # The load at each step's start, and at the last one's end.
+        loads, error = _load_rows(scenario.load, times[block.start:block.stop + 1])
+        for j in range(min(len(block), len(loads))):
+            q, rates[j], iters = _explicit_advance(
+                scenario, eps, loads[j], q, acc.value(), cold_start=not warm_start)
+            if not np.all(np.isfinite(q)):
+                raise NumericalFailure(
+                    f"non-finite state at explicit step {block.start + j + 1}/{steps}"
+                )
+            total_iters += iters
+            acc.push(q)
+        if error is not None:
+            raise error
+        m = len(block)
+        after = acc.samples[block.start + 1:block.stop + 1]
+        rate_norms[block.start:block.stop] = np.sqrt(np.maximum(
+            np.vecdot(rates[:m], mesh.riesz.apply_rows(rates[:m])), 0.0))
+        energies[block.start + 1:block.stop + 1] = _energies(
+            scenario.alpha, after, mesh.riesz.apply_rows(after), loads[1:])
 
     report = SolveReport(
         method=method,

@@ -47,7 +47,7 @@ from .history import HistoryAccumulator
 # benchmark's layer tracer (bench/tracer.py) patches this module's names.
 from .spatial import h1_norm
 from .dissipation import _potential_at, force_box, potential
-from .trajectory import Trajectory, c_norm, c_norm_diff, h1_time_norm
+from .trajectory import Trajectory, c_norm, c_norm_diff, h1_time_norm, step_blocks
 from .viscous import Scenario, _balance_residuals, solve_levels, solve_viscous
 
 __all__ = [
@@ -64,8 +64,6 @@ __all__ = [
 # Default viscosity schedule: geometric halving from 0.1, eight levels.
 DEFAULT_EPS_LEVELS = tuple(0.1 * 0.5**k for k in range(8))
 
-_BLOCK_ENTRIES = 2**14  # about this many (steps times nodes) in a replay block
-
 
 @dataclass
 class LimitCertificate:
@@ -77,28 +75,28 @@ class LimitCertificate:
 
 
 def replay(scenario: Scenario, traj: Trajectory):
-    """Yield ``(rate, force, lower, upper)`` for blocks of ``max(1,
-    _BLOCK_ENTRIES // n)`` steps of ``traj`` (the last block: the rest),
-    as (m, n) stacks with one row a step.
+    """Yield ``(rate, force, lower, upper)`` for the blocks of
+    :func:`~histris.trajectory.step_blocks` (steps of n entries) of
+    ``traj``, as (m, n) stacks with one row a step.
 
     ``rate`` is the backward difference ``(q_{k+1} - q_k) / tau``,
     ``force`` the viscosity-free ``driving_force(t_{k+1}, q_{k+1})``,
     and ``(lower, upper)`` the :func:`force_box` at the history where
     the step starts.  The history still advances once a step, in step
-    order; each block makes one ``force_box`` call and one Riesz product.
+    order; each block makes one ``force_box`` call, one load evaluation
+    and one Riesz product.
     """
     mesh = scenario.mesh
-    size = max(1, _BLOCK_ENTRIES // mesh.n_nodes)
     acc = HistoryAccumulator(scenario.kernel, traj.tau, mesh.n_nodes, traj.n_steps)
     acc.push(traj.values[0])
-    for start in range(0, traj.n_steps, size):
-        stop = min(start + size, traj.n_steps)
+    for block in step_blocks(traj.n_steps, mesh.n_nodes):
+        start, stop = block.start, block.stop
         zeta = np.empty((stop - start, mesh.n_nodes))
         for k in range(start, stop):
             zeta[k - start] = acc.value()
             acc.push(traj.values[k + 1])
         q = traj.values[start:stop + 1]
-        loads = np.array([scenario.load.value(t) for t in traj.times[start + 1:stop + 1]])
+        loads = scenario.load.values(traj.times[start + 1:stop + 1])
         yield (np.diff(q, axis=0) / traj.tau,
                loads - scenario.alpha * mesh.riesz.apply_rows(q[1:]),
                *force_box(scenario.dissipation, mesh, zeta))
@@ -195,6 +193,9 @@ class _MappedLoad:
 
     def value(self, t: float):
         return self.inner.value(float(self.time_map(t)))
+
+    def values(self, times):
+        return self.inner.values([float(self.time_map(t)) for t in times])
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 Nothing in this file imports solver code: references are scalar closed
 forms, direct quadrature, exhaustive enumeration at tiny sizes, and the
-step-by-step loops that the certificate's row reductions replaced (these
-take the package's objects as arguments).  Tests compare package output
-against these, never the other way round.
+step-by-step loops that the certificate's and the time loops' row
+reductions replaced (these take the package's objects as arguments).
+Tests compare package output against these, never the other way round.
 """
 
 import itertools
@@ -317,3 +317,144 @@ def dual_equivalence_per_step(scenario, eps, steps):
         "limit_feasibility": float(lim_feas),
         "rate_admissibility": float(rate_adm),
     }
+
+
+def load_value(load, t):
+    """A sum of separable load terms at time ``t``, term by term in order."""
+    out = float(load.terms[0].time_profile(t)) * load.terms[0].space_dual
+    for term in load.terms[1:]:
+        out = out + float(term.time_profile(t)) * term.space_dual
+    return out
+
+
+class UnbalancedStep(Exception):
+    """The balance gate of :func:`solve_levels_per_step` failed."""
+
+    def __init__(self, step, member, residual):
+        super().__init__(f"step {step}, member {member}, residual {residual!r}")
+        self.step, self.member, self.residual = step, member, residual
+
+
+def _report(method, eps, tau, times, balance, norms, rates, energies, iterations,
+            warm_start):
+    return {"method": method, "eps": eps, "tau": tau, "times": times,
+            "balance_residuals": balance, "rate_h1_norms": norms,
+            "dissipation_rates": rates, "energies": energies,
+            "inner_iterations": iterations, "warm_start": warm_start}
+
+
+def solve_levels_per_step(scenario, eps_values, warm_start, prox, accumulator, tol):
+    """The implicit lockstep loop with every diagnostic taken in its step.
+
+    A step evaluates the load (:func:`load_value`), makes one ``prox``
+    call (the package's stacked rate prox, passed in) on all members,
+    reduces the balance, dissipation rate, rate norm and energy of each
+    member as rows, and gates the balance at ``tol`` before the next
+    step; a failure raises :class:`UnbalancedStep`.  Returns ``(values,
+    report fields)`` per level.
+    """
+    mesh = scenario.mesh
+    spec = scenario.dissipation
+    alpha = scenario.alpha
+    tau = scenario.tau
+    n = mesh.n_nodes
+    steps = scenario.n_steps
+    eps = [float(e) for e in eps_values]
+    members = len(eps)
+    effective = [alpha + e / tau for e in eps]
+    hessian = mesh.riesz.stack(effective)
+    riesz = mesh.riesz.stack([1.0] * members)
+    column = np.array(effective)[:, None]
+
+    def apply(fields):
+        return (riesz @ fields.ravel()).reshape(fields.shape)
+
+    def energies_of(q, riesz_q, load):
+        return (0.5 * alpha * np.vecdot(q, riesz_q) - np.vecdot(load, q)).tolist()
+
+    times = scenario.times()
+    acc = accumulator(scenario.kernel, tau, n, steps)
+    q = np.zeros((members, n))
+    acc.push(q)
+    q0, load0 = q[0], load_value(scenario.load, times[0])
+    balance, rates, norms, iterations = [], [], [], []
+    energies = [[0.5 * alpha * float(q0 @ (mesh.riesz @ q0)) - float(np.dot(load0, q0))]
+                * members]
+    load = None
+    warm = None
+    for k in range(steps):
+        load_next = load_value(scenario.load, times[k + 1])
+        riesz_q = apply(q)
+        f = load_next - alpha * riesz_q
+        delta, count, threshold = prox(spec, mesh, acc.value(), f, hessian,
+                                       start=warm if warm_start else None)
+        rate = delta / tau
+        riesz_delta = apply(delta)
+        phi = f - column * riesz_delta
+        pot = np.vecdot(threshold, rate if spec.one_sided else np.abs(rate))
+        if spec.one_sided:
+            pot = np.where(rate.min(axis=1, initial=0.0) < 0.0, math.inf, pot)
+        lhs = np.vecdot(phi, rate)
+        with np.errstate(invalid="ignore"):
+            residual = np.abs(lhs - pot) / (1.0 + np.abs(lhs) + np.abs(pot))
+        residual[np.isinf(pot)] = math.inf
+        for b, r in enumerate(residual.tolist()):
+            if not r <= tol:
+                raise UnbalancedStep(k + 1, b, r)
+        if k > 0:
+            energies.append(energies_of(q, riesz_q, load))
+        q = q + delta
+        load = load_next
+        warm = delta
+        balance.append(residual.tolist())
+        rates.append(pot.tolist())
+        norm = np.sqrt(np.maximum(np.vecdot(delta, riesz_delta), 0.0)) / tau
+        norms.append(norm.tolist())
+        iterations.append(count.per_block)
+        acc.push(q)
+    energies.append(energies_of(q, apply(q), load))
+
+    columns = [np.array(rows).T.copy() for rows in (balance, norms, rates, energies)]
+    totals = np.array(iterations).sum(axis=0)
+    values = acc.samples
+    return [(values[b], _report("implicit", e, float(tau), times,
+                                *(c[b] for c in columns), int(totals[b]), warm_start))
+            for b, e in enumerate(eps)]
+
+
+def solve_explicit_per_step(scenario, eps, warm_start, project, accumulator):
+    """The explicit projection loop with its rate norm and energy taken
+    in each step; ``project`` is the package's counted dual projection.
+    Returns ``(values, report fields)``."""
+    mesh = scenario.mesh
+    alpha = scenario.alpha
+    tau = scenario.tau
+    steps = scenario.n_steps
+    times = scenario.times()
+
+    def energy(t, q):
+        load = load_value(scenario.load, t)
+        return 0.5 * alpha * float(q @ (mesh.riesz @ q)) - float(np.dot(load, q))
+
+    q = np.zeros(mesh.n_nodes)
+    acc = accumulator(scenario.kernel, tau, mesh.n_nodes, steps)
+    acc.push(q)
+    norms = np.zeros(steps)
+    energies = np.zeros(steps + 1)
+    energies[0] = energy(times[0], q)
+    total = 0
+    for k in range(steps):
+        omega = load_value(scenario.load, times[k]) - alpha * (mesh.riesz @ q)
+        mu, count = project(scenario.dissipation, mesh, acc.value(), omega,
+                            cold_start=not warm_start)
+        rate = mesh.riesz.solve(omega - mu) / eps
+        q = q + tau * rate
+        if not np.all(np.isfinite(q)):
+            raise ArithmeticError(f"non-finite state at step {k + 1}")
+        norms[k] = math.sqrt(max(float(rate @ (mesh.riesz @ rate)), 0.0))
+        total += count
+        energies[k + 1] = energy(times[k + 1], q)
+        acc.push(q)
+    nan = np.full(steps, math.nan)
+    return acc.samples, _report("explicit", float(eps), float(tau), times, nan, norms,
+                                nan.copy(), energies, total, warm_start)

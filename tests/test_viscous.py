@@ -3,8 +3,9 @@
 Covers load evaluation and derivatives, scenario validation, the
 single implicit step (force balance, stick/slip, the closed-form
 spatially constant increment), the analytic viscous ramp,
-implicit/explicit agreement, warm-start irrelevance, and the sampled
-one-sided force inequality.
+implicit/explicit agreement, warm-start irrelevance, the sampled
+one-sided force inequality, and the blocks of steps in which the time
+loops reduce their diagnostics.
 """
 
 import math
@@ -14,9 +15,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import histris.dissipation as dissipation
+import histris.trajectory as trajectory
+import histris.viscous as viscous
+from histris.config import build_scenario, normalize_config
 from histris.dissipation import WeightedL1, potential
 from histris.errors import NumericalFailure
-from histris.history import identity_kernel
+from histris.history import HistoryAccumulator, identity_kernel
 from histris.spatial import build_mesh, dual_pair, h1_norm
 from histris.trajectory import c_norm_diff
 from histris.viscous import (
@@ -28,12 +33,20 @@ from histris.viscous import (
     driving_force,
     energy,
     expression_load,
+    solve_levels,
     solve_viscous,
     viscous_step,
 )
+from histris.vv import _MappedLoad
 
 from helpers import constant_threshold, scalar_scenario
-from oracles import viscous_ramp_value
+from oracles import (
+    UnbalancedStep,
+    load_value,
+    solve_explicit_per_step,
+    solve_levels_per_step,
+    viscous_ramp_value,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +319,151 @@ def test_explicit_solve_uses_band_algebra_only(monkeypatch, one_sided):
     assert np.all(np.isfinite(traj.values))
     assert report.inner_iterations > 0
     assert np.count_nonzero(traj.values[-1]) > 0
+
+
+# ---------------------------------------------------------------------------
+# blocks of steps
+
+
+def _same_bits(a, b):
+    if not isinstance(a, (float, np.ndarray)):
+        return type(a) is type(b) and a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_load_values_rows_have_the_bits_of_one_time():
+    # Three terms of one size: another order of the sum rounds differently.
+    rng = np.random.default_rng(2)
+    duals = [rng.standard_normal(7) for _ in range(3)]
+    load = Load([LoadTerm(lambda t: math.sin(3.0 * t), duals[0]),
+                 LoadTerm(lambda t: -t, duals[1]),
+                 LoadTerm(lambda t: 0.7 * math.cos(5.0 * t), duals[2])])
+    times = np.linspace(0.0, 1.0, 9)
+    rows = load.values(times)
+    assert rows.shape == (9, 7)
+    for t, row in zip(times, rows, strict=True):
+        assert _same_bits(row, load_value(load, t))
+        assert _same_bits(load.value(t), row)
+    assert load.values(times[:0]).shape == (0, 7)
+    mapped = _MappedLoad(load, lambda s: s * s)
+    for t, row in zip(times, mapped.values(times), strict=True):
+        assert _same_bits(row, load_value(load, float(t * t)))
+
+
+_BLOCK_KERNELS = {
+    "1": {"kind": "identity"},
+    "1/(1+t)^2": {"kind": "convolution", "kernel": "1/(1+t)^2",
+                  "kernel_slope": "-2/(1+t)^3"},
+}
+
+
+def _assert_same_solve(traj, report, values, fields):
+    assert _same_bits(traj.values, values)
+    assert set(vars(report)) == set(fields)
+    for name, value in fields.items():
+        assert _same_bits(getattr(report, name), value), name
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+@pytest.mark.parametrize("kernel", sorted(_BLOCK_KERNELS))
+@pytest.mark.parametrize("entries", [1, 357, 2**14])
+def test_block_boundaries_keep_the_per_step_bits(monkeypatch, family, kernel, entries):
+    # At n = 17 the block sizes are one step; 7 steps (three levels) or 21
+    # (one level, explicit), with a shorter last block; and the whole run.
+    # Every trajectory and report field is the per-step loop's, bit for bit.
+    monkeypatch.setattr(trajectory, "_BLOCK_ENTRIES", entries)
+    sc = build_scenario(normalize_config({
+        "mesh": {"n_nodes": 17},
+        "model": {"n_steps": 90, "horizon": 1.5},
+        "load": {"time": "2*sin(2*pi*t)", "space": "1 + 0.6*cos(3*pi*x)"},
+        "dissipation": {"family": family},
+        "history": _BLOCK_KERNELS[kernel],
+    }))
+    for eps_values, warm in (((0.01,), True), ((0.1, 0.02, 0.004), True),
+                             ((0.1, 0.02, 0.004), False)):
+        want = solve_levels_per_step(sc, eps_values, warm, viscous._prox_rate_counted,
+                                     HistoryAccumulator, BALANCE_TOL)
+        got = solve_levels(sc, eps_values, warm_start=warm)
+        for (traj, report), (values, fields) in zip(got, want, strict=True):
+            _assert_same_solve(traj, report, values, fields)
+    for warm in (True, False):
+        traj, report = solve_viscous(sc, 0.2, method="explicit", warm_start=warm)
+        _assert_same_solve(traj, report, *solve_explicit_per_step(
+            sc, 0.2, warm, dissipation._project_counted, HistoryAccumulator))
+
+
+class _PerturbedProx:
+    """The package's rate prox with chosen members' increments scaled by
+    ``factor`` at chosen calls, and an error raised at a later call."""
+
+    def __init__(self, prox, factor, scale_at, raise_at):
+        self.prox, self.factor = prox, factor
+        self.scale_at, self.raise_at = scale_at, raise_at
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.raise_at:
+            raise RuntimeError("a later step failed")
+        delta, count, threshold = self.prox(*args, **kwargs)
+        for b in self.scale_at.get(self.calls, ()):
+            delta[b] *= self.factor
+        return delta, count, threshold
+
+
+def _load_until(t_max):
+    def a(t):
+        if t > t_max:
+            raise ValueError("load undefined")
+        return 2.0 * math.sin(math.pi * t)
+    return a
+
+
+@pytest.mark.parametrize("factor", [1.5, math.inf, None])
+@pytest.mark.parametrize("later", ["prox", "load"])
+def test_a_block_fails_at_its_first_unbalanced_step(monkeypatch, factor, later):
+    # All 200 steps are one block.  Step 60 scales the increments of levels
+    # 1 and 2, step 63 level 0's, and step 66 (prox) or 67 (load) raises
+    # another error.  The finished steps are settled before that error
+    # surfaces: the failure is step 60's, with the per-step level and
+    # residual.  That level is 1, except that an infinite increment spills
+    # into level 0's row of the same step's stacked product, as it does in
+    # the per-step loop; it must not spill into step 59's row.
+    eps_values = (0.2, 0.05, 0.0125)
+    sc = scalar_scenario(_load_until(0.3325 if later == "load" else 1.0), n_steps=200)
+    prox = viscous._prox_rate_counted
+
+    def perturbed():
+        return _PerturbedProx(prox, factor, {60: (1, 2), 63: (0,)} if factor else {},
+                              66 if later == "prox" else None)
+
+    monkeypatch.setattr(viscous, "_prox_rate_counted", perturbed())
+    if factor is None:
+        with pytest.raises(RuntimeError if later == "prox" else ValueError):
+            solve_levels(sc, eps_values)
+        return
+    with pytest.raises(UnbalancedStep) as want:
+        solve_levels_per_step(sc, eps_values, True, perturbed(), HistoryAccumulator,
+                              BALANCE_TOL)
+    assert (want.value.step, want.value.member) == (60, 1 if factor == 1.5 else 0)
+    eps = eps_values[want.value.member]
+    message = rf"force balance violated at step 60/200 \(eps={eps:g}\)"
+    with pytest.raises(NumericalFailure, match=message) as exc:
+        solve_levels(sc, eps_values)
+    assert exc.value.member == want.value.member
+    assert _same_bits(exc.value.residual, want.value.residual)
+
+
+def test_explicit_failure_comes_before_a_later_load_error():
+    # A NaN load makes the state of step 12 non-finite; the load raises from
+    # t = 0.8 on, in the same block, and must not surface first.
+    def a(t):
+        if t > 0.8:
+            raise ValueError("load undefined")
+        return 2.0 * t if t <= 0.5 else math.nan
+
+    sc = scalar_scenario(a, n_steps=20, n_nodes=9)
+    with pytest.raises(NumericalFailure, match="explicit step 12/20"):
+        solve_viscous(sc, 0.5, method="explicit")
