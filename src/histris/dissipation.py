@@ -38,6 +38,14 @@ hold exactly.  The two sides are independent formulations (a primal
 rate problem with Hessian ``eps * R`` and a dual box projection with
 Hessian ``R^{-1}``, in different unknowns), so the identity serves as
 a cross-check even though both run the same box active-set routine.
+
+The rate prox takes the elastic trial step of return mapping first
+(Simo & Hughes, *Computational Inelasticity*, 1998, ch. 3): from a zero
+start, a force inside the box (up to the QP tolerance) has the zero rate
+as its prox, and the QP's first step would pin every coordinate there.
+So such a step returns the QP's result, +0.0 in one step a member,
+without calling it.  The dual projection has no such exit: it stays the
+independent side of the cross-check.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalFailure
-from .qp import KKT_TOL, solve_box_qp, solve_l1_qp
+from .qp import KKT_TOL, StepCount, solve_box_qp, solve_l1_qp
 from .spatial import (
     DualField,
     Field,
@@ -226,7 +234,15 @@ def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
     :class:`~histris.qp.StepCount`, and the threshold ``M w(zeta)``, so
     callers can evaluate the potential without assembling it again.
     Raises :class:`NumericalFailure` on a force or threshold that is not
-    finite, naming the first member it hits, or none when it hits all.
+    finite, saying which, naming the first member it hits, or none when
+    it hits all.
+
+    Elastic steps skip the QP.  From a zero start (``start`` None or
+    all zero) the QP's first step pins every coordinate at zero when
+    the force lies in the box ``force - w <= tol`` (two-sided: ``w > 0``
+    and ``|force| - w <= tol``), and then releases none.  When that
+    holds for every member, the result is returned without a QP call:
+    a +0.0 rate and one step a member, the QP's own bits and count.
     """
     force = np.asarray(force, dtype=float)
     w = threshold_dual(spec, mesh, zeta)
@@ -235,9 +251,17 @@ def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
     # does not stop 0 * inf = nan from reaching the next block.
     if not np.isfinite(lin).all():
         finite = np.isfinite(lin).reshape(-1, mesh.n_nodes).all(axis=1)
+        bad = [name for name, v in (("force", force), ("dissipation threshold", w))
+               if not np.isfinite(v).all()]
         raise NumericalFailure(
-            "non-finite force or dissipation threshold",
+            "non-finite " + (" and ".join(bad) or "force minus dissipation threshold"),
             member=int(np.argmin(finite)) if finite.any() else None)
+    if start is None or not np.any(start):
+        elastic = ((lin <= tol).all() if spec.one_sided
+                   else (w > 0.0).all() and (np.abs(force) - w <= tol).all())
+        if elastic:
+            return (np.zeros(force.shape),
+                    StepCount((1,) * (1 if force.ndim == 1 else len(force))), w)
     if spec.one_sided:
         rate, iterations = solve_box_qp(hess, lin, lower=0.0, upper=None,
                                         start=start, tol=tol)

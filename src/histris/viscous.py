@@ -29,9 +29,11 @@ trajectory and report are bit for bit what it gives alone;
 :func:`solve_viscous`'s implicit method is this loop with one level.
 
 A step only advances the state: it forms the driving force, makes the
-stacked QP call and pushes the new states to the history.  The loops
-take the steps in blocks of :func:`~histris.trajectory.step_blocks`
-(about ``2**14`` entries: members times nodes times steps).  A block
+stacked QP call (none on an elastic step, see
+:mod:`histris.dissipation`) and pushes the new states to the history.
+The loops take the steps in blocks of
+:func:`~histris.trajectory.step_blocks` (about ``2**14`` entries:
+members times nodes times steps).  A block
 evaluates its loads in one :meth:`Load.values` call, records each
 step's increment and threshold, and at its end reduces the force
 balance, dissipation rates, rate norms and energies of all its steps
@@ -278,12 +280,13 @@ def _advance(scenario: Scenario, levels: _Levels, load: DualField, q: np.ndarray
                               levels.hessian, start=start)
 
 
-def _diagnostics(scenario: Scenario, levels: _Levels, loads: np.ndarray,
+def _diagnostics(scenario: Scenario, effective: np.ndarray, loads: np.ndarray,
                  states: np.ndarray, delta: np.ndarray, threshold: np.ndarray):
     """Force after, balance residuals, dissipation rates, rate norms and
     end-of-step energies of m consecutive steps of B members, by rows.
 
-    ``loads`` (m, n) holds the load at each step's end, ``states``
+    ``effective`` (B, 1, 1) holds the members' ``alpha + eps / tau``,
+    ``loads`` (m, n) the load at each step's end, ``states``
     (B, m + 1, n) the states from the first step's start to the last
     one's end, ``delta`` and ``threshold`` (B, m, n) each step's
     increment and ``M w(zeta)``.  Each result is (B, m), the force
@@ -291,11 +294,17 @@ def _diagnostics(scenario: Scenario, levels: _Levels, loads: np.ndarray,
     a band product keeps each row's bits, and np.vecdot takes each row
     through the BLAS dot of dual_pair (einsum would sum otherwise).
     """
-    m = delta.shape[1]
-    if m > 1 and not (np.isfinite(states).all() and np.isfinite(delta).all()):
+    members, m = delta.shape[:2]
+    if members * m > 1 and not (np.isfinite(states).all() and np.isfinite(delta).all()):
         # A stacked band product spreads a non-finite entry to the rows
-        # next to it (0 * inf); such a block is reduced a step at a time.
-        parts = [_diagnostics(scenario, levels, loads[j:j + 1], states[:, j:j + 2],
+        # next to it (0 * inf); such a block is reduced one member, then
+        # one step, at a time.
+        if members > 1:
+            parts = [_diagnostics(scenario, effective[b:b + 1], loads, states[b:b + 1],
+                                  delta[b:b + 1], threshold[b:b + 1])
+                     for b in range(members)]
+            return tuple(np.concatenate(part) for part in zip(*parts))
+        parts = [_diagnostics(scenario, effective, loads[j:j + 1], states[:, j:j + 2],
                               delta[:, j:j + 1], threshold[:, j:j + 1])
                  for j in range(m)]
         return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
@@ -303,7 +312,7 @@ def _diagnostics(scenario: Scenario, levels: _Levels, loads: np.ndarray,
     tau = scenario.tau
     riesz_delta = apply(delta)
     f = loads - scenario.alpha * apply(states[:, :-1])
-    phi = f - levels.effective * riesz_delta
+    phi = f - effective * riesz_delta
     rate = delta / tau
     rhs = _potential_at(scenario.dissipation, threshold, rate)
     balance = _balance_residuals(np.vecdot(phi, rate), rhs)
@@ -329,8 +338,8 @@ def viscous_step(scenario: Scenario, eps: float, t_next: float, q: Field,
                                        np.asarray(zeta, dtype=float)[None],
                                        start_increment)
     states = np.stack([q, q + delta], axis=1)
-    phi, balance, rhs, norms, _ = _diagnostics(scenario, levels, load[None], states,
-                                               delta[:, None], threshold[:, None])
+    phi, balance, rhs, norms, _ = _diagnostics(scenario, levels.effective, load[None],
+                                               states, delta[:, None], threshold[:, None])
     return StepResult(states[0, 1], delta[0], phi[0, 0], float(balance[0, 0]),
                       float(rhs[0, 0]), iters, float(norms[0, 0]))
 
@@ -387,6 +396,8 @@ class SolveReport:
     dissipation: its ``balance_residuals`` and ``dissipation_rates``
     are NaN.  ``inner_iterations`` totals the QP iterations of all
     steps; one iteration is one free-block solve (see :mod:`histris.qp`).
+    An elastic step, whose zero rate the prox decides without a QP call,
+    counts 1 a member: the count the QP gives it.
     """
 
     method: str
@@ -451,7 +462,7 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
         then apply the balance gate to them in step order."""
         stop = start + len(loads)
         _, bal, rhs, norms, ener = _diagnostics(
-            scenario, levels, loads, acc.samples[:, start:stop + 1],
+            scenario, levels.effective, loads, acc.samples[:, start:stop + 1],
             delta[:, :len(loads)], threshold[:, :len(loads)])
         bad = ~(bal <= BALANCE_TOL)  # NaN fails
         if bad.any():

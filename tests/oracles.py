@@ -1,9 +1,10 @@
 """Independent reference results for the test suite.
 
 Nothing in this file imports solver code: references are scalar closed
-forms, direct quadrature, exhaustive enumeration at tiny sizes, and the
+forms, direct quadrature, exhaustive enumeration at tiny sizes, the
 step-by-step loops that the certificate's and the time loops' row
-reductions replaced (these take the package's objects as arguments).
+reductions replaced, and a rate prox that calls the QP on every step
+(these take the package's objects as arguments).
 Tests compare package output against these, never the other way round.
 """
 
@@ -347,9 +348,10 @@ def solve_levels_per_step(scenario, eps_values, warm_start, prox, accumulator, t
     """The implicit lockstep loop with every diagnostic taken in its step.
 
     A step evaluates the load (:func:`load_value`), makes one ``prox``
-    call (the package's stacked rate prox, passed in) on all members,
-    reduces the balance, dissipation rate, rate norm and energy of each
-    member as rows, and gates the balance at ``tol`` before the next
+    call (a stacked rate prox, passed in: the package's, or
+    :class:`QPProx`) on all members, reduces the balance, dissipation
+    rate, rate norm and energy of each member, applying the Riesz matrix
+    one member at a time, and gates the balance at ``tol`` before the next
     step; a failure raises :class:`UnbalancedStep`.  Returns ``(values,
     report fields)`` per level.
     """
@@ -363,11 +365,10 @@ def solve_levels_per_step(scenario, eps_values, warm_start, prox, accumulator, t
     members = len(eps)
     effective = [alpha + e / tau for e in eps]
     hessian = mesh.riesz.stack(effective)
-    riesz = mesh.riesz.stack([1.0] * members)
     column = np.array(effective)[:, None]
 
-    def apply(fields):
-        return (riesz @ fields.ravel()).reshape(fields.shape)
+    def apply(fields):  # one member at a time: no 0 * inf between members
+        return np.array([mesh.riesz @ row for row in fields])
 
     def energies_of(q, riesz_q, load):
         return (0.5 * alpha * np.vecdot(q, riesz_q) - np.vecdot(load, q)).tolist()
@@ -420,6 +421,43 @@ def solve_levels_per_step(scenario, eps_values, warm_start, prox, accumulator, t
     return [(values[b], _report("implicit", e, float(tau), times,
                                 *(c[b] for c in columns), int(totals[b]), warm_start))
             for b, e in enumerate(eps)]
+
+
+class QPProx:
+    """The stacked rate prox with a QP call on every step, elastic or
+    not.  The threshold assembly, both QPs and the failure type are
+    passed in.
+
+    ``calls`` counts the calls, ``elastic`` those that start from zero
+    (``start`` None or all zero) and get a +0.0 rate from the QP in one
+    step a member: the elastic steps.
+    """
+
+    def __init__(self, threshold_dual, solve_box_qp, solve_l1_qp, failure, tol):
+        self.threshold_dual, self.failure, self.tol = threshold_dual, failure, tol
+        self.solve_box_qp, self.solve_l1_qp = solve_box_qp, solve_l1_qp
+        self.calls = self.elastic = 0
+
+    def __call__(self, spec, mesh, zeta, force, hess, start=None):
+        force = np.asarray(force, dtype=float)
+        w = self.threshold_dual(spec, mesh, zeta)
+        lin = force - w
+        if not np.isfinite(lin).all():
+            finite = np.isfinite(lin).reshape(-1, mesh.n_nodes).all(axis=1)
+            raise self.failure(
+                "non-finite force or dissipation threshold",
+                member=int(np.argmin(finite)) if finite.any() else None)
+        if spec.one_sided:
+            rate, iterations = self.solve_box_qp(hess, lin, lower=0.0, upper=None,
+                                                 start=start, tol=self.tol)
+        else:
+            rate, iterations = self.solve_l1_qp(hess, force, w, start=start,
+                                                tol=self.tol)
+        self.calls += 1
+        if ((start is None or not np.any(start)) and not rate.any()
+                and not np.signbit(rate).any() and set(iterations.per_block) == {1}):
+            self.elastic += 1
+        return rate, iterations, w
 
 
 def solve_explicit_per_step(scenario, eps, warm_start, project, accumulator):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import histris.dissipation as dissipation
 from histris.dissipation import (
     ABS_INTERP_CONST,
     Containment,
@@ -27,7 +28,8 @@ from histris.dissipation import (
     subdiff_zero_contains,
     threshold_dual,
 )
-from histris.qp import solve_box_qp
+from histris.errors import NumericalFailure
+from histris.qp import KKT_TOL, solve_box_qp, solve_l1_qp
 from histris.spatial import build_mesh, dual_norm, h1_norm, riesz_solve
 from histris.verify import smooth_fatigue
 
@@ -444,3 +446,91 @@ def test_specs_reject_bad_lipschitz():
         Fatigue(weight=lambda z: z, lipschitz=-1.0)
     with pytest.raises(ValueError, match="lipschitz"):
         WeightedL1(weight=lambda z: z, lipschitz=math.inf)
+
+
+# ---------------------------------------------------------------------------
+# elastic steps: the zero rate without a QP call
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+@pytest.mark.parametrize("length", [1.0, 15.0])
+def test_the_elastic_rule_gives_the_qp_result(monkeypatch, family, length):
+    # Whenever the rule holds, the QP called directly from a zero start
+    # (None, +0.0 or -0.0 entries) returns +0.0 everywhere in one step a
+    # member, and the prox returns those bits and that count without a QP
+    # call.  At length 15 the element size 3 exceeds sqrt(6): the Riesz
+    # band has positive couplings and is no M-matrix.
+    one_sided = family == "fatigue"
+    n = 6
+    mesh = build_mesh(n, length)
+    assert (np.asarray(mesh.riesz)[0, 1] > 0.0) == (length == 15.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an elastic step called the QP")
+
+    monkeypatch.setattr(dissipation, "solve_box_qp", refuse)
+    monkeypatch.setattr(dissipation, "solve_l1_qp", refuse)
+    # Under the weight zeta, nodes 0 and 1 get w = 0 (one-sided) or w far
+    # below an ulp of the tolerance (two-sided), so their forces +-KKT_TOL
+    # put the rule's left side exactly at the tolerance or its negative.
+    spec = (Fatigue if one_sided else WeightedL1)(weight=lambda z: z, lipschitz=1.0)
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        for members in (1, 3):
+            zeta = rng.uniform(0.0, 2.0, (members, n))
+            zeta[:, :3] = 0.0 if one_sided else 1e-30
+            w = threshold_dual(spec, mesh, zeta)
+            force = rng.uniform(0.0, 1.0, w.shape)
+            force[:, :2] = (KKT_TOL, -KKT_TOL)
+            if one_sided:
+                force[:, 2:] = w[:, 2:] - rng.exponential(1.0, (members, n - 2))
+                assert (force - w <= KKT_TOL).all()
+                assert (force[:, :2] - w[:, :2] == (KKT_TOL, -KKT_TOL)).all()
+            else:
+                force[:, 2:] *= w[:, 2:] * rng.choice([-1.0, 1.0], (members, n - 2))
+                force[:, -1] = w[:, -1]
+                assert (w > 0.0).all() and (np.abs(force) - w <= KKT_TOL).all()
+                assert (np.abs(force[:, :2]) - w[:, :2] == KKT_TOL).all()
+            scales = rng.uniform(0.5, 50.0, members)
+            if members == 1:
+                zeta, force, w = zeta[0], force[0], w[0]
+                hess = scales[0] * mesh.riesz
+            else:
+                hess = mesh.riesz.stack(scales)
+            signed_zeros = np.where(rng.random(force.shape) < 0.5, -0.0, 0.0)
+            for start in (None, np.zeros(force.shape), signed_zeros):
+                if one_sided:
+                    want, steps = solve_box_qp(hess, force - w, lower=0.0, upper=None,
+                                               start=start)
+                else:
+                    want, steps = solve_l1_qp(hess, force, w, start=start)
+                assert want.shape == force.shape
+                assert not want.any() and not np.signbit(want).any()
+                assert steps.per_block == (1,) * members and steps == members
+                rate, count, threshold = dissipation._prox_rate_counted(
+                    spec, mesh, zeta, force, hess, start=start)
+                assert np.array_equal(rate, want) and rate.shape == want.shape
+                assert not np.signbit(rate).any()
+                assert count.per_block == steps.per_block and count == steps
+                assert np.array_equal(threshold, w)
+
+
+def test_a_non_finite_prox_input_is_named():
+    # The failure says which input is not finite and names the first
+    # member it hits.
+    mesh = build_mesh(5, 1.0)
+    spec = Fatigue(weight=lambda z: np.where(z > 5.0, np.inf, 1.0), lipschitz=0.0)
+    hess = mesh.riesz.stack([2.0, 2.0, 2.0])
+    zeta, force = np.zeros((3, 5)), np.zeros((3, 5))
+    cases = []
+    bad_force = force.copy()
+    bad_force[1, 2] = np.nan
+    cases.append((zeta, bad_force, "non-finite force", 1))
+    bad_zeta = zeta.copy()
+    bad_zeta[2, 4] = 6.0
+    cases.append((bad_zeta, force, "non-finite dissipation threshold", 2))
+    cases.append((bad_zeta, bad_force, "non-finite force and dissipation threshold", 1))
+    for z, f, message, member in cases:
+        with pytest.raises(NumericalFailure) as exc:
+            dissipation._prox_rate_counted(spec, mesh, z, f, hess)
+        assert str(exc.value) == message and exc.value.member == member

@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import histris.dissipation as dissipation
+import histris.qp as qp
 import histris.trajectory as trajectory
 import histris.viscous as viscous
 from histris.config import build_scenario, normalize_config
@@ -41,6 +42,7 @@ from histris.vv import _MappedLoad
 
 from helpers import constant_threshold, scalar_scenario
 from oracles import (
+    QPProx,
     UnbalancedStep,
     load_value,
     solve_explicit_per_step,
@@ -394,6 +396,54 @@ def test_block_boundaries_keep_the_per_step_bits(monkeypatch, family, kernel, en
             sc, 0.2, warm, dissipation._project_counted, HistoryAccumulator))
 
 
+_ELASTIC_KERNELS = {**_BLOCK_KERNELS,
+                    "exp(-2t)": {"kind": "convolution", "kernel": "exp(-2*t)",
+                                 "kernel_slope": "-2*exp(-2*t)"}}
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+@pytest.mark.parametrize("kernel", sorted(_ELASTIC_KERNELS))
+def test_elastic_steps_keep_the_bits_of_a_qp_call(monkeypatch, family, kernel):
+    # The oracle makes a QP call every step; the package skips it on the
+    # elastic steps from a zero start.  Every trajectory and report field
+    # agrees bit for bit, and the package calls a QP on exactly the
+    # oracle's other steps.  Some step moves one level while another
+    # stays put.
+    sc = build_scenario(normalize_config({
+        "mesh": {"n_nodes": 17},
+        "model": {"n_steps": 90, "horizon": 1.5},
+        "load": {"time": "2*sin(2*pi*t)", "space": "1 + 0.6*cos(3*pi*x)"},
+        "dissipation": {"family": family},
+        "history": _ELASTIC_KERNELS[kernel],
+    }))
+    calls = []
+
+    def counted(solve):
+        def call(*args, **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(dissipation, "solve_box_qp", counted(qp.solve_box_qp))
+    monkeypatch.setattr(dissipation, "solve_l1_qp", counted(qp.solve_l1_qp))
+    mixed = False
+    for eps_values in ((0.01,), (0.1, 0.02, 0.004)):
+        for warm in (True, False):
+            oracle = QPProx(dissipation.threshold_dual, qp.solve_box_qp, qp.solve_l1_qp,
+                            NumericalFailure, qp.KKT_TOL)
+            want = solve_levels_per_step(sc, eps_values, warm, oracle, HistoryAccumulator,
+                                         BALANCE_TOL)
+            calls.clear()
+            got = solve_levels(sc, eps_values, warm_start=warm)
+            for (traj, report), (values, fields) in zip(got, want, strict=True):
+                _assert_same_solve(traj, report, values, fields)
+            assert oracle.calls == sc.n_steps and 0 < oracle.elastic < oracle.calls
+            assert len(calls) == oracle.calls - oracle.elastic
+            moving = np.diff([traj.values for traj, _ in got], axis=1).any(axis=2)
+            mixed |= bool((moving.any(axis=0) & ~moving.all(axis=0)).any())
+    assert mixed
+
+
 class _PerturbedProx:
     """The package's rate prox with chosen members' increments scaled by
     ``factor`` at chosen calls, and an error raised at a later call."""
@@ -428,9 +478,9 @@ def test_a_block_fails_at_its_first_unbalanced_step(monkeypatch, factor, later):
     # 1 and 2, step 63 level 0's, and step 66 (prox) or 67 (load) raises
     # another error.  The finished steps are settled before that error
     # surfaces: the failure is step 60's, with the per-step level and
-    # residual.  That level is 1, except that an infinite increment spills
-    # into level 0's row of the same step's stacked product, as it does in
-    # the per-step loop; it must not spill into step 59's row.
+    # residual.  That level is 1, also for an infinite increment: it must
+    # spill neither into level 0's row of the same step's stacked product
+    # nor into step 59's row.
     eps_values = (0.2, 0.05, 0.0125)
     sc = scalar_scenario(_load_until(0.3325 if later == "load" else 1.0), n_steps=200)
     prox = viscous._prox_rate_counted
@@ -447,7 +497,7 @@ def test_a_block_fails_at_its_first_unbalanced_step(monkeypatch, factor, later):
     with pytest.raises(UnbalancedStep) as want:
         solve_levels_per_step(sc, eps_values, True, perturbed(), HistoryAccumulator,
                               BALANCE_TOL)
-    assert (want.value.step, want.value.member) == (60, 1 if factor == 1.5 else 0)
+    assert (want.value.step, want.value.member) == (60, 1)
     eps = eps_values[want.value.member]
     message = rf"force balance violated at step 60/200 \(eps={eps:g}\)"
     with pytest.raises(NumericalFailure, match=message) as exc:
