@@ -44,8 +44,11 @@ The rate prox takes the elastic trial step of return mapping first
 start, a force inside the box (up to the QP tolerance) has the zero rate
 as its prox, and the QP's first step would pin every coordinate there.
 So such a step returns the QP's result, +0.0 in one step a member,
-without calling it.  The dual projection has no such exit: it stays the
-independent side of the cross-check.
+without calling it.  The exit rule is written once, row by row
+(``_elastic``): the prox applies it to its members, and the implicit
+time loop to whole windows of held steps (``_elastic_rows``, which
+assembles their thresholds as one stack).  The dual projection has no
+such exit: it stays the independent side of the cross-check.
 """
 
 from __future__ import annotations
@@ -131,9 +134,12 @@ def threshold_dual(spec: Dissipation, mesh: Mesh, zeta: Field) -> DualField:
     """Assembled nodal weight vector ``M w(zeta)``.
 
     This is the dual-field threshold appearing both in the potential and
-    in the box describing admissible forces.  A (B, n) stack of states
-    gives a stack of thresholds, one row per member, from one call of
-    the weight.
+    in the box describing admissible forces.  A (m, n) stack of states
+    gives a stack of thresholds, one row each, from one call of the
+    weight and one band product (:meth:`~histris.spatial.SymTridiagonal.apply_rows`),
+    with the bits of each row alone.  A stack with a weight that is not
+    finite takes one product a row: a zero coupling between rows would
+    carry ``0 * inf = nan`` into the next one.
     """
     zeta = np.asarray(zeta, dtype=float)
     vals = np.asarray(spec.weight(zeta), dtype=float)
@@ -143,10 +149,9 @@ def threshold_dual(spec: Dissipation, mesh: Mesh, zeta: Field) -> DualField:
         raise ValueError("dissipation weight must be nonnegative on the state")
     if vals.ndim == 1:
         return mesh.mass @ vals
-    out = np.empty(vals.shape)
-    for b, row in enumerate(vals):
-        out[b] = mesh.mass @ row
-    return out
+    if np.isfinite(vals).all():
+        return mesh.mass.apply_rows(vals)
+    return np.array([mesh.mass @ row for row in vals])
 
 
 def force_box(spec: Dissipation, mesh: Mesh, zeta: Field):
@@ -220,32 +225,58 @@ def check_lipschitz_axiom(spec: Dissipation, mesh: Mesh, zeta1: Field,
     return float(lhs - spec.four_point_constant * gap * move)
 
 
+def _elastic(spec: Dissipation, force: DualField, w: DualField,
+             tol: float = KKT_TOL) -> np.ndarray:
+    """The exit rule, one entry per row (the last axis) of the forces:
+    whether the QP's first step from a zero start pins every coordinate
+    of the row at zero and then releases none.  One-sided that is
+    ``force - w <= tol`` at every node; two-sided, ``w > 0`` and
+    ``|force| - w <= tol``.  The QP returns a +0.0 rate in one step
+    there, so the prox (and the time loop's runs of held steps) return
+    that without a QP call.
+    """
+    if spec.one_sided:
+        return (force - w <= tol).all(axis=-1)
+    return (w > 0.0).all(axis=-1) & (np.abs(force) - w <= tol).all(axis=-1)
+
+
+def _elastic_rows(spec: Dissipation, mesh: Mesh, zeta: Field, force: DualField,
+                  tol: float = KKT_TOL):
+    """``(threshold, elastic)`` of (m, n) stacks of states and forces: the
+    thresholds ``M w(zeta)`` from one :func:`threshold_dual` call, and
+    for each row whether ``force - threshold`` is finite and the exit
+    rule (:func:`_elastic`) holds.  A row that is not elastic goes to
+    :func:`_prox_rate_counted` with its threshold, which raises on the
+    values that are not finite."""
+    w = threshold_dual(spec, mesh, zeta)
+    return w, np.isfinite(force - w).all(axis=-1) & _elastic(spec, force, w, tol)
+
+
 def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
                        force: DualField, hess, start=None,
-                       tol: float = KKT_TOL):
+                       tol: float = KKT_TOL, threshold=None):
     """Rate prox: argmin over rates of
     ``1/2 r'Hr - <force, r> + potential(zeta, r)``, where the prox
     Hessian ``H`` is ``eps * R`` for viscosity ``eps``.
 
     ``zeta``, ``force`` and ``start`` may be (B, n) stacks, one member a
     row, with ``hess`` the stack of the members' Hessians (see
-    :mod:`histris.qp`); then one QP call solves every member.  Returns
-    ``(rate, iterations, threshold)``: the iterations a
-    :class:`~histris.qp.StepCount`, and the threshold ``M w(zeta)``, so
+    :mod:`histris.qp`); then one QP call solves every member.  A caller
+    that has assembled ``threshold`` (``M w(zeta)``) passes it instead
+    of ``zeta``.  Returns ``(rate, iterations, threshold)``: the
+    iterations a :class:`~histris.qp.StepCount`, and the threshold, so
     callers can evaluate the potential without assembling it again.
     Raises :class:`NumericalFailure` on a force or threshold that is not
     finite, saying which, naming the first member it hits, or none when
     it hits all.
 
     Elastic steps skip the QP.  From a zero start (``start`` None or
-    all zero) the QP's first step pins every coordinate at zero when
-    the force lies in the box ``force - w <= tol`` (two-sided: ``w > 0``
-    and ``|force| - w <= tol``), and then releases none.  When that
-    holds for every member, the result is returned without a QP call:
-    a +0.0 rate and one step a member, the QP's own bits and count.
+    all zero), when the exit rule (:func:`_elastic`) holds for every
+    member, the result is returned without a QP call: a +0.0 rate and
+    one step a member, the QP's own bits and count.
     """
     force = np.asarray(force, dtype=float)
-    w = threshold_dual(spec, mesh, zeta)
+    w = threshold_dual(spec, mesh, zeta) if threshold is None else threshold
     lin = force - w
     # Checked before any band product: a zero coupling between members
     # does not stop 0 * inf = nan from reaching the next block.
@@ -256,12 +287,9 @@ def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
         raise NumericalFailure(
             "non-finite " + (" and ".join(bad) or "force minus dissipation threshold"),
             member=int(np.argmin(finite)) if finite.any() else None)
-    if start is None or not np.any(start):
-        elastic = ((lin <= tol).all() if spec.one_sided
-                   else (w > 0.0).all() and (np.abs(force) - w <= tol).all())
-        if elastic:
-            return (np.zeros(force.shape),
-                    StepCount((1,) * (1 if force.ndim == 1 else len(force))), w)
+    if (start is None or not np.any(start)) and _elastic(spec, force, w, tol).all():
+        return (np.zeros(force.shape),
+                StepCount((1,) * (1 if force.ndim == 1 else len(force))), w)
     if spec.one_sided:
         rate, iterations = solve_box_qp(hess, lin, lower=0.0, upper=None,
                                         start=start, tol=tol)

@@ -23,6 +23,13 @@ O(1) per step; any other table is re-weighted against the stored
 samples, O(k) at step k.  One accumulator holds the histories of all
 members of a lockstep loop, each bit for bit its own: the recurrence
 runs elementwise on the stack, the dot product member by member.
+
+A state that stays put for a run of steps has a constant recurrence
+increment, so a geometric table also looks ahead: ``held_values``
+gives the history after each of the next pushes of the latest sample,
+two elementwise operations a step, and ``push_held`` commits a number
+of those pushes at once, with the bits of pushing one at a time.  Both
+share the recurrence's arithmetic with ``push``.
 """
 
 from __future__ import annotations
@@ -143,14 +150,40 @@ class _TrapezoidConvolution:
         """Start the sums at zero for (B, n) stacks of samples."""
         self._sum = np.zeros(shape)
 
+    def _increment(self, prev: Field, sample: Field) -> np.ndarray:
+        """``(tau/2 b_0) (r y_{k-1} + y_k)``; a product by ``r = 1.0`` is
+        exact, so it is skipped (here and in :meth:`_carry`)."""
+        if self.ratio != 1.0:
+            prev = self.ratio * prev
+        return self._half_b0 * (prev + sample)
+
+    def _carry(self, total: np.ndarray, increment: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+        """``r I_{k-1} + increment`` into ``out``."""
+        if self.ratio != 1.0:
+            total = np.multiply(total, self.ratio, out=out)
+        return np.add(total, increment, out=out)
+
     def advance(self, prev: Field, sample: Field) -> None:
-        r = self.ratio
-        if r is None:
-            return
-        if r != 1.0:  # a product by r = 1.0 is exact: skip the two ops
-            self._sum *= r
-            prev = r * prev
-        self._sum += self._half_b0 * (prev + sample)
+        if self.ratio is not None:
+            self._carry(self._sum, self._increment(prev, sample), out=self._sum)
+
+    def held(self, sample: Field, steps: int) -> np.ndarray:
+        """The sums after each of ``steps`` further samples equal to
+        ``sample``, the latest one, one row each, without advancing: the
+        increment is the same every step, so a row costs two elementwise
+        operations.  Geometric tables only."""
+        increment = self._increment(sample, sample)
+        out = np.empty((steps,) + self._sum.shape)
+        total = self._sum
+        for row in out:
+            total = self._carry(total, increment, out=row)
+        return out
+
+    def advance_held(self, sample: Field, steps: int) -> None:
+        """:meth:`advance` by ``steps`` further samples equal to ``sample``."""
+        if self.ratio is not None and steps:
+            self._sum[...] = self.held(sample, steps)[-1]
 
     def at(self, samples: np.ndarray, k: int):
         """``I_k`` after samples ``0..k`` have been advanced; ``samples``
@@ -244,12 +277,49 @@ class HistoryAccumulator:
                 self._slope.advance(prev, cur)
         self._count += 1
 
+    def push_held(self, count: int) -> None:
+        """Push the latest sample ``count`` more times, with the bits of
+        ``count`` calls of :meth:`push`: one slice of samples, and the
+        sums advanced by :meth:`held_values`' recurrence."""
+        k = self._count
+        if k == 0:
+            raise ValueError("no samples pushed yet")
+        if k + count > self._n_rows:
+            raise ValueError("accumulator is full")
+        latest = self._samples[:, k - 1]
+        self._samples[:, k:k + count] = latest[:, None]
+        for sums in (self._zeta, self._slope):
+            if sums is not None:
+                sums.advance_held(latest, count)
+        self._count += count
+
+    @property
+    def geometric(self) -> bool:
+        """Whether the kernel table advances by the O(1) recurrence, so
+        :meth:`held_values` can look ahead more than one step."""
+        return self._zeta.ratio is not None
+
     def value(self) -> Field:
         """Accumulated state at the time of the latest sample."""
         if self._count == 0:
             raise ValueError("no samples pushed yet")
         zeta = self.kernel.y0 + self._zeta.at(self._samples, self._count - 1)
         return zeta.reshape(self._shape)
+
+    def held_values(self, steps: int) -> np.ndarray:
+        """:meth:`value` now and after each of ``steps - 1`` further pushes
+        of the latest sample, one row each ((steps, B, n) for stacks),
+        without pushing: the history of a state that stays put.  Each row
+        has the bits the pushes would give.  More than one row needs a
+        :attr:`geometric` table."""
+        if steps > 1 and not self.geometric:
+            raise ValueError("looking ahead needs a geometric kernel table")
+        now = self.value()
+        if steps == 1:
+            return now[None]
+        latest = self._samples[:, self._count - 1]
+        ahead = self.kernel.y0 + self._zeta.held(latest, steps - 1)
+        return np.concatenate([now[None], ahead.reshape((steps - 1,) + self._shape)])
 
     def derivative(self) -> Field:
         """Weak derivative of the accumulated state at the latest sample."""

@@ -31,6 +31,21 @@ trajectory and report are bit for bit what it gives alone;
 A step only advances the state: it forms the driving force, makes the
 stacked QP call (none on an elastic step, see
 :mod:`histris.dissipation`) and pushes the new states to the history.
+
+While the state is held (a zero start, so the elastic exit applies),
+the implicit loop decides a window of upcoming steps at once, as rows:
+the history of the held state over the window by the kernel's
+recurrence (:meth:`~histris.history.HistoryAccumulator.held_values`),
+every threshold from one assembly, and the exit rule with the
+finiteness check row by row.  The elastic steps at the front of the
+window are committed together (zero increments, their thresholds, one
+step a member, the held samples in one slice); the first step that is
+not elastic is taken as a normal step with its threshold, and the rows
+after it are discarded.  The window starts at one step, doubles while
+a run fills it, starts again after a step that is not elastic, and
+ends at the current block, so the failure order is the step-by-step
+one.  A kernel table that is not geometric decides one step at a time.
+
 The loops take the steps in blocks of
 :func:`~histris.trajectory.step_blocks` (about ``2**14`` entries:
 members times nodes times steps).  A block
@@ -66,6 +81,8 @@ import numpy as np
 # benchmark's layer tracer (bench/tracer.py) patches this module's names.
 from .dissipation import (
     Dissipation,
+    _elastic,
+    _elastic_rows,
     _potential_at,
     _project_counted,
     _prox_rate_counted,
@@ -270,14 +287,50 @@ class StepResult:
     rate_h1_norm: float
 
 
-def _advance(scenario: Scenario, levels: _Levels, load: DualField, q: np.ndarray,
-             zeta: np.ndarray, start):
-    """The prox increments of a (B, n) stack of states ``q`` under the
-    load at the step's end, from one stacked QP call: ``(delta,
-    iterations, threshold)`` as :func:`_prox_rate_counted` returns them."""
-    f = load - scenario.alpha * levels.apply_riesz(q)
-    return _prox_rate_counted(scenario.dissipation, scenario.mesh, zeta, f,
-                              levels.hessian, start=start)
+def _force(scenario: Scenario, levels: _Levels, loads: np.ndarray,
+           q: np.ndarray) -> np.ndarray:
+    """The driving forces ``load - alpha R q`` of a (B, n) stack of
+    states: under one load row (B, n), or under (rows, 1, n) load rows
+    (rows, B, n), each entry with the bits of its own step."""
+    return loads - scenario.alpha * levels.apply_riesz(q)
+
+
+# The first window of a run: the steps that a zero start decides at once.
+# A window that a run fills doubles; a step that is not elastic resets it.
+_RUN_WINDOW = 1
+
+
+def _held_steps(scenario: Scenario, levels: _Levels, loads: np.ndarray, q: np.ndarray,
+                acc: HistoryAccumulator):
+    """The steps that ``loads`` serve, one load row each, decided while
+    the (B, n) states ``q`` stay put: ``(force, threshold, elastic)``,
+    the forces and thresholds (rows, B, n) and, (rows, B), whether each
+    member passes the exit rule (:func:`~histris.dissipation._elastic_rows`).
+    Row j has the bits of the step the loop would take after j elastic
+    steps: ``q`` holds no ``-0.0`` (a sum from +0.0 never makes one), so
+    ``q + 0.0`` is ``q``, and the history is :meth:`HistoryAccumulator.held_values`.
+
+    When a row raises or warns (a weight that fails, an overflow), only
+    the first row is decided, as the step alone: so every step raises or
+    warns in its turn, as in a loop that takes them one at a time.
+    """
+    if len(loads) > 1:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return _held_rows(scenario, levels, loads, q, acc)
+        except Exception:  # raised again by the step that causes it
+            loads = loads[:1]
+    return _held_rows(scenario, levels, loads, q, acc)
+
+
+def _held_rows(scenario, levels, loads, q, acc):
+    """:func:`_held_steps` of all rows at once."""
+    n = scenario.mesh.n_nodes
+    force = _force(scenario, levels, loads[:, None], q)
+    w, elastic = _elastic_rows(scenario.dissipation, scenario.mesh,
+                               acc.held_values(len(loads)).reshape(-1, n),
+                               force.reshape(-1, n))
+    return force, w.reshape(force.shape), elastic.reshape(force.shape[:2])
 
 
 def _diagnostics(scenario: Scenario, effective: np.ndarray, loads: np.ndarray,
@@ -334,9 +387,9 @@ def viscous_step(scenario: Scenario, eps: float, t_next: float, q: Field,
     if start_increment is not None:
         start_increment = np.asarray(start_increment, dtype=float)[None]
     load = scenario.load.value(t_next)
-    delta, iters, threshold = _advance(scenario, levels, load, q,
-                                       np.asarray(zeta, dtype=float)[None],
-                                       start_increment)
+    delta, iters, threshold = _prox_rate_counted(
+        scenario.dissipation, scenario.mesh, np.asarray(zeta, dtype=float)[None],
+        _force(scenario, levels, load, q), levels.hessian, start=start_increment)
     states = np.stack([q, q + delta], axis=1)
     phi, balance, rhs, norms, _ = _diagnostics(scenario, levels.effective, load[None],
                                                states, delta[:, None], threshold[:, None])
@@ -397,7 +450,13 @@ class SolveReport:
     are NaN.  ``inner_iterations`` totals the QP iterations of all
     steps; one iteration is one free-block solve (see :mod:`histris.qp`).
     An elastic step, whose zero rate the prox decides without a QP call,
-    counts 1 a member: the count the QP gives it.
+    counts 1 a member: the count the QP gives it.  ``elastic_steps``
+    counts this member's elastic steps: a zero start and a force that
+    passes the exit rule, steps a solve of the member alone decides
+    without a QP call, by the one-step exit or in a run.  In a lockstep
+    loop a member's elastic step still joins the stacked QP call when
+    another member's step is not elastic, with the same result.  The
+    explicit method has none.
     """
 
     method: str
@@ -409,6 +468,7 @@ class SolveReport:
     dissipation_rates: np.ndarray
     energies: np.ndarray
     inner_iterations: int
+    elastic_steps: int
     warm_start: bool
 
     @property
@@ -432,11 +492,14 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
 
     Returns one ``(Trajectory, SolveReport)`` per level, in order, each
     bit for bit what the level gives alone.  A step makes one stacked QP
-    call for all levels; the history accumulator holds them all.  The
-    balance gate reads each block of steps at its end, or, when a step
-    raises, the steps before it (see the module docstring).  Raises
-    :class:`NumericalFailure` for the first step where a level fails,
-    naming the step and the level's eps.
+    call for all levels; the history accumulator holds them all.  A run
+    of elastic steps of all levels is decided and committed in windows
+    of rows, without a QP call; a window never crosses a block, and a
+    kernel that is not geometric steps alone (see the module docstring).
+    The balance gate reads each block of steps at its end, or, when a
+    step raises, the steps before it.  Raises :class:`NumericalFailure`
+    for the first step where a level fails, naming the step and the
+    level's eps.
     """
     levels = _Levels(scenario, eps_values)
     tau = scenario.tau
@@ -474,16 +537,50 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
         balance[:, start:stop], diss_rates[:, start:stop] = bal, rhs
         rate_norms[:, start:stop], energies[:, start + 1:stop + 1] = norms, ener
 
+    spec, mesh = scenario.dissipation, scenario.mesh
     warm = None
+    window = _RUN_WINDOW
+    elastic = np.zeros(members, dtype=int)  # each member's elastic steps
     for block in blocks:
         loads, error = _load_rows(scenario.load, times[block.start + 1:block.stop + 1])
         done = 0
         try:
-            for j, load in enumerate(loads):
-                step, count, thr = _advance(scenario, levels, load, q, acc.value(), warm)
+            while done < len(loads):
+                if warm is not None and warm.any():  # no exit: a QP call
+                    force = _force(scenario, levels, loads[done], q)
+                    step, count, thr = _prox_rate_counted(
+                        spec, mesh, acc.value(), force, levels.hessian, start=warm)
+                    if members > 1:  # members that stayed put, elastic alone
+                        idle = ~warm.any(axis=1)
+                        if idle.any():
+                            elastic += idle & _elastic(spec, force, thr)
+                else:
+                    # loads holds this block's rows: a window ends with it.
+                    rows = window if acc.geometric else 1
+                    force, w, exits = _held_steps(scenario, levels,
+                                                  loads[done:done + rows], q, acc)
+                    run = exits.all(axis=1)
+                    held = len(run) if run.all() else int(np.argmin(run))
+                    if held:
+                        acc.push_held(held)
+                        delta[:, done:done + held] = 0.0
+                        threshold[:, done:done + held] = w[:held].swapaxes(0, 1)
+                        iterations.extend([1] * (members * held))
+                        elastic += held
+                        done += held
+                        if warm_start:
+                            warm = np.zeros((members, n))
+                    if held == len(run):
+                        window = min(2 * window, len(blocks[0]))
+                        continue
+                    window = _RUN_WINDOW
+                    elastic += exits[held]
+                    step, count, thr = _prox_rate_counted(
+                        spec, mesh, None, force[held], levels.hessian, start=warm,
+                        threshold=w[held])
                 q = q + step
                 acc.push(q)
-                delta[:, j], threshold[:, j] = step, thr
+                delta[:, done], threshold[:, done] = step, thr
                 iterations.extend(count.per_block)
                 warm = step if warm_start else None
                 done += 1
@@ -508,7 +605,7 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
                          balance_residuals=balance[b], rate_h1_norms=rate_norms[b],
                          dissipation_rates=diss_rates[b], energies=energies[b],
                          inner_iterations=int(iterations[:, b].sum()),
-                         warm_start=warm_start))
+                         elastic_steps=int(elastic[b]), warm_start=warm_start))
             for b, eps in enumerate(levels.eps)]
 
 
@@ -579,6 +676,7 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
         dissipation_rates=np.full(steps, math.nan),
         energies=energies,
         inner_iterations=total_iters,
+        elastic_steps=0,
         warm_start=warm_start,
     )
     return Trajectory(times=times, values=acc.samples), report

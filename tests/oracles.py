@@ -336,12 +336,32 @@ class UnbalancedStep(Exception):
         self.step, self.member, self.residual = step, member, residual
 
 
+class FailedStep(Exception):
+    """The rate prox of :func:`solve_levels_per_step` raised; the prox's
+    error is the cause."""
+
+    def __init__(self, step):
+        super().__init__(f"step {step}")
+        self.step = step
+
+
 def _report(method, eps, tau, times, balance, norms, rates, energies, iterations,
-            warm_start):
+            elastic, warm_start):
     return {"method": method, "eps": eps, "tau": tau, "times": times,
             "balance_residuals": balance, "rate_h1_norms": norms,
             "dissipation_rates": rates, "energies": energies,
-            "inner_iterations": iterations, "warm_start": warm_start}
+            "inner_iterations": iterations, "elastic_steps": elastic,
+            "warm_start": warm_start}
+
+
+def _elastic_members(start, rate, count):
+    """For each member (row) of a stacked step: a zero start and a rate of
+    +0.0 everywhere in one QP step, so the QP pins it at zero at once."""
+    rate = np.atleast_2d(rate)
+    started = (np.zeros(len(rate), dtype=bool) if start is None
+               else np.atleast_2d(start).any(axis=1))
+    return (~started & ~rate.any(axis=1) & ~np.signbit(rate).any(axis=1)
+            & (np.array(count.per_block) == 1))
 
 
 def solve_levels_per_step(scenario, eps_values, warm_start, prox, accumulator, tol):
@@ -352,8 +372,10 @@ def solve_levels_per_step(scenario, eps_values, warm_start, prox, accumulator, t
     :class:`QPProx`) on all members, reduces the balance, dissipation
     rate, rate norm and energy of each member, applying the Riesz matrix
     one member at a time, and gates the balance at ``tol`` before the next
-    step; a failure raises :class:`UnbalancedStep`.  Returns ``(values,
-    report fields)`` per level.
+    step; a failure raises :class:`UnbalancedStep`, an error of the prox
+    :class:`FailedStep`.  A member's step counts as elastic by its QP
+    result (:func:`_elastic_members`), whichever prox made it.  Returns
+    ``(values, report fields)`` per level.
     """
     mesh = scenario.mesh
     spec = scenario.dissipation
@@ -383,12 +405,18 @@ def solve_levels_per_step(scenario, eps_values, warm_start, prox, accumulator, t
                 * members]
     load = None
     warm = None
+    elastic = np.zeros(members, dtype=int)
     for k in range(steps):
         load_next = load_value(scenario.load, times[k + 1])
         riesz_q = apply(q)
         f = load_next - alpha * riesz_q
-        delta, count, threshold = prox(spec, mesh, acc.value(), f, hessian,
-                                       start=warm if warm_start else None)
+        start = warm if warm_start else None
+        try:
+            delta, count, threshold = prox(spec, mesh, acc.value(), f, hessian,
+                                           start=start)
+        except Exception as exc:
+            raise FailedStep(k + 1) from exc
+        elastic += _elastic_members(start, delta, count)
         rate = delta / tau
         riesz_delta = apply(delta)
         phi = f - column * riesz_delta
@@ -419,7 +447,8 @@ def solve_levels_per_step(scenario, eps_values, warm_start, prox, accumulator, t
     totals = np.array(iterations).sum(axis=0)
     values = acc.samples
     return [(values[b], _report("implicit", e, float(tau), times,
-                                *(c[b] for c in columns), int(totals[b]), warm_start))
+                                *(c[b] for c in columns), int(totals[b]), int(elastic[b]),
+                                warm_start))
             for b, e in enumerate(eps)]
 
 
@@ -454,9 +483,7 @@ class QPProx:
             rate, iterations = self.solve_l1_qp(hess, force, w, start=start,
                                                 tol=self.tol)
         self.calls += 1
-        if ((start is None or not np.any(start)) and not rate.any()
-                and not np.signbit(rate).any() and set(iterations.per_block) == {1}):
-            self.elastic += 1
+        self.elastic += _elastic_members(start, rate, iterations).all()
         return rate, iterations, w
 
 
@@ -495,4 +522,4 @@ def solve_explicit_per_step(scenario, eps, warm_start, project, accumulator):
         acc.push(q)
     nan = np.full(steps, math.nan)
     return acc.samples, _report("explicit", float(eps), float(tau), times, nan, norms,
-                                nan.copy(), energies, total, warm_start)
+                                nan.copy(), energies, total, 0, warm_start)

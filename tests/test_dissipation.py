@@ -81,6 +81,38 @@ def test_threshold_dual_uses_a_nodal_weight_as_is(monkeypatch):
     assert_allclose(threshold_dual(spec, mesh, zeta), want, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("n", [2, 17, 129])
+def test_stacked_thresholds_keep_the_bits_of_each_row(monkeypatch, n):
+    # A (m, n) stack is one band product, each row with the bits of
+    # M @ row.  Rows with an infinite or NaN weight take one product a row:
+    # no 0 * inf from a neighbour reaches a finite row.  Weights of -0.0
+    # and +0.0 sit next to the row boundaries.
+    mesh = build_mesh(n, 1.0)
+    rng = np.random.default_rng(n)
+    zeta = rng.uniform(0.0, 3.0, (40, n))
+    zeta[3] = 0.0
+    zeta[4] = -0.0
+    zeta[5, [0, -1]] = -0.0
+    spec = Fatigue(weight=lambda z: np.where(z > 9.0, np.inf, np.where(z > 8.0, np.nan, z)),
+                   lipschitz=1.0)
+    rows = []
+    monkeypatch.setattr(type(mesh.mass), "apply_rows",
+                        lambda self, vals, real=type(mesh.mass).apply_rows:
+                        rows.append(len(vals)) or real(self, vals))
+    for bad in (None, 9.5, 8.5):
+        z = zeta.copy()
+        if bad is not None:
+            z[7, n // 2] = bad
+        want = np.array([mesh.mass @ spec.weight(row) for row in z])
+        got = threshold_dual(spec, mesh, z)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.isfinite(np.delete(got, 7, axis=0)).all()
+    assert rows == [40]  # one band product, for the finite stack only
+    single = threshold_dual(spec, mesh, zeta[0])
+    assert np.array_equal(single, mesh.mass @ zeta[0]) and rows == [40]
+
+
 def test_threshold_dual_rejects_negative_weight():
     mesh = build_mesh(4, 1.0)
     spec = Fatigue(weight=lambda z: np.asarray(z) - 1.0, lipschitz=1.0)

@@ -313,3 +313,50 @@ def test_infinite_kernel_entry_fails_the_solve():
     with np.errstate(invalid="ignore"), \
             pytest.raises(NumericalFailure, match="step 17/64"):
         solve_viscous(sc, 0.05)
+
+
+def _bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("name", ["identity", "exp(-2t)", "1/(1+t)"])
+@pytest.mark.parametrize("slope", [False, True])
+def test_held_values_and_push_held_are_the_pushes(rng, name, slope):
+    # A state that stays put for a run of steps: held_values looks ahead
+    # with the bits that pushing the latest sample would give, and
+    # push_held(c) leaves the accumulator as c pushes do (samples, value,
+    # derivative).  A table that is not geometric looks one step ahead.
+    n_steps, tau = 60, 0.05
+    y0 = rng.standard_normal(4)
+    if name == "identity":
+        kernel = identity_kernel(y0)
+    else:
+        b, b_prime, _, _ = KERNELS[name]
+        kernel = convolution_kernel(b, b_prime, y0)
+    values = rng.standard_normal((20, 3, 4))
+    values[-1, 0, 0] = -0.0
+    pushed, held = (HistoryAccumulator(kernel, tau, 4, n_steps) for _ in range(2))
+    for acc in (pushed, held):
+        for q in values:
+            acc.push(q)
+        if slope:
+            acc.derivative()
+    assert held.geometric == (name != "1/(1+t)")
+    rows = 9 if held.geometric else 1
+    ahead = held.held_values(rows)
+    assert ahead.shape == (rows, 3, 4)
+    for j in range(rows):
+        assert _bits(ahead[j], pushed.value())
+        pushed.push(values[-1])
+    if not held.geometric:
+        with pytest.raises(ValueError, match="geometric"):
+            held.held_values(2)
+    held.push_held(rows)
+    assert held.n_samples == pushed.n_samples
+    assert _bits(held.samples, pushed.samples)
+    assert _bits(held.value(), pushed.value())
+    assert _bits(held.derivative(), pushed.derivative())
+    held.push_held(0)
+    assert held.n_samples == pushed.n_samples
+    with pytest.raises(ValueError, match="full"):
+        held.push_held(n_steps)

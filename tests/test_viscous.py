@@ -22,7 +22,8 @@ import histris.viscous as viscous
 from histris.config import build_scenario, normalize_config
 from histris.dissipation import WeightedL1, potential
 from histris.errors import NumericalFailure
-from histris.history import HistoryAccumulator, identity_kernel
+from histris.expressions import Expression
+from histris.history import HistoryAccumulator, convolution_kernel, identity_kernel
 from histris.spatial import build_mesh, dual_pair, h1_norm
 from histris.trajectory import c_norm_diff
 from histris.viscous import (
@@ -42,6 +43,7 @@ from histris.vv import _MappedLoad
 
 from helpers import constant_threshold, scalar_scenario
 from oracles import (
+    FailedStep,
     QPProx,
     UnbalancedStep,
     load_value,
@@ -444,21 +446,33 @@ def test_elastic_steps_keep_the_bits_of_a_qp_call(monkeypatch, family, kernel):
     assert mixed
 
 
+class _StepHistory(HistoryAccumulator):
+    """A history accumulator that keeps the last one made in ``latest``:
+    while a step is taken, its sample count is the step's number."""
+
+    latest = None
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        _StepHistory.latest = self
+
+
 class _PerturbedProx:
     """The package's rate prox with chosen members' increments scaled by
-    ``factor`` at chosen calls, and an error raised at a later call."""
+    ``factor`` at chosen steps, and an error raised at a later step.  The
+    step is read from :class:`_StepHistory`, not counted from the calls:
+    the time loop decides elastic steps without a prox call."""
 
     def __init__(self, prox, factor, scale_at, raise_at):
         self.prox, self.factor = prox, factor
         self.scale_at, self.raise_at = scale_at, raise_at
-        self.calls = 0
 
     def __call__(self, *args, **kwargs):
-        self.calls += 1
-        if self.calls == self.raise_at:
+        step = _StepHistory.latest.n_samples
+        if step == self.raise_at:
             raise RuntimeError("a later step failed")
         delta, count, threshold = self.prox(*args, **kwargs)
-        for b in self.scale_at.get(self.calls, ()):
+        for b in self.scale_at.get(step, ()):
             delta[b] *= self.factor
         return delta, count, threshold
 
@@ -480,7 +494,8 @@ def test_a_block_fails_at_its_first_unbalanced_step(monkeypatch, factor, later):
     # surfaces: the failure is step 60's, with the per-step level and
     # residual.  That level is 1, also for an infinite increment: it must
     # spill neither into level 0's row of the same step's stacked product
-    # nor into step 59's row.
+    # nor into step 59's row.  The early elastic steps make no prox call,
+    # so the perturbation is keyed to the step, not to the call.
     eps_values = (0.2, 0.05, 0.0125)
     sc = scalar_scenario(_load_until(0.3325 if later == "load" else 1.0), n_steps=200)
     prox = viscous._prox_rate_counted
@@ -490,12 +505,13 @@ def test_a_block_fails_at_its_first_unbalanced_step(monkeypatch, factor, later):
                               66 if later == "prox" else None)
 
     monkeypatch.setattr(viscous, "_prox_rate_counted", perturbed())
+    monkeypatch.setattr(viscous, "HistoryAccumulator", _StepHistory)
     if factor is None:
         with pytest.raises(RuntimeError if later == "prox" else ValueError):
             solve_levels(sc, eps_values)
         return
     with pytest.raises(UnbalancedStep) as want:
-        solve_levels_per_step(sc, eps_values, True, perturbed(), HistoryAccumulator,
+        solve_levels_per_step(sc, eps_values, True, perturbed(), _StepHistory,
                               BALANCE_TOL)
     assert (want.value.step, want.value.member) == (60, 1)
     eps = eps_values[want.value.member]
@@ -517,3 +533,163 @@ def test_explicit_failure_comes_before_a_later_load_error():
     sc = scalar_scenario(a, n_steps=20, n_nodes=9)
     with pytest.raises(NumericalFailure, match="explicit step 12/20"):
         solve_viscous(sc, 0.5, method="explicit")
+
+
+# ---------------------------------------------------------------------------
+# runs of held steps
+
+
+def _run_scenario(family, kernel, weight=np.abs, n=9, n_steps=150):
+    # Load a(t) d with d the initial threshold M w(y0), except at nodes 0
+    # and 1, where d is +-KKT_TOL and the threshold 0 (one-sided) or far
+    # below an ulp of the tolerance (two-sided): while a(t) = 1 and the
+    # state is zero, the exit rule's left side is exactly the tolerance.
+    # Then the load swings with a growing amplitude, so the state moves
+    # and holds in turns.
+    one_sided = family == "fatigue"
+    mesh = build_mesh(n)
+    y0 = 0.5 + mesh.nodes
+    y0[:3] = 0.0 if one_sided else 1e-30
+    spec = (dissipation.Fatigue if one_sided else WeightedL1)(weight=weight,
+                                                              lipschitz=1.0)
+    d = dissipation.threshold_dual(spec, mesh, y0)
+    d[:2] = (qp.KKT_TOL, -qp.KKT_TOL)
+    horizon = 3.0
+    t1 = 7.5 * horizon / n_steps
+
+    def a(t):
+        return 1.0 if t < t1 else 1.0 + (1.0 + t) * math.sin(2.0 * math.pi * (t - t1) / 1.3)
+
+    spec_kernel = _ELASTIC_KERNELS[kernel]
+    kern = (identity_kernel(y0) if spec_kernel["kind"] == "identity"
+            else convolution_kernel(Expression(spec_kernel["kernel"], ("t",)),
+                                    Expression(spec_kernel["kernel_slope"], ("t",)), y0))
+    return Scenario(mesh=mesh, alpha=1.0, load=Load([LoadTerm(a, d)]), kernel=kern,
+                    dissipation=spec, horizon=horizon, n_steps=n_steps)
+
+
+def _logged_windows(monkeypatch):
+    """Patch the run's decision to log ``(first step, rows asked, rows
+    decided, each decided row elastic)``, steps counted from 0."""
+    log = []
+    decide = viscous._held_steps
+
+    def logged(scenario, levels, loads, q, acc):
+        force, w, exits = decide(scenario, levels, loads, q, acc)
+        log.append((acc.n_samples - 1, len(loads), exits.all(axis=1)))
+        return force, w, exits
+
+    monkeypatch.setattr(viscous, "_held_steps", logged)
+    return log
+
+
+def _run_ends(log, blocks):
+    """How the runs in ``log`` end: at a step that is not elastic inside a
+    window, at a block's end, at a window's end (the next window's first
+    step is not elastic)."""
+    ends = {block.stop for block in blocks}
+    found = set()
+    for (start, _, rows), after in zip(log, log[1:] + [None]):
+        held = len(rows) if rows.all() else int(np.argmin(rows))
+        if 0 < held < len(rows):
+            found.add("inside a window")
+        if held == len(rows) and start + held in ends:
+            found.add("at a block end")
+        if held == len(rows) and after and after[0] == start + held and not after[2][0]:
+            found.add("at a window end")
+    return found
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+@pytest.mark.parametrize("kernel", sorted(_ELASTIC_KERNELS))
+def test_runs_of_held_steps_keep_the_bits_of_a_qp_call(monkeypatch, family, kernel):
+    # Every trajectory and report field, the elastic step counts included,
+    # equals the per-step loop with a QP call on every step, signed zeros
+    # included.  Blocks of 11 steps (three levels) or 33 (one level) cut
+    # some runs; runs end inside a window, at a block end and at a window
+    # end.  The first 7 steps put the rule's left side at the tolerance.
+    # A kernel table that is not geometric decides one step at a time.
+    monkeypatch.setattr(trajectory, "_BLOCK_ENTRIES", 11 * 27)
+    sc = _run_scenario(family, kernel)
+    log = _logged_windows(monkeypatch)
+    ends = set()
+    for eps_values in ((0.01,), (0.1, 0.02, 0.004)):
+        blocks = trajectory.step_blocks(sc.n_steps, len(eps_values) * sc.mesh.n_nodes)
+        for warm in (True, False):
+            oracle = QPProx(dissipation.threshold_dual, qp.solve_box_qp, qp.solve_l1_qp,
+                            NumericalFailure, qp.KKT_TOL)
+            want = solve_levels_per_step(sc, eps_values, warm, oracle, HistoryAccumulator,
+                                         BALANCE_TOL)
+            log.clear()
+            got = solve_levels(sc, eps_values, warm_start=warm)
+            for (traj, report), (values, fields) in zip(got, want, strict=True):
+                _assert_same_solve(traj, report, values, fields)
+            assert got[0][1].elastic_steps >= 7
+            if len(eps_values) > 1:  # some step holds one member, not another
+                assert len({report.elastic_steps for _, report in got}) > 1
+            if kernel == "1/(1+t)^2":
+                assert {asked for _, asked, _ in log} == {1}
+            ends |= _run_ends(log, blocks)
+    if kernel != "1/(1+t)^2":
+        assert ends == {"inside a window", "at a block end", "at a window end"}
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+@pytest.mark.parametrize("bad", ["load", "threshold", "weight"])
+def test_a_failing_row_inside_a_window_fails_in_its_turn(monkeypatch, family, bad):
+    # Row 5 of a window of 8 or more held steps gets a NaN load, an
+    # infinite threshold, or a weight that raises.  The failure is the
+    # per-step loop's: same step, member and message (a weight that raises
+    # is decided one step at a time up to it).
+    clean = _run_scenario(family, "1")
+    for eps_values in ((0.01,), (0.1, 0.02, 0.004)):
+        for warm in (True, False):
+            log = _logged_windows(monkeypatch)
+            solve_levels(clean, eps_values, warm_start=warm)
+            start, _, rows = next(entry for entry in log
+                                  if len(entry[2]) >= 8 and entry[2].all())
+            step = start + 6  # row 5, counted from 1
+            monkeypatch.undo()
+            if bad == "load":
+                a = clean.load.terms[0].time_profile
+                t_bad = clean.times()[step]
+                load = Load([LoadTerm(lambda t: math.nan if t >= t_bad else a(t),
+                                      clean.load.terms[0].space_dual)])
+                sc = replace(clean, load=load)
+            else:
+                # The largest history value at that step: reached there first.
+                traj = solve_levels(clean, eps_values, warm_start=warm)
+                acc = HistoryAccumulator(clean.kernel, clean.tau, clean.mesh.n_nodes,
+                                         clean.n_steps)
+                for k in range(step):
+                    acc.push(np.array([t.values[k] for t, _ in traj]))
+                top = acc.value().max()
+                high = math.inf if bad == "threshold" else -1.0
+                sc = replace(clean, dissipation=replace(
+                    clean.dissipation,
+                    weight=lambda z: np.where(np.asarray(z) >= top, high, np.abs(z))))
+            monkeypatch.setattr(viscous, "HistoryAccumulator", _StepHistory)
+            with pytest.raises(FailedStep) as want:
+                solve_levels_per_step(sc, eps_values, warm, viscous._prox_rate_counted,
+                                      HistoryAccumulator, BALANCE_TOL)
+            assert want.value.step == step
+            cause = want.value.__cause__
+            log = _logged_windows(monkeypatch)
+            if bad == "weight":
+                with pytest.raises(ValueError, match="nonnegative"):
+                    solve_levels(sc, eps_values, warm_start=warm)
+                assert _StepHistory.latest.n_samples == step
+            else:
+                eps = eps_values if cause.member is None else [eps_values[cause.member]]
+                name = ", ".join(f"{e:g}" for e in eps)
+                with pytest.raises(NumericalFailure) as got:
+                    solve_levels(sc, eps_values, warm_start=warm)
+                assert str(got.value) == f"step {step}/{sc.n_steps} failed (eps={name}): {cause}"
+                assert got.value.member == cause.member
+                if bad == "threshold" and len(eps_values) > 1:
+                    assert cause.member is not None  # one member's threshold
+            # The failing step was first met inside a window.
+            first, asked, _ = next(entry for entry in log
+                                   if entry[0] + entry[1] >= step)
+            assert first < step - 1 and asked > step - 1 - first
+            monkeypatch.undo()
