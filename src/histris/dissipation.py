@@ -39,16 +39,15 @@ rate problem with Hessian ``eps * R`` and a dual box projection with
 Hessian ``R^{-1}``, in different unknowns), so the identity serves as
 a cross-check even though both run the same box active-set routine.
 
-The rate prox takes the elastic trial step of return mapping first
-(Simo & Hughes, *Computational Inelasticity*, 1998, ch. 3): from a zero
-start, a force inside the box (up to the QP tolerance) has the zero rate
-as its prox, and the QP's first step would pin every coordinate there.
-So such a step returns the QP's result, +0.0 in one step a member,
-without calling it.  The exit rule is written once, row by row
-(``_elastic``): the prox applies it to its members, and the implicit
-time loop to whole windows of held steps (``_elastic_rows``, which
-assembles their thresholds as one stack).  The dual projection has no
-such exit: it stays the independent side of the cross-check.
+The rate prox always calls the QP.  The elastic trial step of return
+mapping (Simo & Hughes, *Computational Inelasticity*, 1998, ch. 3) is
+decided by the implicit time loop alone: from a zero start, a force
+inside the box (up to the QP tolerance) has the zero rate as its prox,
+and the QP's first step would pin every coordinate there.  The exit
+rule is written once, row by row (``_elastic``); the loop applies it
+to whole windows of held steps (``_elastic_rows``, which assembles
+their thresholds as one stack) and takes those steps without a QP
+call.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalFailure
-from .qp import KKT_TOL, StepCount, solve_box_qp, solve_l1_qp
+from .qp import KKT_TOL, solve_box_qp, solve_l1_qp
 from .spatial import (
     DualField,
     Field,
@@ -225,23 +224,21 @@ def check_lipschitz_axiom(spec: Dissipation, mesh: Mesh, zeta1: Field,
     return float(lhs - spec.four_point_constant * gap * move)
 
 
-def _elastic(spec: Dissipation, force: DualField, w: DualField,
-             tol: float = KKT_TOL) -> np.ndarray:
+def _elastic(spec: Dissipation, force: DualField, w: DualField) -> np.ndarray:
     """The exit rule, one entry per row (the last axis) of the forces:
     whether the QP's first step from a zero start pins every coordinate
     of the row at zero and then releases none.  One-sided that is
-    ``force - w <= tol`` at every node; two-sided, ``w > 0`` and
-    ``|force| - w <= tol``.  The QP returns a +0.0 rate in one step
-    there, so the prox (and the time loop's runs of held steps) return
-    that without a QP call.
+    ``force - w <= KKT_TOL`` at every node; two-sided, ``w > 0`` and
+    ``|force| - w <= KKT_TOL``.  The QP returns a +0.0 rate in one step
+    there, so the time loop's runs of held steps take that without a
+    QP call.
     """
     if spec.one_sided:
-        return (force - w <= tol).all(axis=-1)
-    return (w > 0.0).all(axis=-1) & (np.abs(force) - w <= tol).all(axis=-1)
+        return (force - w <= KKT_TOL).all(axis=-1)
+    return (w > 0.0).all(axis=-1) & (np.abs(force) - w <= KKT_TOL).all(axis=-1)
 
 
-def _elastic_rows(spec: Dissipation, mesh: Mesh, zeta: Field, force: DualField,
-                  tol: float = KKT_TOL):
+def _elastic_rows(spec: Dissipation, mesh: Mesh, zeta: Field, force: DualField):
     """``(threshold, elastic)`` of (m, n) stacks of states and forces: the
     thresholds ``M w(zeta)`` from one :func:`threshold_dual` call, and
     for each row whether ``force - threshold`` is finite and the exit
@@ -249,12 +246,11 @@ def _elastic_rows(spec: Dissipation, mesh: Mesh, zeta: Field, force: DualField,
     :func:`_prox_rate_counted` with its threshold, which raises on the
     values that are not finite."""
     w = threshold_dual(spec, mesh, zeta)
-    return w, np.isfinite(force - w).all(axis=-1) & _elastic(spec, force, w, tol)
+    return w, np.isfinite(force - w).all(axis=-1) & _elastic(spec, force, w)
 
 
 def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
-                       force: DualField, hess, start=None,
-                       tol: float = KKT_TOL, threshold=None):
+                       force: DualField, hess, start=None, threshold=None):
     """Rate prox: argmin over rates of
     ``1/2 r'Hr - <force, r> + potential(zeta, r)``, where the prox
     Hessian ``H`` is ``eps * R`` for viscosity ``eps``.
@@ -268,12 +264,8 @@ def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
     callers can evaluate the potential without assembling it again.
     Raises :class:`NumericalFailure` on a force or threshold that is not
     finite, saying which, naming the first member it hits, or none when
-    it hits all.
-
-    Elastic steps skip the QP.  From a zero start (``start`` None or
-    all zero), when the exit rule (:func:`_elastic`) holds for every
-    member, the result is returned without a QP call: a +0.0 rate and
-    one step a member, the QP's own bits and count.
+    it hits all.  Every call solves the QP: the elastic steps that skip
+    it are decided by the time loop (:func:`_elastic_rows`).
     """
     force = np.asarray(force, dtype=float)
     w = threshold_dual(spec, mesh, zeta) if threshold is None else threshold
@@ -287,14 +279,11 @@ def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
         raise NumericalFailure(
             "non-finite " + (" and ".join(bad) or "force minus dissipation threshold"),
             member=int(np.argmin(finite)) if finite.any() else None)
-    if (start is None or not np.any(start)) and _elastic(spec, force, w, tol).all():
-        return (np.zeros(force.shape),
-                StepCount((1,) * (1 if force.ndim == 1 else len(force))), w)
     if spec.one_sided:
         rate, iterations = solve_box_qp(hess, lin, lower=0.0, upper=None,
-                                        start=start, tol=tol)
+                                        start=start)
     else:
-        rate, iterations = solve_l1_qp(hess, force, w, start=start, tol=tol)
+        rate, iterations = solve_l1_qp(hess, force, w, start=start)
     return rate, iterations, w
 
 
@@ -337,14 +326,13 @@ def subdiff_zero_contains(spec: Dissipation, mesh: Mesh, zeta: Field,
 
 
 def _project_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
-                     omega: DualField, tol: float = KKT_TOL,
-                     cold_start: bool = False):
+                     omega: DualField, cold_start: bool = False):
     omega = np.asarray(omega, dtype=float)
     lower, upper = force_box(spec, mesh, zeta)
     start = None if cold_start else np.clip(omega, lower, upper)
     lin = riesz_solve(mesh, omega)
     return solve_box_qp(mesh.riesz.inverse, lin, lower=lower, upper=upper,
-                        start=start, tol=tol)
+                        start=start)
 
 
 def project_subdiff_zero(spec: Dissipation, mesh: Mesh, zeta: Field,

@@ -443,6 +443,8 @@ def uniqueness_probe(scenario: Scenario, eps: float) -> ProbeResult:
     stability requirement) with warm and cold inner starts.  All gaps
     are sup-in-time H^1 distances on the coarse grid.
     """
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive, got {eps}")
     mesh = scenario.mesh
     refine = max(1, math.ceil(10.0 * scenario.tau / eps - 1e-12))
     scn_exp = scenario.with_steps(scenario.n_steps * refine)

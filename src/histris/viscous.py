@@ -29,8 +29,8 @@ trajectory and report are bit for bit what it gives alone;
 :func:`solve_viscous`'s implicit method is this loop with one level.
 
 A step only advances the state: it forms the driving force, makes the
-stacked QP call (none on an elastic step, see
-:mod:`histris.dissipation`) and pushes the new states to the history.
+stacked QP call (none on an elastic step of a run, below) and pushes
+the new states to the history.
 
 While the state is held (a zero start, so the elastic exit applies),
 the implicit loop decides a window of upcoming steps at once, as rows:
@@ -449,11 +449,11 @@ class SolveReport:
     dissipation: its ``balance_residuals`` and ``dissipation_rates``
     are NaN.  ``inner_iterations`` totals the QP iterations of all
     steps; one iteration is one free-block solve (see :mod:`histris.qp`).
-    An elastic step, whose zero rate the prox decides without a QP call,
+    An elastic step, whose zero rate the loop decides without a QP call,
     counts 1 a member: the count the QP gives it.  ``elastic_steps``
     counts this member's elastic steps: a zero start and a force that
     passes the exit rule, steps a solve of the member alone decides
-    without a QP call, by the one-step exit or in a run.  In a lockstep
+    without a QP call, in a run of held steps.  In a lockstep
     loop a member's elastic step still joins the stacked QP call when
     another member's step is not elastic, with the same result.  The
     explicit method has none.

@@ -220,6 +220,8 @@ def check_rate_independence(scenario: Scenario, time_map: Callable[[float], floa
     steps = scenario.n_steps if n_steps is None else int(n_steps)
     times2 = np.linspace(0.0, float(new_horizon), steps + 1)
     mapped = np.array([float(time_map(t)) for t in times2])
+    if not np.isfinite(mapped).all():
+        raise ValueError("time map must be finite")
     if abs(mapped[0]) > 1e-12:
         raise ValueError(f"time map must start at zero, got {mapped[0]}")
     if np.any(np.diff(mapped) < -1e-12):

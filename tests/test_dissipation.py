@@ -481,31 +481,29 @@ def test_specs_reject_bad_lipschitz():
 
 
 # ---------------------------------------------------------------------------
-# elastic steps: the zero rate without a QP call
+# elastic steps: the exit rule and the QP result it stands for
 
 
 @pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
 @pytest.mark.parametrize("length", [1.0, 15.0])
-def test_the_elastic_rule_gives_the_qp_result(monkeypatch, family, length):
+def test_the_elastic_rule_gives_the_qp_result(family, length):
     # Whenever the rule holds, the QP called directly from a zero start
     # (None, +0.0 or -0.0 entries) returns +0.0 everywhere in one step a
-    # member, and the prox returns those bits and that count without a QP
-    # call.  At length 15 the element size 3 exceeds sqrt(6): the Riesz
-    # band has positive couplings and is no M-matrix.
+    # member: the bits and count the time loop takes for an elastic step
+    # without a QP call.  The prox, which always calls the QP, returns
+    # them too.  A node one ulp past the tolerance breaks the rule for its
+    # member only.  At length 15 the element size 3 exceeds sqrt(6): the
+    # Riesz band has positive couplings and is no M-matrix.
     one_sided = family == "fatigue"
     n = 6
     mesh = build_mesh(n, length)
     assert (np.asarray(mesh.riesz)[0, 1] > 0.0) == (length == 15.0)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("an elastic step called the QP")
-
-    monkeypatch.setattr(dissipation, "solve_box_qp", refuse)
-    monkeypatch.setattr(dissipation, "solve_l1_qp", refuse)
     # Under the weight zeta, nodes 0 and 1 get w = 0 (one-sided) or w far
     # below an ulp of the tolerance (two-sided), so their forces +-KKT_TOL
     # put the rule's left side exactly at the tolerance or its negative.
     spec = (Fatigue if one_sided else WeightedL1)(weight=lambda z: z, lipschitz=1.0)
+    past_tol = np.nextafter(KKT_TOL, math.inf)
     rng = np.random.default_rng(31)
     for _ in range(30):
         for members in (1, 3):
@@ -523,28 +521,43 @@ def test_the_elastic_rule_gives_the_qp_result(monkeypatch, family, length):
                 force[:, -1] = w[:, -1]
                 assert (w > 0.0).all() and (np.abs(force) - w <= KKT_TOL).all()
                 assert (np.abs(force[:, :2]) - w[:, :2] == KKT_TOL).all()
+            # One more member, a copy of the first with node 0 past the tolerance.
+            past = force[:1].copy()
+            past[0, 0] = past_tol
+            assert (np.abs(past[0, 0]) - w[0, 0]) == past_tol
+            rows_w, elastic = dissipation._elastic_rows(
+                spec, mesh, np.vstack([zeta, zeta[:1]]), np.vstack([force, past]))
+            assert np.array_equal(rows_w[:members], w)
+            assert elastic.tolist() == [True] * members + [False]
             scales = rng.uniform(0.5, 50.0, members)
-            if members == 1:
-                zeta, force, w = zeta[0], force[0], w[0]
-                hess = scales[0] * mesh.riesz
-            else:
-                hess = mesh.riesz.stack(scales)
             signed_zeros = np.where(rng.random(force.shape) < 0.5, -0.0, 0.0)
             for start in (None, np.zeros(force.shape), signed_zeros):
+                starts = [None] * members if start is None else start
+                for b in range(members):  # each member alone, through prox_rate
+                    alone = prox_rate(spec, mesh, zeta[b], force[b], scales[b],
+                                      start=starts[b])
+                    assert not alone.any() and not np.signbit(alone).any()
+                if members == 1:
+                    z, f, thr = zeta[0], force[0], w[0]
+                    start = None if start is None else start[0]
+                    hess = scales[0] * mesh.riesz
+                else:
+                    z, f, thr = zeta, force, w
+                    hess = mesh.riesz.stack(scales)
                 if one_sided:
-                    want, steps = solve_box_qp(hess, force - w, lower=0.0, upper=None,
+                    want, steps = solve_box_qp(hess, f - thr, lower=0.0, upper=None,
                                                start=start)
                 else:
-                    want, steps = solve_l1_qp(hess, force, w, start=start)
-                assert want.shape == force.shape
+                    want, steps = solve_l1_qp(hess, f, thr, start=start)
+                assert want.shape == f.shape
                 assert not want.any() and not np.signbit(want).any()
                 assert steps.per_block == (1,) * members and steps == members
                 rate, count, threshold = dissipation._prox_rate_counted(
-                    spec, mesh, zeta, force, hess, start=start)
+                    spec, mesh, z, f, hess, start=start)
                 assert np.array_equal(rate, want) and rate.shape == want.shape
                 assert not np.signbit(rate).any()
                 assert count.per_block == steps.per_block and count == steps
-                assert np.array_equal(threshold, w)
+                assert np.array_equal(threshold, thr)
 
 
 def test_a_non_finite_prox_input_is_named():

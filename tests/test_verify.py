@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import histris.verify as verify
 from histris.dissipation import Fatigue, WeightedL1, threshold_dual
 from histris.history import identity_kernel
 from histris.spatial import build_mesh, dual_norm
@@ -229,6 +230,17 @@ def test_uniqueness_probe_gaps_and_refinement():
     finer = uniqueness_probe(sc, 0.01)
     assert finer.explicit_refine == 5
     assert finer.max_gap <= UNIQUENESS_GAP_TOL
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.05, math.nan, math.inf])
+def test_uniqueness_probe_rejects_bad_eps(monkeypatch, eps):
+    # A bad eps is rejected before any solve, with solve_viscous's message.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad eps reached a solve")
+
+    monkeypatch.setattr(verify, "solve_viscous", refuse)
+    with pytest.raises(ValueError, match="eps must be positive, got"):
+        uniqueness_probe(_sine_scenario(), eps)
 
 
 # ---------------------------------------------------------------------------

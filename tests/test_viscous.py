@@ -143,8 +143,11 @@ def test_driving_force_is_negative_energy_gradient():
 def test_viscous_step_balance_and_stick():
     # Drive below the threshold: nothing moves, balance is exact.
     sc = scalar_scenario(lambda t: 0.1, n_steps=10)
+    # The QP pins every node at +0.0 in one step.
     res = viscous_step(sc, 0.01, sc.tau, np.zeros(5), np.zeros(5))
     assert_allclose(res.increment, 0.0, rtol=0, atol=0)
+    assert not np.signbit(res.increment).any()
+    assert res.iterations == 1
     assert res.balance_residual == 0.0
     assert res.dissipation_rate == 0.0
 

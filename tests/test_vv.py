@@ -362,6 +362,8 @@ def test_rate_independence_validates_the_map(monkeypatch):
         check_rate_independence(sc, lambda s: -s, 1.0, eps=0.1)
     with pytest.raises(ValueError, match="beyond the horizon"):
         check_rate_independence(sc, lambda s: 2.0 * s, 1.0, eps=0.1)
+    with pytest.raises(ValueError, match="must be finite"):
+        check_rate_independence(sc, lambda s: math.nan if s > 0.5 else s, 1.0, eps=0.1)
     assert len(solves) == 0
 
 
