@@ -136,9 +136,7 @@ def threshold_dual(spec: Dissipation, mesh: Mesh, zeta: Field) -> DualField:
     in the box describing admissible forces.  A (m, n) stack of states
     gives a stack of thresholds, one row each, from one call of the
     weight and one band product (:meth:`~histris.spatial.SymTridiagonal.apply_rows`),
-    with the bits of each row alone.  A stack with a weight that is not
-    finite takes one product a row: a zero coupling between rows would
-    carry ``0 * inf = nan`` into the next one.
+    with the bits of each row alone, whether its weight is finite or not.
     """
     zeta = np.asarray(zeta, dtype=float)
     vals = np.asarray(spec.weight(zeta), dtype=float)
@@ -146,11 +144,7 @@ def threshold_dual(spec: Dissipation, mesh: Mesh, zeta: Field) -> DualField:
         vals = np.broadcast_to(vals, zeta.shape)
     if (vals < 0).any():
         raise ValueError("dissipation weight must be nonnegative on the state")
-    if vals.ndim == 1:
-        return mesh.mass @ vals
-    if np.isfinite(vals).all():
-        return mesh.mass.apply_rows(vals)
-    return np.array([mesh.mass @ row for row in vals])
+    return mesh.mass.apply_rows(vals)
 
 
 def force_box(spec: Dissipation, mesh: Mesh, zeta: Field):

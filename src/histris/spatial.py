@@ -18,6 +18,8 @@ answers the two requests of the QP protocol, ``@`` and
 ``solve_principal(idx, rhs)``, in O(n).  ``SymTridiagonal.stack``
 places scaled copies of a band end to end with zero couplings, the
 block band on which a stacked QP solves several members at once.
+``SymTridiagonal.apply_rows`` is the one stacked band product, each
+row with the bits of ``band @ row``, finite or not.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ class SymTridiagonal:
     dense matrix.  ``np.asarray`` gives the dense matrix, for tests and
     reference computations.  numpy operators defer to this class, so a
     band is never densified by accident.  Bands are not modified in
-    place: ``solve`` caches a factorization of them, and ``inverse``
-    the operator built on it.
+    place: ``solve`` caches a factorization of them, ``inverse`` the
+    operator built on it, and ``apply_rows`` the copies it stacks.
     """
 
     __array_ufunc__ = None
@@ -84,13 +86,12 @@ class SymTridiagonal:
         self._bands = np.zeros((2, diag.size), order="F")
         self._bands[0, 1:] = off
         self._bands[1] = diag
-        self._factor = None
+        self._factor = self._copies = None
 
     @classmethod
     def _of_bands(cls, bands: np.ndarray) -> "SymTridiagonal":
         band = cls.__new__(cls)
-        band._bands = bands
-        band._factor = None
+        band._bands, band._factor, band._copies = bands, None, None
         return band
 
     @property
@@ -136,10 +137,20 @@ class SymTridiagonal:
         return SymTridiagonal._of_bands(np.asfortranarray(scales * copies))
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """``A r`` for each row ``r`` (the last axis) of an array: one
-        product on a :meth:`stack`."""
+        """``A r`` for each row ``r`` (the last axis; a 1-D array is one row),
+        with the bits of ``A @ r``: one product on a slice of a cached stack
+        of copies of the band with zero couplings, grown to the most rows
+        asked so far.  A zero coupling carries ``0 * inf = nan`` into the
+        next row, so rows with a non-finite entry take one product a row."""
         flat = rows.reshape(-1, rows.shape[-1])
-        return (self.stack(np.ones(len(flat))) @ flat.ravel()).reshape(rows.shape)
+        if len(flat) > 1 and not np.isfinite(flat).all():
+            return np.array([self @ row for row in flat]).reshape(rows.shape)
+        if flat.shape[1] != self.shape[0]:
+            raise ValueError(f"cannot apply a {self.shape} band to rows {rows.shape}")
+        if self._copies is None or self._copies.shape[1] < flat.size:
+            self._copies = np.asfortranarray(np.tile(self._bands, len(flat)))
+        out = dsbmv(1, 1.0, self._copies[:, :flat.size], flat.ravel())
+        return out.reshape(rows.shape)
 
     def section(self, start: int, stop: int) -> "SymTridiagonal":
         """The principal band on the nodes ``start..stop-1``; a block of
@@ -194,8 +205,10 @@ class SymTridiagonal:
 
     @cached_property
     def inverse(self) -> "InverseBand":
-        """The inverse matrix as an operator; built once per band."""
-        return InverseBand(self)
+        """The inverse matrix as an operator; built once per band, on a band
+        object of its own: a reference back to this one would form a cycle,
+        which keeps :meth:`apply_rows`' copies until a garbage collection."""
+        return InverseBand(SymTridiagonal._of_bands(self._bands))
 
 
 class InverseBand:

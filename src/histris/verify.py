@@ -97,6 +97,9 @@ DUAL_RESIDUAL_TOL = 1e-6
 DUAL_SLOPE_MIN = 0.9
 HISTORY_SLOPE_TOL = 1e-5
 
+# Most steps the uniqueness probe's explicit cross-check may take.
+_EXPLICIT_STEP_LIMIT = 10**6
+
 
 def smooth_fatigue(floor: float = 0.4, amp: float = 0.6) -> Dissipation:
     """Smooth softening threshold ``w(z) = floor + amp / (1 + z^2)``.
@@ -441,12 +444,19 @@ def uniqueness_probe(scenario: Scenario, eps: float) -> ProbeResult:
     Variants: implicit stepping with warm and cold inner starts, and the
     explicit projection integrator (on a refined grid satisfying its
     stability requirement) with warm and cold inner starts.  All gaps
-    are sup-in-time H^1 distances on the coarse grid.
+    are sup-in-time H^1 distances on the coarse grid.  An explicit grid
+    of more than ``10**6`` steps is refused (``ValueError``) before any solve.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
     mesh = scenario.mesh
-    refine = max(1, math.ceil(10.0 * scenario.tau / eps - 1e-12))
+    tau = scenario.tau
+    # Clamped so that ceil stays finite: a clamped refinement is over the limit.
+    refine = max(1, math.ceil(min(10.0 * tau / eps - 1e-12, _EXPLICIT_STEP_LIMIT + 1)))
+    if scenario.n_steps * refine > _EXPLICIT_STEP_LIMIT:
+        raise ValueError(f"eps={eps:g} with tau={tau:g} needs about "
+                         f"{scenario.n_steps * 10.0 * tau / eps:.3g} explicit steps "
+                         f"(tau <= eps/10), more than {_EXPLICIT_STEP_LIMIT}")
     scn_exp = scenario.with_steps(scenario.n_steps * refine)
 
     times = scenario.times()
@@ -482,11 +492,14 @@ def history_lipschitz_check(scenario: Scenario, traj: Trajectory, *,
     and compare against ``four_point_constant * speed * rate_norm``,
     where ``speed`` is the L^2 norm of the history time derivative.
     The history and its derivative are read step by step from a
-    ``HistoryAccumulator``.
+    ``HistoryAccumulator``; it needs two steps (an interior sample) and a rate.
     """
     mesh = scenario.mesh
     diss = scenario.dissipation
     steps = traj.n_steps
+    if steps < 2 or n_rates < 1:
+        raise ValueError(f"the history slope check needs at least 2 steps and 1 rate, "
+                         f"got {steps} and n_rates={n_rates}")
     tau = traj.tau
     rates = traj.rates()
 

@@ -245,9 +245,8 @@ def energy(scenario: Scenario, t: float, q: Field) -> float:
 
 class _Levels:
     """Viscosity levels of one scenario that a time loop advances in
-    lockstep, and the bands built once for them, each stacked end to end
-    (:meth:`~histris.spatial.SymTridiagonal.stack`): the members' prox
-    Hessians ``(alpha + eps_b / tau) R`` and B copies of ``R``."""
+    lockstep, and the members' prox Hessians ``(alpha + eps_b / tau) R``,
+    built once as one :meth:`~histris.spatial.SymTridiagonal.stack`."""
 
     def __init__(self, scenario: Scenario, eps_values):
         self.eps = [float(e) for e in eps_values]
@@ -258,15 +257,9 @@ class _Levels:
                 raise ValueError(f"eps must be positive, got {eps}")
         tau = scenario.tau
         effective = [scenario.alpha + eps / tau for eps in self.eps]
-        riesz = scenario.mesh.riesz
-        self.hessian = riesz.stack(effective)
-        self.riesz = riesz.stack([1.0] * len(self.eps))
+        self.hessian = scenario.mesh.riesz.stack(effective)
         # One entry a member, broadcast over the (B, m, n) stacks of a block.
         self.effective = np.array(effective)[:, None, None]
-
-    def apply_riesz(self, fields: np.ndarray) -> np.ndarray:
-        """``R`` applied to each row of a (B, n) stack, in one product."""
-        return (self.riesz @ fields.ravel()).reshape(fields.shape)
 
     def name(self, member: int | None) -> str:
         """The eps of a failing member, or of all of them."""
@@ -287,12 +280,11 @@ class StepResult:
     rate_h1_norm: float
 
 
-def _force(scenario: Scenario, levels: _Levels, loads: np.ndarray,
-           q: np.ndarray) -> np.ndarray:
-    """The driving forces ``load - alpha R q`` of a (B, n) stack of
-    states: under one load row (B, n), or under (rows, 1, n) load rows
-    (rows, B, n), each entry with the bits of its own step."""
-    return loads - scenario.alpha * levels.apply_riesz(q)
+def _force(scenario: Scenario, loads: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The driving forces ``load - alpha R q`` of a (B, n) stack of states
+    (``R q`` by ``apply_rows``): under one load row (B, n), or under
+    (rows, 1, n) load rows (rows, B, n), each entry with its step's bits."""
+    return loads - scenario.alpha * scenario.mesh.riesz.apply_rows(q)
 
 
 # The first window of a run: the steps that a zero start decides at once.
@@ -300,7 +292,7 @@ def _force(scenario: Scenario, levels: _Levels, loads: np.ndarray,
 _RUN_WINDOW = 1
 
 
-def _held_steps(scenario: Scenario, levels: _Levels, loads: np.ndarray, q: np.ndarray,
+def _held_steps(scenario: Scenario, loads: np.ndarray, q: np.ndarray,
                 acc: HistoryAccumulator):
     """The steps that ``loads`` serve, one load row each, decided while
     the (B, n) states ``q`` stay put: ``(force, threshold, elastic)``,
@@ -317,16 +309,16 @@ def _held_steps(scenario: Scenario, levels: _Levels, loads: np.ndarray, q: np.nd
     if len(loads) > 1:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return _held_rows(scenario, levels, loads, q, acc)
+                return _held_rows(scenario, loads, q, acc)
         except Exception:  # raised again by the step that causes it
             loads = loads[:1]
-    return _held_rows(scenario, levels, loads, q, acc)
+    return _held_rows(scenario, loads, q, acc)
 
 
-def _held_rows(scenario, levels, loads, q, acc):
+def _held_rows(scenario, loads, q, acc):
     """:func:`_held_steps` of all rows at once."""
     n = scenario.mesh.n_nodes
-    force = _force(scenario, levels, loads[:, None], q)
+    force = _force(scenario, loads[:, None], q)
     w, elastic = _elastic_rows(scenario.dissipation, scenario.mesh,
                                acc.held_values(len(loads)).reshape(-1, n),
                                force.reshape(-1, n))
@@ -343,24 +335,11 @@ def _diagnostics(scenario: Scenario, effective: np.ndarray, loads: np.ndarray,
     (B, m + 1, n) the states from the first step's start to the last
     one's end, ``delta`` and ``threshold`` (B, m, n) each step's
     increment and ``M w(zeta)``.  Each result is (B, m), the force
-    (B, m, n).  Every entry has the bits of its step evaluated alone:
-    a band product keeps each row's bits, and np.vecdot takes each row
-    through the BLAS dot of dual_pair (einsum would sum otherwise).
+    (B, m, n).  Every entry has the bits of its step evaluated alone,
+    finite or not: ``apply_rows`` keeps each row's bits, and np.vecdot
+    takes each row through the BLAS dot of dual_pair (einsum would sum
+    otherwise).
     """
-    members, m = delta.shape[:2]
-    if members * m > 1 and not (np.isfinite(states).all() and np.isfinite(delta).all()):
-        # A stacked band product spreads a non-finite entry to the rows
-        # next to it (0 * inf); such a block is reduced one member, then
-        # one step, at a time.
-        if members > 1:
-            parts = [_diagnostics(scenario, effective[b:b + 1], loads, states[b:b + 1],
-                                  delta[b:b + 1], threshold[b:b + 1])
-                     for b in range(members)]
-            return tuple(np.concatenate(part) for part in zip(*parts))
-        parts = [_diagnostics(scenario, effective, loads[j:j + 1], states[:, j:j + 2],
-                              delta[:, j:j + 1], threshold[:, j:j + 1])
-                 for j in range(m)]
-        return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
     apply = scenario.mesh.riesz.apply_rows
     tau = scenario.tau
     riesz_delta = apply(delta)
@@ -389,7 +368,7 @@ def viscous_step(scenario: Scenario, eps: float, t_next: float, q: Field,
     load = scenario.load.value(t_next)
     delta, iters, threshold = _prox_rate_counted(
         scenario.dissipation, scenario.mesh, np.asarray(zeta, dtype=float)[None],
-        _force(scenario, levels, load, q), levels.hessian, start=start_increment)
+        _force(scenario, load, q), levels.hessian, start=start_increment)
     states = np.stack([q, q + delta], axis=1)
     phi, balance, rhs, norms, _ = _diagnostics(scenario, levels.effective, load[None],
                                                states, delta[:, None], threshold[:, None])
@@ -512,7 +491,7 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
     acc.push(q)
 
     energies = np.empty((members, steps + 1))
-    energies[:, 0] = _energies(scenario.alpha, q, levels.apply_riesz(q),
+    energies[:, 0] = _energies(scenario.alpha, q, scenario.mesh.riesz.apply_rows(q),
                                scenario.load.values(times[:1]))
     balance, diss_rates, rate_norms = (np.empty((members, steps)) for _ in range(3))
     iterations = array("q")  # per step one entry a member
@@ -547,7 +526,7 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
         try:
             while done < len(loads):
                 if warm is not None and warm.any():  # no exit: a QP call
-                    force = _force(scenario, levels, loads[done], q)
+                    force = _force(scenario, loads[done], q)
                     step, count, thr = _prox_rate_counted(
                         spec, mesh, acc.value(), force, levels.hessian, start=warm)
                     if members > 1:  # members that stayed put, elastic alone
@@ -557,8 +536,8 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
                 else:
                     # loads holds this block's rows: a window ends with it.
                     rows = window if acc.geometric else 1
-                    force, w, exits = _held_steps(scenario, levels,
-                                                  loads[done:done + rows], q, acc)
+                    force, w, exits = _held_steps(scenario, loads[done:done + rows],
+                                                  q, acc)
                     run = exits.all(axis=1)
                     held = len(run) if run.all() else int(np.argmin(run))
                     if held:

@@ -258,6 +258,17 @@ def test_verify_experiments_pass_on_small_configs(tmp_path, small_cfg,
         assert (out / artifact).exists()
 
 
+def test_verify_history_needs_two_steps(tmp_path, capsys):
+    # One step has no interior sample to difference at: a config error,
+    # where it used to PASS with a header-only CSV.
+    cfg = tmp_path / "one.yaml"
+    cfg.write_text("mesh: {n_nodes: 5}\nmodel: {n_steps: 1}\n")
+    out = tmp_path / "vh"
+    assert main(["verify", "history", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "needs at least 2 steps and 1 rate, got 1 and" in capsys.readouterr().err
+    assert not (out / "verify_history.csv").exists()
+
+
 def test_verify_compat_failure_exits_one(tmp_path, capsys):
     cfg = tmp_path / "jump.yaml"
     cfg.write_text("mesh: {n_nodes: 5}\nload: {time: '2 + t'}\n")

@@ -83,10 +83,10 @@ def test_threshold_dual_uses_a_nodal_weight_as_is(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 17, 129])
 def test_stacked_thresholds_keep_the_bits_of_each_row(monkeypatch, n):
-    # A (m, n) stack is one band product, each row with the bits of
-    # M @ row.  Rows with an infinite or NaN weight take one product a row:
-    # no 0 * inf from a neighbour reaches a finite row.  Weights of -0.0
-    # and +0.0 sit next to the row boundaries.
+    # A (m, n) stack, or one row, is one apply_rows call, each row with
+    # the bits of M @ row.  With an infinite or NaN weight in one row no
+    # 0 * inf from a neighbour reaches a finite row.  Weights of -0.0 and
+    # +0.0 sit next to the row boundaries.
     mesh = build_mesh(n, 1.0)
     rng = np.random.default_rng(n)
     zeta = rng.uniform(0.0, 3.0, (40, n))
@@ -108,9 +108,9 @@ def test_stacked_thresholds_keep_the_bits_of_each_row(monkeypatch, n):
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.isfinite(np.delete(got, 7, axis=0)).all()
-    assert rows == [40]  # one band product, for the finite stack only
+    assert rows == [40] * 3  # one apply_rows call a threshold_dual call
     single = threshold_dual(spec, mesh, zeta[0])
-    assert np.array_equal(single, mesh.mass @ zeta[0]) and rows == [40]
+    assert np.array_equal(single, mesh.mass @ zeta[0]) and rows == [40] * 3 + [n]
 
 
 def test_threshold_dual_rejects_negative_weight():

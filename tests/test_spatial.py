@@ -232,6 +232,41 @@ def test_riesz_inverse_is_the_dense_inverse(rng):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n", [2, 17, 129])
+@pytest.mark.parametrize("which", ["mass", "riesz", "2.5 riesz"])
+def test_apply_rows_keeps_the_bits_of_each_row(n, which):
+    # Every row of apply_rows equals band @ row bit for bit, sign bits
+    # included: on finite stacks, on stacks with an inf or a NaN in one
+    # row (no 0 * inf reaches its neighbours), on 1-D input, and on calls
+    # after a larger and after a smaller row count than the one before.
+    mesh = build_mesh(n)
+    band = 2.5 * mesh.riesz if which == "2.5 riesz" else getattr(mesh, which)
+    rng = np.random.default_rng(n)
+
+    def check(rows):
+        got = band.apply_rows(rows)
+        want = np.array([band @ row for row in rows.reshape(-1, n)]).reshape(rows.shape)
+        assert got.shape == rows.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        return got.reshape(-1, n)
+
+    for m in (9, 40, 3, 40, 57, 1):
+        rows = rng.uniform(-3.0, 3.0, (m, n))
+        rows[0] = -0.0
+        rows[-1, [0, -1]] = -0.0
+        assert np.isfinite(check(rows)).all()
+    for bad in (np.inf, -np.inf, np.nan):
+        rows = rng.uniform(-3.0, 3.0, (2, 5, n))
+        rows[1, 2, [0, n // 2, -1]] = bad  # both row ends face a neighbour
+        got = check(rows)
+        assert np.isfinite(np.delete(got, 7, axis=0)).all()
+    assert np.isfinite(check(rng.uniform(-3.0, 3.0, n))).all()
+    assert np.isfinite(check(rng.uniform(-3.0, 3.0, (1, n)))).all()
+    with pytest.raises(ValueError):
+        band.apply_rows(np.ones((3, n + 1)))
+
+
 def test_band_refuses_silent_densification():
     band = build_mesh(4).riesz
     with pytest.raises(TypeError):

@@ -232,14 +232,21 @@ def test_uniqueness_probe_gaps_and_refinement():
     assert finer.max_gap <= UNIQUENESS_GAP_TOL
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.05, math.nan, math.inf])
+@pytest.mark.parametrize("eps", [0.0, -0.05, math.nan, math.inf, 1e-9, 1e-320])
 def test_uniqueness_probe_rejects_bad_eps(monkeypatch, eps):
-    # A bad eps is rejected before any solve, with solve_viscous's message.
+    # A bad eps is rejected before any solve: a nonpositive or non-finite
+    # one with solve_viscous's message; one whose explicit grid would take
+    # 200 * 10**8 steps (tau = 5e-3) with eps, tau and the count; and one
+    # whose refinement overflows to inf.
     def refuse(*args, **kwargs):
         raise AssertionError("a bad eps reached a solve")
 
     monkeypatch.setattr(verify, "solve_viscous", refuse)
-    with pytest.raises(ValueError, match="eps must be positive, got"):
+    match = {1e-9: r"eps=1e-09 with tau=0.005 needs about 1e\+10 explicit steps "
+                   r"\(tau <= eps/10\), more than 1000000",
+             1e-320: "needs about inf explicit steps"}
+    match = match.get(eps, "eps must be positive, got")
+    with pytest.raises(ValueError, match=match):
         uniqueness_probe(_sine_scenario(), eps)
 
 
@@ -301,6 +308,20 @@ def test_history_slope_check_detects_understated_constant():
                                             lipschitz=honest.lipschitz / 20.0))
     report = history_lipschitz_check(lying, traj)
     assert report.max_excess > HISTORY_SLOPE_TOL
+
+
+def test_history_slope_check_rejects_vacuous_inputs():
+    # One step leaves no interior sample for the central difference, and
+    # no rate no slope: either used to pass with max_excess = -inf.
+    sc = replace(_sine_scenario(n_steps=1), dissipation=smooth_fatigue())
+    traj, _ = solve_viscous(sc, 0.02)
+    with pytest.raises(ValueError, match="at least 2 steps and 1 rate, got 1 and"):
+        history_lipschitz_check(sc, traj)
+    sc = replace(_sine_scenario(n_steps=2), dissipation=smooth_fatigue())
+    traj, _ = solve_viscous(sc, 0.02)
+    with pytest.raises(ValueError, match="got 2 and n_rates=0"):
+        history_lipschitz_check(sc, traj, n_rates=0)
+    assert len(history_lipschitz_check(sc, traj, n_rates=1).rows) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -577,8 +577,8 @@ def _logged_windows(monkeypatch):
     log = []
     decide = viscous._held_steps
 
-    def logged(scenario, levels, loads, q, acc):
-        force, w, exits = decide(scenario, levels, loads, q, acc)
+    def logged(scenario, loads, q, acc):
+        force, w, exits = decide(scenario, loads, q, acc)
         log.append((acc.n_samples - 1, len(loads), exits.all(axis=1)))
         return force, w, exits
 
