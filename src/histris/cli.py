@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from .config import (
+    _SCHEMA,
     ConfigError,
     build_control,
     build_experiment,
@@ -63,6 +64,12 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
+
+
+def _verdict(passed: bool, line: str) -> int:
+    """Print the summary ``line`` with PASS or FAIL; the exit code."""
+    print(f"{line}: {'PASS' if passed else 'FAIL'}")
+    return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 def _write_csv(path: str, cfg: dict, header, rows) -> None:
@@ -157,18 +164,17 @@ def cmd_sweep(cfg: dict, out: str, args) -> int:
         if result.c_diffs[i] > 0
     ]
     cert = result.certificate
-    status = "PASS" if cert.passed else "FAIL"
     print(
         f"sweep: {len(result.eps_values)} levels, final C gap "
         f"{result.c_diffs[-1]:.3e}, gap ratios "
         f"[{', '.join(f'{r:.2f}' for r in ratios)}]"
     )
-    print(
+    return _verdict(
+        cert.passed,
         f"limit certificate: stability violation "
         f"{cert.max_stability_violation:.3e}, balance residual "
-        f"{cert.max_balance_residual:.3e} (tol {cert.tolerance:g}): {status}"
+        f"{cert.max_balance_residual:.3e} (tol {cert.tolerance:g})",
     )
-    return EXIT_OK if cert.passed else EXIT_NUMERICAL
 
 
 def _verify_compat(cfg: dict, out: str) -> int:
@@ -179,9 +185,7 @@ def _verify_compat(cfg: dict, out: str) -> int:
         ["compatible", "worst_violation", "worst_node"],
         [[int(res.ok), res.worst_violation, res.worst_node]],
     )
-    status = "PASS" if res.ok else "FAIL"
-    print(f"verify compat: {res.message}: {status}")
-    return EXIT_OK if res.ok else EXIT_NUMERICAL
+    return _verdict(res.ok, f"verify compat: {res.message}")
 
 
 def _verify_bounds(cfg: dict, out: str) -> int:
@@ -190,12 +194,11 @@ def _verify_bounds(cfg: dict, out: str) -> int:
               "balance_residual"]
     rows = [[r[k] for k in header] for r in res.rows]
     _write_csv(os.path.join(out, "verify_bounds.csv"), cfg, header, rows)
-    status = "PASS" if res.passed else "FAIL"
-    print(
+    return _verdict(
+        res.passed,
         f"verify bounds: worst ratio spread over the viscosity schedule "
-        f"{res.max_spread:.3f} (cap {res.spread_cap:g}): {status}"
+        f"{res.max_spread:.3f} (cap {res.spread_cap:g})",
     )
-    return EXIT_OK if res.passed else EXIT_NUMERICAL
 
 
 def _verify_lipschitz(cfg: dict, out: str) -> int:
@@ -203,16 +206,15 @@ def _verify_lipschitz(cfg: dict, out: str) -> int:
     header = ["pair", "eps", "ratio", "solution_gap", "load_gap"]
     rows = [[r[k] for k in header] for r in res.rows]
     _write_csv(os.path.join(out, "verify_lipschitz.csv"), cfg, header, rows)
-    status = "PASS" if res.passed else "FAIL"
     per_eps = ", ".join(
         f"eps={e:g}: {m:.3f}" for e, m in zip(res.eps_values, res.max_ratio_per_eps)
     )
-    print(
+    return _verdict(
+        res.passed,
         f"verify lipschitz: worst ratio per level [{per_eps}], "
         f"cross-level spread {res.cross_eps_spread:.3f} "
-        f"(cap {res.spread_cap:g}), all finite={res.all_finite}: {status}"
+        f"(cap {res.spread_cap:g}), all finite={res.all_finite}",
     )
-    return EXIT_OK if res.passed else EXIT_NUMERICAL
 
 
 def _verify_unique(cfg: dict, out: str) -> int:
@@ -221,14 +223,11 @@ def _verify_unique(cfg: dict, out: str) -> int:
     rows = [[name, gap] for name, gap in res.gaps.items()]
     _write_csv(os.path.join(out, "verify_unique.csv"), cfg,
                ["pairing", "sup_h1_gap"], rows)
-    passed = res.max_gap <= UNIQUENESS_GAP_TOL
-    status = "PASS" if passed else "FAIL"
-    print(
+    return _verdict(
+        res.max_gap <= UNIQUENESS_GAP_TOL,
         f"verify unique: worst integrator disagreement {res.max_gap:.3e} "
-        f"(tol {UNIQUENESS_GAP_TOL:g}, explicit refinement x{res.explicit_refine}): "
-        f"{status}"
+        f"(tol {UNIQUENESS_GAP_TOL:g}, explicit refinement x{res.explicit_refine})",
     )
-    return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 def _verify_dual(cfg: dict, out: str) -> int:
@@ -240,15 +239,13 @@ def _verify_dual(cfg: dict, out: str) -> int:
     header = ["tau", "limit_residual"]
     rows = [[float(t), float(r)] for t, r in zip(taus, residuals)]
     _write_csv(os.path.join(out, "verify_dual.csv"), cfg, header, rows)
-    passed = res.viscous_residual <= DUAL_RESIDUAL_TOL and slope >= DUAL_SLOPE_MIN
-    status = "PASS" if passed else "FAIL"
-    print(
+    return _verdict(
+        res.viscous_residual <= DUAL_RESIDUAL_TOL and slope >= DUAL_SLOPE_MIN,
         f"verify dual: viscous complementarity residual "
         f"{res.viscous_residual:.3e} (tol {DUAL_RESIDUAL_TOL:g}), "
         f"viscosity-free residual order {slope:.2f} in the step "
-        f"(min {DUAL_SLOPE_MIN:g}): {status}"
+        f"(min {DUAL_SLOPE_MIN:g})",
     )
-    return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 def _verify_history(cfg: dict, out: str) -> int:
@@ -258,13 +255,11 @@ def _verify_history(cfg: dict, out: str) -> int:
     header = ["rate_index", "time", "slope", "bound", "excess"]
     rows = [[r[k] for k in header] for r in res.rows]
     _write_csv(os.path.join(out, "verify_history.csv"), cfg, header, rows)
-    passed = res.max_excess <= HISTORY_SLOPE_TOL
-    status = "PASS" if passed else "FAIL"
-    print(
+    return _verdict(
+        res.max_excess <= HISTORY_SLOPE_TOL,
         f"verify history: worst potential slope excess {res.max_excess:.3e} "
-        f"over the four-point bound (tol {HISTORY_SLOPE_TOL:g}): {status}"
+        f"over the four-point bound (tol {HISTORY_SLOPE_TOL:g})",
     )
-    return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 _VERIFY_HANDLERS = {
@@ -354,16 +349,13 @@ def main(argv=None) -> int:
             if args.config is not None
             else normalize_config({})
         )
-        if args.seed is not None:
-            cfg["seed"] = int(args.seed)
-        if args.eps is not None:
-            if not (args.eps > 0 and math.isfinite(args.eps)):
-                raise ConfigError(f"--eps must be positive, got {args.eps!r}")
-            cfg["solver"]["eps"] = float(args.eps)
-        if args.jobs is not None:
-            if args.jobs < 1:
-                raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-            cfg["experiment"]["jobs"] = int(args.jobs)
+        # Each flag overrides its key, through the key's check.
+        for section, key in ((None, "seed"), ("solver", "eps"),
+                             ("experiment", "jobs")):
+            value = getattr(args, key)
+            if value is not None:
+                _, check = _SCHEMA[section][key] if section else _SCHEMA[key]
+                (cfg[section] if section else cfg)[key] = check(value, f"--{key}")
         os.makedirs(args.out, exist_ok=True)
         return args.handler(cfg, args.out, args)
     except (ConfigError, ExpressionError, ValueError) as exc:

@@ -1,33 +1,20 @@
 """Run configuration: strict YAML schema, builders, and the run hash.
 
-A config file is a YAML mapping with the sections below; every section
-and every key is optional, unknown keys are rejected with the offending
-path named.  ``normalize_config`` fills defaults and returns a plain
-dict of JSON-serializable leaves; the builders turn that dict into
-solver objects; ``config_hash`` fingerprints the effective dict so
-output files can state exactly what produced them.
-
-Sections::
-
-    mesh:        n_nodes, length
-    model:       alpha, horizon, n_steps
-    load:        time, space           (expressions in t and x)
-    dissipation: family (fatigue | weighted_l1), weight, weight_slope
-                 (expressions in z), lipschitz; built as one
-                 ``Dissipation``, one-sided for fatigue
-    history:     kind (identity | convolution), initial (expression in
-                 x), kernel, kernel_slope (expressions in t, the lag)
-    solver:      eps, method, warm_start
-    sweep:       eps_values, certificate_tol
-    experiment:  n_loads, n_pairs, eps_values, load_cap, n_load_terms,
-                 spread_cap, jobs, refinements
-    control:     basis_size, reg_weight, target_time, target_space,
-                 step, shrink, min_step, max_evals
-    seed:        integer
+A config file is a YAML mapping with the sections ``mesh``, ``model``,
+``load``, ``dissipation``, ``history``, ``solver``, ``sweep``,
+``experiment`` and ``control``, and a top-level ``seed``.  ``_SCHEMA``
+lists each section's keys once, each with its default and its check;
+every section and key is optional, and unknown keys are rejected with
+the offending path named.  ``normalize_config`` fills defaults, applies
+the rules that tie keys together, and returns a plain dict of
+JSON-serializable leaves; the builders turn that dict into solver
+objects; ``config_hash`` fingerprints the effective dict so output
+files can state exactly what produced them.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -39,8 +26,9 @@ from .dissipation import Dissipation
 from .expressions import Expression, ExpressionError
 from .history import convolution_kernel, identity_kernel
 from .spatial import build_mesh, interpolate
-from .verify import ExperimentConfig
+from .verify import DUAL_REFINEMENTS, ExperimentConfig, smooth_fatigue
 from .viscous import Scenario, expression_load
+from .vv import DEFAULT_EPS_LEVELS
 
 __all__ = [
     "ConfigError",
@@ -52,93 +40,171 @@ __all__ = [
     "build_control",
 ]
 
-_DEFAULT_WEIGHT = "0.4 + 0.6/(1 + z^2)"
-_DEFAULT_WEIGHT_SLOPE = "-1.2*z/(1 + z^2)^2"
-_DEFAULT_LIPSCHITZ = 0.6 * 9.0 / (8.0 * math.sqrt(3.0))
-
 
 class ConfigError(ValueError):
     """Raised for malformed configuration input."""
 
 
-def _mapping(raw, path: str, allowed: set[str]) -> dict:
+# Checks: each takes a given value and the name to report, and returns
+# the value as the normalized dict holds it.
+
+def _number(*, integer: bool = False, positive: bool = False,
+            nonnegative: bool = False):
+    def check(value, name: str):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        try:
+            as_float = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{name} must be finite, got an integer too large for a float"
+            ) from None
+        if not math.isfinite(as_float):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if integer:
+            if int(value) != value:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            value = int(value)
+        else:
+            value = as_float
+        if positive and value <= 0:
+            raise ConfigError(f"{name} must be positive, got {value!r}")
+        if nonnegative and value < 0:
+            raise ConfigError(f"{name} must be nonnegative, got {value!r}")
+        return value
+    return check
+
+
+def _numbers(*, decreasing: bool = False, **kinds):
+    item = _number(**kinds)
+
+    def check(value, name: str) -> list:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{name} must be a nonempty list of numbers")
+        values = [item(v, f"{name}[{i}]") for i, v in enumerate(value)]
+        if decreasing and any(a <= b for a, b in zip(values, values[1:])):
+            raise ConfigError(f"{name} must be strictly decreasing")
+        return values
+    return check
+
+
+def _string(*choices: str):
+    def check(value, name: str) -> str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        if choices and value not in choices:
+            raise ConfigError(
+                f"{name} must be one of {sorted(choices)}, got {value!r}"
+            )
+        return value
+    return check
+
+
+def _expression(*variables: str):
+    def check(value, name: str) -> str:
+        _string()(value, name)
+        try:
+            Expression(value, variables)
+        except ExpressionError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+        return value
+    return check
+
+
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be a boolean, got {value!r}")
+    return value
+
+
+_POSITIVE = _number(positive=True)
+_COUNT = _number(integer=True, positive=True)
+
+# Every key once, as (default, check): a section is a mapping of its
+# keys, ``seed`` a top-level key.  A default is stored as normalized; a
+# given value goes through the check.
+_SCHEMA = {
+    "mesh": {
+        "n_nodes": (33, _number(integer=True)),
+        "length": (1.0, _POSITIVE),
+    },
+    "model": {
+        "alpha": (1.0, _POSITIVE),
+        "horizon": (1.0, _POSITIVE),
+        "n_steps": (1000, _COUNT),
+    },
+    "load": {
+        "time": ("2*sin(pi*t)", _expression("t")),
+        "space": ("1", _expression("x")),
+    },
+    "dissipation": {  # the defaults are smooth_fatigue()
+        "family": ("fatigue", _string("fatigue", "weighted_l1")),
+        "weight": ("0.4 + 0.6/(1 + z^2)", _expression("z")),
+        "weight_slope": ("-1.2*z/(1 + z^2)^2", _expression("z")),
+        "lipschitz": (smooth_fatigue().lipschitz, _number(nonnegative=True)),
+    },
+    "history": {  # kernel and kernel_slope: convolution only, required there
+        "kind": ("identity", _string("identity", "convolution")),
+        "initial": ("0", _expression("x")),
+        "kernel": ("", _expression("t")),
+        "kernel_slope": ("", _expression("t")),
+    },
+    "solver": {
+        "eps": (1e-3, _POSITIVE),
+        "method": ("implicit", _string("implicit", "explicit")),
+        "warm_start": (True, _flag),
+    },
+    "sweep": {
+        "eps_values": (list(DEFAULT_EPS_LEVELS),
+                       _numbers(positive=True, decreasing=True)),
+        "certificate_tol": (1e-2, _POSITIVE),
+    },
+    "experiment": {
+        "n_loads": (ExperimentConfig.n_loads, _COUNT),
+        "n_pairs": (ExperimentConfig.n_pairs, _COUNT),
+        "eps_values": (list(ExperimentConfig.eps_values),
+                       _numbers(positive=True, decreasing=True)),
+        "load_cap": (ExperimentConfig.load_cap, _POSITIVE),
+        "n_load_terms": (ExperimentConfig.n_load_terms, _COUNT),
+        "spread_cap": (ExperimentConfig.spread_cap, _POSITIVE),
+        "jobs": (ExperimentConfig.jobs, _COUNT),
+        "refinements": (list(DUAL_REFINEMENTS),
+                        _numbers(integer=True, positive=True)),
+    },
+    "control": {
+        "basis_size": (4, _COUNT),
+        "reg_weight": (ControlProblem.reg_weight, _number(nonnegative=True)),
+        "target_time": ("t", _expression("t")),
+        "target_space": ("1", _expression("x")),
+        "step": (2.0, _POSITIVE),
+        "shrink": (0.5, _POSITIVE),
+        "min_step": (1e-3, _POSITIVE),
+        "max_evals": (200, _COUNT),
+    },
+    "seed": (0, _number(integer=True, nonnegative=True)),
+}
+
+
+def _section(raw, path: str, schema: dict) -> dict:
+    """``raw`` checked against ``schema``, with every default filled."""
     if raw is None:
-        return {}
+        raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must be a mapping, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - allowed)
+    unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError(
-            f"unknown key(s) {unknown} under {path}; allowed: {sorted(allowed)}"
+            f"unknown key(s) {unknown} under {path}; allowed: {sorted(schema)}"
         )
-    return raw
-
-
-def _number(sec: dict, key: str, path: str, default, **kinds):
-    return _checked_number(sec.get(key, default), f"{path}.{key}", **kinds)
-
-
-def _checked_number(value, name: str, *, integer: bool = False,
-                    positive: bool = False, nonnegative: bool = False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        as_float = float(value)
-    except OverflowError:
-        raise ConfigError(
-            f"{name} must be finite, got an integer too large for a float"
-        ) from None
-    if not math.isfinite(as_float):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    if integer:
-        if int(value) != value:
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        value = int(value)
-    else:
-        value = as_float
-    if positive and value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value!r}")
-    if nonnegative and value < 0:
-        raise ConfigError(f"{name} must be nonnegative, got {value!r}")
-    return value
-
-
-def _string(sec: dict, key: str, path: str, default: str,
-            choices: tuple | None = None) -> str:
-    value = sec.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key} must be a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(
-            f"{path}.{key} must be one of {sorted(choices)}, got {value!r}"
-        )
-    return value
-
-
-def _bool(sec: dict, key: str, path: str, default: bool) -> bool:
-    value = sec.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key} must be a boolean, got {value!r}")
-    return value
-
-
-def _number_list(sec: dict, key: str, path: str, default: list,
-                 **kinds) -> list:
-    value = sec.get(key, default)
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{path}.{key} must be a nonempty list of numbers")
-    return [_checked_number(item, f"{path}.{key}[{i}]", **kinds)
-            for i, item in enumerate(value)]
-
-
-def _expression(sec: dict, key: str, path: str, default: str,
-                variables: tuple) -> str:
-    text = _string(sec, key, path, default)
-    try:
-        Expression(text, variables)
-    except ExpressionError as exc:
-        raise ConfigError(f"{path}.{key}: {exc}") from exc
-    return text
+    out = {}
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            out[key] = _section(raw.get(key), key, spec)
+        else:
+            default, check = spec
+            out[key] = (check(raw[key], f"{path}.{key}") if key in raw
+                        else copy.copy(default))
+    return out
 
 
 def load_config_file(path: str) -> dict:
@@ -150,114 +216,32 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    if raw is None:
-        raw = {}
     return normalize_config(raw)
 
 
 def normalize_config(raw: dict) -> dict:
     """Validate a raw mapping and fill every default."""
-    top = _mapping(raw, "config", {
-        "mesh", "model", "load", "dissipation", "history", "solver",
-        "sweep", "experiment", "control", "seed",
-    })
-
-    mesh = _mapping(top.get("mesh"), "mesh", {"n_nodes", "length"})
-    model = _mapping(top.get("model"), "model", {"alpha", "horizon", "n_steps"})
-    load = _mapping(top.get("load"), "load", {"time", "space"})
-    diss = _mapping(top.get("dissipation"), "dissipation",
-                    {"family", "weight", "weight_slope", "lipschitz"})
-    history = _mapping(top.get("history"), "history",
-                       {"kind", "initial", "kernel", "kernel_slope"})
-    solver = _mapping(top.get("solver"), "solver",
-                      {"eps", "method", "warm_start"})
-    sweep = _mapping(top.get("sweep"), "sweep",
-                     {"eps_values", "certificate_tol"})
-    experiment = _mapping(top.get("experiment"), "experiment", {
-        "n_loads", "n_pairs", "eps_values", "load_cap", "n_load_terms",
-        "spread_cap", "jobs", "refinements",
-    })
-    control = _mapping(top.get("control"), "control", {
-        "basis_size", "reg_weight", "target_time", "target_space",
-        "step", "shrink", "min_step", "max_evals",
-    })
-
-    horizon = _number(model, "horizon", "model", 1.0, positive=True)
-
-    out = {
-        "mesh": {
-            "n_nodes": _number(mesh, "n_nodes", "mesh", 33, integer=True),
-            "length": _number(mesh, "length", "mesh", 1.0, positive=True),
-        },
-        "model": {
-            "alpha": _number(model, "alpha", "model", 1.0, positive=True),
-            "horizon": horizon,
-            "n_steps": _number(model, "n_steps", "model", 1000, integer=True,
-                               positive=True),
-        },
-        "load": {
-            "time": _expression(load, "time", "load", "2*sin(pi*t)", ("t",)),
-            "space": _expression(load, "space", "load", "1", ("x",)),
-        },
-        "dissipation": _normalize_dissipation(diss),
-        "history": _normalize_history(history),
-        "solver": {
-            "eps": _number(solver, "eps", "solver", 1e-3, positive=True),
-            "method": _string(solver, "method", "solver", "implicit",
-                              ("implicit", "explicit")),
-            "warm_start": _bool(solver, "warm_start", "solver", True),
-        },
-        "sweep": {
-            "eps_values": _decreasing(
-                _number_list(sweep, "eps_values", "sweep",
-                             [0.1 * 0.5 ** k for k in range(8)], positive=True),
-                "sweep.eps_values",
-            ),
-            "certificate_tol": _number(sweep, "certificate_tol", "sweep",
-                                       1e-2, positive=True),
-        },
-        "experiment": {
-            "n_loads": _number(experiment, "n_loads", "experiment", 10,
-                               integer=True, positive=True),
-            "n_pairs": _number(experiment, "n_pairs", "experiment", 20,
-                               integer=True, positive=True),
-            "eps_values": _decreasing(
-                _number_list(experiment, "eps_values", "experiment",
-                             [1e-1, 1e-2, 1e-3, 1e-4], positive=True),
-                "experiment.eps_values",
-            ),
-            "load_cap": _number(experiment, "load_cap", "experiment", 6.0,
-                                positive=True),
-            "n_load_terms": _number(experiment, "n_load_terms", "experiment",
-                                    3, integer=True, positive=True),
-            "spread_cap": _number(experiment, "spread_cap", "experiment", 2.0,
-                                  positive=True),
-            "jobs": _number(experiment, "jobs", "experiment", 1, integer=True,
-                            positive=True),
-            "refinements": _number_list(
-                experiment, "refinements", "experiment",
-                [125, 250, 500, 1000], integer=True, positive=True,
-            ),
-        },
-        "control": {
-            "basis_size": _number(control, "basis_size", "control", 4,
-                                  integer=True, positive=True),
-            "reg_weight": _number(control, "reg_weight", "control", 1e-3,
-                                  nonnegative=True),
-            "target_time": _expression(control, "target_time", "control",
-                                       "t", ("t",)),
-            "target_space": _expression(control, "target_space", "control",
-                                        "1", ("x",)),
-            "step": _number(control, "step", "control", 2.0, positive=True),
-            "shrink": _number(control, "shrink", "control", 0.5,
-                              positive=True),
-            "min_step": _number(control, "min_step", "control", 1e-3,
-                                positive=True),
-            "max_evals": _number(control, "max_evals", "control", 200,
-                                 integer=True, positive=True),
-        },
-        "seed": _number(top, "seed", "config", 0, integer=True),
-    }
+    out = _section(raw, "config", _SCHEMA)
+    diss, history = (set((raw or {}).get(name) or ())
+                     for name in ("dissipation", "history"))
+    # A custom weight has no known Lipschitz constant and no slope.
+    if "weight" in diss:
+        if "lipschitz" not in diss:
+            raise ConfigError(
+                "dissipation.lipschitz is required when dissipation.weight is set"
+            )
+        if "weight_slope" not in diss:
+            out["dissipation"]["weight_slope"] = ""
+    kernel = {"kernel", "kernel_slope"}
+    if out["history"]["kind"] == "convolution":
+        if not kernel <= history:
+            raise ConfigError(
+                "history.kernel and history.kernel_slope are required for "
+                "the convolution kind"
+            )
+    elif kernel & history:
+        raise ConfigError(f"history.{min(kernel & history)} only applies to "
+                          "the convolution kind")
     if out["mesh"]["n_nodes"] < 2:
         raise ConfigError("mesh.n_nodes must be at least 2")
     if out["control"]["shrink"] >= 1.0:
@@ -271,58 +255,6 @@ def normalize_config(raw: dict) -> dict:
             "experiment.refinements must have at least two distinct step counts"
         )
     return out
-
-
-def _decreasing(values: list, path: str) -> list:
-    if values != sorted(values, reverse=True) or len(set(values)) != len(values):
-        raise ConfigError(f"{path} must be strictly decreasing")
-    return values
-
-
-def _normalize_dissipation(diss: dict) -> dict:
-    family = _string(diss, "family", "dissipation", "fatigue",
-                     ("fatigue", "weighted_l1"))
-    custom_weight = "weight" in diss
-    weight = _expression(diss, "weight", "dissipation", _DEFAULT_WEIGHT, ("z",))
-    if custom_weight and "lipschitz" not in diss:
-        raise ConfigError(
-            "dissipation.lipschitz is required when dissipation.weight is set"
-        )
-    lipschitz = _number(diss, "lipschitz", "dissipation", _DEFAULT_LIPSCHITZ,
-                        nonnegative=True)
-    slope_default = _DEFAULT_WEIGHT_SLOPE if not custom_weight else ""
-    slope = _expression(diss, "weight_slope", "dissipation", slope_default,
-                        ("z",)) if (not custom_weight or "weight_slope" in diss) else ""
-    return {
-        "family": family,
-        "weight": weight,
-        "weight_slope": slope,
-        "lipschitz": lipschitz,
-    }
-
-
-def _normalize_history(history: dict) -> dict:
-    kind = _string(history, "kind", "history", "identity",
-                   ("identity", "convolution"))
-    initial = _expression(history, "initial", "history", "0", ("x",))
-    if kind == "convolution":
-        if "kernel" not in history or "kernel_slope" not in history:
-            raise ConfigError(
-                "history.kernel and history.kernel_slope are required for "
-                "the convolution kind"
-            )
-        kernel = _expression(history, "kernel", "history", "1", ("t",))
-        slope = _expression(history, "kernel_slope", "history", "0", ("t",))
-    else:
-        for key in ("kernel", "kernel_slope"):
-            if key in history:
-                raise ConfigError(
-                    f"history.{key} only applies to the convolution kind"
-                )
-        kernel = ""
-        slope = ""
-    return {"kind": kind, "initial": initial, "kernel": kernel,
-            "kernel_slope": slope}
 
 
 def config_hash(cfg: dict) -> str:

@@ -142,11 +142,14 @@ class SymTridiagonal:
         of copies of the band with zero couplings, grown to the most rows
         asked so far.  A zero coupling carries ``0 * inf = nan`` into the
         next row, so rows with a non-finite entry take one product a row."""
+        rows = np.asarray(rows, dtype=float)
         flat = rows.reshape(-1, rows.shape[-1])
         if len(flat) > 1 and not np.isfinite(flat).all():
             return np.array([self @ row for row in flat]).reshape(rows.shape)
         if flat.shape[1] != self.shape[0]:
             raise ValueError(f"cannot apply a {self.shape} band to rows {rows.shape}")
+        if not flat.size:
+            return np.zeros(rows.shape)
         if self._copies is None or self._copies.shape[1] < flat.size:
             self._copies = np.asfortranarray(np.tile(self._bands, len(flat)))
         out = dsbmv(1, 1.0, self._copies[:, :flat.size], flat.ravel())

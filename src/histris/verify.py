@@ -97,6 +97,9 @@ DUAL_RESIDUAL_TOL = 1e-6
 DUAL_SLOPE_MIN = 0.9
 HISTORY_SLOPE_TOL = 1e-5
 
+# Step counts over which dual_equivalence_slope fits its order by default.
+DUAL_REFINEMENTS = (125, 250, 500, 1000)
+
 # Most steps the uniqueness probe's explicit cross-check may take.
 _EXPLICIT_STEP_LIMIT = 10**6
 
@@ -610,7 +613,7 @@ def dual_equivalence(scenario: Scenario, eps: float) -> DualEquivalenceResult:
 
 
 def dual_equivalence_slope(scenario: Scenario,
-                           n_steps_list: Sequence[int] | None = None):
+                           n_steps_list: Sequence[int] = DUAL_REFINEMENTS):
     """Convergence order in tau of the limit-reading residual.
 
     Viscosity is coupled to the step (eps = tau) so the defect of the
@@ -618,8 +621,6 @@ def dual_equivalence_slope(scenario: Scenario,
     ``(taus, residuals, slope)``; fewer than two distinct step counts
     raise ``ValueError``.
     """
-    if n_steps_list is None:
-        n_steps_list = (125, 250, 500, 1000)
     if len({int(n) for n in n_steps_list}) < 2:
         raise ValueError("an order needs at least two distinct step counts, "
                          f"got {list(n_steps_list)}")

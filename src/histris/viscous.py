@@ -234,7 +234,7 @@ class Scenario:
 
 def driving_force(scenario: Scenario, t: float, q: Field) -> DualField:
     """Negative energy gradient ``load(t) - alpha * Riesz(q)``."""
-    return scenario.load.value(t) - scenario.alpha * riesz_apply(scenario.mesh, q)
+    return _force(scenario, scenario.load.value(t), q)
 
 
 def energy(scenario: Scenario, t: float, q: Field) -> float:
@@ -281,9 +281,10 @@ class StepResult:
 
 
 def _force(scenario: Scenario, loads: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The driving forces ``load - alpha R q`` of a (B, n) stack of states
-    (``R q`` by ``apply_rows``): under one load row (B, n), or under
-    (rows, 1, n) load rows (rows, B, n), each entry with its step's bits."""
+    """The driving forces ``load - alpha R q`` of a state or a stack of
+    them (``R q`` by ``apply_rows``, each row with the bits of ``R @ q``),
+    under loads that broadcast against them: a (B, n) stack under one
+    load row, or under (rows, 1, n) load rows (rows, B, n)."""
     return loads - scenario.alpha * scenario.mesh.riesz.apply_rows(q)
 
 
@@ -343,8 +344,7 @@ def _diagnostics(scenario: Scenario, effective: np.ndarray, loads: np.ndarray,
     apply = scenario.mesh.riesz.apply_rows
     tau = scenario.tau
     riesz_delta = apply(delta)
-    f = loads - scenario.alpha * apply(states[:, :-1])
-    phi = f - effective * riesz_delta
+    phi = _force(scenario, loads, states[:, :-1]) - effective * riesz_delta
     rate = delta / tau
     rhs = _potential_at(scenario.dissipation, threshold, rate)
     balance = _balance_residuals(np.vecdot(phi, rate), rhs)

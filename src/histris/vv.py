@@ -48,7 +48,8 @@ from .history import HistoryAccumulator
 from .spatial import h1_norm
 from .dissipation import _potential_at, force_box, potential
 from .trajectory import Trajectory, c_norm, c_norm_diff, h1_time_norm, step_blocks
-from .viscous import Scenario, _balance_residuals, solve_levels, solve_viscous
+from .viscous import (Scenario, _balance_residuals, _force, solve_levels,
+                      solve_viscous)
 
 __all__ = [
     "DEFAULT_EPS_LEVELS",
@@ -97,8 +98,7 @@ def replay(scenario: Scenario, traj: Trajectory):
             acc.push(traj.values[k + 1])
         q = traj.values[start:stop + 1]
         loads = scenario.load.values(traj.times[start + 1:stop + 1])
-        yield (np.diff(q, axis=0) / traj.tau,
-               loads - scenario.alpha * mesh.riesz.apply_rows(q[1:]),
+        yield (np.diff(q, axis=0) / traj.tau, _force(scenario, loads, q[1:]),
                *force_box(scenario.dissipation, mesh, zeta))
 
 

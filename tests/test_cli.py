@@ -137,13 +137,17 @@ def test_config_errors_exit_two(tmp_path, small_cfg, capsys):
     assert main(["solve", "--config", missing, "--out", str(tmp_path / "y")]) == 2
     assert "cannot read" in capsys.readouterr().err
 
-    assert main(["solve", "--config", small_cfg, "--out", str(tmp_path / "z"),
-                 "--eps", "-0.5"]) == 2
-    assert "--eps" in capsys.readouterr().err
-
-    assert main(["verify", "bounds", "--config", small_cfg,
-                 "--out", str(tmp_path / "w"), "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
+    # Each flag goes through its key's check, under the flag's name.
+    for command, flag, value in [
+        (["solve"], "--eps", "-0.5"),
+        (["solve"], "--eps", "0"),
+        (["verify", "bounds"], "--jobs", "0"),
+        (["solve"], "--seed", "-7"),
+        (["verify", "bounds"], "--seed", "-1"),
+    ]:
+        assert main(command + ["--config", small_cfg, "--out",
+                               str(tmp_path / "z"), flag, value]) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
 
     # A sweep needs two levels to compare, an order fit two step counts.
     for command, text, key in [

@@ -1,9 +1,12 @@
 """Tests for config validation, defaults, hashing, and builders."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
 from histris.config import (
@@ -84,6 +87,8 @@ def test_numeric_validation_names_the_field():
      r"experiment.refinements\[0\] must be an integer"),
     ({"experiment": {"refinements": [0]}},
      r"experiment.refinements\[0\] must be positive"),
+    # A seed seeds numpy's generator, which takes no negative one.
+    ({"seed": -3}, "config.seed must be nonnegative"),
 ])
 def test_non_finite_numbers_are_rejected_with_their_key(raw, key):
     reason = "" if " must be " in key else " must be finite"
@@ -136,6 +141,34 @@ def test_convolution_history_requirements():
                     "kernel_slope": "-exp(-t)"},
     })
     assert cfg["history"]["kernel"] == "exp(-t)"
+
+
+def test_readme_example_is_the_default_config():
+    # The README's configuration example, commented keys included, lists
+    # the keys of the schema (the keys of the filled-in dict), no more,
+    # and its uncommented keys normalize to the defaults.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    example = readme.split("### Configuration file", 1)[1]
+    example = example.split("```yaml\n", 1)[1].split("```", 1)[0]
+    named, section = set(), None
+    for line in example.splitlines():
+        m = re.match(r"( *)(?:# )?([a-z_]+):([^#]*)", line)
+        if m is None:
+            continue
+        indent, key, value = m.groups()
+        if indent:
+            named.add(f"{section}.{key}")
+        elif value.strip():
+            named.add(key)
+        else:
+            section = key
+    schema = set()
+    for name, value in normalize_config({}).items():
+        schema |= ({f"{name}.{key}" for key in value}
+                   if isinstance(value, dict) else {name})
+    assert named == schema
+    assert normalize_config(yaml.safe_load(example)) == normalize_config({})
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,8 @@ def test_apply_rows_keeps_the_bits_of_each_row(n, which):
     # Every row of apply_rows equals band @ row bit for bit, sign bits
     # included: on finite stacks, on stacks with an inf or a NaN in one
     # row (no 0 * inf reaches its neighbours), on 1-D input, and on calls
-    # after a larger and after a smaller row count than the one before.
+    # after a larger and after a smaller row count than the one before,
+    # and on empty stacks.
     mesh = build_mesh(n)
     band = 2.5 * mesh.riesz if which == "2.5 riesz" else getattr(mesh, which)
     rng = np.random.default_rng(n)
@@ -263,6 +264,8 @@ def test_apply_rows_keeps_the_bits_of_each_row(n, which):
         assert np.isfinite(np.delete(got, 7, axis=0)).all()
     assert np.isfinite(check(rng.uniform(-3.0, 3.0, n))).all()
     assert np.isfinite(check(rng.uniform(-3.0, 3.0, (1, n)))).all()
+    for empty in ((0, n), (2, 0, n)):  # an empty stack, as quad_forms takes it
+        assert check(np.zeros(empty)).size == 0
     with pytest.raises(ValueError):
         band.apply_rows(np.ones((3, n + 1)))
 
