@@ -356,7 +356,10 @@ def main(argv=None) -> int:
             if value is not None:
                 _, check = _SCHEMA[section][key] if section else _SCHEMA[key]
                 (cfg[section] if section else cfg)[key] = check(value, f"--{key}")
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from exc
         return args.handler(cfg, args.out, args)
     except (ConfigError, ExpressionError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,13 +5,21 @@ parentheses, the functions ``sin cos exp max min``, the constant ``pi``
 and a caller-chosen set of variable names.  Compiled expressions
 evaluate with numpy semantics, so array arguments broadcast.
 
-This is a hand-rolled recursive descent parser; nothing is ever passed
-to Python's ``eval``.
+A regular-expression tokenizer admits only numbers, names and those
+symbols.  Joined into Python source (``^`` as ``**``, numbers as float
+literals, names behind a ``_`` so that no keyword reaches the parser),
+the tokens are parsed by :func:`ast.parse`, whose precedence and
+associativity are this grammar's.  A whitelist compiler turns the tree
+into numpy closures; it rejects every other node, and nesting more than
+``_MAX_DEPTH`` operations deep.  Nothing is ever passed to ``eval``.
 """
 
 from __future__ import annotations
 
+import ast
+import math
 import re
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,17 +42,25 @@ _TOKEN = re.compile(
 _UNARY_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _NARY_FUNCTIONS = {"max": np.maximum, "min": np.minimum}
 _CONSTANTS = {"pi": np.pi}
+_BINARY = {
+    ast.Add: lambda lhs, rhs: lambda a: lhs(a) + rhs(a),
+    ast.Sub: lambda lhs, rhs: lambda a: lhs(a) - rhs(a),
+    ast.Mult: lambda lhs, rhs: lambda a: lhs(a) * rhs(a),
+    ast.Div: lambda lhs, rhs: lambda a: lhs(a) / rhs(a),
+    ast.Pow: lambda lhs, rhs: lambda a: np.power(lhs(a), rhs(a)),
+}
+# The compiled closures call each other once per level, so depth is bounded
+# well inside Python's recursion limit.
+_MAX_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
-    while pos < len(text):
+    while text[pos:].strip():
         m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
+        if m is None:
+            bad = len(text) - len(text[pos:].lstrip())
             raise ExpressionError(
                 f"unexpected character {text[bad]!r} at column {bad} in {text!r}"
             )
@@ -54,148 +70,83 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, variables: Sequence[str]):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.slots = {name: i for i, name in enumerate(variables)}
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError(f"unexpected end of expression in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str):
-        tok = self.next()
-        if tok[0] != "op" or tok[1] != value:
-            raise ExpressionError(
-                f"expected {value!r} at column {tok[2]} in {self.text!r}, got {tok[1]!r}"
-            )
-
-    # expr := term (('+'|'-') term)*
-    def parse_expr(self) -> Callable:
-        fn = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return fn
-            self.pos += 1
-            rhs = self.parse_term()
-            lhs = fn
-            if tok[1] == "+":
-                fn = lambda a, l=lhs, r=rhs: l(a) + r(a)
-            else:
-                fn = lambda a, l=lhs, r=rhs: l(a) - r(a)
-
-    # term := factor (('*'|'/') factor)*
-    def parse_term(self) -> Callable:
-        fn = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "*/":
-                return fn
-            self.pos += 1
-            rhs = self.parse_factor()
-            lhs = fn
-            if tok[1] == "*":
-                fn = lambda a, l=lhs, r=rhs: l(a) * r(a)
-            else:
-                fn = lambda a, l=lhs, r=rhs: l(a) / r(a)
-
-    # factor := ('-'|'+') factor | power
-    def parse_factor(self) -> Callable:
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] in "+-":
-            self.pos += 1
-            inner = self.parse_factor()
-            if tok[1] == "-":
-                return lambda a, f=inner: -f(a)
-            return inner
-        return self.parse_power()
-
-    # power := atom ('^' factor)?   right associative
-    def parse_power(self) -> Callable:
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self.pos += 1
-            exponent = self.parse_factor()
-            return lambda a, b=base, e=exponent: np.power(b(a), e(a))
-        return base
-
-    def parse_atom(self) -> Callable:
-        tok = self.next()
-        kind, value, col = tok
+def _compile_text(text: str, variables: Sequence[str]) -> Callable:
+    """The closure of ``text`` over the argument tuple of ``variables``."""
+    pieces, columns = [], []  # columns[i]: the column in text of source[i]
+    for kind, value, column in _tokenize(text):
         if kind == "num":
-            const = float(value)
-            return lambda a, c=const: c
-        if kind == "name":
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "(":
-                return self.parse_call(value, col)
-            if value in self.slots:
-                slot = self.slots[value]
-                return lambda a, i=slot: a[i]
-            if value in _CONSTANTS:
-                const = _CONSTANTS[value]
-                return lambda a, c=const: c
-            known = sorted(self.slots) + sorted(_CONSTANTS)
+            number = float(value)
+            piece = "1e999" if number == math.inf else repr(number)
+        else:
+            piece = "_" + value if kind == "name" else value.replace("^", "**")
+        pieces.append(piece)
+        columns += [column] * (len(piece) + 1)
+    source = " ".join(pieces)
+
+    def at(where: int) -> str:
+        column = columns[where] if where < len(source) else len(text)
+        return f"column {column} in {text!r}"
+
+    # Python accepts a trailing comma in a call; this grammar does not.
+    if ", )" in source:
+        raise ExpressionError(f"unexpected token ')' at {at(source.index(', )') + 2)}")
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        where = exc.offset - 1 if exc.offset else len(source)
+        raise ExpressionError(f"{exc.msg} at {at(where)}") from None
+    except (RecursionError, MemoryError):
+        raise ExpressionError(f"expression too deeply nested in {text!r}") from None
+
+    slots = {name: i for i, name in enumerate(variables)}
+
+    def build(node, depth: int) -> Callable:
+        if depth > _MAX_DEPTH:
             raise ExpressionError(
-                f"unknown name {value!r} at column {col} in {self.text!r}; "
+                f"expression nested more than {_MAX_DEPTH} operations deep in {text!r}"
+            )
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            return lambda a, c=node.value: c
+        if isinstance(node, ast.Name):
+            name = node.id[1:]
+            if name in slots:
+                return lambda a, i=slots[name]: a[i]
+            if name in _CONSTANTS:
+                return lambda a, c=_CONSTANTS[name]: c
+            known = sorted(slots) + sorted(_CONSTANTS)
+            raise ExpressionError(
+                f"unknown name {name!r} at {at(node.col_offset)}; "
                 f"known names: {', '.join(known)}"
             )
-        if kind == "op" and value == "(":
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        raise ExpressionError(
-            f"unexpected token {value!r} at column {col} in {self.text!r}"
-        )
-
-    def parse_call(self, name: str, col: int) -> Callable:
-        self.expect("(")
-        args = [self.parse_expr()]
-        while True:
-            tok = self.next()
-            if tok[0] == "op" and tok[1] == ")":
-                break
-            if tok[0] == "op" and tok[1] == ",":
-                args.append(self.parse_expr())
-                continue
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            inner = build(node.operand, depth + 1)
+            return inner if isinstance(node.op, ast.UAdd) else lambda a: -inner(a)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](build(node.left, depth + 1),
+                                          build(node.right, depth + 1))
+        # A call names its function directly: not ``(sin)(t)``, not ``sin(**t)``.
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.col_offset == node.col_offset and not node.keywords):
+            args = [build(arg, depth + 1) for arg in node.args]
+            name = node.func.id[1:]
+            if name in _UNARY_FUNCTIONS:
+                if len(args) != 1:
+                    raise ExpressionError(f"{name} takes one argument in {text!r}")
+                return lambda a, f=_UNARY_FUNCTIONS[name], g=args[0]: f(g(a))
+            if name in _NARY_FUNCTIONS:
+                if len(args) < 2:
+                    raise ExpressionError(
+                        f"{name} takes at least two arguments in {text!r}"
+                    )
+                return lambda a, f=_NARY_FUNCTIONS[name]: reduce(f, [g(a) for g in args])
+            known = sorted(_UNARY_FUNCTIONS) + sorted(_NARY_FUNCTIONS)
             raise ExpressionError(
-                f"expected ',' or ')' at column {tok[2]} in {self.text!r}"
+                f"unknown function {name!r} at {at(node.col_offset)}; "
+                f"known functions: {', '.join(known)}"
             )
-        if name in _UNARY_FUNCTIONS:
-            if len(args) != 1:
-                raise ExpressionError(f"{name} takes one argument in {self.text!r}")
-            op = _UNARY_FUNCTIONS[name]
-            arg = args[0]
-            return lambda a, f=op, g=arg: f(g(a))
-        if name in _NARY_FUNCTIONS:
-            if len(args) < 2:
-                raise ExpressionError(
-                    f"{name} takes at least two arguments in {self.text!r}"
-                )
-            op = _NARY_FUNCTIONS[name]
+        raise ExpressionError(f"unsupported syntax at {at(node.col_offset)}")
 
-            def fold(a, f=op, gs=tuple(args)):
-                out = gs[0](a)
-                for g in gs[1:]:
-                    out = f(out, g(a))
-                return out
-
-            return fold
-        known = sorted(_UNARY_FUNCTIONS) + sorted(_NARY_FUNCTIONS)
-        raise ExpressionError(
-            f"unknown function {name!r} at column {col} in {self.text!r}; "
-            f"known functions: {', '.join(known)}"
-        )
+    return build(tree, 0)
 
 
 class Expression:
@@ -206,14 +157,7 @@ class Expression:
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ExpressionError(f"duplicate variable names in {self.variables!r}")
-        parser = _Parser(self.text, self.variables)
-        fn = parser.parse_expr()
-        if parser.peek() is not None:
-            tok = parser.peek()
-            raise ExpressionError(
-                f"trailing input {tok[1]!r} at column {tok[2]} in {self.text!r}"
-            )
-        self._fn = fn
+        self._fn = _compile_text(self.text, self.variables)
 
     def __call__(self, *args):
         if len(args) != len(self.variables):
@@ -225,4 +169,3 @@ class Expression:
 
     def __repr__(self) -> str:
         return f"Expression({self.text!r}, variables={self.variables!r})"
-

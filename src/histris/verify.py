@@ -182,8 +182,7 @@ def load_h1_dual_norm(mesh: Mesh, load, times: np.ndarray) -> float:
 def _h1_dual_norm(mesh: Mesh, vals: np.ndarray, load, times: np.ndarray) -> float:
     """:func:`load_h1_dual_norm` given the load's values at ``times``."""
     dual = mesh.riesz.inverse
-    ders = np.array([load.derivative(t) for t in times])
-    total = dual.quad_forms(vals) + dual.quad_forms(ders)
+    total = dual.quad_forms(vals) + dual.quad_forms(load.derivatives(times))
     return math.sqrt(max(trapezoid(total, times[1] - times[0]), 0.0))
 
 

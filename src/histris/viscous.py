@@ -150,25 +150,28 @@ class Load:
         return self.values([t])[0]
 
     def values(self, times) -> np.ndarray:
-        """The load at each of ``times``, one row a time: each term's
-        coefficients scale its profile, and the terms add in order, so a
-        row has the bits of the load at that time alone."""
-        def part(term):
-            coefficients = np.array([float(term.time_profile(t)) for t in times])
-            return coefficients[:, None] * term.space_dual
-
-        out = part(self.terms[0])
-        for term in self.terms[1:]:
-            out = out + part(term)
-        return out
+        """The load at each of ``times``, one row a time."""
+        return self._rows(times, [term.time_profile for term in self.terms])
 
     def derivative(self, t: float) -> DualField:
-        if all(term.time_derivative is not None for term in self.terms):
-            out = float(self.terms[0].time_derivative(t)) * self.terms[0].space_dual
-            for term in self.terms[1:]:
-                out = out + float(term.time_derivative(t)) * term.space_dual
-            return out
-        return (self.value(t + _FD_DT) - self.value(t - _FD_DT)) / (2.0 * _FD_DT)
+        return self.derivatives([t])[0]
+
+    def derivatives(self, times) -> np.ndarray:
+        """The load's time derivative at each of ``times``, one row a time:
+        the terms' own derivatives, or central differences of
+        :meth:`values` when a term has none."""
+        slopes = [term.time_derivative for term in self.terms]
+        if any(slope is None for slope in slopes):
+            return (self.values([t + _FD_DT for t in times])
+                    - self.values([t - _FD_DT for t in times])) / (2.0 * _FD_DT)
+        return self._rows(times, slopes)
+
+    def _rows(self, times, coefficients) -> np.ndarray:
+        """Each term's coefficients at ``times`` scale its profile, and the
+        terms add in order, so a row has the bits of that time alone."""
+        parts = [np.array([float(f(t)) for t in times])[:, None] * term.space_dual
+                 for f, term in zip(coefficients, self.terms)]
+        return sum(parts[1:], parts[0])
 
     def scaled(self, factor: float) -> "Load":
         return Load([

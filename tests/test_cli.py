@@ -163,6 +163,20 @@ def test_config_errors_exit_two(tmp_path, small_cfg, capsys):
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    # Expressions nested past the limit; the parser's recursion is bounded.
+    for text in ["(" * 400 + "t" + ")" * 400, "-" * 101 + "t"]:
+        bad.write_text(f"load: {{time: '{text}'}}\n")
+        assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
+        assert "config error: load.time: " in capsys.readouterr().err
+
+    # An --out that is a file, or lies below one.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for command in (["verify", "compat"], ["solve", "--config", small_cfg]):
+        for out in (afile, afile / "sub"):
+            assert main(command + ["--out", str(out)]) == 2
+            assert "config error: --out: " in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command, text, key", [
     (["solve"], "model: {n_steps: .inf}", "model.n_steps"),

@@ -357,6 +357,22 @@ def test_load_values_rows_have_the_bits_of_one_time():
     mapped = _MappedLoad(load, lambda s: s * s)
     for t, row in zip(times, mapped.values(times), strict=True):
         assert _same_bits(row, load_value(load, float(t * t)))
+    # Derivative rows: the terms' own derivatives summed like the values,
+    # or central differences of the values when a term has none.
+    slopes = [lambda t: 3.0 * math.cos(3.0 * t), lambda t: -1.0,
+              lambda t: -3.5 * math.sin(5.0 * t)]
+    analytic = Load([replace(term, time_derivative=slope)
+                     for term, slope in zip(load.terms, slopes, strict=True)])
+    h = viscous._FD_DT
+    for t, row, fd_row in zip(times, analytic.derivatives(times),
+                              load.derivatives(times), strict=True):
+        expected = float(slopes[0](t)) * duals[0]
+        for slope, dual in zip(slopes[1:], duals[1:], strict=True):
+            expected = expected + float(slope(t)) * dual
+        assert _same_bits(row, expected)
+        assert _same_bits(analytic.derivative(t), row)
+        assert _same_bits(fd_row, (load.value(t + h) - load.value(t - h)) / (2.0 * h))
+        assert _same_bits(load.derivative(t), fd_row)
 
 
 _BLOCK_KERNELS = {
