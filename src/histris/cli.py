@@ -9,7 +9,7 @@ their exact inputs; floats are written with 17 significant digits so
 repeated runs are byte-identical.
 
 Exit codes: 0 on success, 1 on numerical failure or a failed
-verification, 2 on configuration errors.
+verification, 2 on configuration errors or a run too large to allocate.
 """
 
 from __future__ import annotations
@@ -308,8 +308,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="directory for CSV artifacts (default: histris-out)")
     parser.add_argument("--eps", type=float,
                         help="viscosity override for the solver section")
-    parser.add_argument("--jobs", type=int,
-                        help="accepted for compatibility; has no effect")
     parser.add_argument("--seed", type=int, help="seed override")
 
 
@@ -350,8 +348,7 @@ def main(argv=None) -> int:
             else normalize_config({})
         )
         # Each flag overrides its key, through the key's check.
-        for section, key in ((None, "seed"), ("solver", "eps"),
-                             ("experiment", "jobs")):
+        for section, key in ((None, "seed"), ("solver", "eps")):
             value = getattr(args, key)
             if value is not None:
                 _, check = _SCHEMA[section][key] if section else _SCHEMA[key]
@@ -367,6 +364,9 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"config error: not enough memory for this run: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -140,7 +140,6 @@ _SCHEMA = {
     "dissipation": {  # the defaults are smooth_fatigue()
         "family": ("fatigue", _string("fatigue", "weighted_l1")),
         "weight": ("0.4 + 0.6/(1 + z^2)", _expression("z")),
-        "weight_slope": ("-1.2*z/(1 + z^2)^2", _expression("z")),
         "lipschitz": (smooth_fatigue().lipschitz, _number(nonnegative=True)),
     },
     "history": {  # kernel and kernel_slope: convolution only, required there
@@ -167,7 +166,6 @@ _SCHEMA = {
         "load_cap": (ExperimentConfig.load_cap, _POSITIVE),
         "n_load_terms": (ExperimentConfig.n_load_terms, _COUNT),
         "spread_cap": (ExperimentConfig.spread_cap, _POSITIVE),
-        "jobs": (ExperimentConfig.jobs, _COUNT),
         "refinements": (list(DUAL_REFINEMENTS),
                         _numbers(integer=True, positive=True)),
     },
@@ -224,14 +222,11 @@ def normalize_config(raw: dict) -> dict:
     out = _section(raw, "config", _SCHEMA)
     diss, history = (set((raw or {}).get(name) or ())
                      for name in ("dissipation", "history"))
-    # A custom weight has no known Lipschitz constant and no slope.
-    if "weight" in diss:
-        if "lipschitz" not in diss:
-            raise ConfigError(
-                "dissipation.lipschitz is required when dissipation.weight is set"
-            )
-        if "weight_slope" not in diss:
-            out["dissipation"]["weight_slope"] = ""
+    # A custom weight has no known Lipschitz constant.
+    if "weight" in diss and "lipschitz" not in diss:
+        raise ConfigError(
+            "dissipation.lipschitz is required when dissipation.weight is set"
+        )
     kernel = {"kernel", "kernel_slope"}
     if out["history"]["kind"] == "convolution":
         if not kernel <= history:
@@ -265,9 +260,8 @@ def config_hash(cfg: dict) -> str:
 
 def _build_dissipation(cfg: dict) -> Dissipation:
     d = cfg["dissipation"]
-    slope = Expression(d["weight_slope"], ("z",)) if d["weight_slope"] else None
     return Dissipation(Expression(d["weight"], ("z",)), d["lipschitz"],
-                       one_sided=d["family"] == "fatigue", weight_prime=slope)
+                       one_sided=d["family"] == "fatigue")
 
 
 def _build_kernel(cfg: dict, mesh):
@@ -313,7 +307,6 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
         n_load_terms=exp["n_load_terms"],
         spread_cap=exp["spread_cap"],
         seed=cfg["seed"],
-        jobs=exp["jobs"],
         dissipation=_build_dissipation(cfg),
         kernel=_build_kernel(cfg, mesh),
     )

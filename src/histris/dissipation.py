@@ -100,14 +100,12 @@ class Dissipation:
     must be Lipschitz with constant ``lipschitz``; it is applied nodally
     and must accept numpy arrays.  ``one_sided`` restricts rates to the
     nonnegative cone; otherwise the potential is the weighted l1 norm of
-    the rate.  ``weight_prime`` is optional and only needed by
-    experiments that probe differentiable weights.
+    the rate; the estimates use the weight only through ``lipschitz``.
     """
 
     weight: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
     one_sided: bool
-    weight_prime: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (self.lipschitz >= 0 and np.isfinite(self.lipschitz)):
@@ -119,14 +117,14 @@ class Dissipation:
         return ABS_INTERP_CONST * self.lipschitz
 
 
-def Fatigue(weight, lipschitz: float, weight_prime=None) -> Dissipation:
+def Fatigue(weight, lipschitz: float) -> Dissipation:
     """One-sided :class:`Dissipation` (rates in the nonnegative cone)."""
-    return Dissipation(weight, lipschitz, True, weight_prime)
+    return Dissipation(weight, lipschitz, True)
 
 
-def WeightedL1(weight, lipschitz: float, weight_prime=None) -> Dissipation:
+def WeightedL1(weight, lipschitz: float) -> Dissipation:
     """Two-sided :class:`Dissipation` with density ``w(zeta) |rate|``."""
-    return Dissipation(weight, lipschitz, False, weight_prime)
+    return Dissipation(weight, lipschitz, False)
 
 
 def threshold_dual(spec: Dissipation, mesh: Mesh, zeta: Field) -> DualField:

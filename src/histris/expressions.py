@@ -19,7 +19,7 @@ from __future__ import annotations
 import ast
 import math
 import re
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,8 +70,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _compile_text(text: str, variables: Sequence[str]) -> Callable:
-    """The closure of ``text`` over the argument tuple of ``variables``."""
+@lru_cache(maxsize=256)
+def _compile_text(text: str, variables: tuple[str, ...]) -> Callable:
+    """The closure of ``text`` over the argument tuple of ``variables``;
+    closures are pure, so each pair compiles once (a failure is not cached)."""
     pieces, columns = [], []  # columns[i]: the column in text of source[i]
     for kind, value, column in _tokenize(text):
         if kind == "num":

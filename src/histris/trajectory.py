@@ -56,6 +56,8 @@ class Trajectory:
     def sample(self, t: float) -> np.ndarray:
         """Piecewise-linear interpolation in time (clamped at the ends)."""
         t = float(t)
+        if np.isnan(t):
+            raise ValueError(f"cannot sample a trajectory at t = {t}")
         if t <= self.times[0]:
             return self.values[0].copy()
         if t >= self.times[-1]:

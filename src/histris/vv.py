@@ -148,8 +148,8 @@ def vv_sweep(scenario: Scenario, eps_values: Sequence[float] | None = None, *,
     Every level advances in one lockstep time loop
     (:func:`~histris.viscous.solve_levels`); each trajectory and report
     is bit for bit what :func:`~histris.viscous.solve_viscous` gives at
-    that level.  ``seed`` has no effect: sweeps and certificates draw no random
-    numbers.  It is kept so existing callers stay valid.
+    that level.  ``seed`` has no effect (no random numbers are drawn); the
+    benchmark's sweep workload, its only caller, still passes it.
     """
     if eps_values is None:
         eps_values = DEFAULT_EPS_LEVELS

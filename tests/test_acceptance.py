@@ -360,7 +360,6 @@ experiment:
   n_loads: 2
   n_pairs: 2
   eps_values: [0.1, 0.05]
-  jobs: 2
 seed: 3
 """
 
@@ -407,5 +406,5 @@ def test_criterion_10_byte_determinism(tmp_path):
     n_files = len(artifacts["first"])
     ok = identical and n_files >= 2
     _verdict(10, ok, f"{n_files} CSV artifacts byte-identical across two runs "
-                     f"(solve + bounds experiment, jobs=2, fixed seed)")
+                     f"(solve + bounds experiment, fixed seed)")
     assert ok

@@ -26,7 +26,6 @@ experiment:
   n_loads: 2
   n_pairs: 2
   eps_values: [0.1, 0.05]
-  jobs: 2
   refinements: [125, 250, 500]
 sweep:
   eps_values: [0.05, 0.0125, 0.003125]
@@ -36,7 +35,7 @@ control: {basis_size: 1, max_evals: 15}
 EXPERIMENT_CONFIG = """
 mesh: {n_nodes: 9}
 model: {n_steps: 100}
-experiment: {n_loads: 2, n_pairs: 2, eps_values: [0.1, 0.05], jobs: 2}
+experiment: {n_loads: 2, n_pairs: 2, eps_values: [0.1, 0.05]}
 """
 
 
@@ -141,7 +140,6 @@ def test_config_errors_exit_two(tmp_path, small_cfg, capsys):
     for command, flag, value in [
         (["solve"], "--eps", "-0.5"),
         (["solve"], "--eps", "0"),
-        (["verify", "bounds"], "--jobs", "0"),
         (["solve"], "--seed", "-7"),
         (["verify", "bounds"], "--seed", "-1"),
     ]:
@@ -168,6 +166,14 @@ def test_config_errors_exit_two(tmp_path, small_cfg, capsys):
         bad.write_text(f"load: {{time: '{text}'}}\n")
         assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
         assert "config error: load.time: " in capsys.readouterr().err
+
+    # A grid of 10^15 steps or nodes (8 PB of floats) cannot be allocated.
+    for text in ["model: {n_steps: 1000000000000000}",
+                 "mesh: {n_nodes: 1000000000000000}"]:
+        bad.write_text(text + "\n")
+        assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "m")]) == 2
+        assert ("config error: not enough memory for this run: "
+                in capsys.readouterr().err)
 
     # An --out that is a file, or lies below one.
     afile = tmp_path / "afile"
@@ -201,6 +207,9 @@ def test_argparse_rejects_bad_invocations(small_cfg):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything", "--config", small_cfg])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bounds", "--config", small_cfg, "--jobs", "2"])
     assert exc.value.code == 2
 
 

@@ -18,6 +18,7 @@ from histris.config import (
     load_config_file,
     normalize_config,
 )
+from histris.expressions import Expression, ExpressionError, _compile_text
 from histris.verify import ExperimentConfig
 
 
@@ -51,6 +52,10 @@ def test_unknown_keys_are_rejected_with_paths():
         normalize_config({"mesh": {"nodes": 9}})
     with pytest.raises(ConfigError, match="solver"):
         normalize_config({"solver": {"epsilon": 0.1}})
+    with pytest.raises(ConfigError, match=r"\['weight_slope'\] under dissipation"):
+        normalize_config({"dissipation": {"weight_slope": "-1.2*z/(1 + z^2)^2"}})
+    with pytest.raises(ConfigError, match=r"\['jobs'\] under experiment"):
+        normalize_config({"experiment": {"jobs": 2}})
 
 
 def test_numeric_validation_names_the_field():
@@ -128,7 +133,6 @@ def test_custom_weight_requires_lipschitz():
         {"dissipation": {"weight": "2 - z", "lipschitz": 1.0}}
     )
     assert cfg["dissipation"]["weight"] == "2 - z"
-    assert cfg["dissipation"]["weight_slope"] == ""
 
 
 def test_convolution_history_requirements():
@@ -221,11 +225,27 @@ def test_build_scenario_from_defaults():
     assert scn.dissipation.one_sided is True
     # default weight at zero state is 1.0
     assert scn.dissipation.weight(np.zeros(3))[0] == pytest.approx(1.0)
-    assert scn.dissipation.weight_prime(np.array([1.0]))[0] == pytest.approx(-0.3)
     assert_allclose(scn.kernel.y0, 0.0, rtol=0, atol=0)
     # default load peaks at 2 in the constant spatial profile
     assert_allclose(scn.load.value(0.5), 2.0 * scn.mesh.mass @ np.ones(9),
                     rtol=1e-12)
+
+
+def test_normalize_then_build_compiles_each_expression_once():
+    _compile_text.cache_clear()
+    cfg = normalize_config({"load": {"time": "2.003*sin(pi*t)",
+                                     "space": "1 + 0.3*x"}})
+    assert _compile_text.cache_info().misses == 2
+    build_scenario(cfg)
+    # The two given expressions are reused; the default weight and
+    # initial history state are compiled once each.
+    info = _compile_text.cache_info()
+    assert (info.misses, info.hits) == (4, 2)
+    # A failed compile is not cached: it fails again with its message.
+    for _ in range(2):
+        with pytest.raises(ExpressionError, match="unknown name 'y' at column 4"):
+            Expression("1 + y")
+    assert _compile_text.cache_info().misses == 6
 
 
 def test_build_scenario_weighted_l1_and_history_state():
@@ -239,27 +259,15 @@ def test_build_scenario_weighted_l1_and_history_state():
     assert_allclose(scn.kernel.y0, scn.mesh.nodes, rtol=0, atol=0)
 
 
-def test_weighted_l1_weight_slope_reaches_the_dissipation():
-    cfg = normalize_config({
-        "dissipation": {"family": "weighted_l1", "weight": "1 + z^2/(1 + z^2)",
-                        "weight_slope": "2*z/(1 + z^2)^2", "lipschitz": 0.65},
-    })
-    diss = build_scenario(cfg).dissipation
-    assert diss.one_sided is False
-    z = np.array([0.0, 0.5, 2.0])
-    assert_allclose(diss.weight_prime(z), 2.0 * z / (1.0 + z**2) ** 2,
-                    rtol=1e-15, atol=0)
-
-
 def test_build_experiment_maps_sections():
     cfg = normalize_config({
         "mesh": {"n_nodes": 9},
-        "experiment": {"n_loads": 3, "jobs": 2, "eps_values": [0.1, 0.05]},
+        "experiment": {"n_loads": 3, "eps_values": [0.1, 0.05]},
         "seed": 7,
     })
     exp = build_experiment(cfg)
     assert isinstance(exp, ExperimentConfig)
-    assert exp.n_nodes == 9 and exp.n_loads == 3 and exp.jobs == 2
+    assert exp.n_nodes == 9 and exp.n_loads == 3
     assert exp.eps_values == (0.1, 0.05) or list(exp.eps_values) == [0.1, 0.05]
     assert exp.seed == 7
 

@@ -57,6 +57,18 @@ def _sine_scenario(n_steps=500):
     )
 
 
+def test_trajectory_sample_clamps_the_ends_and_rejects_nan():
+    traj = Trajectory(times=np.array([0.0, 0.5, 1.0]),
+                      values=np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 9.0]]))
+    assert_allclose(traj.sample(0.25), [1.0, 2.0], rtol=0, atol=0)
+    for t, row in [(-math.inf, 0), (-1.0, 0), (1.5, 2), (math.inf, 2)]:
+        sample = traj.sample(t)
+        assert_allclose(sample, traj.values[row], rtol=0, atol=0)
+        assert not np.shares_memory(sample, traj.values)
+    with pytest.raises(ValueError, match="cannot sample a trajectory at t = nan"):
+        traj.sample(math.nan)
+
+
 def test_default_schedule_halves_from_a_tenth():
     assert DEFAULT_EPS_LEVELS[0] == pytest.approx(0.1)
     ratios = np.diff(np.log(DEFAULT_EPS_LEVELS))
