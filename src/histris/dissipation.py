@@ -187,15 +187,15 @@ def check_homogeneity(spec: Dissipation, mesh: Mesh, zeta: Field, rate: Field,
     base = potential(spec, mesh, zeta, rate)
     worst = 0.0
     for gamma in np.atleast_1d(np.asarray(factors, dtype=float)):
-        if gamma < 0:
-            raise ValueError("homogeneity factors must be nonnegative")
+        if not 0 <= gamma < math.inf:  # NaN fails
+            raise ValueError("homogeneity factors must be finite and nonnegative")
         scaled = potential(spec, mesh, zeta, gamma * np.asarray(rate, dtype=float))
         expected = 0.0 if gamma == 0.0 else gamma * base
         if math.isinf(scaled) or math.isinf(expected):
             residual = 0.0 if scaled == expected else math.inf
         else:
             residual = abs(scaled - expected)
-        worst = max(worst, residual)
+        worst = float(np.maximum(worst, residual))  # NaN propagates
     return worst
 
 
@@ -365,9 +365,11 @@ def conjugate_check(spec: Dissipation, mesh: Mesh, zeta: Field,
     rate exactly when it does on those rays, which are the only
     directions evaluated.  The potential is evaluated on each ray, so
     ``consistent`` compares it with the independent box test of
-    :func:`subdiff_zero_contains`.
+    :func:`subdiff_zero_contains`.  A force that is not finite raises.
     """
     omega = np.asarray(omega, dtype=float)
+    if not np.isfinite(omega).all():
+        raise ValueError("conjugate check needs a finite force")
     membership = subdiff_zero_contains(spec, mesh, zeta, omega, tol=0.0)
     scale = 1.0 + dual_norm(mesh, omega)
 

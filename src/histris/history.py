@@ -81,9 +81,7 @@ def convolution_kernel(b, b_prime, y0) -> KernelSpec:
 
 
 def _trapezoid_weights(k: int, tau: float) -> np.ndarray:
-    """Composite trapezoid weights for k steps (k+1 samples)."""
-    if k == 0:
-        return np.zeros(1)
+    """Composite trapezoid weights for k >= 1 steps (k+1 samples)."""
     w = np.full(k + 1, tau)
     w[0] = 0.5 * tau
     w[-1] = 0.5 * tau
@@ -213,7 +211,7 @@ class HistoryAccumulator:
     """
 
     def __init__(self, kernel: KernelSpec, tau: float, n_nodes: int, n_max: int):
-        if tau <= 0:
+        if not (np.isfinite(tau) and tau > 0):
             raise ValueError(f"tau must be positive, got {tau}")
         if kernel.y0.shape != (n_nodes,):
             raise ValueError(

@@ -266,15 +266,9 @@ def _search(hess, lower, upper, x, g, d, t):
 def l1_qp_kkt_residual(hess, lin, weights, x) -> float:
     """KKT residual of ``min 0.5 x'Hx - lin'x + sum w_i |x_i|``."""
     g = hess @ x - lin
-    on = x != 0.0
-    res_on = np.abs(g + np.sign(x) * weights)[on]
-    res_off = np.maximum(np.abs(g) - weights, 0.0)[~on]
-    out = 0.0
-    if res_on.size:
-        out = max(out, float(res_on.max()))
-    if res_off.size:
-        out = max(out, float(res_off.max()))
-    return out
+    res = np.where(x != 0.0, np.abs(g + np.sign(x) * weights),
+                   np.maximum(np.abs(g) - weights, 0.0))
+    return float(np.max(res, initial=0.0))
 
 
 def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):

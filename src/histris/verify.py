@@ -38,6 +38,7 @@ import numpy as np
 # ``potential``, ``dual_norm`` and ``riesz_apply`` are unused here but stay
 # importable: the benchmark's layer tracer (bench/tracer.py) patches them.
 from .dissipation import (
+    Containment,
     Dissipation,
     Fatigue,
     _potential_at,
@@ -110,8 +111,8 @@ def smooth_fatigue(floor: float = 0.4, amp: float = 0.6) -> Dissipation:
     The derivative is bounded and square integrable, which is what the
     uniqueness experiments assume about the weight.
     """
-    if floor < 0 or amp < 0:
-        raise ValueError("floor and amp must be nonnegative")
+    if not (0 <= floor < math.inf and 0 <= amp < math.inf):  # NaN fails
+        raise ValueError("floor and amp must be finite and nonnegative")
 
     def weight(z):
         return floor + amp / (1.0 + np.square(z))
@@ -256,15 +257,11 @@ def random_load(mesh: Mesh, horizon: float, rng, *, n_terms: int = 3,
 
 
 @dataclass
-class CompatReport:
-    ok: bool
-    worst_violation: float
-    worst_node: int
-    violating_nodes: np.ndarray
-    message: str
+class CompatReport(Containment):
+    """The initial load's :class:`~histris.dissipation.Containment`, said
+    in words."""
 
-    def __bool__(self) -> bool:
-        return self.ok
+    message: str
 
 
 def compatibility_check(scenario: Scenario, tol: float = 1e-9) -> CompatReport:
@@ -284,13 +281,7 @@ def compatibility_check(scenario: Scenario, tol: float = 1e-9) -> CompatReport:
             f"node {res.worst_node} by {res.worst_violation:.3e}; the solve "
             "will start with a viscous transient"
         )
-    return CompatReport(
-        ok=res.ok,
-        worst_violation=res.worst_violation,
-        worst_node=res.worst_node,
-        violating_nodes=res.violating_nodes,
-        message=msg,
-    )
+    return CompatReport(**vars(res), message=msg)
 
 
 @dataclass
@@ -510,8 +501,7 @@ def history_lipschitz_check(scenario: Scenario, traj: Trajectory, *,
     speeds = row_norms(mesh.mass, np.array(slopes))
     thresholds = threshold_dual(diss, mesh, np.array(zetas))
 
-    rows = []
-    worst = -math.inf
+    rows, excesses = [], []
     for j in rate_indices:
         rate = rates[j]
         rate_norm = h1_norm(mesh, rate)
@@ -522,8 +512,9 @@ def history_lipschitz_check(scenario: Scenario, traj: Trajectory, *,
         rows += [{"rate_index": j, "time": t, "slope": s, "bound": b, "excess": e}
                  for t, s, b, e in zip(traj.times[1:steps], slope.tolist(),
                                        bound.tolist(), excess.tolist())]
-        worst = np.fmax.reduce(excess, initial=worst)  # NaN skipped, as by max()
-    return HistorySlopeReport(rows=rows, max_excess=float(worst))
+        excesses.append(excess)
+    # max() propagates NaN, and NaN <= tol is False.
+    return HistorySlopeReport(rows=rows, max_excess=float(np.concatenate(excesses).max()))
 
 
 @dataclass

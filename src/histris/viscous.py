@@ -205,7 +205,7 @@ class Scenario:
 
     mesh: Mesh
     alpha: float
-    load: object
+    load: Load
     kernel: KernelSpec
     dissipation: Dissipation
     horizon: float
@@ -254,7 +254,7 @@ class _Levels:
     def __init__(self, scenario: Scenario, eps_values):
         self.eps = [float(e) for e in eps_values]
         if not self.eps:
-            raise ValueError("no viscosity to solve for")
+            raise ValueError("the viscosity schedule is empty")
         for eps in self.eps:
             if not (np.isfinite(eps) and eps > 0):
                 raise ValueError(f"eps must be positive, got {eps}")
@@ -358,7 +358,7 @@ def _diagnostics(scenario: Scenario, effective: np.ndarray, loads: np.ndarray,
 
 
 def viscous_step(scenario: Scenario, eps: float, t_next: float, q: Field,
-                 zeta: Field, start_increment=None) -> StepResult:
+                 zeta: Field) -> StepResult:
     """One implicit incremental minimization step ending at ``t_next``.
 
     The time loops take the same step and reduce the same diagnostics
@@ -366,12 +366,10 @@ def viscous_step(scenario: Scenario, eps: float, t_next: float, q: Field,
     """
     levels = _Levels(scenario, [eps])
     q = np.asarray(q, dtype=float)[None]
-    if start_increment is not None:
-        start_increment = np.asarray(start_increment, dtype=float)[None]
     load = scenario.load.value(t_next)
     delta, iters, threshold = _prox_rate_counted(
         scenario.dissipation, scenario.mesh, np.asarray(zeta, dtype=float)[None],
-        _force(scenario, load, q), levels.hessian, start=start_increment)
+        _force(scenario, load, q), levels.hessian)
     states = np.stack([q, q + delta], axis=1)
     phi, balance, rhs, norms, _ = _diagnostics(scenario, levels.effective, load[None],
                                                states, delta[:, None], threshold[:, None])
@@ -402,25 +400,20 @@ def _load_rows(load, times: np.ndarray):
         raise
 
 
-def _explicit_advance(scenario: Scenario, eps: float, load: DualField, q: Field,
-                      zeta: Field, cold_start: bool):
-    """:func:`explicit_projection_step` given the load at the step's start."""
+def explicit_projection_step(scenario: Scenario, eps: float, load: DualField, q: Field,
+                             zeta: Field, cold_start: bool = False):
+    """One forward step of the projection form of the viscous flow.
+
+    ``load`` is the load at the step's start.  Returns
+    ``(q_next, rate, iterations)``; the rate is evaluated from the
+    driving force at the start of the step.  ``cold_start`` makes the
+    inner projection start from zero instead of the clipped force.
+    """
     omega = load - scenario.alpha * riesz_apply(scenario.mesh, q)
     mu, iters = _project_counted(scenario.dissipation, scenario.mesh, zeta, omega,
                                  cold_start=cold_start)
     rate = riesz_solve(scenario.mesh, omega - mu) / eps
     return q + scenario.tau * rate, rate, iters
-
-
-def explicit_projection_step(scenario: Scenario, eps: float, t: float, q: Field,
-                             zeta: Field, cold_start: bool = False):
-    """One forward step of the projection form of the viscous flow.
-
-    Returns ``(q_next, rate, iterations)``; the rate is evaluated from
-    the driving force at the start of the step.  ``cold_start`` makes
-    the inner projection start from zero instead of the clipped force.
-    """
-    return _explicit_advance(scenario, eps, scenario.load.value(t), q, zeta, cold_start)
 
 
 @dataclass
@@ -520,7 +513,7 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
         rate_norms[:, start:stop], energies[:, start + 1:stop + 1] = norms, ener
 
     spec, mesh = scenario.dissipation, scenario.mesh
-    warm = None
+    warm = None  # the QP's start: the last step; a zero one acts as None
     window = _RUN_WINDOW
     elastic = np.zeros(members, dtype=int)  # each member's elastic steps
     for block in blocks:
@@ -550,8 +543,6 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
                         iterations.extend([1] * (members * held))
                         elastic += held
                         done += held
-                        if warm_start:
-                            warm = np.zeros((members, n))
                     if held == len(run):
                         window = min(2 * window, len(blocks[0]))
                         continue
@@ -631,7 +622,7 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
         # The load at each step's start, and at the last one's end.
         loads, error = _load_rows(scenario.load, times[block.start:block.stop + 1])
         for j in range(min(len(block), len(loads))):
-            q, rates[j], iters = _explicit_advance(
+            q, rates[j], iters = explicit_projection_step(
                 scenario, eps, loads[j], q, acc.value(), cold_start=not warm_start)
             if not np.all(np.isfinite(q)):
                 raise NumericalFailure(

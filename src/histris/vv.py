@@ -48,8 +48,8 @@ from .history import HistoryAccumulator
 from .spatial import h1_norm
 from .dissipation import _potential_at, force_box, potential
 from .trajectory import Trajectory, c_norm, c_norm_diff, h1_time_norm, step_blocks
-from .viscous import (Scenario, _balance_residuals, _force, solve_levels,
-                      solve_viscous)
+from .viscous import (Load, LoadTerm, Scenario, _balance_residuals, _force,
+                      solve_levels, solve_viscous)
 
 __all__ = [
     "DEFAULT_EPS_LEVELS",
@@ -154,11 +154,7 @@ def vv_sweep(scenario: Scenario, eps_values: Sequence[float] | None = None, *,
     if eps_values is None:
         eps_values = DEFAULT_EPS_LEVELS
     eps_values = [float(e) for e in eps_values]
-    if not eps_values:
-        raise ValueError("the viscosity schedule is empty")
-    if any(e <= 0 for e in eps_values):
-        raise ValueError("viscosities must be positive")
-    if list(eps_values) != sorted(eps_values, reverse=True):
+    if eps_values != sorted(eps_values, reverse=True):
         raise ValueError("the viscosity schedule must decrease")
 
     mesh = scenario.mesh
@@ -184,20 +180,6 @@ def vv_sweep(scenario: Scenario, eps_values: Sequence[float] | None = None, *,
     )
 
 
-class _MappedLoad:
-    """Load precomposed with a time reparametrization."""
-
-    def __init__(self, inner, time_map: Callable[[float], float]):
-        self.inner = inner
-        self.time_map = time_map
-
-    def value(self, t: float):
-        return self.inner.value(float(self.time_map(t)))
-
-    def values(self, times):
-        return self.inner.values([float(self.time_map(t)) for t in times])
-
-
 @dataclass
 class RateIndependenceReport:
     discrepancy: float
@@ -205,6 +187,14 @@ class RateIndependenceReport:
     eps: float
     horizon: float
     mapped_horizon: float
+
+
+def _mapped_load(load: Load, time_map: Callable[[float], float]) -> Load:
+    """``load`` precomposed with a time reparametrization: each term's
+    profile at ``float(time_map(t))``."""
+    return Load([LoadTerm(lambda t, f=term.time_profile: f(float(time_map(t))),
+                          term.space_dual)
+                 for term in load.terms])
 
 
 def check_rate_independence(scenario: Scenario, time_map: Callable[[float], float],
@@ -233,7 +223,7 @@ def check_rate_independence(scenario: Scenario, time_map: Callable[[float], floa
 
     scn2 = replace(
         scenario,
-        load=_MappedLoad(scenario.load, time_map),
+        load=_mapped_load(scenario.load, time_map),
         horizon=float(new_horizon),
         n_steps=steps,
     )

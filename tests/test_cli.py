@@ -167,6 +167,17 @@ def test_config_errors_exit_two(tmp_path, small_cfg, capsys):
         assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
         assert "config error: load.time: " in capsys.readouterr().err
 
+    # Malformed YAML, and values of the wrong type or choice.
+    for text, message in [
+        ("model: [1, 2", "config error: cannot parse config file"),
+        ("dissipation: {family: foo}", "dissipation.family must be one of"),
+        ("solver: {warm_start: 1}", "solver.warm_start must be a boolean, got 1"),
+        ("history: {kind: 3}", "history.kind must be a string, got 3"),
+    ]:
+        bad.write_text(text + "\n")
+        assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "k")]) == 2
+        assert message in capsys.readouterr().err
+
     # A grid of 10^15 steps or nodes (8 PB of floats) cannot be allocated.
     for text in ["model: {n_steps: 1000000000000000}",
                  "mesh: {n_nodes: 1000000000000000}"]:
@@ -182,6 +193,16 @@ def test_config_errors_exit_two(tmp_path, small_cfg, capsys):
         for out in (afile, afile / "sub"):
             assert main(command + ["--out", str(out)]) == 2
             assert "config error: --out: " in capsys.readouterr().err
+
+
+def test_unbalanced_solve_exits_one(tmp_path, capsys):
+    # A load of 1e10 breaks the balance gate at the first step (ROADMAP
+    # direction 1): the solve fails by name instead of returning.
+    cfg = tmp_path / "large.yaml"
+    cfg.write_text('model: {n_steps: 200}\nload: {time: "1e10*sin(pi*t)"}\n')
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert ("numerical failure: force balance violated at step 1/200"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command, text, key", [

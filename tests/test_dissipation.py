@@ -205,6 +205,14 @@ def test_homogeneity_rejects_negative_factor():
     mesh = build_mesh(3, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         check_homogeneity(constant_threshold(), mesh, np.zeros(3), np.ones(3), [-1.0])
+    # A NaN or inf factor raises too (both read 0.0), and a NaN rate gives NaN.
+    for factor in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            check_homogeneity(constant_threshold(), mesh, np.zeros(3), np.ones(3),
+                              [1.0, factor])
+    rate = np.array([1.0, math.nan, 0.0])
+    assert math.isnan(check_homogeneity(constant_threshold(), mesh, np.zeros(3), rate,
+                                        [0.0, 2.0]))
 
 
 def test_four_point_estimate_500_cases():
@@ -394,6 +402,10 @@ def test_conjugate_check_member_and_nonmember():
         assert outside.consistent
         assert outside.sup_estimate > 0.0
         assert outside.margin > 0.0
+
+        # A NaN force is no answer (it read consistent with sup_estimate 0).
+        with pytest.raises(ValueError, match="finite force"):
+            conjugate_check(spec, mesh, zeta, np.full(5, math.nan))
 
 
 def test_conjugate_check_consistent_on_random_forces():

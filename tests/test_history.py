@@ -142,6 +142,9 @@ def test_kernel_spec_validation():
     assert ident.kind == "identity"
     conv = convolution_kernel(lambda r: r, lambda r: 1.0, np.zeros(2))
     assert conv.kind == "convolution"
+    for tau in (0.0, -0.5, math.nan, math.inf):  # NaN used to pass
+        with pytest.raises(ValueError, match="tau must be positive"):
+            HistoryAccumulator(ident, tau, 2, 4)
 
 
 # Kernels with their derivatives, and whether the accumulator may advance

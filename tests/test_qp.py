@@ -138,6 +138,9 @@ def test_l1_qp_kkt_residual_small(rng):
             weights = rng.uniform(0.0, 2.0, n)
             x, _ = solve_l1_qp(DenseHessian(hess), lin, weights)
             assert l1_qp_kkt_residual(hess, lin, weights, x) <= KKT_TOL
+    # A NaN entry reaches the residual, as in box_qp_kkt_residual (it read 0.0).
+    x[0] = np.nan
+    assert np.isnan(l1_qp_kkt_residual(hess, lin, weights, x))
 
 
 def test_l1_qp_zero_weights_reduce_to_linear_solve(rng):

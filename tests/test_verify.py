@@ -18,6 +18,7 @@ import histris.verify as verify
 from histris.dissipation import Fatigue, WeightedL1, threshold_dual
 from histris.history import identity_kernel
 from histris.spatial import build_mesh, dual_norm
+from histris.trajectory import Trajectory
 from histris.verify import (
     DUAL_RESIDUAL_TOL,
     HISTORY_SLOPE_TOL,
@@ -64,6 +65,9 @@ def test_smooth_fatigue_weight():
     assert np.abs(fd).max() <= spec.lipschitz + 1e-8
     with pytest.raises(ValueError, match="nonnegative"):
         smooth_fatigue(floor=-0.1)
+    for floor, amp in ((math.nan, 0.6), (0.4, math.nan), (math.inf, 0.6)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            smooth_fatigue(floor=floor, amp=amp)
 
 
 def test_load_h1_dual_norm_analytic():
@@ -321,6 +325,9 @@ def test_history_slope_check_rejects_vacuous_inputs():
     with pytest.raises(ValueError, match="got 2 and n_rates=0"):
         history_lipschitz_check(sc, traj, n_rates=0)
     assert len(history_lipschitz_check(sc, traj, n_rates=1).rows) == 1
+    # An all-NaN trajectory fails: NaN reaches max_excess (it read -inf, a PASS).
+    lost = Trajectory(times=traj.times, values=np.full_like(traj.values, math.nan))
+    assert math.isnan(history_lipschitz_check(sc, lost).max_excess)
 
 
 # ---------------------------------------------------------------------------

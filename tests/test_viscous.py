@@ -39,7 +39,7 @@ from histris.viscous import (
     solve_viscous,
     viscous_step,
 )
-from histris.vv import _MappedLoad
+from histris.vv import _mapped_load
 
 from helpers import constant_threshold, scalar_scenario
 from oracles import (
@@ -354,7 +354,7 @@ def test_load_values_rows_have_the_bits_of_one_time():
         assert _same_bits(row, load_value(load, t))
         assert _same_bits(load.value(t), row)
     assert load.values(times[:0]).shape == (0, 7)
-    mapped = _MappedLoad(load, lambda s: s * s)
+    mapped = _mapped_load(load, lambda s: s * s)
     for t, row in zip(times, mapped.values(times), strict=True):
         assert _same_bits(row, load_value(load, float(t * t)))
     # Derivative rows: the terms' own derivatives summed like the values,
@@ -552,6 +552,28 @@ def test_explicit_failure_comes_before_a_later_load_error():
     sc = scalar_scenario(a, n_steps=20, n_nodes=9)
     with pytest.raises(NumericalFailure, match="explicit step 12/20"):
         solve_viscous(sc, 0.5, method="explicit")
+
+
+def test_explicit_solve_takes_the_steps_before_a_load_error(monkeypatch):
+    # The load raises from t = 0.5 = t_10 on: the 10 steps that start
+    # before it run, each with its start's load row, then the load's own
+    # exception surfaces.
+    class LoadError(Exception):
+        pass
+
+    def a(t):
+        if t >= 0.5:
+            raise LoadError("load undefined")
+        return 2.0 * t
+
+    steps = []
+    step = viscous.explicit_projection_step
+    monkeypatch.setattr(viscous, "explicit_projection_step",
+                        lambda *args, **kw: steps.append(args[2]) or step(*args, **kw))
+    sc = scalar_scenario(a, n_steps=20, n_nodes=9)
+    with pytest.raises(LoadError, match="load undefined"):
+        solve_viscous(sc, 0.5, method="explicit")
+    assert _same_bits(np.array(steps), sc.load.values(sc.times()[:10]))
 
 
 # ---------------------------------------------------------------------------
