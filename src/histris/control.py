@@ -37,18 +37,14 @@ __all__ = [
 ]
 
 
-def sine_basis(mesh: Mesh, horizon: float, m: int,
-               profile: np.ndarray | None = None) -> list[LoadTerm]:
+def sine_basis(mesh: Mesh, horizon: float, m: int) -> list[LoadTerm]:
     """Basis of ``sin(j pi t / horizon)`` load terms, j = 1..m.
 
-    All terms vanish at t = 0 and share one spatial shape (constant by
-    default).
+    All terms vanish at t = 0 and share the constant spatial shape.
     """
     if m < 1:
         raise ValueError("basis size must be at least 1")
-    if profile is None:
-        profile = np.ones(mesh.n_nodes)
-    dual = assemble_dual(mesh, np.asarray(profile, dtype=float))
+    dual = assemble_dual(mesh, np.ones(mesh.n_nodes))
     elems = []
     for j in range(1, m + 1):
         omega = j * math.pi / horizon

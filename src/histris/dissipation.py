@@ -356,7 +356,7 @@ class ConjugateReport:
 
 
 def conjugate_check(spec: Dissipation, mesh: Mesh, zeta: Field,
-                    omega: DualField, tol: float = 1e-6) -> ConjugateReport:
+                    omega: DualField) -> ConjugateReport:
     """Decide conjugate membership of ``omega`` from the nodal directions.
 
     ``<omega, v> - potential(zeta, v)`` is linear on each orthant of the
@@ -365,13 +365,14 @@ def conjugate_check(spec: Dissipation, mesh: Mesh, zeta: Field,
     rate exactly when it does on those rays, which are the only
     directions evaluated.  The potential is evaluated on each ray, so
     ``consistent`` compares it with the independent box test of
-    :func:`subdiff_zero_contains`.  A force that is not finite raises.
+    :func:`subdiff_zero_contains`, both to within ``1e-6 (1 + ||omega||)``.
+    A force that is not finite raises.
     """
     omega = np.asarray(omega, dtype=float)
     if not np.isfinite(omega).all():
         raise ValueError("conjugate check needs a finite force")
     membership = subdiff_zero_contains(spec, mesh, zeta, omega, tol=0.0)
-    scale = 1.0 + dual_norm(mesh, omega)
+    cutoff = 1e-6 * (1.0 + dual_norm(mesh, omega))
 
     threshold = threshold_dual(spec, mesh, zeta)
     signs = (1.0,) if spec.one_sided else (1.0, -1.0)
@@ -385,9 +386,9 @@ def conjugate_check(spec: Dissipation, mesh: Mesh, zeta: Field,
         ray[i] = 0.0
     sup_estimate = max(0.0, 64.0 * top)  # 0 is attained at v = 0; gamma <= 64
 
-    numeric_member = sup_estimate <= tol * scale
+    numeric_member = sup_estimate <= cutoff
     consistent = (numeric_member == membership.ok) or (
-        abs(membership.worst_violation) <= tol * scale
+        abs(membership.worst_violation) <= cutoff
     )
     residual = sup_estimate if membership.ok else 0.0
     return ConjugateReport(

@@ -5,7 +5,7 @@ Kunisch, SIAM J. Optim. 13(3), 2002).  A step fixes which coordinates
 are pinned, solves the free block directly, and then changes the
 pinned set in bulk.  For the box QP, every free coordinate outside its
 box is pinned at the bound it violates, and every pinned coordinate
-whose multiplier has the wrong sign by more than ``tol`` is released.
+whose multiplier has the wrong sign by more than ``KKT_TOL`` is released.
 For the l1 QP, a coordinate is positive, negative or zero.  A signed
 coordinate that crossed zero goes to zero, and a zero coordinate whose
 gradient beats its weight takes the sign that lowers the objective.
@@ -30,7 +30,7 @@ objective, and the cycle cap on steps raises :class:`NumericalFailure`.
 
 On return pinned coordinates sit exactly on their bound, free
 coordinates come from a direct solve and lie inside the box, and the
-dual feasibility margin is within ``tol``.  A Hessian is a symmetric
+dual feasibility margin is within ``KKT_TOL``.  A Hessian is a symmetric
 positive definite operator asked for exactly two things: ``hess @ x``
 and ``hess.solve_principal(idx, rhs)``, a solve with its principal
 block on the free indices ``idx``.  The operators of
@@ -116,7 +116,7 @@ def _solve_free(hess, idx, rhs, kind):
         raise NumericalFailure(f"singular free block in {kind} qp") from exc
 
 
-def _solve_alone(solve, hess, moving, n, arrays, start, x, counts, tol):
+def _solve_alone(solve, hess, moving, n, arrays, start, x, counts):
     """Solve each unfinished member of a stacked call alone: one
     ``solve`` call on its own block and arrays, from its own start.
     Writes the member's result into ``x`` and its count into
@@ -126,7 +126,7 @@ def _solve_alone(solve, hess, moving, n, arrays, start, x, counts, tol):
         try:
             x[part], counts[b] = solve(
                 hess.section(part.start, part.stop), *(a[part] for a in arrays),
-                start=None if start is None else start[part], tol=tol)
+                start=None if start is None else start[part])
         except NumericalFailure as exc:
             exc.member = int(b)
             raise
@@ -138,7 +138,7 @@ def box_qp_kkt_residual(hess, lin, lower, upper, x) -> float:
     return float(np.max(np.abs(x - np.clip(x - g, lower, upper)), initial=0.0))
 
 
-def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
+def solve_box_qp(hess, lin, lower=None, upper=None, start=None):
     """Minimize ``0.5 x'Hx - lin'x`` subject to ``lower <= x <= upper``.
 
     Returns ``(x, iterations)``, the count a :class:`StepCount`.
@@ -164,8 +164,8 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
         start = np.asarray(start, dtype=float).ravel()
     x = np.clip(np.zeros(lin.size) if start is None else start, lower, upper)
     g = hess @ x - lin
-    at_lo = fixed | ((x <= lower) & (g >= -tol))
-    at_hi = (x >= upper) & (g <= tol) & ~at_lo
+    at_lo = fixed | ((x <= lower) & (g >= -KKT_TOL))
+    at_hi = (x >= upper) & (g <= KKT_TOL) & ~at_lo
 
     n, size = shape[-1], 1 if len(shape) == 1 else shape[0]
     counts = np.ones(size, dtype=int)
@@ -180,7 +180,7 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
         g = hess @ x - lin
         pin_lo = free & (x < lower)
         pin_hi = free & (x > upper)
-        release = ~fixed & ((at_lo & (g < -tol)) | (at_hi & (g > tol)))
+        release = ~fixed & ((at_lo & (g < -KKT_TOL)) | (at_hi & (g > KKT_TOL)))
         changed = pin_lo | pin_hi | release
         if not changed.any():
             return x.reshape(shape), StepCount(counts.tolist() if size > 1 else (iterations,))
@@ -195,37 +195,37 @@ def solve_box_qp(hess, lin, lower=None, upper=None, start=None, tol=KKT_TOL):
         seen.add(state)
 
     if size == 1:
-        x, steps = _box_steps(hess, lin, lower, upper, x, tol)
+        x, steps = _box_steps(hess, lin, lower, upper, x)
         return x.reshape(shape), StepCount((iterations + steps,))
-    _solve_alone(solve_box_qp, hess, moved, n, (lin, lower, upper), start, x, counts, tol)
+    _solve_alone(solve_box_qp, hess, moved, n, (lin, lower, upper), start, x, counts)
     return x.reshape(shape), StepCount(counts.tolist())
 
 
-def _box_steps(hess, lin, lower, upper, x, tol):
+def _box_steps(hess, lin, lower, upper, x):
     """Monotone steps from ``x`` clipped to the box; ``(x, steps)``."""
     x = np.clip(x, lower, upper)
     for steps in range(1, _cycle_cap(x.size) + 1):
-        x, done = _descend(hess, lin, lower, upper, x, tol)
+        x, done = _descend(hess, lin, lower, upper, x)
         if done:
             return x, steps
     raise NumericalFailure("box qp exceeded its cycle cap",
                            residual=box_qp_kkt_residual(hess, lin, lower, upper, x))
 
 
-def _descend(hess, lin, lower, upper, x, tol):
+def _descend(hess, lin, lower, upper, x):
     """One monotone step on ``min 0.5 x'Hx - lin'x`` over a box from
     the feasible point ``x`` (More & Toraldo, SIAM J. Optim. 1(1), 1991).
 
     A projected search along ``clip(x + t d)`` with ``d = -g``, where a
     coordinate on a bound stays put unless its multiplier is mis-signed
-    by more than ``tol``, starts at the Cauchy step ``t = d'd / d'Hd``.
+    by more than ``KKT_TOL``, starts at the Cauchy step ``t = d'd / d'Hd``.
     Then one free-block solve on the face the search reaches, and a
     projected search towards that solution from ``t = 1``.  Returns
     ``(x, done)``: ``done`` only when the free-block solution is
-    feasible and no pinned multiplier is mis-signed by more than ``tol``.
+    feasible and no pinned multiplier is mis-signed by more than ``KKT_TOL``.
     """
     g = hess @ x - lin
-    d = _descent_direction(x, g, lower, upper, tol)
+    d = _descent_direction(x, g, lower, upper)
     if d.any():
         x, g = _search(hess, lower, upper, x, g, d, (d @ d) / (d @ (hess @ d)))
     pinned = (x <= lower) | (x >= upper)
@@ -236,15 +236,15 @@ def _descend(hess, lin, lower, upper, x, tol):
         z[idx] = _solve_free(hess, idx, rhs[idx], "box")
     if np.any(z < lower) or np.any(z > upper):
         return _search(hess, lower, upper, x, g, z - x, 1.0)[0], False
-    released = _descent_direction(z, hess @ z - lin, lower, upper, tol)[pinned]
+    released = _descent_direction(z, hess @ z - lin, lower, upper)[pinned]
     return z, not released.any()
 
 
-def _descent_direction(x, g, lower, upper, tol):
+def _descent_direction(x, g, lower, upper):
     """``-g`` with the coordinates on a bound zeroed unless their
-    multiplier is mis-signed by more than ``tol``."""
+    multiplier is mis-signed by more than ``KKT_TOL``."""
     d = -g
-    held = ((x <= lower) & (d <= tol)) | ((x >= upper) & (d >= -tol))
+    held = ((x <= lower) & (d <= KKT_TOL)) | ((x >= upper) & (d >= -KKT_TOL))
     return np.where(held, 0.0, d)
 
 
@@ -271,7 +271,7 @@ def l1_qp_kkt_residual(hess, lin, weights, x) -> float:
     return float(np.max(res, initial=0.0))
 
 
-def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
+def solve_l1_qp(hess, lin, weights, start=None):
     """Minimize ``0.5 x'Hx - lin'x + sum w_i |x_i|`` with ``w_i >= 0``.
 
     Returns ``(x, iterations)``, the count a :class:`StepCount`.  Once
@@ -308,7 +308,7 @@ def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
             x[idx] = _solve_free(hess, idx, (lin - sign * weights)[idx], "l1")
         g = lin - hess @ x
         crossed = sign * x < 0.0
-        enter = ~free & (np.abs(g) - weights > tol)
+        enter = ~free & (np.abs(g) - weights > KKT_TOL)
         changed = crossed | enter
         if not changed.any():
             return x.reshape(shape), StepCount(counts.tolist() if size > 1 else (iterations,))
@@ -323,25 +323,25 @@ def solve_l1_qp(hess, lin, weights, start=None, tol=KKT_TOL):
         seen.add(state)
 
     if size == 1:
-        x, steps = _l1_steps(hess, lin, weights, x, tol)
+        x, steps = _l1_steps(hess, lin, weights, x)
         return x.reshape(shape), StepCount((iterations + steps,))
-    _solve_alone(solve_l1_qp, hess, moved, n, (lin, weights), start, x, counts, tol)
+    _solve_alone(solve_l1_qp, hess, moved, n, (lin, weights), start, x, counts)
     return x.reshape(shape), StepCount(counts.tolist())
 
 
-def _l1_steps(hess, lin, weights, x, tol):
+def _l1_steps(hess, lin, weights, x):
     """Monotone steps on orthants from ``x``; ``(x, steps)``."""
     unweighted = weights == 0.0
     done = False
     for steps in range(_cycle_cap(x.size) + 1):
         g = lin - hess @ x
-        enter = (x == 0.0) & ~unweighted & (np.abs(g) - weights > tol)
+        enter = (x == 0.0) & ~unweighted & (np.abs(g) - weights > KKT_TOL)
         if done and not enter.any():
             return x, steps
         # The orthant of x, widened along the entering coordinates.
         sign = np.where(enter, np.sign(g), np.sign(x))
         lower = np.where((sign < 0.0) | unweighted, -np.inf, 0.0)
         upper = np.where((sign > 0.0) | unweighted, np.inf, 0.0)
-        x, done = _descend(hess, lin - sign * weights, lower, upper, x, tol)
+        x, done = _descend(hess, lin - sign * weights, lower, upper, x)
     raise NumericalFailure("l1 qp exceeded its cycle cap",
                            residual=l1_qp_kkt_residual(hess, lin, weights, x))

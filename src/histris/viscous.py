@@ -71,7 +71,6 @@ energies over the same blocks.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -490,7 +489,7 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
     energies[:, 0] = _energies(scenario.alpha, q, scenario.mesh.riesz.apply_rows(q),
                                scenario.load.values(times[:1]))
     balance, diss_rates, rate_norms = (np.empty((members, steps)) for _ in range(3))
-    iterations = array("q")  # per step one entry a member
+    iterations = np.zeros(members, dtype=int)  # each member's QP steps
     blocks = step_blocks(steps, members * n)
     # A block's increments and thresholds, one (m, n) table a member.
     delta, threshold = (np.empty((members, len(blocks[0]), n)) for _ in range(2))
@@ -540,7 +539,7 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
                         acc.push_held(held)
                         delta[:, done:done + held] = 0.0
                         threshold[:, done:done + held] = w[:held].swapaxes(0, 1)
-                        iterations.extend([1] * (members * held))
+                        iterations += held
                         elastic += held
                         done += held
                     if held == len(run):
@@ -554,7 +553,7 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
                 q = q + step
                 acc.push(q)
                 delta[:, done], threshold[:, done] = step, thr
-                iterations.extend(count.per_block)
+                iterations += count.per_block
                 warm = step if warm_start else None
                 done += 1
             if error is not None:
@@ -571,13 +570,12 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
             raise
         settle(block.start, loads)
 
-    iterations = np.array(iterations).reshape(steps, members)
     values = acc.samples  # the states are the history's samples
     return [(Trajectory(times=times, values=values[b]),
              SolveReport(method="implicit", eps=eps, tau=float(tau), times=times,
                          balance_residuals=balance[b], rate_h1_norms=rate_norms[b],
                          dissipation_rates=diss_rates[b], energies=energies[b],
-                         inner_iterations=int(iterations[:, b].sum()),
+                         inner_iterations=int(iterations[b]),
                          elastic_steps=int(elastic[b]), warm_start=warm_start))
             for b, eps in enumerate(levels.eps)]
 

@@ -198,17 +198,16 @@ def _mapped_load(load: Load, time_map: Callable[[float], float]) -> Load:
 
 
 def check_rate_independence(scenario: Scenario, time_map: Callable[[float], float],
-                            new_horizon: float, *, eps: float,
-                            n_steps: int | None = None,
-                            warm_start: bool = True) -> RateIndependenceReport:
+                            new_horizon: float, *,
+                            eps: float) -> RateIndependenceReport:
     """Compare the solve of a reparametrized scenario with the
     reparametrized base solve.
 
     ``time_map`` must be nondecreasing with ``time_map(0) = 0`` and
-    ``time_map(new_horizon) <= horizon``.
+    ``time_map(new_horizon) <= horizon``.  Both solves are implicit and
+    warm-started, with the scenario's number of steps.
     """
-    steps = scenario.n_steps if n_steps is None else int(n_steps)
-    times2 = np.linspace(0.0, float(new_horizon), steps + 1)
+    times2 = np.linspace(0.0, float(new_horizon), scenario.n_steps + 1)
     mapped = np.array([float(time_map(t)) for t in times2])
     if not np.isfinite(mapped).all():
         raise ValueError("time map must be finite")
@@ -225,10 +224,9 @@ def check_rate_independence(scenario: Scenario, time_map: Callable[[float], floa
         scenario,
         load=_mapped_load(scenario.load, time_map),
         horizon=float(new_horizon),
-        n_steps=steps,
     )
-    base_traj, _ = solve_viscous(scenario, eps, warm_start=warm_start)
-    traj2, _ = solve_viscous(scn2, eps, warm_start=warm_start)
+    base_traj, _ = solve_viscous(scenario, eps)
+    traj2, _ = solve_viscous(scn2, eps)
 
     ref = Trajectory(times=times2,
                      values=np.array([base_traj.sample(t) for t in mapped]))

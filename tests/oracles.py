@@ -462,8 +462,8 @@ class QPProx:
     step a member: the elastic steps.
     """
 
-    def __init__(self, threshold_dual, solve_box_qp, solve_l1_qp, failure, tol):
-        self.threshold_dual, self.failure, self.tol = threshold_dual, failure, tol
+    def __init__(self, threshold_dual, solve_box_qp, solve_l1_qp, failure):
+        self.threshold_dual, self.failure = threshold_dual, failure
         self.solve_box_qp, self.solve_l1_qp = solve_box_qp, solve_l1_qp
         self.calls = self.elastic = 0
 
@@ -478,10 +478,9 @@ class QPProx:
                 member=int(np.argmin(finite)) if finite.any() else None)
         if spec.one_sided:
             rate, iterations = self.solve_box_qp(hess, lin, lower=0.0, upper=None,
-                                                 start=start, tol=self.tol)
+                                                 start=start)
         else:
-            rate, iterations = self.solve_l1_qp(hess, force, w, start=start,
-                                                tol=self.tol)
+            rate, iterations = self.solve_l1_qp(hess, force, w, start=start)
         self.calls += 1
         self.elastic += _elastic_members(start, rate, iterations).all()
         return rate, iterations, w

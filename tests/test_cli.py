@@ -271,6 +271,26 @@ def test_sweep_trajectories_are_the_per_level_solves(tmp_path, small_cfg):
     assert summary[0] == summary[1]
 
 
+def test_sweep_ignores_the_solver_method_and_warm_start(tmp_path, small_cfg):
+    # solver.method and solver.warm_start are read by `solve` alone: the
+    # sweep's solves are implicit and warm-started whatever they say, so
+    # only the config hash line differs.
+    other = tmp_path / "other.yaml"
+    other.write_text(SMALL_CONFIG.replace(
+        "solver: {eps: 0.05}",
+        "solver: {eps: 0.05, warm_start: false, method: explicit}"))
+    runs = [tmp_path / "default", tmp_path / "other"]
+    codes = [main(["sweep", "--config", cfg, "--out", str(out)])
+             for cfg, out in zip((small_cfg, str(other)), runs)]
+    assert codes[0] == codes[1]
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    assert "sweep_summary.csv" in names
+    for name in names:
+        a, b = ((out / name).read_bytes().split(b"\n", 1) for out in runs)
+        assert a[0] != b[0] and a[1] == b[1]
+
+
 def test_sweep_failing_certificate_exits_one(tmp_path, capsys):
     cfg = tmp_path / "tight.yaml"
     cfg.write_text(SMALL_CONFIG + "\n")

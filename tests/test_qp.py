@@ -201,8 +201,8 @@ def _recorded_steps(monkeypatch):
     steps = []
     inner = qp._descend
 
-    def recorded(hess, lin, lower, upper, x, tol):
-        out, done = inner(hess, lin, lower, upper, x, tol)
+    def recorded(hess, lin, lower, upper, x):
+        out, done = inner(hess, lin, lower, upper, x)
         steps.append((_objective(hess, lin, x), _objective(hess, lin, out)))
         return out, done
 
@@ -218,7 +218,7 @@ def _never_rises(steps):
 def _box_steps(hess, lin, lower, upper, x):
     # Steps on a fixed box until one reports done, as the box fallback.
     for _ in range(qp._cycle_cap(x.size)):
-        x, done = qp._descend(hess, lin, lower, upper, x, KKT_TOL)
+        x, done = qp._descend(hess, lin, lower, upper, x)
         if done:
             return x
     raise AssertionError("monotone steps did not finish")
@@ -237,8 +237,7 @@ def _l1_steps(hess, lin, weights, x):
         sign = np.where(enter, np.sign(g), np.sign(x))
         lower = np.where((sign < 0.0) | unweighted, -np.inf, 0.0)
         upper = np.where((sign > 0.0) | unweighted, np.inf, 0.0)
-        x, done = qp._descend(hess, lin - sign * weights, lower, upper, x,
-                              KKT_TOL)
+        x, done = qp._descend(hess, lin - sign * weights, lower, upper, x)
     raise AssertionError("monotone steps did not finish")
 
 
@@ -371,9 +370,9 @@ def _counted_descends(monkeypatch):
     sizes = []
     inner = qp._descend
 
-    def counted(hess, lin, lower, upper, x, tol):
+    def counted(hess, lin, lower, upper, x):
         sizes.append(x.size)
-        return inner(hess, lin, lower, upper, x, tol)
+        return inner(hess, lin, lower, upper, x)
 
     monkeypatch.setattr(qp, "_descend", counted)
     return sizes

@@ -146,6 +146,30 @@ def test_random_load_properties():
                                     rel=1e-12)
 
 
+def test_random_load_without_an_accepted_draw():
+    # Each attempt is one unconditional draw from the same stream.
+    mesh = build_mesh(9, 1.0)
+    w0 = threshold_dual(smooth_fatigue(), mesh, np.zeros(9))
+    probe = np.linspace(0.0, 1.0, 201)
+    free = np.random.default_rng(3)
+    draws = [random_load(mesh, 1.0, free) for _ in range(50)]
+    ratios = [(d.values(probe) / w0).max() for d in draws]
+
+    # No ratio reaches an infinite margin: the best of the 50 comes back.
+    rng = np.random.default_rng(3)
+    best = random_load(mesh, 1.0, rng, threshold0=w0, margin=math.inf)
+    assert np.array_equal(best.values(probe),
+                          draws[int(np.argmax(ratios))].values(probe))
+    assert rng.bit_generator.state == free.bit_generator.state
+
+    # With no positive threshold the first draw is accepted.
+    rng, free = np.random.default_rng(3), np.random.default_rng(3)
+    first = random_load(mesh, 1.0, rng, threshold0=np.zeros(9))
+    assert np.array_equal(first.values(probe),
+                          random_load(mesh, 1.0, free).values(probe))
+    assert rng.bit_generator.state == free.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # compatibility
 

@@ -451,7 +451,7 @@ def test_elastic_steps_keep_the_bits_of_a_qp_call(monkeypatch, family, kernel):
     for eps_values in ((0.01,), (0.1, 0.02, 0.004)):
         for warm in (True, False):
             oracle = QPProx(dissipation.threshold_dual, qp.solve_box_qp, qp.solve_l1_qp,
-                            NumericalFailure, qp.KKT_TOL)
+                            NumericalFailure)
             want = solve_levels_per_step(sc, eps_values, warm, oracle, HistoryAccumulator,
                                          BALANCE_TOL)
             calls.clear()
@@ -658,7 +658,7 @@ def test_runs_of_held_steps_keep_the_bits_of_a_qp_call(monkeypatch, family, kern
         blocks = trajectory.step_blocks(sc.n_steps, len(eps_values) * sc.mesh.n_nodes)
         for warm in (True, False):
             oracle = QPProx(dissipation.threshold_dual, qp.solve_box_qp, qp.solve_l1_qp,
-                            NumericalFailure, qp.KKT_TOL)
+                            NumericalFailure)
             want = solve_levels_per_step(sc, eps_values, warm, oracle, HistoryAccumulator,
                                          BALANCE_TOL)
             log.clear()
