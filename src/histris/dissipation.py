@@ -241,6 +241,22 @@ def _elastic_rows(spec: Dissipation, mesh: Mesh, zeta: Field, force: DualField):
     return w, np.isfinite(force - w).all(axis=-1) & _elastic(spec, force, w)
 
 
+def _finite_gap(force: DualField, w: DualField) -> np.ndarray:
+    """``force - w``; :class:`NumericalFailure` if it is not finite, saying
+    which is not, naming the first member (row) it hits, or none if all."""
+    lin = force - w
+    # Checked before any band product: a zero coupling between members
+    # does not stop 0 * inf = nan from reaching the next block.
+    if not np.isfinite(lin).all():
+        finite = np.isfinite(lin).reshape(-1, lin.shape[-1]).all(axis=1)
+        bad = [name for name, v in (("force", force), ("dissipation threshold", w))
+               if not np.isfinite(v).all()]
+        raise NumericalFailure(
+            "non-finite " + (" and ".join(bad) or "force minus dissipation threshold"),
+            member=int(np.argmin(finite)) if finite.any() else None)
+    return lin
+
+
 def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
                        force: DualField, hess, start=None, threshold=None):
     """Rate prox: argmin over rates of
@@ -261,16 +277,7 @@ def _prox_rate_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
     """
     force = np.asarray(force, dtype=float)
     w = threshold_dual(spec, mesh, zeta) if threshold is None else threshold
-    lin = force - w
-    # Checked before any band product: a zero coupling between members
-    # does not stop 0 * inf = nan from reaching the next block.
-    if not np.isfinite(lin).all():
-        finite = np.isfinite(lin).reshape(-1, mesh.n_nodes).all(axis=1)
-        bad = [name for name, v in (("force", force), ("dissipation threshold", w))
-               if not np.isfinite(v).all()]
-        raise NumericalFailure(
-            "non-finite " + (" and ".join(bad) or "force minus dissipation threshold"),
-            member=int(np.argmin(finite)) if finite.any() else None)
+    lin = _finite_gap(force, w)
     if spec.one_sided:
         rate, iterations = solve_box_qp(hess, lin, lower=0.0, upper=None,
                                         start=start)
@@ -319,12 +326,17 @@ def subdiff_zero_contains(spec: Dissipation, mesh: Mesh, zeta: Field,
 
 def _project_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
                      omega: DualField, cold_start: bool = False):
+    """:func:`project_subdiff_zero` as ``(projection, iterations,
+    threshold)``, from ``omega`` clipped to the box or, with ``cold_start``,
+    zero; it fails on values that are not finite as the rate prox does."""
     omega = np.asarray(omega, dtype=float)
     lower, upper = force_box(spec, mesh, zeta)
-    start = None if cold_start else np.clip(omega, lower, upper)
+    _finite_gap(omega, upper)
+    start = None if cold_start else omega
     lin = riesz_solve(mesh, omega)
-    return solve_box_qp(mesh.riesz.inverse, lin, lower=lower, upper=upper,
-                        start=start)
+    mu, iterations = solve_box_qp(mesh.riesz.inverse, lin, lower=lower, upper=upper,
+                                  start=start)
+    return mu, iterations, upper
 
 
 def project_subdiff_zero(spec: Dissipation, mesh: Mesh, zeta: Field,

@@ -20,20 +20,20 @@ holds to solver precision; every step is checked against a hard bound
 and the solve raises :class:`NumericalFailure` rather than return an
 unbalanced trajectory.
 
-:func:`solve_levels` is the one implicit time loop.  It advances
+:func:`solve_levels` is the one time loop.  It advances
 several viscosities of one scenario in lockstep: they share the mesh,
 load, kernel, dissipation and time grid, and their prox Hessians
 ``(alpha + eps/tau) R`` are scalar multiples of one band.  So a step
 makes one QP call on the block band of all members, and every member's
 trajectory and report are bit for bit what it gives alone;
-:func:`solve_viscous`'s implicit method is this loop with one level.
+:func:`solve_viscous` runs this loop with one level, for either method.
 
 A step only advances the state: it forms the driving force, makes the
 stacked QP call (none on an elastic step of a run, below) and pushes
 the new states to the history.
 
 While the state is held (a zero start, so the elastic exit applies),
-the implicit loop decides a window of upcoming steps at once, as rows:
+the implicit steps decide a window of upcoming steps at once, as rows:
 the history of the held state over the window by the kernel's
 recurrence (:meth:`~histris.history.HistoryAccumulator.held_values`),
 every threshold from one assembly, and the exit rule with the
@@ -46,7 +46,7 @@ a run fills it, starts again after a step that is not elastic, and
 ends at the current block, so the failure order is the step-by-step
 one.  A kernel table that is not geometric decides one step at a time.
 
-The loops take the steps in blocks of
+The loop takes the steps in blocks of
 :func:`~histris.trajectory.step_blocks` (about ``2**14`` entries:
 members times nodes times steps).  A block
 evaluates its loads in one :meth:`Load.values` call, records each
@@ -56,16 +56,18 @@ as rows, with the bits of a step taken alone.  The balance gate then
 reads the block in step order, so the failure names the first
 unbalanced step.  An exception inside a block (a QP failure, a load
 that raises) first settles the block's finished steps the same way.
+A step that fails names its step and eps.
 
-An explicit alternative integrator advances the state with the
-projection form of the flow,
+The explicit integrator, a cross-check that needs ``tau <= eps/10``,
+is a second step kind of the loop, for one level.  Its step takes the
+projection form of the flow at the step's start,
 
     rate = (1/eps) * riesz_solve(force - project(force)),
 
-evaluated at the start of the step.  It is a cross-check only: it
-requires ``tau <= eps/10`` and makes no per-step balance claim; it
-checks every new state for finiteness and reduces rate norms and
-energies over the same blocks.
+zeroed where the projection ``mu`` is free, as in exact arithmetic.
+Then ``<mu, rate> = potential(zeta, rate)``: the step meets the balance
+with its start's force ``load(t_k) - alpha*Riesz(q_k) - eps*Riesz(rate)``
+under the same gate.
 """
 
 from __future__ import annotations
@@ -248,9 +250,11 @@ def energy(scenario: Scenario, t: float, q: Field) -> float:
 class _Levels:
     """Viscosity levels of one scenario that a time loop advances in
     lockstep, and the members' prox Hessians ``(alpha + eps_b / tau) R``,
-    built once as one :meth:`~histris.spatial.SymTridiagonal.stack`."""
+    built once as one :meth:`~histris.spatial.SymTridiagonal.stack`;
+    ``eps_b / tau`` for explicit steps, whose balance reads the force at
+    the step's start."""
 
-    def __init__(self, scenario: Scenario, eps_values):
+    def __init__(self, scenario: Scenario, eps_values, explicit: bool = False):
         self.eps = [float(e) for e in eps_values]
         if not self.eps:
             raise ValueError("the viscosity schedule is empty")
@@ -258,7 +262,8 @@ class _Levels:
             if not (np.isfinite(eps) and eps > 0):
                 raise ValueError(f"eps must be positive, got {eps}")
         tau = scenario.tau
-        effective = [scenario.alpha + eps / tau for eps in self.eps]
+        stiffness = 0.0 if explicit else scenario.alpha
+        effective = [stiffness + eps / tau for eps in self.eps]
         self.hessian = scenario.mesh.riesz.stack(effective)
         # One entry a member, broadcast over the (B, m, n) stacks of a block.
         self.effective = np.array(effective)[:, None, None]
@@ -329,12 +334,15 @@ def _held_rows(scenario, loads, q, acc):
 
 
 def _diagnostics(scenario: Scenario, effective: np.ndarray, loads: np.ndarray,
-                 states: np.ndarray, delta: np.ndarray, threshold: np.ndarray):
-    """Force after, balance residuals, dissipation rates, rate norms and
-    end-of-step energies of m consecutive steps of B members, by rows.
+                 ends: np.ndarray, states: np.ndarray, delta: np.ndarray,
+                 threshold: np.ndarray):
+    """Balanced force, balance residuals, dissipation rates, rate norms
+    and end-of-step energies of m consecutive steps of B members, by rows.
 
-    ``effective`` (B, 1, 1) holds the members' ``alpha + eps / tau``,
-    ``loads`` (m, n) the load at each step's end, ``states``
+    ``effective`` (B, 1, 1) holds the members' ``alpha + eps / tau``
+    (``eps / tau`` explicit), ``loads`` (m, n) the load each step's force
+    reads (at its end; explicit: its start), ``ends`` the load at each
+    step's end, ``states``
     (B, m + 1, n) the states from the first step's start to the last
     one's end, ``delta`` and ``threshold`` (B, m, n) each step's
     increment and ``M w(zeta)``.  Each result is (B, m), the force
@@ -352,7 +360,7 @@ def _diagnostics(scenario: Scenario, effective: np.ndarray, loads: np.ndarray,
     balance = _balance_residuals(np.vecdot(phi, rate), rhs)
     norms = np.sqrt(np.maximum(np.vecdot(delta, riesz_delta), 0.0)) / tau
     after = states[:, 1:]
-    energies = _energies(scenario.alpha, after, apply(after), loads)
+    energies = _energies(scenario.alpha, after, apply(after), ends)
     return phi, balance, rhs, norms, energies
 
 
@@ -371,7 +379,8 @@ def viscous_step(scenario: Scenario, eps: float, t_next: float, q: Field,
         _force(scenario, load, q), levels.hessian)
     states = np.stack([q, q + delta], axis=1)
     phi, balance, rhs, norms, _ = _diagnostics(scenario, levels.effective, load[None],
-                                               states, delta[:, None], threshold[:, None])
+                                               load[None], states, delta[:, None],
+                                               threshold[:, None])
     return StepResult(states[0, 1], delta[0], phi[0, 0], float(balance[0, 0]),
                       float(rhs[0, 0]), iters, float(norms[0, 0]))
 
@@ -401,27 +410,34 @@ def _load_rows(load, times: np.ndarray):
 
 def explicit_projection_step(scenario: Scenario, eps: float, load: DualField, q: Field,
                              zeta: Field, cold_start: bool = False):
-    """One forward step of the projection form of the viscous flow.
+    """The rate of one forward step of the projection form of the viscous
+    flow, from ``load``, the load at the step's start.
 
-    ``load`` is the load at the step's start.  Returns
-    ``(q_next, rate, iterations)``; the rate is evaluated from the
-    driving force at the start of the step.  ``cold_start`` makes the
-    inner projection start from zero instead of the clipped force.
+    Returns ``(rate, iterations, threshold)``, as the rate prox does.
+    The rate is exactly +0.0 where the projection ``mu`` is free
+    (``lower < mu < upper``; pinned entries sit exactly on their bound),
+    so a one-sided rate stays in the cone and ``<mu, rate>`` is the
+    dissipation.  ``cold_start`` makes the inner projection start from
+    zero instead of the clipped force.
     """
-    omega = load - scenario.alpha * riesz_apply(scenario.mesh, q)
-    mu, iters = _project_counted(scenario.dissipation, scenario.mesh, zeta, omega,
-                                 cold_start=cold_start)
-    rate = riesz_solve(scenario.mesh, omega - mu) / eps
-    return q + scenario.tau * rate, rate, iters
+    spec, mesh = scenario.dissipation, scenario.mesh
+    omega = load - scenario.alpha * riesz_apply(mesh, q)
+    mu, iters, w = _project_counted(spec, mesh, zeta, omega, cold_start=cold_start)
+    rate = riesz_solve(mesh, omega - mu) / eps
+    free = mu < w
+    if not spec.one_sided:
+        free &= -w < mu
+    rate[free] = 0.0
+    return rate, iters, w
 
 
 @dataclass
 class SolveReport:
     """Per-step diagnostics of one viscous solve.
 
-    The explicit method checks no force balance and records no
-    dissipation: its ``balance_residuals`` and ``dissipation_rates``
-    are NaN.  ``inner_iterations`` totals the QP iterations of all
+    Both methods return a trajectory only when every step meets the
+    balance gate, so ``balance_residuals`` and ``dissipation_rates``
+    are finite.  ``inner_iterations`` totals the QP iterations of all
     steps; one iteration is one free-block solve (see :mod:`histris.qp`).
     An elastic step, whose zero rate the loop decides without a QP call,
     counts 1 a member: the count the QP gives it.  ``elastic_steps``
@@ -475,7 +491,14 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
     for the first step where a level fails, naming the step and the
     level's eps.
     """
-    levels = _Levels(scenario, eps_values)
+    return _time_loop(scenario, eps_values, warm_start, explicit=False)
+
+
+def _time_loop(scenario: Scenario, eps_values, warm_start: bool, explicit: bool):
+    """:func:`solve_levels`; with ``explicit``, the same loop takes
+    :func:`explicit_projection_step` steps of one level instead, each
+    reading the load at its start, and no runs of held steps."""
+    levels = _Levels(scenario, eps_values, explicit)
     tau = scenario.tau
     n = scenario.mesh.n_nodes
     steps = scenario.n_steps
@@ -494,13 +517,15 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
     # A block's increments and thresholds, one (m, n) table a member.
     delta, threshold = (np.empty((members, len(blocks[0]), n)) for _ in range(2))
 
-    def settle(start: int, loads: np.ndarray) -> None:
-        """Reduce the block's steps from ``start`` that ``loads`` serve,
-        then apply the balance gate to them in step order."""
-        stop = start + len(loads)
+    def settle(start: int, loads: np.ndarray, ends: np.ndarray) -> None:
+        """Reduce the block's steps from ``start`` that ``ends`` (the
+        load at each step's end) serve, then apply the balance gate to
+        them in step order."""
+        m = len(ends)
+        stop = start + m
         _, bal, rhs, norms, ener = _diagnostics(
-            scenario, levels.effective, loads, acc.samples[:, start:stop + 1],
-            delta[:, :len(loads)], threshold[:, :len(loads)])
+            scenario, levels.effective, loads[:m], ends, acc.samples[:, start:stop + 1],
+            delta[:, :m], threshold[:, :m])
         bad = ~(bal <= BALANCE_TOL)  # NaN fails
         if bad.any():
             k, b = np.argwhere(bad.T)[0]  # the first step, then its first member
@@ -515,12 +540,23 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
     warm = None  # the QP's start: the last step; a zero one acts as None
     window = _RUN_WINDOW
     elastic = np.zeros(members, dtype=int)  # each member's elastic steps
+    # A step's force reads row j of its block's loads, and row j + lag is
+    # the load at its end: an explicit step's force is the one at its start.
+    lag = int(explicit)
     for block in blocks:
-        loads, error = _load_rows(scenario.load, times[block.start + 1:block.stop + 1])
+        loads, error = _load_rows(scenario.load,
+                                  times[block.start + 1 - lag:block.stop + 1])
+        ends = loads[lag:]
+        todo = min(len(block), len(loads))
         done = 0
         try:
-            while done < len(loads):
-                if warm is not None and warm.any():  # no exit: a QP call
+            while done < todo:
+                if explicit:
+                    rate, count, thr = explicit_projection_step(
+                        scenario, levels.eps[0], loads[done], q[0], acc.value()[0],
+                        cold_start=not warm_start)
+                    step = tau * rate
+                elif warm is not None and warm.any():  # no exit: a QP call
                     force = _force(scenario, loads[done], q)
                     step, count, thr = _prox_rate_counted(
                         spec, mesh, acc.value(), force, levels.hessian, start=warm)
@@ -559,8 +595,8 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
             if error is not None:
                 raise error
         except Exception as exc:
-            if done:  # the steps before the one that raised come first
-                settle(block.start, loads[:done])
+            if done and len(ends):  # the steps before the one that raised come first
+                settle(block.start, loads, ends[:done])
             if isinstance(exc, NumericalFailure):
                 k = block.start + done
                 raise NumericalFailure(
@@ -568,11 +604,12 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
                     residual=exc.residual, member=exc.member,
                 ) from exc
             raise
-        settle(block.start, loads)
+        settle(block.start, loads, ends)
 
     values = acc.samples  # the states are the history's samples
     return [(Trajectory(times=times, values=values[b]),
-             SolveReport(method="implicit", eps=eps, tau=float(tau), times=times,
+             SolveReport(method="explicit" if explicit else "implicit", eps=eps,
+                         tau=float(tau), times=times,
                          balance_residuals=balance[b], rate_h1_norms=rate_norms[b],
                          dissipation_rates=diss_rates[b], energies=energies[b],
                          inner_iterations=int(iterations[b]),
@@ -584,70 +621,16 @@ def solve_viscous(scenario: Scenario, eps: float, *, method: str = "implicit",
                   warm_start: bool = True):
     """Run the time loop; returns ``(Trajectory, SolveReport)``.
 
-    The implicit method is :func:`solve_levels` with one level.  The
-    explicit loop takes its steps in the same blocks, checking each new
-    state for finiteness as it goes.
+    Both methods are :func:`solve_levels`' loop with one level, under
+    its balance gate; the explicit one takes explicit projection steps
+    and needs ``tau <= eps/10``.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
     if method not in ("implicit", "explicit"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "implicit":
-        return solve_levels(scenario, [eps], warm_start=warm_start)[0]
-    mesh = scenario.mesh
-    tau = scenario.tau
-    if tau > eps / 10.0 * (1.0 + 1e-12):
-        raise ValueError(
-            f"explicit stepping needs tau <= eps/10; got tau={tau:.3e}, eps={eps:.3e}"
-        )
-
-    n = mesh.n_nodes
-    steps = scenario.n_steps
-    times = scenario.times()
-    q = np.zeros(n)
-    acc = HistoryAccumulator(scenario.kernel, tau, n, steps)
-    acc.push(q)
-
-    rate_norms = np.zeros(steps)
-    energies = np.zeros(steps + 1)
-    energies[0] = _energies(scenario.alpha, q, mesh.riesz @ q,
-                            scenario.load.values(times[:1])[0])
-    total_iters = 0
-    blocks = step_blocks(steps, n)
-    rates = np.empty((len(blocks[0]), n))
-
-    for block in blocks:
-        # The load at each step's start, and at the last one's end.
-        loads, error = _load_rows(scenario.load, times[block.start:block.stop + 1])
-        for j in range(min(len(block), len(loads))):
-            q, rates[j], iters = explicit_projection_step(
-                scenario, eps, loads[j], q, acc.value(), cold_start=not warm_start)
-            if not np.all(np.isfinite(q)):
-                raise NumericalFailure(
-                    f"non-finite state at explicit step {block.start + j + 1}/{steps}"
-                )
-            total_iters += iters
-            acc.push(q)
-        if error is not None:
-            raise error
-        m = len(block)
-        after = acc.samples[block.start + 1:block.stop + 1]
-        rate_norms[block.start:block.stop] = np.sqrt(np.maximum(
-            np.vecdot(rates[:m], mesh.riesz.apply_rows(rates[:m])), 0.0))
-        energies[block.start + 1:block.stop + 1] = _energies(
-            scenario.alpha, after, mesh.riesz.apply_rows(after), loads[1:])
-
-    report = SolveReport(
-        method=method,
-        eps=float(eps),
-        tau=float(tau),
-        times=times,
-        balance_residuals=np.full(steps, math.nan),
-        rate_h1_norms=rate_norms,
-        dissipation_rates=np.full(steps, math.nan),
-        energies=energies,
-        inner_iterations=total_iters,
-        elastic_steps=0,
-        warm_start=warm_start,
-    )
-    return Trajectory(times=times, values=acc.samples), report
+    explicit = method == "explicit"
+    if explicit and scenario.tau > eps / 10.0 * (1.0 + 1e-12):
+        raise ValueError(f"explicit stepping needs tau <= eps/10; got "
+                         f"tau={scenario.tau:.3e}, eps={eps:.3e}")
+    return _time_loop(scenario, [eps], warm_start, explicit)[0]

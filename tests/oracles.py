@@ -486,11 +486,18 @@ class QPProx:
         return rate, iterations, w
 
 
-def solve_explicit_per_step(scenario, eps, warm_start, project, accumulator):
-    """The explicit projection loop with its rate norm and energy taken
-    in each step; ``project`` is the package's counted dual projection.
-    Returns ``(values, report fields)``."""
+def solve_explicit_per_step(scenario, eps, warm_start, project, accumulator, tol):
+    """The explicit projection loop with every diagnostic taken in its
+    step; ``project`` is the package's counted dual projection.
+
+    The rate is zeroed where the projection is free (strictly inside
+    its box).  The balance reads the force at the step's start,
+    ``load(t_k) - alpha R q_k - eps R rate``, against the dissipation of
+    the rate, applying the Riesz matrix one row at a time, and is gated
+    at ``tol`` before the next step; a failure raises
+    :class:`UnbalancedStep`.  Returns ``(values, report fields)``."""
     mesh = scenario.mesh
+    spec = scenario.dissipation
     alpha = scenario.alpha
     tau = scenario.tau
     steps = scenario.n_steps
@@ -503,22 +510,32 @@ def solve_explicit_per_step(scenario, eps, warm_start, project, accumulator):
     q = np.zeros(mesh.n_nodes)
     acc = accumulator(scenario.kernel, tau, mesh.n_nodes, steps)
     acc.push(q)
-    norms = np.zeros(steps)
+    balance, rates, norms = (np.zeros(steps) for _ in range(3))
     energies = np.zeros(steps + 1)
     energies[0] = energy(times[0], q)
     total = 0
     for k in range(steps):
-        omega = load_value(scenario.load, times[k]) - alpha * (mesh.riesz @ q)
-        mu, count = project(scenario.dissipation, mesh, acc.value(), omega,
-                            cold_start=not warm_start)
-        rate = mesh.riesz.solve(omega - mu) / eps
-        q = q + tau * rate
-        if not np.all(np.isfinite(q)):
-            raise ArithmeticError(f"non-finite state at step {k + 1}")
-        norms[k] = math.sqrt(max(float(rate @ (mesh.riesz @ rate)), 0.0))
+        force = load_value(scenario.load, times[k]) - alpha * (mesh.riesz @ q)
+        mu, count, w = project(spec, mesh, acc.value(), force, cold_start=not warm_start)
+        rate = mesh.riesz.solve(force - mu) / eps
+        lower = -np.inf if spec.one_sided else -w
+        rate[(lower < mu) & (mu < w)] = 0.0
+        delta = tau * rate
+        rate = delta / tau
+        riesz_delta = mesh.riesz @ delta
+        phi = force - (eps / tau) * riesz_delta
+        pot = _potential_at(spec, w, rate)
+        lhs = float(np.dot(phi, rate))
+        residual = abs(lhs - pot) / (1.0 + abs(lhs) + abs(pot))
+        if math.isinf(pot):
+            residual = math.inf
+        if not residual <= tol:
+            raise UnbalancedStep(k + 1, 0, residual)
+        q = q + delta
+        balance[k], rates[k] = residual, pot
+        norms[k] = math.sqrt(max(float(np.dot(delta, riesz_delta)), 0.0)) / tau
         total += count
         energies[k + 1] = energy(times[k + 1], q)
         acc.push(q)
-    nan = np.full(steps, math.nan)
-    return acc.samples, _report("explicit", float(eps), float(tau), times, nan, norms,
-                                nan.copy(), energies, total, 0, warm_start)
+    return acc.samples, _report("explicit", float(eps), float(tau), times, balance,
+                                norms, rates, energies, total, 0, warm_start)

@@ -198,13 +198,18 @@ def test_solve_shapes_and_report():
     assert report.method == "implicit" and report.eps == 0.1
     assert report.inner_iterations > 0
 
-    # The explicit method checks no balance: NaN per step, same shapes.
-    _, explicit = solve_viscous(sc, 0.5, method="explicit")
+    # The explicit method meets the same gate on every step, and records
+    # the potential of each step's rate at the step's history.
+    traj, explicit = solve_viscous(sc, 0.5, method="explicit")
     assert explicit.balance_residuals.shape == (50,)
     assert explicit.dissipation_rates.shape == (50,)
-    assert np.isnan(explicit.balance_residuals).all()
-    assert np.isnan(explicit.dissipation_rates).all()
-    assert math.isnan(explicit.max_balance_residual)
+    assert (explicit.balance_residuals <= BALANCE_TOL).all()
+    assert explicit.dissipation_rates.max() > 0.0
+    acc = HistoryAccumulator(sc.kernel, sc.tau, 5, 50)
+    for k, (q, q_next) in enumerate(zip(traj.values, traj.values[1:])):
+        acc.push(q)
+        want = potential(sc.dissipation, sc.mesh, acc.value(), (q_next - q) / sc.tau)
+        assert explicit.dissipation_rates[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_solve_validation():
@@ -266,15 +271,76 @@ def test_non_finite_load_fails_the_balance_gate(one_sided):
 
 @pytest.mark.parametrize("one_sided", [True, False])
 def test_non_finite_load_fails_the_explicit_integrator(one_sided):
-    # The explicit method has no balance gate to catch a NaN, so the
-    # state itself is checked after every step.
+    # Step 12 starts at the first NaN load: it fails before its
+    # projection, and the loop names the step and eps as for the implicit
+    # method.
     a = lambda t: 2.0 * t if t <= 0.5 else math.nan
     sc = scalar_scenario(a, n_steps=20, n_nodes=9)
     if not one_sided:
         sc = replace(sc, dissipation=WeightedL1(
             weight=sc.dissipation.weight, lipschitz=0.0))
-    with pytest.raises(NumericalFailure, match="explicit step 12/20"):
+    with pytest.raises(NumericalFailure,
+                       match=r"step 12/20 failed \(eps=0\.5\): non-finite force"):
         solve_viscous(sc, 0.5, method="explicit")
+
+
+def _wave_scenario(family, n_nodes, n_steps):
+    return build_scenario(normalize_config({
+        "mesh": {"n_nodes": n_nodes},
+        "model": {"n_steps": n_steps},
+        "load": {"time": "2*sin(2*pi*t)", "space": "1 + 0.6*cos(3*pi*x)"},
+        "dissipation": {"family": family},
+    }))
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+def test_moved_projection_fails_the_explicit_balance_gate(monkeypatch, family):
+    # mu moved by 1e-6 into the box at one pinned node, the one with the
+    # largest rate, frees that node and zeroes its rate: the force at the
+    # step's start no longer pairs with the rate to the dissipation.
+    project = viscous._project_counted
+
+    def moved(spec, mesh, zeta, omega, cold_start=False):
+        mu, count, w = project(spec, mesh, zeta, omega, cold_start=cold_start)
+        pinned = np.abs(mu) == w
+        if pinned.any():
+            push = np.abs(mesh.riesz.solve(omega - mu))
+            node = np.argmax(np.where(pinned, push, -1.0))
+            mu = mu.copy()
+            mu[node] -= 1e-6 * np.sign(mu[node])
+        return mu, count, w
+
+    sc = _wave_scenario(family, 33, 200)
+    _, report = solve_viscous(sc, 0.05, method="explicit")
+    assert report.max_balance_residual <= BALANCE_TOL
+    with pytest.raises(UnbalancedStep) as want:
+        solve_explicit_per_step(sc, 0.05, True, moved, HistoryAccumulator, BALANCE_TOL)
+    monkeypatch.setattr(viscous, "_project_counted", moved)
+    message = rf"force balance violated at step {want.value.step}/200 \(eps=0\.05\)"
+    with pytest.raises(NumericalFailure, match=message) as exc:
+        solve_viscous(sc, 0.05, method="explicit")
+    assert _same_bits(exc.value.residual, want.value.residual)
+
+
+@pytest.mark.parametrize("n_nodes", [33, 513])
+def test_explicit_fatigue_rates_stay_in_the_cone(monkeypatch, n_nodes):
+    # Rounding alone would push the rate of a node the projection leaves
+    # free slightly below zero, where the potential is +inf.
+    rates = []
+    step = viscous.explicit_projection_step
+
+    def recorded(*args, **kwargs):
+        result = step(*args, **kwargs)
+        rates.append(result[0])
+        return result
+
+    monkeypatch.setattr(viscous, "explicit_projection_step", recorded)
+    sc = _wave_scenario("fatigue", n_nodes, 2000)
+    traj, report = solve_viscous(sc, 0.05, method="explicit")
+    assert len(rates) == 2000
+    assert min(rate.min() for rate in rates) >= 0.0
+    assert np.diff(traj.values, axis=0).min() >= 0.0
+    assert report.max_balance_residual <= BALANCE_TOL
 
 
 def _solve_with_band_algebra_only(monkeypatch, one_sided, method, eps):
@@ -414,7 +480,8 @@ def test_block_boundaries_keep_the_per_step_bits(monkeypatch, family, kernel, en
     for warm in (True, False):
         traj, report = solve_viscous(sc, 0.2, method="explicit", warm_start=warm)
         _assert_same_solve(traj, report, *solve_explicit_per_step(
-            sc, 0.2, warm, dissipation._project_counted, HistoryAccumulator))
+            sc, 0.2, warm, dissipation._project_counted, HistoryAccumulator,
+            BALANCE_TOL))
 
 
 _ELASTIC_KERNELS = {**_BLOCK_KERNELS,
@@ -550,7 +617,8 @@ def test_explicit_failure_comes_before_a_later_load_error():
         return 2.0 * t if t <= 0.5 else math.nan
 
     sc = scalar_scenario(a, n_steps=20, n_nodes=9)
-    with pytest.raises(NumericalFailure, match="explicit step 12/20"):
+    with pytest.raises(NumericalFailure,
+                       match=r"step 12/20 failed \(eps=0\.5\): non-finite force"):
         solve_viscous(sc, 0.5, method="explicit")
 
 
