@@ -39,15 +39,17 @@ rate problem with Hessian ``eps * R`` and a dual box projection with
 Hessian ``R^{-1}``, in different unknowns), so the identity serves as
 a cross-check even though both run the same box active-set routine.
 
-The rate prox always calls the QP.  The elastic trial step of return
-mapping (Simo & Hughes, *Computational Inelasticity*, 1998, ch. 3) is
-decided by the implicit time loop alone: from a zero start, a force
-inside the box (up to the QP tolerance) has the zero rate as its prox,
-and the QP's first step would pin every coordinate there.  The exit
-rule is written once, row by row (``_elastic``); the loop applies it
-to whole windows of held steps (``_elastic_rows``, which assembles
-their thresholds as one stack) and takes those steps without a QP
-call.
+The rate prox and the projection always call the QP.  The elastic
+trial step of return mapping (Simo & Hughes, *Computational
+Inelasticity*, 1998, ch. 3) is decided by the time loop alone.  For an
+implicit step from a zero start, a force inside the box up to the QP
+tolerance has the zero rate as its prox, and the QP's first step would
+pin every coordinate there.  For an explicit step, a force exactly
+inside the box is its own projection, and the rate is zero.  The exit
+rule is written once, row by row (``_elastic``), with the slack as its
+one difference between the two readings.  The loop applies it to whole
+windows of held steps (``_elastic_rows``, which assembles their
+thresholds as one stack) and takes those steps without a QP call.
 """
 
 from __future__ import annotations
@@ -216,29 +218,33 @@ def check_lipschitz_axiom(spec: Dissipation, mesh: Mesh, zeta1: Field,
     return float(lhs - spec.four_point_constant * gap * move)
 
 
-def _elastic(spec: Dissipation, force: DualField, w: DualField) -> np.ndarray:
+def _elastic(spec: Dissipation, force: DualField, w: DualField,
+             slack: float = KKT_TOL) -> np.ndarray:
     """The exit rule, one entry per row (the last axis) of the forces:
-    whether the QP's first step from a zero start pins every coordinate
-    of the row at zero and then releases none.  One-sided that is
-    ``force - w <= KKT_TOL`` at every node; two-sided, ``w > 0`` and
-    ``|force| - w <= KKT_TOL``.  The QP returns a +0.0 rate in one step
-    there, so the time loop's runs of held steps take that without a
-    QP call.
+    one-sided ``force - w <= slack`` at every node; two-sided, ``w > 0``
+    and ``|force| - w <= slack``.  With ``KKT_TOL``, for an implicit step
+    from a zero start, the QP's first step pins every coordinate of the
+    row at zero and releases none: a +0.0 rate in one step.  With
+    ``0.0``, for an explicit step, the force lies in :func:`force_box`,
+    so it is its own projection and the rate is zero.  The time loop's
+    runs of held steps take the zero rate there, counted as one QP step,
+    without a QP call.
     """
     if spec.one_sided:
-        return (force - w <= KKT_TOL).all(axis=-1)
-    return (w > 0.0).all(axis=-1) & (np.abs(force) - w <= KKT_TOL).all(axis=-1)
+        return (force - w <= slack).all(axis=-1)
+    return (w > 0.0).all(axis=-1) & (np.abs(force) - w <= slack).all(axis=-1)
 
 
-def _elastic_rows(spec: Dissipation, mesh: Mesh, zeta: Field, force: DualField):
+def _elastic_rows(spec: Dissipation, mesh: Mesh, zeta: Field, force: DualField,
+                  slack: float = KKT_TOL):
     """``(threshold, elastic)`` of (m, n) stacks of states and forces: the
     thresholds ``M w(zeta)`` from one :func:`threshold_dual` call, and
     for each row whether ``force - threshold`` is finite and the exit
-    rule (:func:`_elastic`) holds.  A row that is not elastic goes to
-    :func:`_prox_rate_counted` with its threshold, which raises on the
+    rule (:func:`_elastic`, with ``slack``) holds.  A row that is not
+    elastic goes to the QP with its threshold, which raises on the
     values that are not finite."""
     w = threshold_dual(spec, mesh, zeta)
-    return w, np.isfinite(force - w).all(axis=-1) & _elastic(spec, force, w)
+    return w, np.isfinite(force - w).all(axis=-1) & _elastic(spec, force, w, slack)
 
 
 def _finite_gap(force: DualField, w: DualField) -> np.ndarray:
@@ -325,12 +331,15 @@ def subdiff_zero_contains(spec: Dissipation, mesh: Mesh, zeta: Field,
 
 
 def _project_counted(spec: Dissipation, mesh: Mesh, zeta: Field,
-                     omega: DualField, cold_start: bool = False):
+                     omega: DualField, cold_start: bool = False, threshold=None):
     """:func:`project_subdiff_zero` as ``(projection, iterations,
     threshold)``, from ``omega`` clipped to the box or, with ``cold_start``,
-    zero; it fails on values that are not finite as the rate prox does."""
+    zero; it fails on values that are not finite as the rate prox does.
+    A caller that has assembled ``threshold`` (``M w(zeta)``) passes it
+    instead of ``zeta``."""
     omega = np.asarray(omega, dtype=float)
-    lower, upper = force_box(spec, mesh, zeta)
+    upper = threshold_dual(spec, mesh, zeta) if threshold is None else threshold
+    lower = -np.inf if spec.one_sided else -upper
     _finite_gap(omega, upper)
     start = None if cold_start else omega
     lin = riesz_solve(mesh, omega)

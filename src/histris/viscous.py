@@ -32,19 +32,23 @@ A step only advances the state: it forms the driving force, makes the
 stacked QP call (none on an elastic step of a run, below) and pushes
 the new states to the history.
 
-While the state is held (a zero start, so the elastic exit applies),
-the implicit steps decide a window of upcoming steps at once, as rows:
-the history of the held state over the window by the kernel's
-recurrence (:meth:`~histris.history.HistoryAccumulator.held_values`),
-every threshold from one assembly, and the exit rule with the
-finiteness check row by row.  The elastic steps at the front of the
-window are committed together (zero increments, their thresholds, one
-step a member, the held samples in one slice); the first step that is
-not elastic is taken as a normal step with its threshold, and the rows
-after it are discarded.  The window starts at one step, doubles while
-a run fills it, starts again after a step that is not elastic, and
-ends at the current block, so the failure order is the step-by-step
-one.  A kernel table that is not geometric decides one step at a time.
+While the state is held, the loop decides a window of upcoming steps
+at once, as rows.  An implicit step is held from a zero start, where
+the elastic exit applies; an explicit step's rate depends on no start,
+so its exit applies to every step.  A window takes the history of the
+held state by the kernel's recurrence
+(:meth:`~histris.history.HistoryAccumulator.held_values`), every
+threshold from one assembly, and the exit rule
+(:func:`~histris.dissipation._elastic`) with the finiteness check row
+by row.  The elastic steps at the front of the window are committed
+together (zero increments, their thresholds, one step a member, the
+held samples in one slice); the first step that is not elastic is
+taken as a normal step with the force and threshold of its row, and
+the rows after it are discarded.  The window starts at one step,
+doubles while a run fills it, starts again after a step that is not
+elastic, and ends at the current block, so the failure order is the
+step-by-step one.  A kernel table that is not geometric decides one
+step at a time.
 
 The loop takes the steps in blocks of
 :func:`~histris.trajectory.step_blocks` (about ``2**14`` entries:
@@ -67,7 +71,10 @@ projection form of the flow at the step's start,
 zeroed where the projection ``mu`` is free, as in exact arithmetic.
 Then ``<mu, rate> = potential(zeta, rate)``: the step meets the balance
 with its start's force ``load(t_k) - alpha*Riesz(q_k) - eps*Riesz(rate)``
-under the same gate.
+under the same gate.  A force exactly inside its box is its own
+projection, so the step's exit is exact box membership, without the
+implicit exit's ``KKT_TOL`` slack: the step takes the zero rate, counted
+as one QP step, in the same runs of held steps.
 """
 
 from __future__ import annotations
@@ -78,8 +85,9 @@ from typing import Callable
 
 import numpy as np
 
-# ``potential`` and ``h1_norm`` are unused here but stay importable: the
-# benchmark's layer tracer (bench/tracer.py) patches this module's names.
+# ``potential``, ``h1_norm`` and ``riesz_apply`` are unused here but stay
+# importable: the benchmark's layer tracer (bench/tracer.py) patches this
+# module's names.
 from .dissipation import (
     Dissipation,
     _elastic,
@@ -92,6 +100,7 @@ from .dissipation import (
 from .errors import NumericalFailure
 from .expressions import Expression
 from .history import HistoryAccumulator, KernelSpec
+from .qp import KKT_TOL
 from .spatial import (
     DualField,
     Field,
@@ -301,11 +310,12 @@ _RUN_WINDOW = 1
 
 
 def _held_steps(scenario: Scenario, loads: np.ndarray, q: np.ndarray,
-                acc: HistoryAccumulator):
+                acc: HistoryAccumulator, slack: float):
     """The steps that ``loads`` serve, one load row each, decided while
     the (B, n) states ``q`` stay put: ``(force, threshold, elastic)``,
     the forces and thresholds (rows, B, n) and, (rows, B), whether each
-    member passes the exit rule (:func:`~histris.dissipation._elastic_rows`).
+    member passes the exit rule with ``slack``
+    (:func:`~histris.dissipation._elastic_rows`).
     Row j has the bits of the step the loop would take after j elastic
     steps: ``q`` holds no ``-0.0`` (a sum from +0.0 never makes one), so
     ``q + 0.0`` is ``q``, and the history is :meth:`HistoryAccumulator.held_values`.
@@ -317,19 +327,19 @@ def _held_steps(scenario: Scenario, loads: np.ndarray, q: np.ndarray,
     if len(loads) > 1:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return _held_rows(scenario, loads, q, acc)
+                return _held_rows(scenario, loads, q, acc, slack)
         except Exception:  # raised again by the step that causes it
             loads = loads[:1]
-    return _held_rows(scenario, loads, q, acc)
+    return _held_rows(scenario, loads, q, acc, slack)
 
 
-def _held_rows(scenario, loads, q, acc):
+def _held_rows(scenario, loads, q, acc, slack):
     """:func:`_held_steps` of all rows at once."""
     n = scenario.mesh.n_nodes
     force = _force(scenario, loads[:, None], q)
     w, elastic = _elastic_rows(scenario.dissipation, scenario.mesh,
                                acc.held_values(len(loads)).reshape(-1, n),
-                               force.reshape(-1, n))
+                               force.reshape(-1, n), slack)
     return force, w.reshape(force.shape), elastic.reshape(force.shape[:2])
 
 
@@ -408,21 +418,24 @@ def _load_rows(load, times: np.ndarray):
         raise
 
 
-def explicit_projection_step(scenario: Scenario, eps: float, load: DualField, q: Field,
-                             zeta: Field, cold_start: bool = False):
+def explicit_projection_step(scenario: Scenario, eps: float, omega: DualField,
+                             threshold: DualField, cold_start: bool = False):
     """The rate of one forward step of the projection form of the viscous
-    flow, from ``load``, the load at the step's start.
+    flow, from ``omega``, the driving force at the step's start, and the
+    ``threshold`` ``M w(zeta)`` of the history there.
 
     Returns ``(rate, iterations, threshold)``, as the rate prox does.
     The rate is exactly +0.0 where the projection ``mu`` is free
     (``lower < mu < upper``; pinned entries sit exactly on their bound),
     so a one-sided rate stays in the cone and ``<mu, rate>`` is the
     dissipation.  ``cold_start`` makes the inner projection start from
-    zero instead of the clipped force.
+    zero instead of the clipped force.  The time loop calls this only
+    for a force outside the box: inside it, the step takes the zero rate
+    without a projection (:func:`~histris.dissipation._elastic`).
     """
     spec, mesh = scenario.dissipation, scenario.mesh
-    omega = load - scenario.alpha * riesz_apply(mesh, q)
-    mu, iters, w = _project_counted(spec, mesh, zeta, omega, cold_start=cold_start)
+    mu, iters, w = _project_counted(spec, mesh, None, omega, cold_start=cold_start,
+                                    threshold=threshold)
     rate = riesz_solve(mesh, omega - mu) / eps
     free = mu < w
     if not spec.one_sided:
@@ -441,12 +454,12 @@ class SolveReport:
     steps; one iteration is one free-block solve (see :mod:`histris.qp`).
     An elastic step, whose zero rate the loop decides without a QP call,
     counts 1 a member: the count the QP gives it.  ``elastic_steps``
-    counts this member's elastic steps: a zero start and a force that
-    passes the exit rule, steps a solve of the member alone decides
-    without a QP call, in a run of held steps.  In a lockstep
-    loop a member's elastic step still joins the stacked QP call when
-    another member's step is not elastic, with the same result.  The
-    explicit method has none.
+    counts this member's elastic steps, which a solve of the member
+    alone decides without a QP call, in a run of held steps: implicit,
+    a zero start and a force that passes the exit rule; explicit, a
+    force exactly inside its box.  In a lockstep loop a member's elastic
+    step still joins the stacked QP call when another member's step is
+    not elastic, with the same result.
     """
 
     method: str
@@ -497,7 +510,8 @@ def solve_levels(scenario: Scenario, eps_values, *, warm_start: bool = True):
 def _time_loop(scenario: Scenario, eps_values, warm_start: bool, explicit: bool):
     """:func:`solve_levels`; with ``explicit``, the same loop takes
     :func:`explicit_projection_step` steps of one level instead, each
-    reading the load at its start, and no runs of held steps."""
+    reading the load at its start, in runs of held steps under the
+    exact exit (slack 0.0)."""
     levels = _Levels(scenario, eps_values, explicit)
     tau = scenario.tau
     n = scenario.mesh.n_nodes
@@ -537,6 +551,8 @@ def _time_loop(scenario: Scenario, eps_values, warm_start: bool, explicit: bool)
         rate_norms[:, start:stop], energies[:, start + 1:stop + 1] = norms, ener
 
     spec, mesh = scenario.dissipation, scenario.mesh
+    # The exit rule's slack: exact box membership for an explicit step.
+    slack = 0.0 if explicit else KKT_TOL
     warm = None  # the QP's start: the last step; a zero one acts as None
     window = _RUN_WINDOW
     elastic = np.zeros(members, dtype=int)  # each member's elastic steps
@@ -551,12 +567,7 @@ def _time_loop(scenario: Scenario, eps_values, warm_start: bool, explicit: bool)
         done = 0
         try:
             while done < todo:
-                if explicit:
-                    rate, count, thr = explicit_projection_step(
-                        scenario, levels.eps[0], loads[done], q[0], acc.value()[0],
-                        cold_start=not warm_start)
-                    step = tau * rate
-                elif warm is not None and warm.any():  # no exit: a QP call
+                if not explicit and warm is not None and warm.any():  # a QP call
                     force = _force(scenario, loads[done], q)
                     step, count, thr = _prox_rate_counted(
                         spec, mesh, acc.value(), force, levels.hessian, start=warm)
@@ -567,8 +578,8 @@ def _time_loop(scenario: Scenario, eps_values, warm_start: bool, explicit: bool)
                 else:
                     # loads holds this block's rows: a window ends with it.
                     rows = window if acc.geometric else 1
-                    force, w, exits = _held_steps(scenario, loads[done:done + rows],
-                                                  q, acc)
+                    force, w, exits = _held_steps(scenario, loads[done:todo][:rows],
+                                                  q, acc, slack)
                     run = exits.all(axis=1)
                     held = len(run) if run.all() else int(np.argmin(run))
                     if held:
@@ -583,9 +594,15 @@ def _time_loop(scenario: Scenario, eps_values, warm_start: bool, explicit: bool)
                         continue
                     window = _RUN_WINDOW
                     elastic += exits[held]
-                    step, count, thr = _prox_rate_counted(
-                        spec, mesh, None, force[held], levels.hessian, start=warm,
-                        threshold=w[held])
+                    if explicit:
+                        rate, count, thr = explicit_projection_step(
+                            scenario, levels.eps[0], force[held, 0], w[held, 0],
+                            cold_start=not warm_start)
+                        step = tau * rate
+                    else:
+                        step, count, thr = _prox_rate_counted(
+                            spec, mesh, None, force[held], levels.hessian, start=warm,
+                            threshold=w[held])
                 q = q + step
                 acc.push(q)
                 delta[:, done], threshold[:, done] = step, thr

@@ -83,19 +83,29 @@ def replay(scenario: Scenario, traj: Trajectory):
     ``rate`` is the backward difference ``(q_{k+1} - q_k) / tau``,
     ``force`` the viscosity-free ``driving_force(t_{k+1}, q_{k+1})``,
     and ``(lower, upper)`` the :func:`force_box` at the history where
-    the step starts.  The history still advances once a step, in step
-    order; each block makes one ``force_box`` call, one load evaluation
-    and one Riesz product.
+    the step starts.  The history advances in step order; each block
+    makes one ``force_box`` call, one load evaluation and one Riesz
+    product.  A geometric kernel takes each stretch of samples that
+    repeat the one before bitwise as a run of held pushes
+    (:meth:`~histris.history.HistoryAccumulator.held_values` and
+    ``push_held``), with the bits of pushing them one at a time; any
+    other kernel pushes every sample.
     """
     mesh = scenario.mesh
     acc = HistoryAccumulator(scenario.kernel, traj.tau, mesh.n_nodes, traj.n_steps)
     acc.push(traj.values[0])
+    bits = np.ascontiguousarray(traj.values).view(np.uint64)
+    # repeats[k]: sample k + 1 repeats sample k bit for bit.
+    repeats = (bits[1:] == bits[:-1]).all(axis=1) & acc.geometric
     for block in step_blocks(traj.n_steps, mesh.n_nodes):
         start, stop = block.start, block.stop
         zeta = np.empty((stop - start, mesh.n_nodes))
-        for k in range(start, stop):
-            zeta[k - start] = acc.value()
-            acc.push(traj.values[k + 1])
+        # Runs of the block: from each step whose sample starts no run.
+        firsts = start + np.flatnonzero(~repeats[start:stop - 1]) + 1
+        for k, end in zip([start, *firsts], [*firsts, stop]):
+            zeta[k - start:end - start] = acc.held_values(end - k)
+            acc.push_held(end - k - 1)
+            acc.push(traj.values[end])
         q = traj.values[start:stop + 1]
         loads = scenario.load.values(traj.times[start + 1:stop + 1])
         yield (np.diff(q, axis=0) / traj.tau, _force(scenario, loads, q[1:]),

@@ -490,8 +490,11 @@ def solve_explicit_per_step(scenario, eps, warm_start, project, accumulator, tol
     """The explicit projection loop with every diagnostic taken in its
     step; ``project`` is the package's counted dual projection.
 
-    The rate is zeroed where the projection is free (strictly inside
-    its box).  The balance reads the force at the step's start,
+    A force exactly inside its box (two-sided: with every weight
+    positive) takes the zero rate in one counted iteration, without a
+    ``project`` call, and counts as an elastic step.  Otherwise the rate
+    is zeroed where the projection is free (strictly inside its box).
+    The balance reads the force at the step's start,
     ``load(t_k) - alpha R q_k - eps R rate``, against the dissipation of
     the rate, applying the Riesz matrix one row at a time, and is gated
     at ``tol`` before the next step; a failure raises
@@ -513,13 +516,21 @@ def solve_explicit_per_step(scenario, eps, warm_start, project, accumulator, tol
     balance, rates, norms = (np.zeros(steps) for _ in range(3))
     energies = np.zeros(steps + 1)
     energies[0] = energy(times[0], q)
-    total = 0
+    total = elastic = 0
     for k in range(steps):
         force = load_value(scenario.load, times[k]) - alpha * (mesh.riesz @ q)
-        mu, count, w = project(spec, mesh, acc.value(), force, cold_start=not warm_start)
-        rate = mesh.riesz.solve(force - mu) / eps
+        zeta = acc.value()
+        w = mesh.mass @ np.broadcast_to(np.asarray(spec.weight(zeta), dtype=float),
+                                        zeta.shape)
         lower = -np.inf if spec.one_sided else -w
-        rate[(lower < mu) & (mu < w)] = 0.0
+        if ((lower <= force) & (force <= w)).all() and (spec.one_sided or (w > 0).all()):
+            rate, count = np.zeros(mesh.n_nodes), 1
+            elastic += 1
+        else:
+            mu, count, w = project(spec, mesh, zeta, force, cold_start=not warm_start)
+            rate = mesh.riesz.solve(force - mu) / eps
+            lower = -np.inf if spec.one_sided else -w
+            rate[(lower < mu) & (mu < w)] = 0.0
         delta = tau * rate
         rate = delta / tau
         riesz_delta = mesh.riesz @ delta
@@ -538,4 +549,4 @@ def solve_explicit_per_step(scenario, eps, warm_start, project, accumulator, tol
         energies[k + 1] = energy(times[k + 1], q)
         acc.push(q)
     return acc.samples, _report("explicit", float(eps), float(tau), times, balance,
-                                norms, rates, energies, total, 0, warm_start)
+                                norms, rates, energies, total, elastic, warm_start)

@@ -300,8 +300,9 @@ def test_moved_projection_fails_the_explicit_balance_gate(monkeypatch, family):
     # step's start no longer pairs with the rate to the dissipation.
     project = viscous._project_counted
 
-    def moved(spec, mesh, zeta, omega, cold_start=False):
-        mu, count, w = project(spec, mesh, zeta, omega, cold_start=cold_start)
+    def moved(spec, mesh, zeta, omega, cold_start=False, threshold=None):
+        mu, count, w = project(spec, mesh, zeta, omega, cold_start=cold_start,
+                               threshold=threshold)
         pinned = np.abs(mu) == w
         if pinned.any():
             push = np.abs(mesh.riesz.solve(omega - mu))
@@ -325,7 +326,8 @@ def test_moved_projection_fails_the_explicit_balance_gate(monkeypatch, family):
 @pytest.mark.parametrize("n_nodes", [33, 513])
 def test_explicit_fatigue_rates_stay_in_the_cone(monkeypatch, n_nodes):
     # Rounding alone would push the rate of a node the projection leaves
-    # free slightly below zero, where the potential is +inf.
+    # free slightly below zero, where the potential is +inf.  The steps
+    # whose force lies in the box take +0.0 without a projection.
     rates = []
     step = viscous.explicit_projection_step
 
@@ -337,7 +339,7 @@ def test_explicit_fatigue_rates_stay_in_the_cone(monkeypatch, n_nodes):
     monkeypatch.setattr(viscous, "explicit_projection_step", recorded)
     sc = _wave_scenario("fatigue", n_nodes, 2000)
     traj, report = solve_viscous(sc, 0.05, method="explicit")
-    assert len(rates) == 2000
+    assert report.elastic_steps > 0 and len(rates) == 2000 - report.elastic_steps
     assert min(rate.min() for rate in rates) >= 0.0
     assert np.diff(traj.values, axis=0).min() >= 0.0
     assert report.max_balance_residual <= BALANCE_TOL
@@ -532,6 +534,132 @@ def test_elastic_steps_keep_the_bits_of_a_qp_call(monkeypatch, family, kernel):
     assert mixed
 
 
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+@pytest.mark.parametrize("kernel", sorted(_ELASTIC_KERNELS))
+def test_explicit_steps_project_exactly_the_forces_outside_the_box(monkeypatch, family,
+                                                                    kernel):
+    # The explicit loop projects on exactly the steps whose force, read
+    # off the trajectory, leaves its box; it takes the others in runs of
+    # held steps.  Every trajectory and report field is the per-step
+    # oracle's, the elastic step count included.  A kernel table that is
+    # not geometric decides one step at a time.
+    sc = build_scenario(normalize_config({
+        "mesh": {"n_nodes": 17},
+        "model": {"n_steps": 90, "horizon": 1.5},
+        "load": {"time": "2*sin(2*pi*t)", "space": "1 + 0.6*cos(3*pi*x)"},
+        "dissipation": {"family": family},
+        "history": _ELASTIC_KERNELS[kernel],
+    }))
+    projected = []
+    project = viscous._project_counted
+
+    def recorded(*args, **kwargs):
+        projected.append(_StepHistory.latest.n_samples - 1)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(viscous, "HistoryAccumulator", _StepHistory)
+    monkeypatch.setattr(viscous, "_project_counted", recorded)
+    log = _logged_windows(monkeypatch)
+    for warm in (True, False):
+        projected.clear()
+        log.clear()
+        traj, report = solve_viscous(sc, 0.2, method="explicit", warm_start=warm)
+        _assert_same_solve(traj, report, *solve_explicit_per_step(
+            sc, 0.2, warm, project, HistoryAccumulator, BALANCE_TOL))
+        acc = HistoryAccumulator(sc.kernel, sc.tau, sc.mesh.n_nodes, sc.n_steps)
+        outside = []
+        for k, q in enumerate(traj.values[:-1]):
+            acc.push(q)
+            force = load_value(sc.load, sc.times()[k]) - sc.alpha * (sc.mesh.riesz @ q)
+            lower, upper = dissipation.force_box(sc.dissipation, sc.mesh, acc.value())
+            if not ((lower <= force) & (force <= upper)).all():
+                outside.append(k)
+        assert projected == outside
+        assert 0 < len(outside) < sc.n_steps
+        assert report.elastic_steps == sc.n_steps - len(outside)
+        asked = {rows for _, rows, _ in log}
+        if kernel == "1/(1+t)^2":
+            assert asked == {1}
+        else:
+            assert max(asked) > 1
+
+
+def _box_edge_scenario(family, inside):
+    """One explicit step from the zero state under the constant load
+    ``d``, so the force is ``d``, at the history ``y0``: ``d`` is
+    ``inside`` times the box bound at each node (two-sided, alternating
+    in sign).  Returns the scenario, ``d`` and the bound."""
+    one_sided = family == "fatigue"
+    mesh = build_mesh(9)
+    y0 = 0.5 + mesh.nodes
+    spec = (dissipation.Fatigue if one_sided else WeightedL1)(weight=np.abs,
+                                                              lipschitz=1.0)
+    upper = dissipation.threshold_dual(spec, mesh, y0)
+    d = inside * upper
+    if not one_sided:
+        d[1::2] *= -1.0
+    sc = Scenario(mesh=mesh, alpha=1.0, load=Load([LoadTerm(lambda t: 1.0, d)]),
+                  kernel=identity_kernel(y0), dissipation=spec, horizon=0.01,
+                  n_steps=1)
+    return sc, d, upper
+
+
+class _Projected(Exception):
+    """Raised by :func:`_stop_at_projection`'s patch, with the force."""
+
+
+def _stop_at_projection(monkeypatch):
+    """Patch the explicit step's projection to raise :class:`_Projected`."""
+    def stop(spec, mesh, zeta, omega, **kwargs):
+        raise _Projected(np.array(omega))
+
+    monkeypatch.setattr(viscous, "_project_counted", stop)
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+def test_a_force_one_ulp_outside_its_box_is_projected(monkeypatch, family):
+    # The explicit exit is exact box membership: one node one ulp past its
+    # bound (two-sided, at the lower one) sends the step to the projection,
+    # though the implicit rule's KKT_TOL slack would let it exit.
+    sc, d, upper = _box_edge_scenario(family, 0.5)
+    node = 4 if family == "fatigue" else 3
+    d[node] = np.nextafter(upper[node], math.inf) * np.sign(d[node])
+    assert dissipation._elastic(sc.dissipation, d, upper)
+    assert not dissipation._elastic(sc.dissipation, d, upper, 0.0)
+    _stop_at_projection(monkeypatch)
+    for warm in (True, False):
+        with pytest.raises(_Projected) as exc:
+            solve_viscous(sc, 0.1, method="explicit", warm_start=warm)
+        assert _same_bits(exc.value.args[0], d)
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+def test_a_force_on_its_bound_exits_with_the_rate_of_the_qp_path(monkeypatch, family):
+    # A force on its bound at every node is its own projection: the step
+    # exits with +0.0 in one counted iteration, without a projection,
+    # and the QP path (warm start) gives that rate and count bit for bit.
+    # With one node on its bound and the others inside, the QP pins that
+    # node and leaves it a rate of rounding size, of either sign; the
+    # exit takes the exact-arithmetic zero there.
+    for where in ("every node", "one node"):
+        sc, d, upper = _box_edge_scenario(family, 1.0 if where == "every node" else 0.5)
+        if where == "one node":
+            d[4] = upper[4]
+        _stop_at_projection(monkeypatch)
+        for warm in (True, False):
+            traj, report = solve_viscous(sc, 0.1, method="explicit", warm_start=warm)
+            assert report.elastic_steps == 1 and report.inner_iterations == 1
+            assert report.balance_residuals[0] == 0.0
+            assert not traj.values.any() and not np.signbit(traj.values).any()
+        monkeypatch.undo()
+        rate, count, w = viscous.explicit_projection_step(sc, 0.1, d, upper)
+        assert _same_bits(w, upper) and count == 1
+        if where == "every node":
+            assert not rate.any() and not np.signbit(rate).any()
+        else:
+            assert np.abs(rate).max() <= 1e-12 and not np.delete(rate, 4).any()
+
+
 class _StepHistory(HistoryAccumulator):
     """A history accumulator that keeps the last one made in ``latest``:
     while a step is taken, its sample count is the step's number."""
@@ -625,7 +753,8 @@ def test_explicit_failure_comes_before_a_later_load_error():
 def test_explicit_solve_takes_the_steps_before_a_load_error(monkeypatch):
     # The load raises from t = 0.5 = t_10 on: the 10 steps that start
     # before it run, each with its start's load row, then the load's own
-    # exception surfaces.
+    # exception surfaces.  Every explicit step is decided as a row of
+    # the run decision; a row is decided when no row before it moves.
     class LoadError(Exception):
         pass
 
@@ -634,14 +763,24 @@ def test_explicit_solve_takes_the_steps_before_a_load_error(monkeypatch):
             raise LoadError("load undefined")
         return 2.0 * t
 
-    steps = []
-    step = viscous.explicit_projection_step
-    monkeypatch.setattr(viscous, "explicit_projection_step",
-                        lambda *args, **kw: steps.append(args[2]) or step(*args, **kw))
+    steps = {}
+    decide = viscous._held_steps
+
+    def logged(scenario, loads, q, acc, slack):
+        force, w, exits = decide(scenario, loads, q, acc, slack)
+        run = exits.all(axis=1)
+        decided = len(run) if run.all() else int(np.argmin(run)) + 1
+        for j in range(decided):
+            steps[acc.n_samples - 1 + j] = loads[j]
+        return force, w, exits
+
+    monkeypatch.setattr(viscous, "_held_steps", logged)
     sc = scalar_scenario(a, n_steps=20, n_nodes=9)
     with pytest.raises(LoadError, match="load undefined"):
         solve_viscous(sc, 0.5, method="explicit")
-    assert _same_bits(np.array(steps), sc.load.values(sc.times()[:10]))
+    assert sorted(steps) == list(range(10))
+    assert _same_bits(np.array([steps[k] for k in range(10)]),
+                      sc.load.values(sc.times()[:10]))
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +822,8 @@ def _logged_windows(monkeypatch):
     log = []
     decide = viscous._held_steps
 
-    def logged(scenario, loads, q, acc):
-        force, w, exits = decide(scenario, loads, q, acc)
+    def logged(scenario, loads, q, acc, slack):
+        force, w, exits = decide(scenario, loads, q, acc, slack)
         log.append((acc.n_samples - 1, len(loads), exits.all(axis=1)))
         return force, w, exits
 

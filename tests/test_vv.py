@@ -275,6 +275,58 @@ def test_block_replay_keeps_the_per_step_bits(family, kernel, slope):
         assert _same_bits(getattr(res, name), value), name
 
 
+class _HeldLog(HistoryAccumulator):
+    """A history accumulator that logs the count of every ``push_held``."""
+
+    held = []
+
+    def push_held(self, count):
+        _HeldLog.held.append(count)
+        super().push_held(count)
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+@pytest.mark.parametrize("kernel, slope", [("1", "0")] + _REPLAY_KERNELS)
+def test_replay_by_runs_keeps_the_bits_of_step_by_step_pushes(monkeypatch, family,
+                                                              kernel, slope):
+    # A geometric kernel (the identity, exp(-2t)) replays each stretch of
+    # bitwise-repeated samples as held pushes; 1/(1+t)^2 pushes every
+    # sample.  Some run crosses a block edge (blocks of 63 steps at
+    # n = 257).  Every block, the certificate's residuals and every field
+    # of the dual reading equal the step-by-step loops bit for bit.
+    sc = _replay_scenario(family, kernel, slope, 257)
+    if kernel == "1":
+        sc = replace(sc, kernel=identity_kernel(sc.kernel.y0))
+    eps = 0.01
+    traj, _ = solve_viscous(sc, eps)
+    repeats = np.flatnonzero((traj.values[1:] == traj.values[:-1]).all(axis=1))
+    # Samples e - 1, e and e + 1 repeat across the edge e of two blocks.
+    assert any(np.isin([e - 1, e], repeats).all() for e in (63, 126, 189, 252))
+    monkeypatch.setattr(vv, "HistoryAccumulator", _HeldLog)
+    _HeldLog.held = []
+    blocks = list(replay(sc, traj))
+    if kernel == "1/(1 + t)^2":
+        assert set(_HeldLog.held) == {0}
+    else:
+        # A repeated sample that ends a block is pushed, not held.
+        ends = np.isin(np.array([63, 126, 189, 252, 300]) - 1, repeats).sum()
+        assert sum(_HeldLog.held) == len(repeats) - ends and max(_HeldLog.held) > 1
+    oracle = list(replay_per_step(sc, traj, HistoryAccumulator))
+    for got, want in zip(_per_step(blocks), oracle, strict=True):
+        assert all(_same_bits(np.asarray(g, dtype=float), np.asarray(w, dtype=float))
+                   for g, w in zip(got, want))
+
+    cert = certify_limit(sc, traj)
+    want_stab, want_bal = certify_limit_per_step(sc, traj, iter(oracle))
+    assert _same_bits(cert.max_stability_violation, want_stab)
+    assert _same_bits(cert.max_balance_residual, want_bal)
+
+    res = dual_equivalence(sc, eps)
+    want = dual_equivalence_per_step(sc, eps, iter(oracle))
+    for name, value in want.items():
+        assert _same_bits(getattr(res, name), value), name
+
+
 def test_balance_is_infinite_where_a_one_sided_rate_decreases():
     # One node moving down is outside the fatigue rate cone: the
     # potential is inf at that step, and the residual is inf with no
