@@ -73,23 +73,33 @@ def _verdict(passed: bool, line: str) -> int:
 
 
 def _write_csv(path: str, cfg: dict, header, rows) -> None:
-    # One format call per all-float row; "%.17g" gives the bytes of _fmt.
-    float_row = ",".join(["%.17g"] * len(header)) + "\n"
+    """Write ``rows`` under the config hash line and ``header``: a list of
+    rows through ``csv.writer`` over :func:`_fmt`, a 2-D float array a
+    line at a time with the same bytes ("%.17g").  An array row whose
+    columns after the first have the bits of the row before (a held
+    state) reuses its text; bits, not values, as ``0.0 == -0.0``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            if len(row) == len(header) and all(isinstance(v, float) for v in row):
-                fh.write(float_row % tuple(row))
-            else:
+        if not isinstance(rows, np.ndarray):
+            for row in rows:
                 writer.writerow([_fmt(v) for v in row])
+            return
+        bits = rows.view(np.uint64)[:, 1:]
+        held = np.zeros(len(rows), dtype=bool)
+        held[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+        tail_format = ",%.17g" * (rows.shape[1] - 1) + "\n"
+        tail = ""
+        for time, row, same in zip(rows[:, 0].tolist(), rows, held.tolist()):
+            if not same:
+                tail = tail_format % tuple(row[1:].tolist())
+            fh.write("%.17g" % time + tail)
 
 
 def _write_trajectory(path: str, cfg: dict, mesh, traj) -> None:
     header = ["time"] + [f"q{i}" for i in range(mesh.n_nodes)]
-    rows = np.column_stack((traj.times, traj.values)).tolist()
-    _write_csv(path, cfg, header, rows)
+    _write_csv(path, cfg, header, np.column_stack((traj.times, traj.values)))
 
 
 def _write_report(path: str, cfg: dict, mesh, traj, report) -> None:
@@ -108,7 +118,7 @@ def _write_report(path: str, cfg: dict, mesh, traj, report) -> None:
         np.r_[0.0, report.dissipation_rates],
         report.energies,
         np.r_[0.0, report.balance_residuals],
-    )).tolist()
+    ))
     _write_csv(path, cfg, header, rows)
 
 

@@ -143,6 +143,7 @@ class _TrapezoidConvolution:
         self.ratio = _geometric_ratio(table)
         self._half_b0 = 0.5 * tau * table[0]
         self._sum = None
+        self._ahead = None  # the rows of the last held() since the sums moved
 
     def start(self, shape: tuple) -> None:
         """Start the sums at zero for (B, n) stacks of samples."""
@@ -165,23 +166,36 @@ class _TrapezoidConvolution:
     def advance(self, prev: Field, sample: Field) -> None:
         if self.ratio is not None:
             self._carry(self._sum, self._increment(prev, sample), out=self._sum)
+            self._ahead = None
 
     def held(self, sample: Field, steps: int) -> np.ndarray:
         """The sums after each of ``steps`` further samples equal to
         ``sample``, the latest one, one row each, without advancing: the
         increment is the same every step, so a row costs two elementwise
-        operations.  Geometric tables only."""
+        operations.  Geometric tables only.  The rows are kept for
+        :meth:`advance_held` until the sums move."""
         increment = self._increment(sample, sample)
         out = np.empty((steps,) + self._sum.shape)
         total = self._sum
         for row in out:
             total = self._carry(total, increment, out=row)
+        self._ahead = out
         return out
 
     def advance_held(self, sample: Field, steps: int) -> None:
-        """:meth:`advance` by ``steps`` further samples equal to ``sample``."""
-        if self.ratio is not None and steps:
-            self._sum[...] = self.held(sample, steps)[-1]
+        """:meth:`advance` by ``steps`` further samples equal to ``sample``,
+        the latest one.  The rows of the last :meth:`held` serve as far as
+        they reach; one step past them costs one more carry."""
+        if self.ratio is None or not steps:
+            return
+        rows = self._ahead
+        if rows is None or not len(rows) or steps > len(rows) + 1:
+            rows = self.held(sample, steps)
+        if steps > len(rows):
+            self._carry(rows[-1], self._increment(sample, sample), out=self._sum)
+        else:
+            self._sum[...] = rows[steps - 1]
+        self._ahead = None
 
     def at(self, samples: np.ndarray, k: int):
         """``I_k`` after samples ``0..k`` have been advanced; ``samples``

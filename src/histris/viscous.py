@@ -427,20 +427,29 @@ def explicit_projection_step(scenario: Scenario, eps: float, omega: DualField,
     Returns ``(rate, iterations, threshold)``, as the rate prox does.
     The rate is exactly +0.0 where the projection ``mu`` is free
     (``lower < mu < upper``; pinned entries sit exactly on their bound),
-    so a one-sided rate stays in the cone and ``<mu, rate>`` is the
-    dissipation.  ``cold_start`` makes the inner projection start from
-    zero instead of the clipped force.  The time loop calls this only
-    for a force outside the box: inside it, the step takes the zero rate
-    without a projection (:func:`~histris.dissipation._elastic`).
+    and an entry pinned at one bound only never has a rate below +0.0 on
+    the upper bound nor above it on the lower one (a two-sided entry with
+    ``w = 0`` keeps its rate), so a one-sided rate stays in the cone and
+    ``<mu, rate>`` is the dissipation.  ``cold_start`` makes the inner
+    projection start from zero instead of the clipped force.  The time
+    loop calls this only for a force outside the box: inside it, the step
+    takes the zero rate without a projection
+    (:func:`~histris.dissipation._elastic`).
     """
     spec, mesh = scenario.dissipation, scenario.mesh
     mu, iters, w = _project_counted(spec, mesh, None, omega, cold_start=cold_start,
                                     threshold=threshold)
     rate = riesz_solve(mesh, omega - mu) / eps
-    free = mu < w
+    # Rounding in the solve can leave an entry pinned at one bound a rate
+    # of the wrong sign; exact arithmetic gives +0.0 there, as on a free
+    # entry.  A two-sided entry with w = 0 is pinned at both bounds and
+    # admits either sign: it keeps its rate.
+    below = mu < w
+    above = np.full(mu.shape, True) if spec.one_sided else -w < mu
+    zero = (below & above) | (above & (mu >= w) & (rate < 0.0))
     if not spec.one_sided:
-        free &= -w < mu
-    rate[free] = 0.0
+        zero |= below & (mu <= -w) & (rate > 0.0)
+    rate[zero] = 0.0
     return rate, iters, w
 
 

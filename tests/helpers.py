@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import histris.history as history
 from histris import (
     Fatigue,
     Scenario,
@@ -32,3 +33,17 @@ def scalar_scenario(a, a_prime=None, *, threshold=1.0, alpha=1.0, horizon=1.0,
         horizon=horizon,
         n_steps=n_steps,
     )
+
+
+def count_carries(monkeypatch):
+    """Patch the history recurrence's carry (one sum row) to log each
+    call; returns the log."""
+    calls = []
+    carry = history._TrapezoidConvolution._carry
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return carry(self, *args, **kwargs)
+
+    monkeypatch.setattr(history._TrapezoidConvolution, "_carry", counted)
+    return calls

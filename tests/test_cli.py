@@ -402,3 +402,52 @@ def test_csv_rows_match_the_per_value_writer(tmp_path):
     with open(path, newline="", encoding="utf-8") as fh:
         assert fh.readline().startswith("# config_hash=")
         assert fh.read() == expected.getvalue()
+
+
+def _per_value_bytes(header, table):
+    """The bytes of csv.writer over _fmt for the rows of ``table``."""
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for row in table.tolist():
+        writer.writerow([_fmt(v) for v in row])
+    return expected.getvalue()
+
+
+def _written(path, header, table):
+    _write_csv(str(path), {}, header, table)
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.readline().startswith("# config_hash=")
+        return fh.read()
+
+
+def test_held_rows_of_a_table_keep_the_per_value_bytes(tmp_path):
+    # A table row whose columns after the first repeat the row before
+    # reuses its text; the time column is formatted every row.
+    a, b = [1.0 / 3.0, -2.5, 1e-300], [0.1, 5e-324, -1e16]
+    table = np.column_stack(([0.0, -0.0, 0.25, 0.5, 1.0], [a, a, b, b, a]))
+    header = ["time", "q0", "q1", "q2"]
+    assert _written(tmp_path / "t.csv", header, table) == _per_value_bytes(header, table)
+
+
+def test_held_rows_are_decided_by_bits_not_values(tmp_path):
+    # 0.0 == -0.0 and NaN payloads: a row that equals the one before by
+    # value but not by bits is formatted again.  A writer that compared
+    # values would write "0" where "-0" is due.
+    nan = np.float64(np.nan)
+    payload = np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64)
+    cols = [[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0],
+            [nan, -0.0], [-nan, -0.0], [payload, 0.0], [payload, 0.0]]
+    table = np.column_stack((np.arange(len(cols)) / 8.0, cols))
+    header = ["time", "q0", "q1"]
+    text = _written(tmp_path / "t.csv", header, table)
+    assert text == _per_value_bytes(header, table)
+    assert [line.split(",", 1)[1] for line in text.splitlines()[1:]] == [
+        "0,1", "-0,1", "-0,1", "0,1", "nan,-0", "nan,-0", "nan,0", "nan,0"]
+
+
+def test_one_column_and_empty_tables(tmp_path):
+    table = np.array([[0.0], [-0.0], [0.5], [0.5]])
+    assert _written(tmp_path / "t.csv", ["time"], table) == "time\n0\n-0\n0.5\n0.5\n"
+    header = ["time", "q0", "q1"]
+    assert _written(tmp_path / "e.csv", header, np.empty((0, 3))) == "time,q0,q1\n"

@@ -16,7 +16,7 @@ from histris.history import (
 from histris.verify import smooth_fatigue
 from histris.viscous import solve_viscous
 
-from helpers import scalar_scenario
+from helpers import count_carries, scalar_scenario
 from oracles import (
     convolution_history_ramp,
     history_derivative,
@@ -363,3 +363,54 @@ def test_held_values_and_push_held_are_the_pushes(rng, name, slope):
     assert held.n_samples == pushed.n_samples
     with pytest.raises(ValueError, match="full"):
         held.push_held(n_steps)
+
+
+@pytest.mark.parametrize("name", ["identity", "exp(-2t)"])
+@pytest.mark.parametrize("slope", [False, True])
+def test_push_held_after_a_look_ahead_is_the_pushes(rng, name, slope):
+    # push_held takes the sums held_values has formed: a count within the
+    # rows looked ahead, one past them, or beyond them; a look-ahead that
+    # a push has made stale is not used.  Each leaves the accumulator with
+    # the bits of pushing one sample at a time.
+    n_steps, tau, rows = 80, 0.05, 6
+    y0 = rng.standard_normal(4)
+    if name == "identity":
+        kernel = identity_kernel(y0)
+    else:
+        b, b_prime, _, _ = KERNELS[name]
+        kernel = convolution_kernel(b, b_prime, y0)
+    values = rng.standard_normal((5, 3, 4))
+    for count in range(1, rows + 3):
+        pushed, held = (HistoryAccumulator(kernel, tau, 4, n_steps) for _ in range(2))
+        for acc in (pushed, held):
+            for q in values:
+                acc.push(q)
+            if slope:
+                acc.derivative()
+        for stale in (False, True):
+            held.held_values(rows)
+            sample = values[0] if stale else values[-1]
+            if stale:  # a push moves the sums past the look-ahead
+                held.push(sample)
+                pushed.push(sample)
+            held.push_held(count)
+            for _ in range(count):
+                pushed.push(sample)
+            assert _bits(held.samples, pushed.samples)
+            assert _bits(held.value(), pushed.value())
+            assert _bits(held.derivative(), pushed.derivative())
+
+
+@pytest.mark.parametrize("name", ["identity", "exp(-2t)"])
+def test_a_held_run_carries_the_sums_once_a_step(monkeypatch, name):
+    # Every step of this run is elastic, so the loop decides it in windows
+    # of held rows; each row's sums are carried once, by held_values, and
+    # push_held commits them (one more carry when the whole window held).
+    sc = scalar_scenario(lambda t: 0.5 * math.sin(math.pi * t), n_steps=200)
+    if name != "identity":
+        b, b_prime, _, _ = KERNELS[name]
+        sc = replace(sc, kernel=convolution_kernel(b, b_prime, np.zeros(5)))
+    calls = count_carries(monkeypatch)
+    traj, report = solve_viscous(sc, 0.05)
+    assert report.elastic_steps == sc.n_steps and not traj.values.any()
+    assert len(calls) == sc.n_steps

@@ -24,7 +24,7 @@ from histris.dissipation import WeightedL1, potential
 from histris.errors import NumericalFailure
 from histris.expressions import Expression
 from histris.history import HistoryAccumulator, convolution_kernel, identity_kernel
-from histris.spatial import build_mesh, dual_pair, h1_norm
+from histris.spatial import build_mesh, dual_pair, h1_norm, riesz_solve
 from histris.trajectory import c_norm_diff
 from histris.viscous import (
     BALANCE_TOL,
@@ -658,6 +658,57 @@ def test_a_force_on_its_bound_exits_with_the_rate_of_the_qp_path(monkeypatch, fa
             assert not rate.any() and not np.signbit(rate).any()
         else:
             assert np.abs(rate).max() <= 1e-12 and not np.delete(rate, 4).any()
+
+
+@pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
+def test_a_pinned_rate_never_has_the_wrong_sign(family):
+    # With one node one ulp outside its box, the projection pins that node
+    # and the Riesz solve leaves it a rate of rounding size.  Exact
+    # arithmetic gives it the sign of the force or +0.0; rounding can give
+    # the wrong sign (fatigue: an infinite dissipation, so the solve failed
+    # its balance gate).  The step takes +0.0 there.
+    fixed = set()
+    for node in range(9):
+        sc, d, upper = _box_edge_scenario(family, 0.5)
+        d[node] = np.nextafter(upper[node], math.inf) * np.sign(d[node])
+        for cold in (False, True):
+            rate, _, _ = viscous.explicit_projection_step(sc, 0.1, d, upper,
+                                                          cold_start=cold)
+            assert rate[node] * np.sign(d[node]) >= 0.0 and abs(rate[node]) <= 1e-13
+            assert not np.delete(rate, node).any()
+            if rate[node] == 0.0 and not cold:
+                assert not np.signbit(rate[node])
+                fixed.add(node)
+            traj, report = solve_viscous(sc, 0.1, method="explicit", warm_start=not cold)
+            assert report.balance_residuals[0] <= viscous.BALANCE_TOL
+            assert _same_bits(traj.values[1], sc.tau * rate)
+    assert fixed
+
+
+@pytest.mark.parametrize("history", ["zero", "zero_on_the_left"])
+def test_a_zero_weight_box_keeps_its_riesz_rate(history):
+    # Weight max(z, 0)^2: the two-sided box is [-0, 0] wherever the history
+    # is not positive, so any sign is admissible there and the step keeps
+    # the rate of the Riesz solve, as the free/pinned rule always did.
+    mesh = build_mesh(9)
+    y0 = np.zeros(9) if history == "zero" else mesh.nodes - 0.5
+    spec = WeightedL1(weight=lambda z: np.square(np.maximum(z, 0.0)), lipschitz=1.0)
+    w = dissipation.threshold_dual(spec, mesh, y0)
+    d = np.where(w > 0, 2.0 * w, 1e-3) * (-1.0) ** np.arange(9)
+    sc = Scenario(mesh=mesh, alpha=1.0, load=Load([LoadTerm(lambda t: 1.0, d)]),
+                  kernel=identity_kernel(y0), dissipation=spec, horizon=0.01,
+                  n_steps=1)
+    for cold in (False, True):
+        mu, _, _ = dissipation._project_counted(spec, mesh, None, d,
+                                                cold_start=cold, threshold=w)
+        riesz = riesz_solve(mesh, d - mu) / 0.1
+        rate, _, _ = viscous.explicit_projection_step(sc, 0.1, d, w, cold_start=cold)
+        zero_weight = w == 0.0
+        assert zero_weight.all() if history == "zero" else 0 < zero_weight.sum() < 9
+        assert _same_bits(rate[zero_weight], riesz[zero_weight])
+        assert np.all(rate[zero_weight] != 0.0)
+        traj, _ = solve_viscous(sc, 0.1, method="explicit", warm_start=not cold)
+        assert _same_bits(traj.values[1], sc.tau * rate)
 
 
 class _StepHistory(HistoryAccumulator):

@@ -38,7 +38,7 @@ from histris.vv import (
     vv_sweep,
 )
 
-from helpers import scalar_scenario
+from helpers import count_carries, scalar_scenario
 from oracles import (
     certify_limit_per_step,
     dual_equivalence_per_step,
@@ -325,6 +325,18 @@ def test_replay_by_runs_keeps_the_bits_of_step_by_step_pushes(monkeypatch, famil
     want = dual_equivalence_per_step(sc, eps, iter(oracle))
     for name, value in want.items():
         assert _same_bits(getattr(res, name), value), name
+
+
+def test_replay_carries_the_sums_once_a_sample(monkeypatch):
+    # The runs of held samples are looked ahead once: push_held takes the
+    # sums held_values has formed, so each sample after the first costs
+    # one carry of the recurrence.
+    sc = _replay_scenario("fatigue", *_REPLAY_KERNELS[0], 33)
+    traj, _ = solve_viscous(sc, 0.01)
+    assert (traj.values[1:] == traj.values[:-1]).all(axis=1).sum() > 100
+    calls = count_carries(monkeypatch)
+    certify_limit(sc, traj)
+    assert len(calls) == sc.n_steps
 
 
 def test_balance_is_infinite_where_a_one_sided_rate_decreases():
