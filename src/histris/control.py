@@ -50,9 +50,9 @@ def sine_basis(mesh: Mesh, horizon: float, m: int) -> list[LoadTerm]:
         omega = j * math.pi / horizon
         elems.append(
             LoadTerm(
-                time_profile=lambda t, w=omega: math.sin(w * t),
+                time_profile=lambda t, w=omega: np.sin(w * t),
                 space_dual=dual,
-                time_derivative=lambda t, w=omega: w * math.cos(w * t),
+                time_derivative=lambda t, w=omega: w * np.cos(w * t),
             )
         )
     return elems

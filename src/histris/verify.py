@@ -231,9 +231,9 @@ def random_load(mesh: Mesh, horizon: float, rng, *, n_terms: int = 3,
             omega = math.pi * freq / horizon
             terms.append(
                 LoadTerm(
-                    time_profile=lambda t, w=omega: math.sin(w * t),
+                    time_profile=lambda t, w=omega: np.sin(w * t),
                     space_dual=amp * assemble_dual(mesh, profile),
-                    time_derivative=lambda t, w=omega: w * math.cos(w * t),
+                    time_derivative=lambda t, w=omega: w * np.cos(w * t),
                 )
             )
         load = Load(terms)

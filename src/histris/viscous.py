@@ -53,7 +53,8 @@ step at a time.
 The loop takes the steps in blocks of
 :func:`~histris.trajectory.step_blocks` (about ``2**14`` entries:
 members times nodes times steps).  A block
-evaluates its loads in one :meth:`Load.values` call, records each
+evaluates its loads in one :meth:`Load.values` call (each term's time
+profile once, on the block's times), records each
 step's increment and threshold, and at its end reduces the force
 balance, dissipation rates, rate norms and energies of all its steps
 as rows, with the bits of a step taken alone.  The balance gate then
@@ -141,15 +142,22 @@ _FD_DT = 1e-6
 
 @dataclass(eq=False)
 class LoadTerm:
-    """One separable load contribution ``a(t) * (assembled profile)``."""
+    """One separable load contribution ``a(t) * (assembled profile)``.
 
-    time_profile: Callable[[float], float]
+    ``time_profile`` and ``time_derivative`` take a 1-D array of times
+    and return their values with numpy semantics (a scalar broadcasts),
+    as :attr:`Dissipation.weight` and :attr:`KernelSpec.b` do: a load
+    evaluates each term once on a block of times.
+    """
+
+    time_profile: Callable[[np.ndarray], np.ndarray]
     space_dual: np.ndarray
-    time_derivative: Callable[[float], float] | None = None
+    time_derivative: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 class Load:
-    """Sum of separable space-time load terms, kept as dual fields."""
+    """Sum of separable space-time load terms, kept as dual fields; each
+    term's time functions are called once on an array of times."""
 
     def __init__(self, terms: list[LoadTerm]):
         if not terms:
@@ -172,14 +180,19 @@ class Load:
         :meth:`values` when a term has none."""
         slopes = [term.time_derivative for term in self.terms]
         if any(slope is None for slope in slopes):
-            return (self.values([t + _FD_DT for t in times])
-                    - self.values([t - _FD_DT for t in times])) / (2.0 * _FD_DT)
+            times = np.asarray(times, dtype=float)
+            return (self.values(times + _FD_DT)
+                    - self.values(times - _FD_DT)) / (2.0 * _FD_DT)
         return self._rows(times, slopes)
 
     def _rows(self, times, coefficients) -> np.ndarray:
-        """Each term's coefficients at ``times`` scale its profile, and the
-        terms add in order, so a row has the bits of that time alone."""
-        parts = [np.array([float(f(t)) for t in times])[:, None] * term.space_dual
+        """Each term's coefficients, from one call on ``times``, scale its
+        profile, and the terms add in order, so a row has the bits of
+        that time alone.  A result that does not broadcast to the times'
+        shape raises ``ValueError``."""
+        times = np.asarray(times, dtype=float)
+        parts = [np.broadcast_to(np.asarray(f(times), dtype=float), times.shape)[:, None]
+                 * term.space_dual
                  for f, term in zip(coefficients, self.terms)]
         return sum(parts[1:], parts[0])
 
@@ -191,16 +204,18 @@ class Load:
 
 
 def expression_load(mesh: Mesh, time_expr: str, space_expr: str = "1") -> Load:
-    """Separable load from expression strings in ``t`` and ``x``."""
+    """Separable load from expression strings in ``t`` and ``x``; the
+    time expression is the term's profile, evaluated on arrays of times."""
     a = Expression(time_expr, variables=("t",))
     profile = Expression(space_expr, variables=("x",))
     dual = assemble_dual(mesh, interpolate(mesh, profile))
-    return Load([LoadTerm(lambda t, f=a: float(f(t)), dual)])
+    return Load([LoadTerm(a, dual)])
 
 
-def constant_in_space_load(mesh: Mesh, a: Callable[[float], float],
-                           a_prime: Callable[[float], float] | None = None) -> Load:
-    """Load ``a(t) * 1`` assembled against the constant unit profile."""
+def constant_in_space_load(mesh: Mesh, a: Callable[[np.ndarray], np.ndarray],
+                           a_prime: Callable[[np.ndarray], np.ndarray] | None = None) -> Load:
+    """Load ``a(t) * 1`` assembled against the constant unit profile;
+    ``a`` and ``a_prime`` take arrays of times (see :class:`LoadTerm`)."""
     dual = assemble_dual(mesh, np.ones(mesh.n_nodes))
     return Load([LoadTerm(a, dual, a_prime)])
 
@@ -404,9 +419,10 @@ def _balance_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _load_rows(load, times: np.ndarray):
-    """``(load.values(times), None)``, or, when that raises, the rows of
-    the times before the first one that raises and its error: the steps
-    those rows serve run, and are checked, before the error surfaces."""
+    """``(load.values(times), None)``, or, when that block call raises,
+    the rows of the times before the first one that raises alone and its
+    error: the steps those rows serve run, and are checked, before the
+    error surfaces.  When no time raises alone, the block's error does."""
     try:
         return load.values(times), None
     except Exception:
@@ -531,9 +547,11 @@ def _time_loop(scenario: Scenario, eps_values, warm_start: bool, explicit: bool)
     q = np.zeros((members, n))
     acc.push(q)
 
+    load0 = scenario.load.values(times[:1])
+    if not np.isfinite(load0).all():  # no implicit step reads it; the energy at t = 0 does
+        raise NumericalFailure(f"non-finite load at t = 0 ({levels.name(None)})")
     energies = np.empty((members, steps + 1))
-    energies[:, 0] = _energies(scenario.alpha, q, scenario.mesh.riesz.apply_rows(q),
-                               scenario.load.values(times[:1]))
+    energies[:, 0] = _energies(scenario.alpha, q, scenario.mesh.riesz.apply_rows(q), load0)
     balance, diss_rates, rate_norms = (np.empty((members, steps)) for _ in range(3))
     iterations = np.zeros(members, dtype=int)  # each member's QP steps
     blocks = step_blocks(steps, members * n)

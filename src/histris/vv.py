@@ -199,26 +199,29 @@ class RateIndependenceReport:
     mapped_horizon: float
 
 
-def _mapped_load(load: Load, time_map: Callable[[float], float]) -> Load:
+def _mapped_load(load: Load, time_map: Callable[[np.ndarray], np.ndarray]) -> Load:
     """``load`` precomposed with a time reparametrization: each term's
-    profile at ``float(time_map(t))``."""
-    return Load([LoadTerm(lambda t, f=term.time_profile: f(float(time_map(t))),
-                          term.space_dual)
+    profile at ``time_map(t)``, on arrays of times."""
+    return Load([LoadTerm(lambda t, f=term.time_profile: f(time_map(t)), term.space_dual)
                  for term in load.terms])
 
 
-def check_rate_independence(scenario: Scenario, time_map: Callable[[float], float],
+def check_rate_independence(scenario: Scenario,
+                            time_map: Callable[[np.ndarray], np.ndarray],
                             new_horizon: float, *,
                             eps: float) -> RateIndependenceReport:
     """Compare the solve of a reparametrized scenario with the
     reparametrized base solve.
 
-    ``time_map`` must be nondecreasing with ``time_map(0) = 0`` and
-    ``time_map(new_horizon) <= horizon``.  Both solves are implicit and
-    warm-started, with the scenario's number of steps.
+    ``time_map`` takes a 1-D array of times and returns their images
+    with numpy semantics, as a load's time profile does
+    (:class:`~histris.viscous.LoadTerm`).  It must be nondecreasing with
+    ``time_map(0) = 0`` and ``time_map(new_horizon) <= horizon``.  Both
+    solves are implicit and warm-started, with the scenario's number of
+    steps.
     """
     times2 = np.linspace(0.0, float(new_horizon), scenario.n_steps + 1)
-    mapped = np.array([float(time_map(t)) for t in times2])
+    mapped = np.broadcast_to(np.asarray(time_map(times2), dtype=float), times2.shape)
     if not np.isfinite(mapped).all():
         raise ValueError("time map must be finite")
     if abs(mapped[0]) > 1e-12:

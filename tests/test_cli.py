@@ -347,6 +347,37 @@ def test_verify_compat_failure_exits_one(tmp_path, capsys):
     assert (out / "verify_compat.csv").exists()
 
 
+# 1/t at t = 0 divides by zero: infinite, with numpy's warning.
+_SINGULAR_AT_ZERO = ("model: {n_steps: 20}\nload: {time: '1/t'}\n"
+                     "solver: {method: %s, eps: 0.5}\n")
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("method", ["implicit", "explicit"])
+def test_a_load_singular_at_zero_fails_the_solve_by_name(tmp_path, capsys, method):
+    # No step reads the implicit method's load at t = 0, but the report's
+    # first energy does: the loop checks that row before the first step.
+    cfg = tmp_path / "singular.yaml"
+    cfg.write_text(_SINGULAR_AT_ZERO % method)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert ("numerical failure: non-finite load at t = 0 (eps=0.5)"
+            in capsys.readouterr().err)
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_a_load_singular_at_zero_fails_verify_compat(tmp_path, capsys):
+    cfg = tmp_path / "singular.yaml"
+    cfg.write_text(_SINGULAR_AT_ZERO % "implicit")
+    out = tmp_path / "vc"
+    assert main(["verify", "compat", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    _, header, rows = _read_artifact(out / "verify_compat.csv")
+    assert header == ["compatible", "worst_violation", "worst_node"]
+    assert rows[0][:2] == ["0", "inf"]
+
+
 # ---------------------------------------------------------------------------
 # optimize
 

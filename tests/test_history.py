@@ -309,7 +309,7 @@ def test_infinite_kernel_entry_fails_the_solve():
         with np.errstate(divide="ignore"):
             return -1.0 / (t - 0.25) ** 2
 
-    sc = scalar_scenario(lambda t: 2.0 * math.sin(math.pi * t), n_steps=64)
+    sc = scalar_scenario(lambda t: 2.0 * np.sin(math.pi * t), n_steps=64)
     sc = replace(sc, dissipation=smooth_fatigue(),
                  kernel=convolution_kernel(b, b_prime, np.zeros(5)))
     assert np.isinf(b(np.array([16 * sc.tau]))).all()
@@ -406,7 +406,7 @@ def test_a_held_run_carries_the_sums_once_a_step(monkeypatch, name):
     # Every step of this run is elastic, so the loop decides it in windows
     # of held rows; each row's sums are carried once, by held_values, and
     # push_held commits them (one more carry when the whole window held).
-    sc = scalar_scenario(lambda t: 0.5 * math.sin(math.pi * t), n_steps=200)
+    sc = scalar_scenario(lambda t: 0.5 * np.sin(math.pi * t), n_steps=200)
     if name != "identity":
         b, b_prime, _, _ = KERNELS[name]
         sc = replace(sc, kernel=convolution_kernel(b, b_prime, np.zeros(5)))

@@ -43,8 +43,8 @@ from helpers import scalar_scenario
 
 def _sine_scenario(n_steps=200):
     return scalar_scenario(
-        lambda t: 2.0 * math.sin(math.pi * t),
-        lambda t: 2.0 * math.pi * math.cos(math.pi * t),
+        lambda t: 2.0 * np.sin(math.pi * t),
+        lambda t: 2.0 * math.pi * np.cos(math.pi * t),
         n_steps=n_steps,
     )
 

@@ -60,9 +60,9 @@ from oracles import (
 def test_load_analytic_derivative_matches_finite_differences():
     mesh = build_mesh(4, 1.0)
     with_deriv = constant_in_space_load(
-        mesh, lambda t: math.sin(3.0 * t), lambda t: 3.0 * math.cos(3.0 * t)
+        mesh, lambda t: np.sin(3.0 * t), lambda t: 3.0 * np.cos(3.0 * t)
     )
-    without = constant_in_space_load(mesh, lambda t: math.sin(3.0 * t))
+    without = constant_in_space_load(mesh, lambda t: np.sin(3.0 * t))
     for t in (0.0, 0.37, 0.9):
         assert_allclose(with_deriv.derivative(t), without.derivative(t),
                         rtol=0, atol=1e-8)
@@ -126,7 +126,7 @@ def test_scenario_grid_helpers():
 
 
 def test_driving_force_is_negative_energy_gradient():
-    sc = scalar_scenario(lambda t: math.sin(t), n_steps=10)
+    sc = scalar_scenario(lambda t: np.sin(t), n_steps=10)
     rng = np.random.default_rng(5)
     q = rng.standard_normal(sc.mesh.n_nodes)
     v = rng.standard_normal(sc.mesh.n_nodes)
@@ -187,7 +187,7 @@ def test_viscous_ramp_matches_exact_solution():
 
 
 def test_solve_shapes_and_report():
-    sc = scalar_scenario(lambda t: 2.0 * math.sin(math.pi * t), n_steps=50)
+    sc = scalar_scenario(lambda t: 2.0 * np.sin(math.pi * t), n_steps=50)
     traj, report = solve_viscous(sc, 0.1)
     assert traj.values.shape == (51, 5)
     assert_allclose(traj.values[0], 0.0, rtol=0, atol=0)
@@ -232,8 +232,8 @@ def test_implicit_and_explicit_agree():
     # Two first-order discretizations of the same viscous flow differ
     # by O(tau/eps).
     sc = scalar_scenario(
-        lambda t: 2.0 * math.sin(math.pi * t),
-        lambda t: 2.0 * math.pi * math.cos(math.pi * t),
+        lambda t: 2.0 * np.sin(math.pi * t),
+        lambda t: 2.0 * math.pi * np.cos(math.pi * t),
         n_steps=2000,
     )
     eps = 0.2
@@ -244,8 +244,8 @@ def test_implicit_and_explicit_agree():
 
 def test_warm_start_does_not_change_solutions():
     sc = scalar_scenario(
-        lambda t: 2.0 * math.sin(math.pi * t),
-        lambda t: 2.0 * math.pi * math.cos(math.pi * t),
+        lambda t: 2.0 * np.sin(math.pi * t),
+        lambda t: 2.0 * math.pi * np.cos(math.pi * t),
         n_steps=400,
     )
     for method, eps in (("implicit", 0.05), ("explicit", 0.5)):
@@ -259,7 +259,7 @@ def test_non_finite_load_fails_the_balance_gate(one_sided):
     # A NaN balance residual must not slip past the gate as "not above
     # the tolerance", and the l1 sign loop must not spin on NaN
     # gradients until its cycle cap.
-    a = lambda t: 2.0 * math.sin(math.pi * t) if t <= 0.5 else math.nan
+    a = lambda t: np.where(t <= 0.5, 2.0 * np.sin(math.pi * t), math.nan)
     sc = scalar_scenario(a, n_steps=200)
     if not one_sided:
         sc = replace(sc, dissipation=WeightedL1(
@@ -274,7 +274,7 @@ def test_non_finite_load_fails_the_explicit_integrator(one_sided):
     # Step 12 starts at the first NaN load: it fails before its
     # projection, and the loop names the step and eps as for the implicit
     # method.
-    a = lambda t: 2.0 * t if t <= 0.5 else math.nan
+    a = lambda t: np.where(t <= 0.5, 2.0 * t, math.nan)
     sc = scalar_scenario(a, n_steps=20, n_nodes=9)
     if not one_sided:
         sc = replace(sc, dissipation=WeightedL1(
@@ -368,7 +368,7 @@ def _solve_with_band_algebra_only(monkeypatch, one_sided, method, eps):
     scn = Scenario(
         mesh=mesh,
         alpha=1.0,
-        load=Load([LoadTerm(lambda t: 2.0 * math.sin(2.0 * math.pi * t), dual)]),
+        load=Load([LoadTerm(lambda t: 2.0 * np.sin(2.0 * math.pi * t), dual)]),
         kernel=identity_kernel(np.zeros(65)),
         dissipation=spec,
         horizon=1.0,
@@ -412,9 +412,9 @@ def test_load_values_rows_have_the_bits_of_one_time():
     # Three terms of one size: another order of the sum rounds differently.
     rng = np.random.default_rng(2)
     duals = [rng.standard_normal(7) for _ in range(3)]
-    load = Load([LoadTerm(lambda t: math.sin(3.0 * t), duals[0]),
+    load = Load([LoadTerm(lambda t: np.sin(3.0 * t), duals[0]),
                  LoadTerm(lambda t: -t, duals[1]),
-                 LoadTerm(lambda t: 0.7 * math.cos(5.0 * t), duals[2])])
+                 LoadTerm(lambda t: 0.7 * np.cos(5.0 * t), duals[2])])
     times = np.linspace(0.0, 1.0, 9)
     rows = load.values(times)
     assert rows.shape == (9, 7)
@@ -427,8 +427,8 @@ def test_load_values_rows_have_the_bits_of_one_time():
         assert _same_bits(row, load_value(load, float(t * t)))
     # Derivative rows: the terms' own derivatives summed like the values,
     # or central differences of the values when a term has none.
-    slopes = [lambda t: 3.0 * math.cos(3.0 * t), lambda t: -1.0,
-              lambda t: -3.5 * math.sin(5.0 * t)]
+    slopes = [lambda t: 3.0 * np.cos(3.0 * t), lambda t: -1.0,
+              lambda t: -3.5 * np.sin(5.0 * t)]
     analytic = Load([replace(term, time_derivative=slope)
                      for term, slope in zip(load.terms, slopes, strict=True)])
     h = viscous._FD_DT
@@ -441,6 +441,48 @@ def test_load_values_rows_have_the_bits_of_one_time():
         assert _same_bits(analytic.derivative(t), row)
         assert _same_bits(fd_row, (load.value(t + h) - load.value(t - h)) / (2.0 * h))
         assert _same_bits(load.derivative(t), fd_row)
+
+
+@pytest.mark.parametrize("text", [
+    "2.5",
+    "-t^2 + 3*t - 1/(1 + t)",
+    "sin(pi*t) * cos(2*t) - exp(-t)",
+    "max(t, 0.5, sin(t)) - min(-t, cos(pi*t))",
+    "(1 + t)^-0.5 / 3 - -t",
+])
+def test_expression_load_rows_have_the_bits_of_one_time(text):
+    # A block of times evaluates the expression once, on the array; each
+    # row keeps the bits of the expression at that time alone, as a
+    # numpy scalar, times the assembled profile.
+    mesh = build_mesh(6)
+    load = expression_load(mesh, text, "1 + x")
+    dual = load.terms[0].space_dual
+    f = Expression(text, ("t",))
+    times = np.array([0.0, 1e-300, 0.3, 1.0, 7.25, 1e3])
+    rows = load.values(times)
+    assert rows.shape == (6, 6)
+    for t, row in zip(times, rows, strict=True):
+        assert _same_bits(row, float(f(np.float64(t))) * dual)
+        assert _same_bits(load.value(float(t)), row)
+
+
+def test_a_profile_of_the_wrong_shape_raises():
+    mesh = build_mesh(4)
+    times = np.linspace(0.0, 1.0, 5)
+    for profile in (lambda t: t[:-1], lambda t: np.ones((len(t), 2))):
+        load = constant_in_space_load(mesh, profile)
+        with pytest.raises(ValueError):
+            load.values(times)
+
+
+def test_a_scalar_only_profile_fails_the_solve():
+    # A profile that takes one float at a time is not evaluated time by
+    # time: the block's call raises, and so does the solve.
+    sc = scalar_scenario(lambda t: math.sin(t), n_steps=10)
+    with pytest.raises(TypeError):
+        solve_viscous(sc, 0.5)
+    with pytest.raises(TypeError):
+        solve_viscous(sc, 1.0, method="explicit")
 
 
 _BLOCK_KERNELS = {
@@ -744,9 +786,9 @@ class _PerturbedProx:
 
 def _load_until(t_max):
     def a(t):
-        if t > t_max:
+        if np.any(t > t_max):
             raise ValueError("load undefined")
-        return 2.0 * math.sin(math.pi * t)
+        return 2.0 * np.sin(math.pi * t)
     return a
 
 
@@ -791,9 +833,9 @@ def test_explicit_failure_comes_before_a_later_load_error():
     # A NaN load makes the state of step 12 non-finite; the load raises from
     # t = 0.8 on, in the same block, and must not surface first.
     def a(t):
-        if t > 0.8:
+        if np.any(t > 0.8):
             raise ValueError("load undefined")
-        return 2.0 * t if t <= 0.5 else math.nan
+        return np.where(t <= 0.5, 2.0 * t, math.nan)
 
     sc = scalar_scenario(a, n_steps=20, n_nodes=9)
     with pytest.raises(NumericalFailure,
@@ -810,7 +852,7 @@ def test_explicit_solve_takes_the_steps_before_a_load_error(monkeypatch):
         pass
 
     def a(t):
-        if t >= 0.5:
+        if np.any(t >= 0.5):
             raise LoadError("load undefined")
         return 2.0 * t
 
@@ -857,7 +899,7 @@ def _run_scenario(family, kernel, weight=np.abs, n=9, n_steps=150):
     t1 = 7.5 * horizon / n_steps
 
     def a(t):
-        return 1.0 if t < t1 else 1.0 + (1.0 + t) * math.sin(2.0 * math.pi * (t - t1) / 1.3)
+        return np.where(t < t1, 1.0, 1.0 + (1.0 + t) * np.sin(2.0 * math.pi * (t - t1) / 1.3))
 
     spec_kernel = _ELASTIC_KERNELS[kernel]
     kern = (identity_kernel(y0) if spec_kernel["kind"] == "identity"
@@ -952,7 +994,7 @@ def test_a_failing_row_inside_a_window_fails_in_its_turn(monkeypatch, family, ba
             if bad == "load":
                 a = clean.load.terms[0].time_profile
                 t_bad = clean.times()[step]
-                load = Load([LoadTerm(lambda t: math.nan if t >= t_bad else a(t),
+                load = Load([LoadTerm(lambda t: np.where(t >= t_bad, math.nan, a(t)),
                                       clean.load.terms[0].space_dual)])
                 sc = replace(clean, load=load)
             else:

@@ -51,8 +51,8 @@ from oracles import (
 
 def _sine_scenario(n_steps=500):
     return scalar_scenario(
-        lambda t: 2.0 * math.sin(math.pi * t),
-        lambda t: 2.0 * math.pi * math.cos(math.pi * t),
+        lambda t: 2.0 * np.sin(math.pi * t),
+        lambda t: 2.0 * math.pi * np.cos(math.pi * t),
         n_steps=n_steps,
     )
 
@@ -208,7 +208,7 @@ def test_threshold_is_assembled_once_per_step(monkeypatch, one_sided):
     # box and the balance check of a certificate step.  A run of held
     # steps assembles a window of rows at once: the rows after its first
     # step that is not elastic are discarded, at most all but the first.
-    sc = scalar_scenario(lambda t: 2.0 * math.sin(math.pi * t), n_steps=40)
+    sc = scalar_scenario(lambda t: 2.0 * np.sin(math.pi * t), n_steps=40)
     if not one_sided:
         sc = replace(sc, dissipation=WeightedL1(
             weight=sc.dissipation.weight, lipschitz=0.0))
@@ -389,7 +389,7 @@ def test_solver_matches_closed_form_scalar_stepping():
     # agreement is to solver tolerance, not discretization accuracy.
     n_nodes, alpha, eps, n_steps = 5, 1.5, 0.05, 400
     mesh = build_mesh(n_nodes)
-    a = lambda t: 2.0 * math.sin(math.pi * t)
+    a = lambda t: 2.0 * np.sin(math.pi * t)
     sc = Scenario(
         mesh=mesh,
         alpha=alpha,
@@ -439,7 +439,8 @@ def test_rate_independence_validates_the_map(monkeypatch):
     with pytest.raises(ValueError, match="beyond the horizon"):
         check_rate_independence(sc, lambda s: 2.0 * s, 1.0, eps=0.1)
     with pytest.raises(ValueError, match="must be finite"):
-        check_rate_independence(sc, lambda s: math.nan if s > 0.5 else s, 1.0, eps=0.1)
+        check_rate_independence(sc, lambda s: np.where(s > 0.5, math.nan, s), 1.0,
+                                eps=0.1)
     assert len(solves) == 0
 
 
