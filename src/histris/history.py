@@ -5,24 +5,18 @@ The accumulated state is
     zeta(t) = offset + integral_0^t b(t - s) y(s) ds,
 
 with a scalar convolution kernel ``b``.  The ``identity`` kind is the
-kernel ``b = 1``, ``b' = 0`` (plain time integration), evaluated on the
-same path as any other kernel.  Quadrature in time is the composite
-trapezoid rule on the trajectory grid.  The weak time
-derivative of the accumulated state is
+kernel ``b = 1`` (plain time integration), evaluated on the same path
+as any other kernel.  Quadrature in time is the composite trapezoid
+rule on the trajectory grid.
 
-    d/dt zeta(t) = b(0) y(t) + integral_0^t b'(t - s) y(s) ds,
-
-which is what the growth estimates of the dissipation functional are
-checked against.
-
-``HistoryAccumulator`` evaluates both along a run, step by step: it
+``HistoryAccumulator`` evaluates it along a run, step by step: it
 tabulates the kernel once on the grid and advances a geometric table
-``b_j = b_0 r^j`` (exponential kernels, the identity as ``r = 1``, and
-the zero table of its derivative) by an exact trapezoid recurrence in
-O(1) per step; any other table is re-weighted against the stored
-samples, O(k) at step k.  One accumulator holds the histories of all
-members of a lockstep loop, each bit for bit its own: the recurrence
-runs elementwise on the stack, the dot product member by member.
+``b_j = b_0 r^j`` (exponential kernels, the identity as ``r = 1``) by
+an exact trapezoid recurrence in O(1) per step; any other table is
+re-weighted against the stored samples, O(k) at step k.  One
+accumulator holds the histories of all members of a lockstep loop,
+each bit for bit its own: the recurrence runs elementwise on the
+stack, the dot product member by member.
 
 A state that stays put for a run of steps has a constant recurrence
 increment, so a geometric table also looks ahead: ``held_values``
@@ -57,27 +51,26 @@ class KernelSpec:
     kind: str
     y0: np.ndarray
     b: Callable[[np.ndarray], np.ndarray] | None = None
-    b_prime: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind not in ("identity", "convolution"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
         if self.kind == "identity":
-            self.b, self.b_prime = np.ones_like, np.zeros_like
-        elif self.b is None or self.b_prime is None:
-            raise ValueError("convolution kernels need b and b_prime")
+            self.b = np.ones_like
+        elif self.b is None:
+            raise ValueError("convolution kernels need b")
 
 
 def identity_kernel(y0) -> KernelSpec:
     """Plain running time integral on top of the initial state: the
-    kernel ``b = 1`` with ``b' = 0``."""
+    kernel ``b = 1``."""
     return KernelSpec(kind="identity", y0=y0)
 
 
-def convolution_kernel(b, b_prime, y0) -> KernelSpec:
-    """Scalar convolution kernel ``b`` with derivative ``b_prime``."""
-    return KernelSpec(kind="convolution", y0=y0, b=b, b_prime=b_prime)
+def convolution_kernel(b, y0) -> KernelSpec:
+    """Scalar convolution kernel ``b``."""
+    return KernelSpec(kind="convolution", y0=y0, b=b)
 
 
 def _trapezoid_weights(k: int, tau: float) -> np.ndarray:
@@ -212,16 +205,14 @@ class HistoryAccumulator:
     """Incrementally maintained history state along a uniform grid.
 
     The kernel is tabulated once, at lags ``j * tau`` for
-    ``j = 0..n_max``, and so is its derivative on the first call of
-    ``derivative``.  Geometric tables (the identity kind, exponential
+    ``j = 0..n_max``.  Geometric tables (the identity kind, exponential
     kernels) update in O(1) per step; other kernels re-weight the stored
     samples, which costs O(k) at step k.
 
     A sample is a field, or a (B, n) stack of the fields of B members
     advanced in lockstep (one viscosity level each); every push has the
-    shape of the first, and ``value`` and ``derivative`` return that
-    shape.  Each member's history is what an accumulator of its own
-    would hold, bit for bit.
+    shape of the first, and ``value`` returns that shape.  Each member's
+    history is what an accumulator of its own would hold, bit for bit.
     """
 
     def __init__(self, kernel: KernelSpec, tau: float, n_nodes: int, n_max: int):
@@ -239,9 +230,9 @@ class HistoryAccumulator:
         # is one member.
         self._samples = None
         self._count = 0
-        self._table = _tabulate(kernel.b, self.tau * np.arange(self._n_rows))
-        self._zeta = _TrapezoidConvolution(self._table, self.tau)
-        self._slope = None  # the b' table, built by the first derivative()
+        self._zeta = _TrapezoidConvolution(
+            _tabulate(kernel.b, self.tau * np.arange(self._n_rows)), self.tau
+        )
 
     @property
     def n_samples(self) -> int:
@@ -283,10 +274,7 @@ class HistoryAccumulator:
             raise ValueError("accumulator is full")
         self._samples[:, k] = sample
         if k > 0:
-            prev, cur = self._samples[:, k - 1], self._samples[:, k]
-            self._zeta.advance(prev, cur)
-            if self._slope is not None:
-                self._slope.advance(prev, cur)
+            self._zeta.advance(self._samples[:, k - 1], self._samples[:, k])
         self._count += 1
 
     def push_held(self, count: int) -> None:
@@ -300,9 +288,7 @@ class HistoryAccumulator:
             raise ValueError("accumulator is full")
         latest = self._samples[:, k - 1]
         self._samples[:, k:k + count] = latest[:, None]
-        for sums in (self._zeta, self._slope):
-            if sums is not None:
-                sums.advance_held(latest, count)
+        self._zeta.advance_held(latest, count)
         self._count += count
 
     @property
@@ -332,19 +318,3 @@ class HistoryAccumulator:
         latest = self._samples[:, self._count - 1]
         ahead = self.kernel.y0 + self._zeta.held(latest, steps - 1)
         return np.concatenate([now[None], ahead.reshape((steps - 1,) + self._shape)])
-
-    def derivative(self) -> Field:
-        """Weak derivative of the accumulated state at the latest sample."""
-        if self._count == 0:
-            raise ValueError("no samples pushed yet")
-        k = self._count - 1
-        if self._slope is None:
-            lags = self.tau * np.arange(self._n_rows)
-            self._slope = _TrapezoidConvolution(
-                _tabulate(self.kernel.b_prime, lags), self.tau
-            )
-            self._slope.start((self._samples.shape[0], self._samples.shape[2]))
-            for j in range(k):
-                self._slope.advance(self._samples[:, j], self._samples[:, j + 1])
-        slope = self._table[0] * self._samples[:, k] + self._slope.at(self._samples, k)
-        return slope.reshape(self._shape)

@@ -8,6 +8,7 @@ the CSV bytes, and the PASS/FAIL wiring of every verify experiment.
 import csv
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -326,15 +327,38 @@ def test_verify_experiments_pass_on_small_configs(tmp_path, small_cfg,
         assert (out / artifact).exists()
 
 
-def test_verify_history_needs_two_steps(tmp_path, capsys):
-    # One step has no interior sample to difference at: a config error,
-    # where it used to PASS with a header-only CSV.
+def test_verify_history_runs_on_one_step(tmp_path, capsys):
+    # One step has one increment of the history: one row, not a
+    # header-only CSV (which used to PASS) nor a refusal.
     cfg = tmp_path / "one.yaml"
     cfg.write_text("mesh: {n_nodes: 5}\nmodel: {n_steps: 1}\n")
     out = tmp_path / "vh"
-    assert main(["verify", "history", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "needs at least 2 steps and 1 rate, got 1 and" in capsys.readouterr().err
-    assert not (out / "verify_history.csv").exists()
+    assert main(["verify", "history", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    _, header, rows = _read_artifact(out / "verify_history.csv")
+    assert header == ["rate_index", "time", "increment", "bound", "ratio"]
+    assert [row[:2] for row in rows] == [["0", "1"]]
+
+
+# The weighted l1 problem of ROADMAP direction 12, where the derivative
+# form of the check failed: L = 0.2 is the weight's true constant.
+_L1_HISTORY = ("mesh: {n_nodes: 9}\nmodel: {n_steps: 40}\n"
+               "dissipation: {family: weighted_l1, weight: '0.5 + 0.2*sin(z)', "
+               "lipschitz: %s}\n"
+               "history: {kind: convolution, kernel: 'exp(-2*t)'}\n")
+
+
+@pytest.mark.parametrize("lipschitz, code", [("0.2", 0), ("0.05", 1)])
+def test_verify_history_on_the_l1_problem(tmp_path, capsys, lipschitz, code):
+    cfg = tmp_path / "l1.yaml"
+    cfg.write_text(_L1_HISTORY % lipschitz)
+    out = tmp_path / "vh"
+    assert main(["verify", "history", "--config", str(cfg), "--out", str(out)]) == code
+    assert ("PASS", "FAIL")[code] in capsys.readouterr().out
+    _, header, rows = _read_artifact(out / "verify_history.csv")
+    assert header == ["rate_index", "time", "increment", "bound", "ratio"]
+    ratio = max(float(row[4]) for row in rows)
+    assert ratio == pytest.approx({"0.2": 0.5774, "0.05": 2.3094}[lipschitz], abs=1e-4)
 
 
 def test_verify_compat_failure_exits_one(tmp_path, capsys):
@@ -376,6 +400,33 @@ def test_a_load_singular_at_zero_fails_verify_compat(tmp_path, capsys):
     _, header, rows = _read_artifact(out / "verify_compat.csv")
     assert header == ["compatible", "worst_violation", "worst_node"]
     assert rows[0][:2] == ["0", "inf"]
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("command", [["solve"], ["verify", "compat"]])
+def test_a_load_singular_at_zero_is_named_by_the_compat_message(tmp_path, capsys,
+                                                                command):
+    # The solve fails at once: no viscous transient follows.
+    cfg = tmp_path / "singular.yaml"
+    cfg.write_text(_SINGULAR_AT_ZERO % "implicit")
+    assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    said = capsys.readouterr().out
+    assert "initial load is not finite at 33 node(s), so the solve will fail" in said
+    assert "viscous transient" not in said
+
+
+@pytest.mark.parametrize("time", ["1/t", "1/(t-0.5)"])
+def test_a_runtime_warning_as_error_is_a_numerical_failure(tmp_path, capsys, time):
+    # Under python -W error numpy's divide-by-zero warning is raised; the
+    # CLI reports it and exits 1, without a traceback.
+    cfg = tmp_path / "singular.yaml"
+    cfg.write_text(f"model: {{n_steps: 20}}\nload: {{time: '{time}'}}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "numerical failure: divide by zero encountered in divide\n"
 
 
 # ---------------------------------------------------------------------------

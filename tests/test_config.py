@@ -20,6 +20,7 @@ from histris.config import (
 )
 from histris.expressions import Expression, ExpressionError, _compile_text
 from histris.verify import ExperimentConfig
+from histris.viscous import solve_viscous
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +137,31 @@ def test_custom_weight_requires_lipschitz():
 
 
 def test_convolution_history_requirements():
-    with pytest.raises(ConfigError, match="kernel_slope are required"):
+    with pytest.raises(ConfigError, match="history.kernel is required"):
         normalize_config({"history": {"kind": "convolution"}})
     with pytest.raises(ConfigError, match="only applies"):
         normalize_config({"history": {"kind": "identity", "kernel": "exp(-t)"}})
-    cfg = normalize_config({
-        "history": {"kind": "convolution", "kernel": "exp(-t)",
-                    "kernel_slope": "-exp(-t)"},
-    })
+    cfg = normalize_config({"history": {"kind": "convolution", "kernel": "exp(-t)"}})
     assert cfg["history"]["kernel"] == "exp(-t)"
+    assert cfg["history"]["kernel_slope"] == ""
+
+
+def test_kernel_slope_is_checked_but_changes_no_solve():
+    # history.kernel_slope feeds no computation: with or without it a
+    # convolution config solves to the same bits.  It is still checked
+    # as an expression of t.
+    base = {"model": {"n_steps": 60}, "solver": {"eps": 0.05},
+            "history": {"kind": "convolution", "kernel": "exp(-2*t)"}}
+    with_slope = {**base, "history": {**base["history"],
+                                      "kernel_slope": "-2*exp(-2*t)"}}
+    solves = [solve_viscous(build_scenario(normalize_config(raw)), 0.05)
+              for raw in (base, with_slope)]
+    (traj_a, rep_a), (traj_b, rep_b) = solves
+    assert traj_a.values.tobytes() == traj_b.values.tobytes()
+    assert rep_a.energies.tobytes() == rep_b.energies.tobytes()
+    assert rep_a.balance_residuals.tobytes() == rep_b.balance_residuals.tobytes()
+    with pytest.raises(ConfigError, match="history.kernel_slope"):
+        normalize_config({"history": {**with_slope["history"], "kernel_slope": "x"}})
 
 
 def test_readme_example_is_the_default_config():

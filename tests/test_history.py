@@ -17,11 +17,7 @@ from histris.verify import smooth_fatigue
 from histris.viscous import solve_viscous
 
 from helpers import count_carries, scalar_scenario
-from oracles import (
-    convolution_history_ramp,
-    history_derivative,
-    history_eval,
-)
+from oracles import convolution_history_ramp, history_eval
 
 
 def _ramp_samples(n_steps, n_nodes=4, horizon=1.0):
@@ -49,14 +45,6 @@ def test_identity_linear_is_exact():
                         np.full(4, 0.5 * t * t), atol=1e-14)
 
 
-def test_identity_derivative_is_current_sample():
-    kernel = identity_kernel(np.zeros(2))
-    times = np.linspace(0.0, 1.0, 6)
-    values = np.column_stack([np.sin(times), np.cos(times)])
-    for k in range(6):
-        assert_allclose(history_derivative(kernel, times, values, k), values[k])
-
-
 def test_index_zero_returns_initial_state():
     kernel = identity_kernel(np.array([7.0, -1.0]))
     times, values = _ramp_samples(8, n_nodes=2)
@@ -68,9 +56,7 @@ def test_convolution_matches_closed_form_second_order():
     y0 = 0.25
     errs = []
     for n_steps in (50, 100):
-        kernel = convolution_kernel(
-            lambda r: np.exp(-r), lambda r: -np.exp(-r), np.full(2, y0)
-        )
+        kernel = convolution_kernel(lambda r: np.exp(-r), np.full(2, y0))
         times, values = _ramp_samples(n_steps, n_nodes=2)
         got = history_eval(kernel, times, values, n_steps)
         want = convolution_history_ramp(1.0, y0)
@@ -79,18 +65,6 @@ def test_convolution_matches_closed_form_second_order():
         assert_allclose(got, np.full(2, want), atol=0.25 / n_steps ** 2)
     # halving the step should cut the trapezoid error about fourfold
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-
-
-def test_convolution_derivative_matches_closed_form():
-    # d/dt [t - 1 + exp(-t)] = 1 - exp(-t)
-    kernel = convolution_kernel(
-        lambda r: np.exp(-r), lambda r: -np.exp(-r), np.zeros(2)
-    )
-    times, values = _ramp_samples(200, n_nodes=2)
-    for k in (60, 140, 200):
-        t = times[k]
-        got = history_derivative(kernel, times, values, k)
-        assert_allclose(got, np.full(2, 1.0 - math.exp(-t)), atol=5e-5)
 
 
 def test_accumulator_agrees_with_direct_evaluation(rng):
@@ -103,19 +77,13 @@ def test_accumulator_agrees_with_direct_evaluation(rng):
         acc.push(values[k])
         assert_allclose(acc.value(), history_eval(ident, times, values, k),
                         atol=1e-14)
-        assert_allclose(acc.derivative(),
-                        history_derivative(ident, times, values, k), atol=1e-14)
 
-    conv = convolution_kernel(lambda r: np.exp(-0.5 * r),
-                              lambda r: -0.5 * np.exp(-0.5 * r),
-                              rng.standard_normal(3))
+    conv = convolution_kernel(lambda r: np.exp(-0.5 * r), rng.standard_normal(3))
     acc = HistoryAccumulator(conv, times[1] - times[0], 3, 40)
     for k in range(41):
         acc.push(values[k])
         assert_allclose(acc.value(), history_eval(conv, times, values, k),
                         atol=1e-12)
-        assert_allclose(acc.derivative(),
-                        history_derivative(conv, times, values, k), atol=1e-12)
 
 
 def test_accumulator_capacity_and_time():
@@ -140,63 +108,38 @@ def test_kernel_spec_validation():
         KernelSpec(kind="convolution", y0=np.zeros(2))  # missing kernel
     ident = identity_kernel(np.zeros(2))
     assert ident.kind == "identity"
-    conv = convolution_kernel(lambda r: r, lambda r: 1.0, np.zeros(2))
+    conv = convolution_kernel(lambda r: r, np.zeros(2))
     assert conv.kind == "convolution"
     for tau in (0.0, -0.5, math.nan, math.inf):  # NaN used to pass
         with pytest.raises(ValueError, match="tau must be positive"):
             HistoryAccumulator(ident, tau, 2, 4)
 
 
-# Kernels with their derivatives, and whether the accumulator may advance
-# the value (b) and slope (b') tables by the geometric recurrence.
+# Kernels, and whether the accumulator may advance their tables by the
+# geometric recurrence.
 KERNELS = {
-    "exp(-2t)": (lambda t: np.exp(-2.0 * t), lambda t: -2.0 * np.exp(-2.0 * t),
-                 True, True),
-    "exp(+t)": (lambda t: np.exp(t), lambda t: np.exp(t), True, True),
-    "1/(1+t)": (lambda t: 1.0 / (1.0 + t), lambda t: -1.0 / (1.0 + t) ** 2,
-                False, False),
+    "exp(-2t)": (lambda t: np.exp(-2.0 * t), True),
+    "exp(+t)": (lambda t: np.exp(t), True),
+    "1/(1+t)": (lambda t: 1.0 / (1.0 + t), False),
     # geometric to 1e-10 only: the recurrence would be off by more than that
-    "exp(-2t+1e-9t^2)": (lambda t: np.exp(-2.0 * t + 1e-9 * t * t),
-                         lambda t: (2e-9 * t - 2.0) * np.exp(-2.0 * t + 1e-9 * t * t),
-                         False, False),
-    "cos(3t)": (lambda t: np.cos(3.0 * t), lambda t: -3.0 * np.sin(3.0 * t),
-                False, False),
+    "exp(-2t+1e-9t^2)": (lambda t: np.exp(-2.0 * t + 1e-9 * t * t), False),
+    "cos(3t)": (lambda t: np.cos(3.0 * t), False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_accumulator_matches_the_oracle_step_by_step(rng, name):
-    b, b_prime, value_geometric, slope_geometric = KERNELS[name]
+    b, geometric = KERNELS[name]
     n_steps = 300
     times = np.linspace(0.0, 3.0, n_steps + 1)
     values = rng.standard_normal((n_steps + 1, 3))
-    kernel = convolution_kernel(b, b_prime, rng.standard_normal(3))
+    kernel = convolution_kernel(b, rng.standard_normal(3))
     acc = HistoryAccumulator(kernel, times[1] - times[0], 3, n_steps)
-    assert (acc._zeta.ratio is not None) == value_geometric
+    assert (acc._zeta.ratio is not None) == geometric
     for k in range(n_steps + 1):
         acc.push(values[k])
         assert_allclose(acc.value(), history_eval(kernel, times, values, k),
                         rtol=1e-12, atol=1e-12)
-        assert_allclose(acc.derivative(),
-                        history_derivative(kernel, times, values, k),
-                        rtol=1e-12, atol=1e-12)
-    assert (acc._slope.ratio is not None) == slope_geometric
-
-
-def test_derivative_table_catches_up_on_first_use(rng):
-    # The b' table is built by the first derivative() call, after any
-    # number of pushes, and must then fold in the samples already stored.
-    times = np.linspace(0.0, 1.0, 101)
-    values = rng.standard_normal((101, 2))
-    b, b_prime, _, _ = KERNELS["exp(-2t)"]
-    kernel = convolution_kernel(b, b_prime, np.zeros(2))
-    acc = HistoryAccumulator(kernel, times[1] - times[0], 2, 100)
-    for k in range(101):
-        acc.push(values[k])
-        if k in (37, 38, 100):
-            assert_allclose(acc.derivative(),
-                            history_derivative(kernel, times, values, k),
-                            rtol=1e-12, atol=1e-12)
 
 
 def test_identity_accumulator_is_the_running_trapezoid_sum(rng):
@@ -212,23 +155,18 @@ def test_identity_accumulator_is_the_running_trapezoid_sum(rng):
         if k > 0:
             integral += 0.5 * tau * (values[k - 1] + values[k])
         assert (acc.value() == y0 + integral).all()
-        assert (acc.derivative() == values[k]).all()
 
 
 def test_long_geometric_run_stays_on_the_oracle(rng):
     n_steps = 16_000
     times = np.linspace(0.0, 8.0, n_steps + 1)
     values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 3))
-    b, b_prime, _, _ = KERNELS["exp(-2t)"]
-    kernel = convolution_kernel(b, b_prime, np.zeros(3))
+    kernel = convolution_kernel(KERNELS["exp(-2t)"][0], np.zeros(3))
     acc = HistoryAccumulator(kernel, times[1] - times[0], 3, n_steps)
     assert acc._zeta.ratio is not None
     for q in values:
         acc.push(q)
     assert_allclose(acc.value(), history_eval(kernel, times, values, n_steps),
-                    rtol=0, atol=1e-10)
-    assert_allclose(acc.derivative(),
-                    history_derivative(kernel, times, values, n_steps),
                     rtol=0, atol=1e-10)
 
 
@@ -240,8 +178,7 @@ def test_expression_exponential_kernel_takes_the_recurrence(rng, horizon, n_step
     times = np.linspace(0.0, horizon, n_steps + 1)
     tau = times[1] - times[0]
     values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 2))
-    kernel = convolution_kernel(Expression("exp(-2*t)", ("t",)),
-                                Expression("-2*exp(-2*t)", ("t",)), np.zeros(2))
+    kernel = convolution_kernel(Expression("exp(-2*t)", ("t",)), np.zeros(2))
     acc = HistoryAccumulator(kernel, tau, 2, n_steps)
     assert acc._zeta.ratio is not None
     for q in values:
@@ -249,9 +186,9 @@ def test_expression_exponential_kernel_takes_the_recurrence(rng, horizon, n_step
     assert_allclose(acc.value(), history_eval(kernel, times, values, n_steps),
                     rtol=0, atol=1e-10)
     # a kernel geometric only to 1e-10 still takes the dot product
-    b, b_prime, _, _ = KERNELS["exp(-2t+1e-9t^2)"]
-    near = HistoryAccumulator(convolution_kernel(b, b_prime, np.zeros(2)), tau, 2,
-                              n_steps)
+    near = HistoryAccumulator(
+        convolution_kernel(KERNELS["exp(-2t+1e-9t^2)"][0], np.zeros(2)), tau, 2, n_steps
+    )
     assert near._zeta.ratio is None
 
 
@@ -263,9 +200,7 @@ def test_near_geometric_kernel_at_the_tolerance_margin(rng, c, geometric):
     n_steps = 20_000
     times = np.linspace(0.0, 8.0, n_steps + 1)
     values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 2))
-    kernel = convolution_kernel(lambda t: np.exp(-2.0 * t + c * t * t),
-                                lambda t: (2.0 * c * t - 2.0) * np.exp(-2.0 * t + c * t * t),
-                                np.zeros(2))
+    kernel = convolution_kernel(lambda t: np.exp(-2.0 * t + c * t * t), np.zeros(2))
     acc = HistoryAccumulator(kernel, times[1] - times[0], 2, n_steps)
     assert (acc._zeta.ratio is not None) == geometric
     for q in values:
@@ -276,26 +211,19 @@ def test_near_geometric_kernel_at_the_tolerance_margin(rng, c, geometric):
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_kernels_are_tabulated_by_one_call_each(rng, name):
-    b, b_prime, _, _ = KERNELS[name]
-    calls = {"b": 0, "b_prime": 0}
+    b, _ = KERNELS[name]
+    calls = []
 
-    def counted(key, fn):
-        def wrapper(t):
-            calls[key] += 1
-            return fn(t)
-        return wrapper
+    def counted(t):
+        calls.append(t)
+        return b(t)
 
-    kernel = convolution_kernel(counted("b", b), counted("b_prime", b_prime),
-                                np.zeros(2))
-    acc = HistoryAccumulator(kernel, 0.01, 2, 100)
-    assert calls == {"b": 1, "b_prime": 0}
+    acc = HistoryAccumulator(convolution_kernel(counted, np.zeros(2)), 0.01, 2, 100)
+    assert len(calls) == 1
     for q in rng.standard_normal((101, 2)):
         acc.push(q)
         acc.value()
-    assert calls == {"b": 1, "b_prime": 0}
-    acc.derivative()
-    acc.derivative()
-    assert calls == {"b": 1, "b_prime": 1}
+    assert len(calls) == 1
 
 
 def test_infinite_kernel_entry_fails_the_solve():
@@ -305,13 +233,9 @@ def test_infinite_kernel_entry_fails_the_solve():
         with np.errstate(divide="ignore"):
             return 1.0 / (t - 0.25)
 
-    def b_prime(t):
-        with np.errstate(divide="ignore"):
-            return -1.0 / (t - 0.25) ** 2
-
     sc = scalar_scenario(lambda t: 2.0 * np.sin(math.pi * t), n_steps=64)
     sc = replace(sc, dissipation=smooth_fatigue(),
-                 kernel=convolution_kernel(b, b_prime, np.zeros(5)))
+                 kernel=convolution_kernel(b, np.zeros(5)))
     assert np.isinf(b(np.array([16 * sc.tau]))).all()
     with np.errstate(invalid="ignore"), \
             pytest.raises(NumericalFailure, match="step 17/64"):
@@ -322,32 +246,33 @@ def _bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def _kernel(name, y0):
+    if name == "identity":
+        return identity_kernel(y0)
+    return convolution_kernel(KERNELS[name][0], y0)
+
+
 @pytest.mark.parametrize("name", ["identity", "exp(-2t)", "1/(1+t)"])
-@pytest.mark.parametrize("slope", [False, True])
-def test_held_values_and_push_held_are_the_pushes(rng, name, slope):
+@pytest.mark.parametrize("stacked", [False, True])
+def test_held_values_and_push_held_are_the_pushes(rng, name, stacked):
     # A state that stays put for a run of steps: held_values looks ahead
     # with the bits that pushing the latest sample would give, and
-    # push_held(c) leaves the accumulator as c pushes do (samples, value,
-    # derivative).  A table that is not geometric looks one step ahead.
+    # push_held(c) leaves the accumulator as c pushes do (samples and
+    # value), for fields and for stacks of members.  A table that is not
+    # geometric looks one step ahead.
     n_steps, tau = 60, 0.05
-    y0 = rng.standard_normal(4)
-    if name == "identity":
-        kernel = identity_kernel(y0)
-    else:
-        b, b_prime, _, _ = KERNELS[name]
-        kernel = convolution_kernel(b, b_prime, y0)
-    values = rng.standard_normal((20, 3, 4))
-    values[-1, 0, 0] = -0.0
+    kernel = _kernel(name, rng.standard_normal(4))
+    shape = (3, 4) if stacked else (4,)
+    values = rng.standard_normal((20,) + shape)
+    values[-1].flat[0] = -0.0
     pushed, held = (HistoryAccumulator(kernel, tau, 4, n_steps) for _ in range(2))
     for acc in (pushed, held):
         for q in values:
             acc.push(q)
-        if slope:
-            acc.derivative()
     assert held.geometric == (name != "1/(1+t)")
     rows = 9 if held.geometric else 1
     ahead = held.held_values(rows)
-    assert ahead.shape == (rows, 3, 4)
+    assert ahead.shape == (rows,) + shape
     for j in range(rows):
         assert _bits(ahead[j], pushed.value())
         pushed.push(values[-1])
@@ -358,7 +283,6 @@ def test_held_values_and_push_held_are_the_pushes(rng, name, slope):
     assert held.n_samples == pushed.n_samples
     assert _bits(held.samples, pushed.samples)
     assert _bits(held.value(), pushed.value())
-    assert _bits(held.derivative(), pushed.derivative())
     held.push_held(0)
     assert held.n_samples == pushed.n_samples
     with pytest.raises(ValueError, match="full"):
@@ -366,27 +290,20 @@ def test_held_values_and_push_held_are_the_pushes(rng, name, slope):
 
 
 @pytest.mark.parametrize("name", ["identity", "exp(-2t)"])
-@pytest.mark.parametrize("slope", [False, True])
-def test_push_held_after_a_look_ahead_is_the_pushes(rng, name, slope):
+@pytest.mark.parametrize("stacked", [False, True])
+def test_push_held_after_a_look_ahead_is_the_pushes(rng, name, stacked):
     # push_held takes the sums held_values has formed: a count within the
     # rows looked ahead, one past them, or beyond them; a look-ahead that
     # a push has made stale is not used.  Each leaves the accumulator with
-    # the bits of pushing one sample at a time.
+    # the bits of pushing one sample at a time, for fields and for stacks.
     n_steps, tau, rows = 80, 0.05, 6
-    y0 = rng.standard_normal(4)
-    if name == "identity":
-        kernel = identity_kernel(y0)
-    else:
-        b, b_prime, _, _ = KERNELS[name]
-        kernel = convolution_kernel(b, b_prime, y0)
-    values = rng.standard_normal((5, 3, 4))
+    kernel = _kernel(name, rng.standard_normal(4))
+    values = rng.standard_normal((5, 3, 4) if stacked else (5, 4))
     for count in range(1, rows + 3):
         pushed, held = (HistoryAccumulator(kernel, tau, 4, n_steps) for _ in range(2))
         for acc in (pushed, held):
             for q in values:
                 acc.push(q)
-            if slope:
-                acc.derivative()
         for stale in (False, True):
             held.held_values(rows)
             sample = values[0] if stale else values[-1]
@@ -398,7 +315,6 @@ def test_push_held_after_a_look_ahead_is_the_pushes(rng, name, slope):
                 pushed.push(sample)
             assert _bits(held.samples, pushed.samples)
             assert _bits(held.value(), pushed.value())
-            assert _bits(held.derivative(), pushed.derivative())
 
 
 @pytest.mark.parametrize("name", ["identity", "exp(-2t)"])
@@ -407,9 +323,7 @@ def test_a_held_run_carries_the_sums_once_a_step(monkeypatch, name):
     # of held rows; each row's sums are carried once, by held_values, and
     # push_held commits them (one more carry when the whole window held).
     sc = scalar_scenario(lambda t: 0.5 * np.sin(math.pi * t), n_steps=200)
-    if name != "identity":
-        b, b_prime, _, _ = KERNELS[name]
-        sc = replace(sc, kernel=convolution_kernel(b, b_prime, np.zeros(5)))
+    sc = replace(sc, kernel=_kernel(name, np.zeros(5)))
     calls = count_carries(monkeypatch)
     traj, report = solve_viscous(sc, 0.05)
     assert report.elastic_steps == sc.n_steps and not traj.values.any()

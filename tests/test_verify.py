@@ -1,6 +1,6 @@
 """Tests for the verification experiments: load norms, random load
 draws, compatibility, bound/Lipschitz spreads, the uniqueness probe,
-the dual complementarity readings, and the history slope check.
+the dual complementarity readings, and the history increment check.
 
 Experiment configurations are scaled down; the acceptance suite runs
 them at their stated sizes.
@@ -16,12 +16,12 @@ from numpy.testing import assert_allclose
 
 import histris.verify as verify
 from histris.dissipation import Fatigue, WeightedL1, threshold_dual
+from histris.config import build_scenario, normalize_config
 from histris.history import identity_kernel
 from histris.spatial import build_mesh, dual_norm
 from histris.trajectory import Trajectory
 from histris.verify import (
     DUAL_RESIDUAL_TOL,
-    HISTORY_SLOPE_TOL,
     UNIQUENESS_GAP_TOL,
     ExperimentConfig,
     compatibility_check,
@@ -316,15 +316,15 @@ def test_dual_equivalence_slope_refines_at_first_order():
 
 
 # ---------------------------------------------------------------------------
-# history slope check
+# history increment check
 
 
 def test_history_slopes_respect_the_bound():
     sc = replace(_sine_scenario(), dissipation=smooth_fatigue())
     traj, _ = solve_viscous(sc, 0.02)
     report = history_lipschitz_check(sc, traj)
-    assert report.max_excess <= HISTORY_SLOPE_TOL
-    assert len(report.rows) == 3 * (sc.n_steps - 1)
+    assert report.passed and report.max_ratio <= 1.0
+    assert len(report.rows) == 3 * sc.n_steps
 
 
 def test_history_slope_check_detects_understated_constant():
@@ -334,24 +334,70 @@ def test_history_slope_check_detects_understated_constant():
     lying = replace(sc, dissipation=Fatigue(weight=honest.weight,
                                             lipschitz=honest.lipschitz / 20.0))
     report = history_lipschitz_check(lying, traj)
-    assert report.max_excess > HISTORY_SLOPE_TOL
+    assert not report.passed and report.max_ratio > 1.0
 
 
 def test_history_slope_check_rejects_vacuous_inputs():
-    # One step leaves no interior sample for the central difference, and
-    # no rate no slope: either used to pass with max_excess = -inf.
+    # One step has one history increment to check; no rate, nothing to
+    # check (it used to pass).
     sc = replace(_sine_scenario(n_steps=1), dissipation=smooth_fatigue())
     traj, _ = solve_viscous(sc, 0.02)
-    with pytest.raises(ValueError, match="at least 2 steps and 1 rate, got 1 and"):
-        history_lipschitz_check(sc, traj)
+    report = history_lipschitz_check(sc, traj)
+    assert len(report.rows) == 1 and report.passed
+    with pytest.raises(ValueError, match="at least 1 step and 1 rate, got 1 and n_rates=0"):
+        history_lipschitz_check(sc, traj, n_rates=0)
     sc = replace(_sine_scenario(n_steps=2), dissipation=smooth_fatigue())
     traj, _ = solve_viscous(sc, 0.02)
-    with pytest.raises(ValueError, match="got 2 and n_rates=0"):
-        history_lipschitz_check(sc, traj, n_rates=0)
-    assert len(history_lipschitz_check(sc, traj, n_rates=1).rows) == 1
-    # An all-NaN trajectory fails: NaN reaches max_excess (it read -inf, a PASS).
+    assert len(history_lipschitz_check(sc, traj, n_rates=1).rows) == 2
+    # An all-NaN trajectory fails: NaN reaches max_ratio.
     lost = Trajectory(times=traj.times, values=np.full_like(traj.values, math.nan))
-    assert math.isnan(history_lipschitz_check(sc, lost).max_excess)
+    report = history_lipschitz_check(sc, lost)
+    assert math.isnan(report.max_ratio) and not report.passed
+
+
+def _l1_history_scenario(n_steps, lipschitz):
+    """The weighted l1 problem of ROADMAP direction 12; the weight
+    ``0.5 + 0.2 sin(z)`` has the constant 0.2."""
+    return build_scenario(normalize_config({
+        "mesh": {"n_nodes": 9},
+        "model": {"n_steps": n_steps},
+        "dissipation": {"family": "weighted_l1", "weight": "0.5 + 0.2*sin(z)",
+                        "lipschitz": lipschitz},
+        "history": {"kind": "convolution", "kernel": "exp(-2*t)"},
+    }))
+
+
+@pytest.mark.parametrize("n_steps", [40, 160, 640])
+def test_history_check_reads_the_increment_bound_at_every_step_count(n_steps):
+    # The increment form has no discretization error, so the worst ratio
+    # is the same on every grid: the true constant passes, and half or a
+    # quarter of it fails however fine the grid (an absolute tolerance
+    # on the excess would let them pass as the increments shrink).
+    traj, _ = solve_viscous(_l1_history_scenario(n_steps, 0.2), 1e-3)
+    for lipschitz, ratio in ((0.2, 0.5774), (0.1, 1.1547), (0.05, 2.3094)):
+        report = history_lipschitz_check(_l1_history_scenario(n_steps, lipschitz), traj)
+        assert report.max_ratio == pytest.approx(ratio, abs=1e-4)
+        assert report.passed == (lipschitz == 0.2)
+        assert len(report.rows) == 3 * n_steps
+
+
+def test_history_check_allows_the_rounding_of_the_potentials():
+    # (0.5 + z) - z is the constant 0.5 with the rounding of its two
+    # operations, so lipschitz 0 bounds every increment by zero; the
+    # potentials still move by rounding, which the allowance covers.
+    # A non-constant weight under the same claim fails.
+    sc = _l1_history_scenario(40, 0.2)
+    traj, _ = solve_viscous(sc, 1e-3)
+    flat = replace(sc, dissipation=WeightedL1(weight=lambda z: (0.5 + z) - z,
+                                              lipschitz=0.0))
+    report = history_lipschitz_check(flat, traj)
+    assert any(row["increment"] > 0.0 for row in report.rows)
+    assert all(row["bound"] == 0.0 for row in report.rows)
+    assert report.passed and report.max_ratio == 0.0
+    tilted = replace(flat, dissipation=WeightedL1(weight=lambda z: 0.5 + 1e-9 * z,
+                                                  lipschitz=0.0))
+    report = history_lipschitz_check(tilted, traj)
+    assert report.max_ratio == math.inf and not report.passed
 
 
 # ---------------------------------------------------------------------------

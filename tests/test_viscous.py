@@ -487,8 +487,7 @@ def test_a_scalar_only_profile_fails_the_solve():
 
 _BLOCK_KERNELS = {
     "1": {"kind": "identity"},
-    "1/(1+t)^2": {"kind": "convolution", "kernel": "1/(1+t)^2",
-                  "kernel_slope": "-2/(1+t)^3"},
+    "1/(1+t)^2": {"kind": "convolution", "kernel": "1/(1+t)^2"},
 }
 
 
@@ -529,8 +528,7 @@ def test_block_boundaries_keep_the_per_step_bits(monkeypatch, family, kernel, en
 
 
 _ELASTIC_KERNELS = {**_BLOCK_KERNELS,
-                    "exp(-2t)": {"kind": "convolution", "kernel": "exp(-2*t)",
-                                 "kernel_slope": "-2*exp(-2*t)"}}
+                    "exp(-2t)": {"kind": "convolution", "kernel": "exp(-2*t)"}}
 
 
 @pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
@@ -903,8 +901,7 @@ def _run_scenario(family, kernel, weight=np.abs, n=9, n_steps=150):
 
     spec_kernel = _ELASTIC_KERNELS[kernel]
     kern = (identity_kernel(y0) if spec_kernel["kind"] == "identity"
-            else convolution_kernel(Expression(spec_kernel["kernel"], ("t",)),
-                                    Expression(spec_kernel["kernel_slope"], ("t",)), y0))
+            else convolution_kernel(Expression(spec_kernel["kernel"], ("t",)), y0))
     return Scenario(mesh=mesh, alpha=1.0, load=Load([LoadTerm(a, d)]), kernel=kern,
                     dissipation=spec, horizon=horizon, n_steps=n_steps)
 

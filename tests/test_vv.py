@@ -454,10 +454,8 @@ def _same_bits(a, b):
 
 _KERNELS = {
     "1": {"kind": "identity"},
-    "exp(-2*t)": {"kind": "convolution", "kernel": "exp(-2*t)",
-                  "kernel_slope": "-2*exp(-2*t)"},
-    "1/(1+t)^2": {"kind": "convolution", "kernel": "1/(1+t)^2",
-                  "kernel_slope": "-2/(1+t)^3"},
+    "exp(-2*t)": {"kind": "convolution", "kernel": "exp(-2*t)"},
+    "1/(1+t)^2": {"kind": "convolution", "kernel": "1/(1+t)^2"},
 }
 
 
