@@ -152,33 +152,25 @@ class OptimizeResult:
     converged: bool
 
 
-def optimize(problem: ControlProblem, theta0: np.ndarray | None = None, *,
-             step: float = 0.25, shrink: float = 0.5, min_step: float = 1e-3,
-             max_evals: int = 200,
-             callback: Callable[[ObjectiveReport], None] | None = None
-             ) -> OptimizeResult:
+def optimize(problem: ControlProblem, *, step: float = 0.25, shrink: float = 0.5,
+             min_step: float = 1e-3, max_evals: int = 200) -> OptimizeResult:
     """Compass pattern search over the load coefficients.
 
     Deterministic: polls are evaluated in a fixed coordinate order and
     the best strictly improving poll wins.  Returns once the step drops
     below ``min_step`` (``converged=True``) or the evaluation budget is
-    spent.
+    spent.  The search starts at zero coefficients.
     """
     m = len(problem.basis)
-    theta = np.zeros(m) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    if theta.shape != (m,):
-        raise ValueError(f"theta0 must have shape ({m},), got {theta.shape}")
 
     history: list[ObjectiveReport] = []
 
     def scored(point):
         rep = evaluate_objective(problem, point)
         history.append(rep)
-        if callback is not None:
-            callback(rep)
         return rep
 
-    best = scored(theta)
+    best = scored(np.zeros(m))
     n_evals = 1
     current = step
     converged = False

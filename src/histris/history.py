@@ -9,21 +9,22 @@ kernel ``b = 1`` (plain time integration), evaluated on the same path
 as any other kernel.  Quadrature in time is the composite trapezoid
 rule on the trajectory grid.
 
-``HistoryAccumulator`` evaluates it along a run, step by step: it
-tabulates the kernel once on the grid and advances a geometric table
+``HistoryAccumulator`` is the one history object: it tabulates the
+kernel once on the grid and advances a geometric table
 ``b_j = b_0 r^j`` (exponential kernels, the identity as ``r = 1``) by
-an exact trapezoid recurrence in O(1) per step; any other table is
-re-weighted against the stored samples, O(k) at step k.  One
-accumulator holds the histories of all members of a lockstep loop,
-each bit for bit its own: the recurrence runs elementwise on the
-stack, the dot product member by member.
+an exact trapezoid recurrence in O(1) per step, elementwise in the
+ratio; any other table is re-weighted against the stored samples, O(k)
+at step k.  One accumulator holds the histories of all members of a
+lockstep loop, each bit for bit its own: the recurrence runs
+elementwise on the stack, the dot product member by member.
 
 A state that stays put for a run of steps has a constant recurrence
 increment, so a geometric table also looks ahead: ``held_values``
 gives the history after each of the next pushes of the latest sample,
 two elementwise operations a step, and ``push_held`` commits a number
-of those pushes at once, with the bits of pushing one at a time.  Both
-share the recurrence's arithmetic with ``push``.
+of those pushes at once, with the bits of pushing one at a time.
+``follow`` replays a finished field trajectory on them: each stretch
+of bitwise-repeated samples is one look-ahead and held pushes.
 """
 
 from __future__ import annotations
@@ -118,96 +119,19 @@ def _geometric_ratio(table: np.ndarray) -> float | None:
     return None
 
 
-class _TrapezoidConvolution:
-    """Trapezoid sums ``I_k = sum_j w_j b_{k-j} y_j`` over one kernel table.
-
-    A geometric table advances the exact recurrence
-    ``I_k = r I_{k-1} + (tau/2 b_0) (r y_{k-1} + y_k)``, elementwise, so
-    a stack of members advances as each member would alone; with
-    ``r = 1`` every product by ``r`` is exact, so ``b = 1`` gives the
-    plain running trapezoid sum bit for bit.  Other tables (including
-    non-finite ones) take the dot product with the stored samples, one
-    member at a time: a stacked product would sum in another order.
-    """
-
-    def __init__(self, table: np.ndarray, tau: float):
-        self.table = table
-        self.tau = tau
-        self.ratio = _geometric_ratio(table)
-        self._half_b0 = 0.5 * tau * table[0]
-        self._sum = None
-        self._ahead = None  # the rows of the last held() since the sums moved
-
-    def start(self, shape: tuple) -> None:
-        """Start the sums at zero for (B, n) stacks of samples."""
-        self._sum = np.zeros(shape)
-
-    def _increment(self, prev: Field, sample: Field) -> np.ndarray:
-        """``(tau/2 b_0) (r y_{k-1} + y_k)``; a product by ``r = 1.0`` is
-        exact, so it is skipped (here and in :meth:`_carry`)."""
-        if self.ratio != 1.0:
-            prev = self.ratio * prev
-        return self._half_b0 * (prev + sample)
-
-    def _carry(self, total: np.ndarray, increment: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-        """``r I_{k-1} + increment`` into ``out``."""
-        if self.ratio != 1.0:
-            total = np.multiply(total, self.ratio, out=out)
-        return np.add(total, increment, out=out)
-
-    def advance(self, prev: Field, sample: Field) -> None:
-        if self.ratio is not None:
-            self._carry(self._sum, self._increment(prev, sample), out=self._sum)
-            self._ahead = None
-
-    def held(self, sample: Field, steps: int) -> np.ndarray:
-        """The sums after each of ``steps`` further samples equal to
-        ``sample``, the latest one, one row each, without advancing: the
-        increment is the same every step, so a row costs two elementwise
-        operations.  Geometric tables only.  The rows are kept for
-        :meth:`advance_held` until the sums move."""
-        increment = self._increment(sample, sample)
-        out = np.empty((steps,) + self._sum.shape)
-        total = self._sum
-        for row in out:
-            total = self._carry(total, increment, out=row)
-        self._ahead = out
-        return out
-
-    def advance_held(self, sample: Field, steps: int) -> None:
-        """:meth:`advance` by ``steps`` further samples equal to ``sample``,
-        the latest one.  The rows of the last :meth:`held` serve as far as
-        they reach; one step past them costs one more carry."""
-        if self.ratio is None or not steps:
-            return
-        rows = self._ahead
-        if rows is None or not len(rows) or steps > len(rows) + 1:
-            rows = self.held(sample, steps)
-        if steps > len(rows):
-            self._carry(rows[-1], self._increment(sample, sample), out=self._sum)
-        else:
-            self._sum[...] = rows[steps - 1]
-        self._ahead = None
-
-    def at(self, samples: np.ndarray, k: int):
-        """``I_k`` after samples ``0..k`` have been advanced; ``samples``
-        holds one (steps, n) table per member."""
-        if self.ratio is not None:
-            return self._sum
-        if k == 0:
-            return np.zeros(self._sum.shape)
-        w = _trapezoid_weights(k, self.tau) * self.table[k::-1]
-        return np.stack([w @ member[: k + 1] for member in samples])
-
-
 class HistoryAccumulator:
     """Incrementally maintained history state along a uniform grid.
 
     The kernel is tabulated once, at lags ``j * tau`` for
-    ``j = 0..n_max``.  Geometric tables (the identity kind, exponential
-    kernels) update in O(1) per step; other kernels re-weight the stored
-    samples, which costs O(k) at step k.
+    ``j = 0..n_max``, and the accumulator keeps the trapezoid sums
+    ``I_k = sum_j w_j b_{k-j} y_j``.  A geometric table advances the
+    exact recurrence ``I_k = r I_{k-1} + (tau/2 b_0) (r y_{k-1} + y_k)``
+    in O(1) per step, elementwise in ``r`` and the samples, so a stack
+    of members advances as each member would alone; with ``r = 1`` every
+    product by ``r`` is exact, so ``b = 1`` gives the plain running
+    trapezoid sum bit for bit.  Other tables (including non-finite ones)
+    take the dot product with the stored samples, O(k) at step k, one
+    member at a time: a stacked product would sum in another order.
 
     A sample is a field, or a (B, n) stack of the fields of B members
     advanced in lockstep (one viscosity level each); every push has the
@@ -225,22 +149,19 @@ class HistoryAccumulator:
             )
         self.kernel = kernel
         self.tau = float(tau)
-        self._n_rows = n_max + 1
-        # (members, n_max + 1, n), allocated by the first push; a field
-        # is one member.
+        self._table = _tabulate(kernel.b, self.tau * np.arange(n_max + 1))
+        self._ratio = _geometric_ratio(self._table)
+        self._half_b0 = 0.5 * self.tau * self._table[0]
+        # (members, n_max + 1, n) samples and (members, n) sums, allocated
+        # by the first push; a field is one member.
         self._samples = None
+        self._sum = None
+        self._ahead = None  # the sums of the last look-ahead until they move
         self._count = 0
-        self._zeta = _TrapezoidConvolution(
-            _tabulate(kernel.b, self.tau * np.arange(self._n_rows)), self.tau
-        )
 
     @property
     def n_samples(self) -> int:
         return self._count
-
-    @property
-    def time(self) -> float:
-        return (self._count - 1) * self.tau
 
     @property
     def samples(self) -> np.ndarray:
@@ -254,6 +175,40 @@ class HistoryAccumulator:
         view.flags.writeable = False
         return view
 
+    @property
+    def geometric(self) -> bool:
+        """Whether the kernel table advances by the O(1) recurrence, so
+        :meth:`held_values` can look ahead more than one step."""
+        return self._ratio is not None
+
+    def _increment(self, prev: Field, sample: Field) -> np.ndarray:
+        """``(tau/2 b_0) (r y_{k-1} + y_k)``; a product by ``r = 1.0`` is
+        exact, so it is skipped (here and in :meth:`_carry`)."""
+        if self._ratio != 1.0:
+            prev = self._ratio * prev
+        return self._half_b0 * (prev + sample)
+
+    def _carry(self, total: np.ndarray, increment: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+        """``r I_{k-1} + increment`` into ``out``."""
+        if self._ratio != 1.0:
+            total = np.multiply(total, self._ratio, out=out)
+        return np.add(total, increment, out=out)
+
+    def _look_ahead(self, steps: int) -> np.ndarray:
+        """The sums after each of ``steps`` further pushes of the latest
+        sample, one row each, without pushing: the increment is the same
+        every step, so a row costs two elementwise operations.  The rows
+        are kept for :meth:`push_held` until the sums move."""
+        latest = self._samples[:, self._count - 1]
+        increment = self._increment(latest, latest)
+        out = np.empty((steps,) + self._sum.shape)
+        total = self._sum
+        for row in out:
+            total = self._carry(total, increment, out=row)
+        self._ahead = out
+        return out
+
     def push(self, sample: Field) -> None:
         sample = np.asarray(sample, dtype=float)
         k = self._count
@@ -266,43 +221,55 @@ class HistoryAccumulator:
                 )
             self._shape = sample.shape
             members = sample.size // n_nodes
-            self._samples = np.zeros((members, self._n_rows, n_nodes))
-            self._zeta.start((members, n_nodes))
+            self._samples = np.zeros((members, len(self._table), n_nodes))
+            self._sum = np.zeros((members, n_nodes))
         elif sample.shape != self._shape:
             raise ValueError(f"sample has shape {sample.shape}, expected {self._shape}")
-        if k >= self._n_rows:
+        if k >= len(self._table):
             raise ValueError("accumulator is full")
         self._samples[:, k] = sample
-        if k > 0:
-            self._zeta.advance(self._samples[:, k - 1], self._samples[:, k])
+        if k > 0 and self.geometric:
+            increment = self._increment(self._samples[:, k - 1], self._samples[:, k])
+            self._carry(self._sum, increment, out=self._sum)
+            self._ahead = None
         self._count += 1
 
     def push_held(self, count: int) -> None:
         """Push the latest sample ``count`` more times, with the bits of
         ``count`` calls of :meth:`push`: one slice of samples, and the
-        sums advanced by :meth:`held_values`' recurrence."""
+        sums of :meth:`held_values`' look-ahead as far as they reach; one
+        step past them costs one more carry."""
         k = self._count
         if k == 0:
             raise ValueError("no samples pushed yet")
-        if k + count > self._n_rows:
+        if k + count > len(self._table):
             raise ValueError("accumulator is full")
         latest = self._samples[:, k - 1]
         self._samples[:, k:k + count] = latest[:, None]
-        self._zeta.advance_held(latest, count)
+        if self.geometric and count:
+            rows = self._ahead
+            if rows is None or count > len(rows) + 1:
+                rows = self._look_ahead(count)
+            if count > len(rows):
+                self._carry(rows[-1], self._increment(latest, latest), out=self._sum)
+            else:
+                self._sum[...] = rows[count - 1]
+            self._ahead = None
         self._count += count
-
-    @property
-    def geometric(self) -> bool:
-        """Whether the kernel table advances by the O(1) recurrence, so
-        :meth:`held_values` can look ahead more than one step."""
-        return self._zeta.ratio is not None
 
     def value(self) -> Field:
         """Accumulated state at the time of the latest sample."""
-        if self._count == 0:
+        k = self._count - 1
+        if k < 0:
             raise ValueError("no samples pushed yet")
-        zeta = self.kernel.y0 + self._zeta.at(self._samples, self._count - 1)
-        return zeta.reshape(self._shape)
+        if self.geometric:
+            total = self._sum
+        elif k == 0:
+            total = np.zeros(self._sum.shape)
+        else:
+            w = _trapezoid_weights(k, self.tau) * self._table[k::-1]
+            total = np.stack([w @ member[: k + 1] for member in self._samples])
+        return (self.kernel.y0 + total).reshape(self._shape)
 
     def held_values(self, steps: int) -> np.ndarray:
         """:meth:`value` now and after each of ``steps - 1`` further pushes
@@ -315,6 +282,25 @@ class HistoryAccumulator:
         now = self.value()
         if steps == 1:
             return now[None]
-        latest = self._samples[:, self._count - 1]
-        ahead = self.kernel.y0 + self._zeta.held(latest, steps - 1)
+        ahead = self.kernel.y0 + self._look_ahead(steps - 1)
         return np.concatenate([now[None], ahead.reshape((steps - 1,) + self._shape)])
+
+    def follow(self, values: np.ndarray, stop: int) -> np.ndarray:
+        """The histories of the field trajectory ``values`` at its samples
+        ``k..stop - 1``, one row each, where sample ``k`` is the latest one
+        pushed; pushes samples ``k + 1..stop``.  A geometric table takes
+        each stretch of samples that repeat the one before bitwise as one
+        look-ahead and held pushes (:meth:`held_values`, :meth:`push_held`),
+        with the bits of pushing them one at a time; any other table
+        pushes every sample."""
+        k = self._count - 1
+        bits = np.ascontiguousarray(values[k:stop]).view(np.uint64)
+        repeats = (bits[1:] == bits[:-1]).all(axis=1) & self.geometric
+        # Runs: from each sample that does not repeat the one before.
+        firsts = k + 1 + np.flatnonzero(~repeats)
+        out = np.empty((stop - k,) + self._shape)
+        for start, end in zip([k, *firsts], [*firsts, stop]):
+            out[start - k:end - k] = self.held_values(end - start)
+            self.push_held(end - start - 1)
+            self.push(values[end])
+        return out

@@ -203,16 +203,15 @@ def load_w11_diff_norm(mesh: Mesh, load_a, load_b, times: np.ndarray) -> float:
 
 
 def random_load(mesh: Mesh, horizon: float, rng, *, n_terms: int = 3,
-                cap: float = 6.0, threshold0: np.ndarray | None = None,
-                margin: float = 1.8) -> Load:
+                cap: float = 6.0, threshold0: np.ndarray | None = None) -> Load:
     """Draw a smooth random load, rescaled under the norm cap.
 
     Terms are products of ``sin`` time profiles (vanishing at t = 0, so
     the load is compatible with any admissible initial state) and smooth
     positive-leaning space profiles.  If ``threshold0`` is given, up to
     50 draws are made until the load exceeds that initial threshold
-    somewhere on the grid by ``margin``; the best candidate is kept if
-    no draw succeeds.  Keeping the margin comfortably above 1 and the
+    somewhere on the grid by a factor of 1.8; the best candidate is kept
+    if no draw succeeds.  Keeping that margin comfortably above 1 and the
     frequencies low (one or two half-periods) makes the response regime
     insensitive to the viscosity level, which the spread experiments
     compare.
@@ -253,7 +252,7 @@ def random_load(mesh: Mesh, horizon: float, rng, *, n_terms: int = 3,
         if positive.any():
             vals = vals[:, positive] * (target / norm)  # the scaled load's values
             got = float((vals / threshold0[positive]).max())
-        if got >= margin:
+        if got >= 1.8:
             return load
         if got > best_margin:
             best_margin = got
@@ -484,8 +483,8 @@ class HistoryIncrementReport:
         return self.max_ratio <= 1.0  # NaN fails
 
 
-def history_lipschitz_check(scenario: Scenario, traj: Trajectory, *,
-                            n_rates: int = 3) -> HistoryIncrementReport:
+def history_lipschitz_check(scenario: Scenario,
+                            traj: Trajectory) -> HistoryIncrementReport:
     """Increments of the potential along the history versus their bound.
 
     ``Psi(zeta, 0) = 0``, so the four-point estimate with one rate zero
@@ -497,34 +496,32 @@ def history_lipschitz_check(scenario: Scenario, traj: Trajectory, *,
 
     No quadrature in time enters, and the estimate holds exactly; it is
     stricter than integrating a bound on the history's time derivative
-    over the step, which is never smaller.  For a few fixed trajectory
-    rates, each step gets a row with its increment, bound and ratio.
+    over the step, which is never smaller.  For three trajectory rates,
+    at the first, middle and last step, each step gets a row with its
+    increment, bound and ratio.
     The ratio is ``max(increment - allowance, 0) / bound`` (0 where both
     vanish), and the check passes when it is at most 1 at every step.
     The allowance, ``HISTORY_ROUNDING_ULPS`` ulps per node of
     ``|Psi_k| + |Psi_{k+1}|``, covers the rounding of the potentials'
     dot products.  It scales with the potentials, not with the step:
     increments shrink with tau, so an absolute tolerance would pass a
-    wrong constant on fine grids.  The history is read step by step
-    from a ``HistoryAccumulator``; the check needs a step and a rate.
+    wrong constant on fine grids.  The histories come from one
+    :meth:`~histris.history.HistoryAccumulator.follow` of the trajectory;
+    the check needs a step.
     """
     mesh = scenario.mesh
     diss = scenario.dissipation
     steps = traj.n_steps
-    if steps < 1 or n_rates < 1:
-        raise ValueError(f"the history check needs at least 1 step and 1 rate, "
-                         f"got {steps} and n_rates={n_rates}")
+    if steps < 1:
+        raise ValueError(f"the history check needs at least 1 step, got {steps}")
     rates = traj.rates()
 
     rate_indices = sorted(
-        {int(round(x)) for x in np.linspace(0, steps - 1, n_rates)}
+        {int(round(x)) for x in np.linspace(0, steps - 1, 3)}
     )
     acc = HistoryAccumulator(scenario.kernel, traj.tau, mesh.n_nodes, steps)
-    zetas = []
-    for q in traj.values:
-        acc.push(q)
-        zetas.append(acc.value())
-    zetas = np.array(zetas)
+    acc.push(traj.values[0])
+    zetas = np.vstack([acc.follow(traj.values, steps), acc.value()])
     gaps = row_norms(mesh.mass, np.diff(zetas, axis=0))
     thresholds = threshold_dual(diss, mesh, zetas)
     rounding = HISTORY_ROUNDING_ULPS * mesh.n_nodes * np.finfo(float).eps

@@ -636,6 +636,8 @@ def _time_loop(scenario: Scenario, eps_values, warm_start: bool, explicit: bool)
                 iterations += count.per_block
                 warm = step if warm_start else None
                 done += 1
+            if isinstance(error, RuntimeWarning):  # numpy's, under -W error
+                raise NumericalFailure(str(error)) from error
             if error is not None:
                 raise error
         except Exception as exc:

@@ -17,7 +17,8 @@ discrete trajectory:
 where ``force`` is the negative energy gradient and ``zeta`` the
 accumulated history at the start of each step.  :func:`replay` reads
 both off a finished trajectory in one pass, in blocks of steps: the
-rate, the viscosity-free force and the force box, one row a step.  The
+rate, the viscosity-free force and the force box, one row a step, the
+histories from :meth:`~histris.history.HistoryAccumulator.follow`.  The
 certificate and :func:`~histris.verify.dual_equivalence` reduce the
 blocks row by row.  Both residuals are relative and inherit an
 O(eps + tau) floor from the discretization, so certificates carry an
@@ -85,27 +86,16 @@ def replay(scenario: Scenario, traj: Trajectory):
     and ``(lower, upper)`` the :func:`force_box` at the history where
     the step starts.  The history advances in step order; each block
     makes one ``force_box`` call, one load evaluation and one Riesz
-    product.  A geometric kernel takes each stretch of samples that
-    repeat the one before bitwise as a run of held pushes
-    (:meth:`~histris.history.HistoryAccumulator.held_values` and
-    ``push_held``), with the bits of pushing them one at a time; any
-    other kernel pushes every sample.
+    product, and reads its histories from one
+    :meth:`~histris.history.HistoryAccumulator.follow`, with the bits of
+    pushing the samples one at a time.
     """
     mesh = scenario.mesh
     acc = HistoryAccumulator(scenario.kernel, traj.tau, mesh.n_nodes, traj.n_steps)
     acc.push(traj.values[0])
-    bits = np.ascontiguousarray(traj.values).view(np.uint64)
-    # repeats[k]: sample k + 1 repeats sample k bit for bit.
-    repeats = (bits[1:] == bits[:-1]).all(axis=1) & acc.geometric
     for block in step_blocks(traj.n_steps, mesh.n_nodes):
         start, stop = block.start, block.stop
-        zeta = np.empty((stop - start, mesh.n_nodes))
-        # Runs of the block: from each step whose sample starts no run.
-        firsts = start + np.flatnonzero(~repeats[start:stop - 1]) + 1
-        for k, end in zip([start, *firsts], [*firsts, stop]):
-            zeta[k - start:end - start] = acc.held_values(end - k)
-            acc.push_held(end - k - 1)
-            acc.push(traj.values[end])
+        zeta = acc.follow(traj.values, stop)
         q = traj.values[start:stop + 1]
         loads = scenario.load.values(traj.times[start + 1:stop + 1])
         yield (np.diff(q, axis=0) / traj.tau, _force(scenario, loads, q[1:]),
@@ -152,7 +142,7 @@ class VVResult:
 
 def vv_sweep(scenario: Scenario, eps_values: Sequence[float] | None = None, *,
              certify: bool = True, certificate_tol: float = 1e-2,
-             seed: int = 0, warm_start: bool = True) -> VVResult:
+             seed: int = 0) -> VVResult:
     """Solve over a decreasing viscosity schedule and certify the finest.
 
     Every level advances in one lockstep time loop
@@ -168,8 +158,7 @@ def vv_sweep(scenario: Scenario, eps_values: Sequence[float] | None = None, *,
         raise ValueError("the viscosity schedule must decrease")
 
     mesh = scenario.mesh
-    trajectories, reports = zip(*solve_levels(scenario, eps_values,
-                                              warm_start=warm_start))
+    trajectories, reports = zip(*solve_levels(scenario, eps_values))
     c_diffs = []
     h1_diffs = []
     for prev, traj in zip(trajectories, trajectories[1:]):

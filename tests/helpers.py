@@ -39,11 +39,22 @@ def count_carries(monkeypatch):
     """Patch the history recurrence's carry (one sum row) to log each
     call; returns the log."""
     calls = []
-    carry = history._TrapezoidConvolution._carry
+    carry = history.HistoryAccumulator._carry
 
     def counted(self, *args, **kwargs):
         calls.append(1)
         return carry(self, *args, **kwargs)
 
-    monkeypatch.setattr(history._TrapezoidConvolution, "_carry", counted)
+    monkeypatch.setattr(history.HistoryAccumulator, "_carry", counted)
     return calls
+
+
+class HeldLog(history.HistoryAccumulator):
+    """A history accumulator that logs the count of every ``push_held``
+    in the class's list ``held``."""
+
+    held = []
+
+    def push_held(self, count):
+        HeldLog.held.append(count)
+        super().push_held(count)

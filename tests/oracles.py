@@ -236,6 +236,17 @@ def replay_per_step(scenario, traj, accumulator):
         acc.push(q_next)
 
 
+def follow_per_push(acc, values, stop):
+    """``HistoryAccumulator.follow`` one ``value()`` and one ``push`` a
+    sample: the histories at samples ``k..stop - 1`` of ``values``, from
+    the latest one pushed, with samples ``k + 1..stop`` pushed."""
+    rows = []
+    for k in range(acc.n_samples - 1, stop):
+        rows.append(acc.value())
+        acc.push(values[k + 1])
+    return np.array(rows)
+
+
 def _dual_pair(w, v):
     return float(np.dot(w, v))
 

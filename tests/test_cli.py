@@ -418,7 +418,8 @@ def test_a_load_singular_at_zero_is_named_by_the_compat_message(tmp_path, capsys
 @pytest.mark.parametrize("time", ["1/t", "1/(t-0.5)"])
 def test_a_runtime_warning_as_error_is_a_numerical_failure(tmp_path, capsys, time):
     # Under python -W error numpy's divide-by-zero warning is raised; the
-    # CLI reports it and exits 1, without a traceback.
+    # CLI reports it and exits 1, without a traceback.  1/t fails in the
+    # compat check at t = 0; 1/(t-0.5) fails at step 10, named with its eps.
     cfg = tmp_path / "singular.yaml"
     cfg.write_text(f"model: {{n_steps: 20}}\nload: {{time: '{time}'}}\n")
     with warnings.catch_warnings():
@@ -426,7 +427,8 @@ def test_a_runtime_warning_as_error_is_a_numerical_failure(tmp_path, capsys, tim
         code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == "numerical failure: divide by zero encountered in divide\n"
+    step = "" if time == "1/t" else "step 10/20 failed (eps=0.001): "
+    assert err == f"numerical failure: {step}divide by zero encountered in divide\n"
 
 
 # ---------------------------------------------------------------------------

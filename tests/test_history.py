@@ -16,8 +16,8 @@ from histris.history import (
 from histris.verify import smooth_fatigue
 from histris.viscous import solve_viscous
 
-from helpers import count_carries, scalar_scenario
-from oracles import convolution_history_ramp, history_eval
+from helpers import HeldLog, count_carries, scalar_scenario
+from oracles import convolution_history_ramp, follow_per_push, history_eval
 
 
 def _ramp_samples(n_steps, n_nodes=4, horizon=1.0):
@@ -95,7 +95,6 @@ def test_accumulator_capacity_and_time():
     assert acc.n_samples == 2
     assert acc.samples.tolist() == [[0.0], [1.0]]
     assert not acc.samples.flags.writeable
-    assert acc.time == pytest.approx(0.5)
     acc.push(np.ones(1))
     with pytest.raises(ValueError):
         acc.push(np.ones(1))
@@ -135,7 +134,7 @@ def test_accumulator_matches_the_oracle_step_by_step(rng, name):
     values = rng.standard_normal((n_steps + 1, 3))
     kernel = convolution_kernel(b, rng.standard_normal(3))
     acc = HistoryAccumulator(kernel, times[1] - times[0], 3, n_steps)
-    assert (acc._zeta.ratio is not None) == geometric
+    assert acc.geometric == geometric
     for k in range(n_steps + 1):
         acc.push(values[k])
         assert_allclose(acc.value(), history_eval(kernel, times, values, k),
@@ -163,7 +162,7 @@ def test_long_geometric_run_stays_on_the_oracle(rng):
     values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 3))
     kernel = convolution_kernel(KERNELS["exp(-2t)"][0], np.zeros(3))
     acc = HistoryAccumulator(kernel, times[1] - times[0], 3, n_steps)
-    assert acc._zeta.ratio is not None
+    assert acc.geometric
     for q in values:
         acc.push(q)
     assert_allclose(acc.value(), history_eval(kernel, times, values, n_steps),
@@ -180,7 +179,7 @@ def test_expression_exponential_kernel_takes_the_recurrence(rng, horizon, n_step
     values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 2))
     kernel = convolution_kernel(Expression("exp(-2*t)", ("t",)), np.zeros(2))
     acc = HistoryAccumulator(kernel, tau, 2, n_steps)
-    assert acc._zeta.ratio is not None
+    assert acc.geometric
     for q in values:
         acc.push(q)
     assert_allclose(acc.value(), history_eval(kernel, times, values, n_steps),
@@ -189,7 +188,7 @@ def test_expression_exponential_kernel_takes_the_recurrence(rng, horizon, n_step
     near = HistoryAccumulator(
         convolution_kernel(KERNELS["exp(-2t+1e-9t^2)"][0], np.zeros(2)), tau, 2, n_steps
     )
-    assert near._zeta.ratio is None
+    assert not near.geometric
 
 
 @pytest.mark.parametrize("c,geometric", [(4e-12, True), (1e-11, False)])
@@ -202,7 +201,7 @@ def test_near_geometric_kernel_at_the_tolerance_margin(rng, c, geometric):
     values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 2))
     kernel = convolution_kernel(lambda t: np.exp(-2.0 * t + c * t * t), np.zeros(2))
     acc = HistoryAccumulator(kernel, times[1] - times[0], 2, n_steps)
-    assert (acc._zeta.ratio is not None) == geometric
+    assert acc.geometric == geometric
     for q in values:
         acc.push(q)
     assert_allclose(acc.value(), history_eval(kernel, times, values, n_steps),
@@ -328,3 +327,42 @@ def test_a_held_run_carries_the_sums_once_a_step(monkeypatch, name):
     traj, report = solve_viscous(sc, 0.05)
     assert report.elastic_steps == sc.n_steps and not traj.values.any()
     assert len(calls) == sc.n_steps
+
+
+# Stretches of bitwise-repeated samples among 31: a run from the start
+# (ended by a sample of -0.0, not a repeat of +0.0), one to the end, one
+# across the stop between two follows (12), none, and one sample held.
+_FOLLOW_RUNS = {"start": slice(0, 9), "end": slice(22, 31), "across": slice(8, 17),
+                "none": slice(0, 0), "all": slice(0, 31)}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLLOW_RUNS))
+@pytest.mark.parametrize("name", ["identity", "exp(-2t)", "1/(1+t)"])
+def test_follow_is_one_push_at_a_time(rng, name, case):
+    # follow's histories, and the accumulator it leaves, have the bits of
+    # one value() and one push a sample; a geometric table takes the
+    # repeats as held pushes, any other table pushes every sample.
+    values = rng.standard_normal((31, 4))
+    run = _FOLLOW_RUNS[case]
+    values[run] = values[run.start]
+    if case == "start":
+        values[run] = 0.0
+        values[run.stop] = -0.0
+    kernel = _kernel(name, rng.standard_normal(4))
+    HeldLog.held = []
+    pushed, followed = HistoryAccumulator(kernel, 0.05, 4, 30), HeldLog(kernel, 0.05, 4, 30)
+    for acc in (pushed, followed):
+        acc.push(values[0])
+    for stop in (12, 30):
+        got = followed.follow(values, stop)
+        assert _bits(got, follow_per_push(pushed, values, stop))
+    assert _bits(followed.samples, pushed.samples)
+    assert _bits(followed.value(), pushed.value())
+    bits = values.view(np.uint64)  # -0.0 does not repeat +0.0
+    repeats = (bits[1:] == bits[:-1]).all(axis=1)
+    if not followed.geometric:
+        assert set(HeldLog.held) == {0}
+    elif repeats.any():
+        # A repeated sample that a follow ends on is pushed, not held.
+        assert sum(HeldLog.held) == repeats.sum() - repeats[[11, 29]].sum()
+        assert max(HeldLog.held) > 1

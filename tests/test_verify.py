@@ -17,7 +17,8 @@ from numpy.testing import assert_allclose
 import histris.verify as verify
 from histris.dissipation import Fatigue, WeightedL1, threshold_dual
 from histris.config import build_scenario, normalize_config
-from histris.history import identity_kernel
+from histris.expressions import Expression
+from histris.history import HistoryAccumulator, convolution_kernel, identity_kernel
 from histris.spatial import build_mesh, dual_norm
 from histris.trajectory import Trajectory
 from histris.verify import (
@@ -38,7 +39,8 @@ from histris.verify import (
 )
 from histris.viscous import Load, LoadTerm, constant_in_space_load, solve_viscous
 
-from helpers import scalar_scenario
+from helpers import HeldLog, scalar_scenario
+from oracles import follow_per_push
 
 
 def _sine_scenario(n_steps=200):
@@ -123,7 +125,7 @@ def test_random_load_properties():
     probe = np.linspace(0.0, 1.0, 201)
     loads = []
     for _ in range(5):
-        load = random_load(mesh, 1.0, rng, cap=6.0, threshold0=w0, margin=1.5)
+        load = random_load(mesh, 1.0, rng, cap=6.0, threshold0=w0)
         loads.append(load)
         assert_allclose(load.value(0.0), 0.0, rtol=0, atol=1e-14)
         norm = load_h1_dual_norm(mesh, load, probe)
@@ -134,7 +136,7 @@ def test_random_load_properties():
         ratio = max(
             (load.value(t)[w0 > 0] / w0[w0 > 0]).max() for t in probe
         )
-        assert ratio >= 1.5
+        assert ratio >= 1.8
         # analytic time derivatives are attached
         t = 0.37
         h = 1e-6
@@ -155,9 +157,10 @@ def test_random_load_without_an_accepted_draw():
     draws = [random_load(mesh, 1.0, free) for _ in range(50)]
     ratios = [(d.values(probe) / w0).max() for d in draws]
 
-    # No ratio reaches an infinite margin: the best of the 50 comes back.
+    # No ratio reaches the margin over a threshold 2^40 times as high:
+    # the best of the 50 comes back (the scaling keeps their order exactly).
     rng = np.random.default_rng(3)
-    best = random_load(mesh, 1.0, rng, threshold0=w0, margin=math.inf)
+    best = random_load(mesh, 1.0, rng, threshold0=w0 * 2.0**40)
     assert np.array_equal(best.values(probe),
                           draws[int(np.argmax(ratios))].values(probe))
     assert rng.bit_generator.state == free.bit_generator.state
@@ -338,21 +341,50 @@ def test_history_slope_check_detects_understated_constant():
 
 
 def test_history_slope_check_rejects_vacuous_inputs():
-    # One step has one history increment to check; no rate, nothing to
-    # check (it used to pass).
+    # One step has one history increment to check, against its one rate.
     sc = replace(_sine_scenario(n_steps=1), dissipation=smooth_fatigue())
     traj, _ = solve_viscous(sc, 0.02)
     report = history_lipschitz_check(sc, traj)
     assert len(report.rows) == 1 and report.passed
-    with pytest.raises(ValueError, match="at least 1 step and 1 rate, got 1 and n_rates=0"):
-        history_lipschitz_check(sc, traj, n_rates=0)
+    # No step, nothing to check.
+    with pytest.raises(ValueError, match="at least 1 step, got 0"):
+        history_lipschitz_check(sc, Trajectory(times=traj.times[:1],
+                                               values=traj.values[:1]))
+    # At two steps the three rates are those of steps 0 and 1: 2 x 2 rows.
     sc = replace(_sine_scenario(n_steps=2), dissipation=smooth_fatigue())
     traj, _ = solve_viscous(sc, 0.02)
-    assert len(history_lipschitz_check(sc, traj, n_rates=1).rows) == 2
+    assert len(history_lipschitz_check(sc, traj).rows) == 4
     # An all-NaN trajectory fails: NaN reaches max_ratio.
     lost = Trajectory(times=traj.times, values=np.full_like(traj.values, math.nan))
     report = history_lipschitz_check(sc, lost)
     assert math.isnan(report.max_ratio) and not report.passed
+
+
+@pytest.mark.parametrize("kernel", ["1", "exp(-2*t)", "1/(1+t)"])
+def test_history_check_through_runs_is_the_per_push_check(monkeypatch, kernel):
+    # The solve opens with a run of elastic steps, whose samples repeat
+    # bitwise; the check reads their histories through held pushes
+    # (geometric kernels) and its rows have the bits of one value() and
+    # one push a sample.
+    sc = replace(_sine_scenario(), dissipation=smooth_fatigue())
+    if kernel != "1":
+        sc = replace(sc, kernel=convolution_kernel(Expression(kernel, ("t",)),
+                                                   sc.kernel.y0))
+    traj, _ = solve_viscous(sc, 0.02)
+    assert (traj.values[1:21] == traj.values[0]).all()
+    monkeypatch.setattr(verify, "HistoryAccumulator", HeldLog)
+    HeldLog.held = []
+    got = history_lipschitz_check(sc, traj)
+    assert (max(HeldLog.held) > 1) == (kernel != "1/(1+t)")
+    monkeypatch.setattr(HistoryAccumulator, "follow", follow_per_push)
+    want = history_lipschitz_check(sc, traj)
+    assert len(got.rows) == len(want.rows) == 3 * sc.n_steps
+
+    def bits(report):  # every value of every row, then max_ratio
+        values = [v for row in report.rows for v in row.values()]
+        return np.array(values + [report.max_ratio]).view(np.uint64)
+
+    assert np.array_equal(bits(got), bits(want))
 
 
 def _l1_history_scenario(n_steps, lipschitz):

@@ -38,7 +38,7 @@ from histris.vv import (
     vv_sweep,
 )
 
-from helpers import count_carries, scalar_scenario
+from helpers import HeldLog, count_carries, scalar_scenario
 from oracles import (
     certify_limit_per_step,
     dual_equivalence_per_step,
@@ -275,16 +275,6 @@ def test_block_replay_keeps_the_per_step_bits(family, kernel, slope):
         assert _same_bits(getattr(res, name), value), name
 
 
-class _HeldLog(HistoryAccumulator):
-    """A history accumulator that logs the count of every ``push_held``."""
-
-    held = []
-
-    def push_held(self, count):
-        _HeldLog.held.append(count)
-        super().push_held(count)
-
-
 @pytest.mark.parametrize("family", ["fatigue", "weighted_l1"])
 @pytest.mark.parametrize("kernel, slope", [("1", "0")] + _REPLAY_KERNELS)
 def test_replay_by_runs_keeps_the_bits_of_step_by_step_pushes(monkeypatch, family,
@@ -302,15 +292,15 @@ def test_replay_by_runs_keeps_the_bits_of_step_by_step_pushes(monkeypatch, famil
     repeats = np.flatnonzero((traj.values[1:] == traj.values[:-1]).all(axis=1))
     # Samples e - 1, e and e + 1 repeat across the edge e of two blocks.
     assert any(np.isin([e - 1, e], repeats).all() for e in (63, 126, 189, 252))
-    monkeypatch.setattr(vv, "HistoryAccumulator", _HeldLog)
-    _HeldLog.held = []
+    monkeypatch.setattr(vv, "HistoryAccumulator", HeldLog)
+    HeldLog.held = []
     blocks = list(replay(sc, traj))
     if kernel == "1/(1 + t)^2":
-        assert set(_HeldLog.held) == {0}
+        assert set(HeldLog.held) == {0}
     else:
         # A repeated sample that ends a block is pushed, not held.
         ends = np.isin(np.array([63, 126, 189, 252, 300]) - 1, repeats).sum()
-        assert sum(_HeldLog.held) == len(repeats) - ends and max(_HeldLog.held) > 1
+        assert sum(HeldLog.held) == len(repeats) - ends and max(HeldLog.held) > 1
     oracle = list(replay_per_step(sc, traj, HistoryAccumulator))
     for got, want in zip(_per_step(blocks), oracle, strict=True):
         assert all(_same_bits(np.asarray(g, dtype=float), np.asarray(w, dtype=float))
@@ -485,27 +475,26 @@ def test_lockstep_sweep_is_bit_identical_to_per_level_solves(monkeypatch, family
             "dissipation": {"family": family},
             "history": _KERNELS[kernel],
         }))
-        for warm in (True, False):
-            before = len(descends)
-            res = vv_sweep(sc, eps_values, certify=False, warm_start=warm)
-            swept = len(descends) - before
-            # The levels' states are read-only views of the history's one
-            # sample table.
-            table = res.trajectories[0].values.base
-            assert table.shape == (len(eps_values), 61, n)
-            for traj in res.trajectories:
-                assert traj.values.base is table
-                assert not traj.values.flags.writeable
-            for eps, traj, report in zip(eps_values, res.trajectories, res.reports):
-                ref_traj, ref = solve_viscous(sc, eps, warm_start=warm)
-                assert _same_bits(traj.times, ref_traj.times)
-                assert _same_bits(traj.values, ref_traj.values)
-                for field in vars(ref):
-                    assert _same_bits(getattr(report, field), getattr(ref, field)), field
-            # The per-level solves took the same monotone steps.
-            assert len(descends) - before == 2 * swept
-            if family == "weighted_l1" and n == 65:
-                assert swept > 0 and set(descends[before:]) == {n}
+        before = len(descends)
+        res = vv_sweep(sc, eps_values, certify=False)
+        swept = len(descends) - before
+        # The levels' states are read-only views of the history's one
+        # sample table.
+        table = res.trajectories[0].values.base
+        assert table.shape == (len(eps_values), 61, n)
+        for traj in res.trajectories:
+            assert traj.values.base is table
+            assert not traj.values.flags.writeable
+        for eps, traj, report in zip(eps_values, res.trajectories, res.reports):
+            ref_traj, ref = solve_viscous(sc, eps)
+            assert _same_bits(traj.times, ref_traj.times)
+            assert _same_bits(traj.values, ref_traj.values)
+            for field in vars(ref):
+                assert _same_bits(getattr(report, field), getattr(ref, field)), field
+        # The per-level solves took the same monotone steps.
+        assert len(descends) - before == 2 * swept
+        if family == "weighted_l1" and n == 65:
+            assert swept > 0 and set(descends[before:]) == {n}
 
 
 def test_lockstep_failure_names_the_failing_level():
