@@ -49,7 +49,6 @@ from .spatial import (
     h1_inner,
     h1_norm,
     interpolate,
-    l2_inner,
     l2_norm,
 )
 from .trajectory import Trajectory, c_norm, c_norm_diff, h1_time_norm
@@ -141,7 +140,6 @@ __all__ = [
     "history_lipschitz_check",
     "identity_kernel",
     "interpolate",
-    "l2_inner",
     "l2_norm",
     "lipschitz_experiment",
     "load_from_coefficients",

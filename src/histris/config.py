@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import yaml
 
 from .control import ControlProblem, sine_basis
@@ -316,8 +317,8 @@ def build_control(cfg: dict):
     space_expr = Expression(ctl["target_space"], ("x",))
     shape = interpolate(scenario.mesh, space_expr)
 
-    def target(t: float):
-        return float(time_expr(t)) * shape
+    def target(times: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(time_expr(times), times.shape)[:, None] * shape
 
     problem = ControlProblem(
         scenario=scenario,

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalFailure
-from .spatial import Field, Mesh, assemble_dual
-from .trajectory import Trajectory, h1_time_norm, trapezoid
+from .spatial import Mesh, assemble_dual
+from .trajectory import h1_time_norm, quad_forms, trapezoid
 from .verify import load_h1_dual_norm
 from .viscous import Load, LoadTerm, Scenario, solve_viscous
 
@@ -75,19 +75,14 @@ class ControlProblem:
 
     ``scenario`` provides mesh, dissipation, kernel and time grid; its
     load is replaced by the candidate on every evaluation.  ``target``
-    maps a time to the desired state (a ``Trajectory`` works too).
+    maps a 1-D array of k times to the (k, n) desired states.
     """
 
     scenario: Scenario
     basis: Sequence[LoadTerm]
-    target: Callable[[float], Field] | Trajectory
+    target: Callable[[np.ndarray], np.ndarray]
     eps: float
     reg_weight: float = 1e-3
-
-    def target_at(self, t: float) -> np.ndarray:
-        if isinstance(self.target, Trajectory):
-            return self.target.sample(t)
-        return np.asarray(self.target(t), dtype=float)
 
 
 @dataclass
@@ -126,8 +121,8 @@ def evaluate_objective(problem: ControlProblem,
             regularization=math.inf, load_norm=load_norm,
             response_norm=math.nan, bound_ratio=math.nan,
         )
-    targets = np.array([problem.target_at(t) for t in times])
-    errs = scn.mesh.mass.quad_forms(traj.values - targets)
+    targets = np.asarray(problem.target(times), dtype=float)
+    errs = quad_forms(scn.mesh.mass, traj.values - targets)
     tracking = 0.5 * float(trapezoid(errs, scn.tau))
     regularization = 0.5 * problem.reg_weight * load_norm ** 2
     response_norm = h1_time_norm(scn.mesh, traj)

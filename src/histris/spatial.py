@@ -18,8 +18,10 @@ answers the two requests of the QP protocol, ``@`` and
 ``solve_principal(idx, rhs)``, in O(n).  ``SymTridiagonal.stack``
 places scaled copies of a band end to end with zero couplings, the
 block band on which a stacked QP solves several members at once.
-``SymTridiagonal.apply_rows`` is the one stacked band product, each
-row with the bits of ``band @ row``, finite or not.
+``SymTridiagonal.apply_rows`` (one ``dsbmv``) and ``InverseBand.apply_rows``
+(one ``dpttrs``) are the stacked products, each row with the bits of ``@``
+on it alone, from which :func:`histris.trajectory.quad_forms` forms every
+batched quadratic form.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "build_mesh",
     "h1_inner",
     "h1_norm",
-    "l2_inner",
     "l2_norm",
     "riesz_apply",
     "riesz_solve",
@@ -162,18 +163,6 @@ class SymTridiagonal:
         bands[0, 0] = 0.0
         return SymTridiagonal._of_bands(bands)
 
-    def quad_forms(self, rows: np.ndarray) -> np.ndarray:
-        """``r' A r`` for every row ``r`` of the (k, n) array ``rows``, in
-        O(n) a row: the band product of each row, then a row dot.
-
-        Summing the diagonal and off-diagonal terms separately would
-        cancel: on a fine Riesz band each is O(n^2) times the result.
-        """
-        prod = rows * self.diag
-        prod[:, 1:] += rows[:, :-1] * self.off
-        prod[:, :-1] += rows[:, 1:] * self.off
-        return np.einsum("ki,ki->k", rows, prod)
-
     def solve(self, b):
         """Solve ``A x = b`` (``b`` of shape (n,) or (n, k)); A must be
         positive definite.  The factorization is computed once."""
@@ -217,10 +206,11 @@ class SymTridiagonal:
 class InverseBand:
     """Inverse ``A^-1`` of a positive definite :class:`SymTridiagonal`.
 
-    It stores no dense matrix.  ``@`` solves with the band's cached
-    factor.  A principal block of the inverse is solved through its
-    Schur complement, ``((A^-1)_ff)^-1 = A_ff - A_fp A_pp^-1 A_pf``: two
-    band products and one band solve on the complementary nodes p.
+    It stores no dense matrix.  ``@`` and ``apply_rows`` (a stack of
+    rows) solve with the band's cached factor.  A principal block of the
+    inverse is solved through its Schur complement,
+    ``((A^-1)_ff)^-1 = A_ff - A_fp A_pp^-1 A_pf``: two band products and
+    one band solve on the complementary nodes p.
     """
 
     def __init__(self, band: SymTridiagonal):
@@ -229,10 +219,10 @@ class InverseBand:
     def __matmul__(self, x):
         return self.band.solve(x)
 
-    def quad_forms(self, rows: np.ndarray) -> np.ndarray:
-        """``r' A^-1 r`` for every row ``r`` of the (k, n) array ``rows``,
-        from one band solve with k right-hand sides."""
-        return np.einsum("ki,ik->k", rows, self.band.solve(rows.T))
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``A^-1 r`` for each row ``r`` of a (k, n) array (or one row), with
+        the bits of ``self @ r``: one band solve, a right-hand side a row."""
+        return self.band.solve(np.asarray(rows, dtype=float).T).T
 
     def solve_principal(self, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(A^-1)_ff z = rhs`` on the sorted node indices ``idx``."""
@@ -317,13 +307,9 @@ def h1_norm(mesh: Mesh, u: Field) -> float:
     return math.sqrt(max(h1_inner(mesh, u, u), 0.0))
 
 
-def l2_inner(mesh: Mesh, u: Field, v: Field) -> float:
-    """L^2 inner product of two fields (consistent mass matrix)."""
-    return float(u @ (mesh.mass @ v))
-
-
 def l2_norm(mesh: Mesh, u: Field) -> float:
-    return math.sqrt(max(l2_inner(mesh, u, u), 0.0))
+    """L^2 norm of a field (consistent mass matrix)."""
+    return math.sqrt(max(float(u @ (mesh.mass @ u)), 0.0))
 
 
 def riesz_apply(mesh: Mesh, u: Field) -> DualField:

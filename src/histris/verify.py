@@ -61,8 +61,8 @@ from .spatial import (
     h1_norm,
     riesz_apply,
 )
-from .trajectory import (Trajectory, c_norm_diff, h1_time_norm, row_norms,
-                         trapezoid)
+from .trajectory import (Trajectory, c_norm_diff, h1_time_norm, quad_forms,
+                         row_norms, trapezoid)
 from .viscous import Load, LoadTerm, Scenario, solve_viscous
 from .vv import replay
 
@@ -183,7 +183,7 @@ def load_h1_dual_norm(mesh: Mesh, load, times: np.ndarray) -> float:
 def _h1_dual_norm(mesh: Mesh, vals: np.ndarray, load, times: np.ndarray) -> float:
     """:func:`load_h1_dual_norm` given the load's values at ``times``."""
     dual = mesh.riesz.inverse
-    total = dual.quad_forms(vals) + dual.quad_forms(load.derivatives(times))
+    total = quad_forms(dual, vals) + quad_forms(dual, load.derivatives(times))
     return math.sqrt(max(trapezoid(total, times[1] - times[0]), 0.0))
 
 

@@ -373,8 +373,7 @@ def _diagnostics(scenario: Scenario, effective: np.ndarray, loads: np.ndarray,
     increment and ``M w(zeta)``.  Each result is (B, m), the force
     (B, m, n).  Every entry has the bits of its step evaluated alone,
     finite or not: ``apply_rows`` keeps each row's bits, and np.vecdot
-    takes each row through the BLAS dot of dual_pair (einsum would sum
-    otherwise).
+    takes each row through the BLAS dot of dual_pair.
     """
     apply = scenario.mesh.riesz.apply_rows
     tau = scenario.tau

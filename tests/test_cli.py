@@ -15,7 +15,7 @@ import pytest
 
 from histris.cli import _fmt, _write_csv, _write_trajectory, main
 from histris.config import build_scenario, load_config_file
-from histris.spatial import build_mesh
+from histris.spatial import build_mesh, h1_norm
 from histris.trajectory import Trajectory
 from histris.viscous import solve_viscous
 
@@ -93,6 +93,23 @@ def test_solve_is_byte_deterministic(tmp_path, small_cfg):
     assert main(["solve", "--config", small_cfg, "--out", str(out_b)]) == 0
     for name in ("trajectory.csv", "report.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_report_state_norms_are_the_scalar_h1_norms(tmp_path):
+    # Each state_h1_norm is the text of h1_norm of the state that
+    # trajectory.csv holds (its "%.17g" text reads back exactly).
+    cfg = tmp_path / "fine.yaml"
+    cfg.write_text(SMALL_CONFIG.replace("n_nodes: 5", "n_nodes: 33"))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    mesh = build_mesh(33)
+    _, _, states = _read_artifact(out / "trajectory.csv")
+    _, header, report = _read_artifact(out / "report.csv")
+    column = header.index("state_h1_norm")
+    assert len(report) == len(states) == 201
+    for state, row in zip(states, report):
+        q = np.array([float(v) for v in state[1:]])
+        assert row[column] == "%.17g" % h1_norm(mesh, q)
 
 
 def test_eps_override_changes_the_effective_config(tmp_path, small_cfg):

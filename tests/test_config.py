@@ -299,5 +299,6 @@ def test_build_control_returns_problem_and_options():
     assert len(problem.basis) == 2
     assert options["max_evals"] == 17
     assert options["step"] == 2.0
-    target = problem.target_at(0.5)
-    assert_allclose(target, 0.5, rtol=0, atol=1e-15)
+    target = problem.target(np.array([0.5, 1.0]))
+    assert target.shape == (2, 5)
+    assert_allclose(target, [[0.5] * 5, [1.0] * 5], rtol=0, atol=1e-15)

@@ -29,7 +29,7 @@ def _problem(m=1, n_steps=100, reg_weight=1e-6, target=None):
     sc = scalar_scenario(lambda t: 0.0, n_steps=n_steps)
     basis = sine_basis(sc.mesh, sc.horizon, m)
     if target is None:
-        target = lambda t: np.full(sc.mesh.n_nodes, t)
+        target = lambda times: np.repeat(times[:, None], sc.mesh.n_nodes, axis=1)
     return ControlProblem(scenario=sc, basis=basis, target=target,
                           eps=0.05, reg_weight=reg_weight)
 
@@ -126,7 +126,7 @@ def test_optimize_recovers_generating_coefficient():
     import dataclasses
     scn_star = dataclasses.replace(probe.scenario, load=star_load)
     target_traj, _ = solve_viscous(scn_star, probe.eps)
-    problem = _problem(m=1, n_steps=100, target=target_traj)
+    problem = _problem(m=1, n_steps=100, target=lambda times: target_traj.values)
 
     at_truth = evaluate_objective(problem, truth)
     assert at_truth.tracking == pytest.approx(0.0, abs=1e-24)

@@ -15,6 +15,7 @@ from histris.spatial import (
     riesz_apply,
     riesz_solve,
 )
+from histris.trajectory import quad_forms, row_norms, step_blocks
 
 
 def test_two_node_matrices_frozen():
@@ -122,20 +123,41 @@ def test_band_quad_forms_match_dense(rng, n):
     dense = np.asarray(band)
     rows = rng.standard_normal((7, n))
     want = np.einsum("ki,ij,kj->k", rows, dense, rows)
-    assert_allclose(band.quad_forms(rows), want, rtol=1e-13, atol=1e-13)
-    assert band.quad_forms(rows[:0]).shape == (0,)
+    assert_allclose(quad_forms(band, rows), want, rtol=1e-13, atol=1e-13)
+    assert quad_forms(band, rows[:0]).shape == (0,)
 
 
 def test_band_quad_forms_do_not_cancel_on_a_fine_riesz_band():
     # On a fine mesh the diagonal and off-diagonal sums of r' R r are each
     # O(n^2) times the result for a smooth r; summed apart they cancel to
     # about 3e-10 relative at n = 1025.  Row by row, the band product and
-    # a dot product keep it at rounding.
+    # a dot product keep it at rounding: exactly the scalar form's bits.
     mesh = build_mesh(1025)
     x = mesh.nodes
     rows = np.array([1.0 + 0.6 * np.cos(3 * np.pi * x), x * x, np.sin(np.pi * x)])
     want = [r @ (mesh.riesz @ r) for r in rows]
-    assert_allclose(mesh.riesz.quad_forms(rows), want, rtol=1e-11, atol=0.0)
+    assert_allclose(quad_forms(mesh.riesz, rows), want, rtol=0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 9, 33, 257, 1025])
+def test_scalar_and_batched_norms_agree_bit_for_bit(n):
+    # h1_norm, l2_norm and dual_norm of each row have the bits of the
+    # batched row of the same field, on a stack longer than one block and
+    # on one row; the inverse band's rows are its single solves.
+    mesh = build_mesh(n)
+    rng = np.random.default_rng(n)
+    k = len(step_blocks(10**6, n)[0]) + 3
+    stack = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-8, 8, (k, 1))
+    stack[1] = 0.0
+    stack[2] = -0.0
+    stack[3] = 1.0 + 0.6 * np.cos(3 * np.pi * mesh.nodes)
+    inverse = mesh.riesz.inverse
+    solves = np.array([inverse @ row for row in stack])
+    assert inverse.apply_rows(stack).view(np.uint64).tolist() == solves.view(np.uint64).tolist()
+    for form, norm in ((mesh.riesz, h1_norm), (mesh.mass, l2_norm), (inverse, dual_norm)):
+        want = np.array([norm(mesh, row) for row in stack])
+        for rows, expect in ((stack, want), (stack[3:4], want[3:4])):
+            assert row_norms(form, rows).view(np.uint64).tolist() == expect.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 65])
@@ -214,8 +236,8 @@ def test_riesz_inverse_is_the_dense_inverse(rng):
             assert np.abs(inv @ x - want).max() <= 1e-12 * np.abs(want).max()
         rows = rng.standard_normal((5, n))
         want = np.einsum("ki,ij,kj->k", rows, dense, rows)
-        assert_allclose(inv.quad_forms(rows), want, rtol=1e-12, atol=0.0)
-        assert inv.quad_forms(rows[:0]).shape == (0,)
+        assert_allclose(quad_forms(inv, rows), want, rtol=1e-12, atol=0.0)
+        assert quad_forms(inv, rows[:0]).shape == (0,)
 
         masks = [np.ones(n, dtype=bool)]                     # nothing pinned
         masks += [np.arange(n) == k for k in (0, n - 1, n // 2)]  # one free node
@@ -264,7 +286,7 @@ def test_apply_rows_keeps_the_bits_of_each_row(n, which):
         assert np.isfinite(np.delete(got, 7, axis=0)).all()
     assert np.isfinite(check(rng.uniform(-3.0, 3.0, n))).all()
     assert np.isfinite(check(rng.uniform(-3.0, 3.0, (1, n)))).all()
-    for empty in ((0, n), (2, 0, n)):  # an empty stack, as quad_forms takes it
+    for empty in ((0, n), (2, 0, n)):  # empty stacks
         assert check(np.zeros(empty)).size == 0
     with pytest.raises(ValueError):
         band.apply_rows(np.ones((3, n + 1)))
