@@ -201,10 +201,8 @@ def _verify_compat(cfg: dict, out: str) -> int:
 
 def _verify_bounds(cfg: dict, out: str) -> int:
     res = uniform_bound_experiment(build_experiment(cfg))
-    header = ["load", "eps", "ratio", "solution_norm", "load_norm",
-              "balance_residual"]
-    rows = [[r[k] for k in header] for r in res.rows]
-    _write_csv(os.path.join(out, "verify_bounds.csv"), cfg, header, rows)
+    _write_csv(os.path.join(out, "verify_bounds.csv"), cfg, list(res.rows[0]),
+               [list(r.values()) for r in res.rows])
     return _verdict(
         res.passed,
         f"verify bounds: worst ratio spread over the viscosity schedule "
@@ -214,9 +212,8 @@ def _verify_bounds(cfg: dict, out: str) -> int:
 
 def _verify_lipschitz(cfg: dict, out: str) -> int:
     res = lipschitz_experiment(build_experiment(cfg))
-    header = ["pair", "eps", "ratio", "solution_gap", "load_gap"]
-    rows = [[r[k] for k in header] for r in res.rows]
-    _write_csv(os.path.join(out, "verify_lipschitz.csv"), cfg, header, rows)
+    _write_csv(os.path.join(out, "verify_lipschitz.csv"), cfg, list(res.rows[0]),
+               [list(r.values()) for r in res.rows])
     per_eps = ", ".join(
         f"eps={e:g}: {m:.3f}" for e, m in zip(res.eps_values, res.max_ratio_per_eps)
     )
@@ -263,9 +260,8 @@ def _verify_history(cfg: dict, out: str) -> int:
     scenario = build_scenario(cfg)
     traj, _ = solve_viscous(scenario, cfg["solver"]["eps"])
     res = history_lipschitz_check(scenario, traj)
-    header = ["rate_index", "time", "increment", "bound", "ratio"]
-    rows = [[r[k] for k in header] for r in res.rows]
-    _write_csv(os.path.join(out, "verify_history.csv"), cfg, header, rows)
+    _write_csv(os.path.join(out, "verify_history.csv"), cfg, list(res.rows[0]),
+               [list(r.values()) for r in res.rows])
     return _verdict(
         res.passed,
         f"verify history: worst ratio of a potential increment to its "

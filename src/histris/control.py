@@ -143,7 +143,6 @@ class OptimizeResult:
     best: ObjectiveReport
     history: list
     n_evals: int
-    final_step: float
     converged: bool
 
 
@@ -194,6 +193,5 @@ def optimize(problem: ControlProblem, *, step: float = 0.25, shrink: float = 0.5
         best=best,
         history=history,
         n_evals=n_evals,
-        final_step=current,
         converged=converged,
     )

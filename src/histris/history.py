@@ -4,10 +4,11 @@ The accumulated state is
 
     zeta(t) = offset + integral_0^t b(t - s) y(s) ds,
 
-with a scalar convolution kernel ``b``.  The ``identity`` kind is the
-kernel ``b = 1`` (plain time integration), evaluated on the same path
-as any other kernel.  Quadrature in time is the composite trapezoid
-rule on the trajectory grid.
+with a scalar convolution kernel ``b``: a kernel is ``b`` and the
+initial state ``offset``, and the identity is ``b = 1`` (plain time
+integration), evaluated on the same path as any other kernel.
+Quadrature in time is the composite trapezoid rule on the trajectory
+grid.
 
 ``HistoryAccumulator`` is the one history object: it tabulates the
 kernel once on the grid and advances a geometric table
@@ -47,31 +48,24 @@ __all__ = [
 
 @dataclass(eq=False)
 class KernelSpec:
-    """History kernel description plus the initial accumulated state."""
+    """History kernel ``b`` plus the initial accumulated state ``y0``."""
 
-    kind: str
     y0: np.ndarray
-    b: Callable[[np.ndarray], np.ndarray] | None = None
+    b: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.kind not in ("identity", "convolution"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
-        if self.kind == "identity":
-            self.b = np.ones_like
-        elif self.b is None:
-            raise ValueError("convolution kernels need b")
 
 
 def identity_kernel(y0) -> KernelSpec:
     """Plain running time integral on top of the initial state: the
     kernel ``b = 1``."""
-    return KernelSpec(kind="identity", y0=y0)
+    return KernelSpec(y0, np.ones_like)
 
 
 def convolution_kernel(b, y0) -> KernelSpec:
     """Scalar convolution kernel ``b``."""
-    return KernelSpec(kind="convolution", y0=y0, b=b)
+    return KernelSpec(y0, b)
 
 
 def _trapezoid_weights(k: int, tau: float) -> np.ndarray:
@@ -139,14 +133,9 @@ class HistoryAccumulator:
     history is what an accumulator of its own would hold, bit for bit.
     """
 
-    def __init__(self, kernel: KernelSpec, tau: float, n_nodes: int, n_max: int):
+    def __init__(self, kernel: KernelSpec, tau: float, n_max: int):
         if not (np.isfinite(tau) and tau > 0):
             raise ValueError(f"tau must be positive, got {tau}")
-        if kernel.y0.shape != (n_nodes,):
-            raise ValueError(
-                f"initial history state has shape {kernel.y0.shape}, "
-                f"expected ({n_nodes},)"
-            )
         self.kernel = kernel
         self.tau = float(tau)
         self._table = _tabulate(kernel.b, self.tau * np.arange(n_max + 1))

@@ -352,7 +352,6 @@ class LipschitzResult:
     eps_values: list
     max_ratio_per_eps: list
     cross_eps_spread: float
-    per_pair_spread: list
     all_finite: bool
     spread_cap: float
     passed: bool
@@ -382,7 +381,6 @@ def lipschitz_experiment(cfg: ExperimentConfig) -> LipschitzResult:
     ]
 
     rows = []
-    per_pair = {i: [] for i in range(cfg.n_pairs)}
     per_eps = {eps: [] for eps in cfg.eps_values}
     for i in range(cfg.n_pairs):
         for eps in cfg.eps_values:
@@ -399,28 +397,17 @@ def lipschitz_experiment(cfg: ExperimentConfig) -> LipschitzResult:
                 "solution_gap": gap,
                 "load_gap": diff_norms[i],
             })
-            per_pair[i].append(ratio)
             per_eps[eps].append(ratio)
 
     max_per_eps = [max(per_eps[eps]) for eps in cfg.eps_values]
     low = min(max_per_eps)
     cross = math.inf if low <= 0 else max(max_per_eps) / low
-    pair_spreads = []
-    for i in range(cfg.n_pairs):
-        vals = per_pair[i]
-        if max(vals) <= 1e-12:
-            pair_spreads.append(1.0)
-        elif min(vals) <= 0:
-            pair_spreads.append(math.inf)
-        else:
-            pair_spreads.append(max(vals) / min(vals))
     all_finite = all(math.isfinite(r["ratio"]) for r in rows)
     return LipschitzResult(
         rows=rows,
         eps_values=list(cfg.eps_values),
         max_ratio_per_eps=max_per_eps,
         cross_eps_spread=float(cross),
-        per_pair_spread=pair_spreads,
         all_finite=all_finite,
         spread_cap=cfg.spread_cap,
         passed=bool(all_finite and cross <= cfg.spread_cap),
@@ -519,7 +506,7 @@ def history_lipschitz_check(scenario: Scenario,
     rate_indices = sorted(
         {int(round(x)) for x in np.linspace(0, steps - 1, 3)}
     )
-    acc = HistoryAccumulator(scenario.kernel, traj.tau, mesh.n_nodes, steps)
+    acc = HistoryAccumulator(scenario.kernel, traj.tau, steps)
     acc.push(traj.values[0])
     zetas = np.vstack([acc.follow(traj.values, steps), acc.value()])
     gaps = row_norms(mesh.mass, np.diff(zetas, axis=0))

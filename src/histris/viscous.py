@@ -542,7 +542,7 @@ def _time_loop(scenario: Scenario, eps_values, warm_start: bool, explicit: bool)
     steps = scenario.n_steps
     members = len(levels.eps)
     times = scenario.times()
-    acc = HistoryAccumulator(scenario.kernel, tau, n, steps)
+    acc = HistoryAccumulator(scenario.kernel, tau, steps)
     q = np.zeros((members, n))
     acc.push(q)
 

@@ -72,7 +72,6 @@ class LimitCertificate:
     tolerance: float
     max_stability_violation: float
     max_balance_residual: float
-    n_steps_checked: int
     passed: bool
 
 
@@ -91,7 +90,7 @@ def replay(scenario: Scenario, traj: Trajectory):
     pushing the samples one at a time.
     """
     mesh = scenario.mesh
-    acc = HistoryAccumulator(scenario.kernel, traj.tau, mesh.n_nodes, traj.n_steps)
+    acc = HistoryAccumulator(scenario.kernel, traj.tau, traj.n_steps)
     acc.push(traj.values[0])
     for block in step_blocks(traj.n_steps, mesh.n_nodes):
         start, stop = block.start, block.stop
@@ -120,7 +119,6 @@ def certify_limit(scenario: Scenario, traj: Trajectory, *,
         tolerance=float(tol),
         max_stability_violation=max_stab,
         max_balance_residual=max_bal,
-        n_steps_checked=traj.n_steps,
         passed=bool(max_stab <= tol and max_bal <= tol),
     )
 
@@ -183,9 +181,6 @@ def vv_sweep(scenario: Scenario, eps_values: Sequence[float] | None = None, *,
 class RateIndependenceReport:
     discrepancy: float
     base_sup_norm: float
-    eps: float
-    horizon: float
-    mapped_horizon: float
 
 
 def _mapped_load(load: Load, time_map: Callable[[np.ndarray], np.ndarray]) -> Load:
@@ -235,7 +230,4 @@ def check_rate_independence(scenario: Scenario,
     return RateIndependenceReport(
         discrepancy=c_norm_diff(scenario.mesh, traj2, ref),
         base_sup_norm=c_norm(scenario.mesh, ref),
-        eps=float(eps),
-        horizon=float(scenario.horizon),
-        mapped_horizon=float(new_horizon),
     )

@@ -222,7 +222,7 @@ def replay_per_step(scenario, traj, accumulator):
     time."""
     mesh = scenario.mesh
     spec = scenario.dissipation
-    acc = accumulator(scenario.kernel, traj.tau, mesh.n_nodes, traj.n_steps)
+    acc = accumulator(scenario.kernel, traj.tau, traj.n_steps)
     acc.push(traj.values[0])
     for k in range(traj.n_steps):
         q_next = traj.values[k + 1]
@@ -389,7 +389,7 @@ def solve_levels_per_step(scenario, eps_values, warm_start, prox, accumulator, t
         return (0.5 * alpha * np.vecdot(q, riesz_q) - np.vecdot(load, q)).tolist()
 
     times = scenario.times()
-    acc = accumulator(scenario.kernel, tau, n, steps)
+    acc = accumulator(scenario.kernel, tau, steps)
     q = np.zeros((members, n))
     acc.push(q)
     q0, load0 = q[0], load_value(scenario.load, times[0])
@@ -504,7 +504,7 @@ def solve_explicit_per_step(scenario, eps, warm_start, project, accumulator, tol
         return 0.5 * alpha * float(q @ (mesh.riesz @ q)) - float(np.dot(load, q))
 
     q = np.zeros(mesh.n_nodes)
-    acc = accumulator(scenario.kernel, tau, mesh.n_nodes, steps)
+    acc = accumulator(scenario.kernel, tau, steps)
     acc.push(q)
     balance, rates, norms = (np.zeros(steps) for _ in range(3))
     energies = np.zeros(steps + 1)

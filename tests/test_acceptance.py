@@ -290,7 +290,7 @@ def _three_dof_scenario(spec):
 def _replayed_conjugate_residual(sc, eps, stride=50):
     """Re-derive post-step forces along the solve and conjugate-check them."""
     traj, _ = solve_viscous(sc, eps=eps)
-    acc = HistoryAccumulator(sc.kernel, sc.tau, sc.mesh.n_nodes, sc.n_steps)
+    acc = HistoryAccumulator(sc.kernel, sc.tau, sc.n_steps)
     acc.push(traj.values[0])
     worst = 0.0
     for k in range(sc.n_steps):

@@ -327,21 +327,28 @@ def test_sweep_failing_certificate_exits_one(tmp_path, capsys):
 
 def test_verify_experiments_pass_on_small_configs(tmp_path, small_cfg,
                                                   experiment_cfg, capsys):
+    # Each artifact with its header line: the bounds, lipschitz and
+    # history headers are the key order of the experiments' rows.
     cases = [
-        ("compat", small_cfg, "verify_compat.csv"),
-        ("unique", small_cfg, "verify_unique.csv"),
-        ("dual", small_cfg, "verify_dual.csv"),
-        ("history", small_cfg, "verify_history.csv"),
-        ("bounds", experiment_cfg, "verify_bounds.csv"),
-        ("lipschitz", experiment_cfg, "verify_lipschitz.csv"),
+        ("compat", small_cfg, "verify_compat.csv",
+         "compatible,worst_violation,worst_node"),
+        ("unique", small_cfg, "verify_unique.csv", "pairing,sup_h1_gap"),
+        ("dual", small_cfg, "verify_dual.csv", "tau,limit_residual"),
+        ("history", small_cfg, "verify_history.csv",
+         "rate_index,time,increment,bound,ratio"),
+        ("bounds", experiment_cfg, "verify_bounds.csv",
+         "load,eps,ratio,solution_norm,load_norm,balance_residual"),
+        ("lipschitz", experiment_cfg, "verify_lipschitz.csv",
+         "pair,eps,ratio,solution_gap,load_gap"),
     ]
-    for name, cfg, artifact in cases:
+    for name, cfg, artifact, header in cases:
         out = tmp_path / name
         code = main(["verify", name, "--config", cfg, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 0, f"verify {name} exited {code}: {captured.out}"
         assert "PASS" in captured.out
         assert (out / artifact).exists()
+        assert (out / artifact).read_text().splitlines()[1] == header
 
 
 def test_verify_history_runs_on_one_step(tmp_path, capsys):

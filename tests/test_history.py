@@ -72,14 +72,14 @@ def test_accumulator_agrees_with_direct_evaluation(rng):
     values = rng.standard_normal((41, 3))
 
     ident = identity_kernel(rng.standard_normal(3))
-    acc = HistoryAccumulator(ident, times[1] - times[0], 3, 40)
+    acc = HistoryAccumulator(ident, times[1] - times[0], 40)
     for k in range(41):
         acc.push(values[k])
         assert_allclose(acc.value(), history_eval(ident, times, values, k),
                         atol=1e-14)
 
     conv = convolution_kernel(lambda r: np.exp(-0.5 * r), rng.standard_normal(3))
-    acc = HistoryAccumulator(conv, times[1] - times[0], 3, 40)
+    acc = HistoryAccumulator(conv, times[1] - times[0], 40)
     for k in range(41):
         acc.push(values[k])
         assert_allclose(acc.value(), history_eval(conv, times, values, k),
@@ -87,7 +87,7 @@ def test_accumulator_agrees_with_direct_evaluation(rng):
 
 
 def test_accumulator_capacity_and_time():
-    acc = HistoryAccumulator(identity_kernel(np.zeros(1)), 0.5, 1, 2)
+    acc = HistoryAccumulator(identity_kernel(np.zeros(1)), 0.5, 2)
     with pytest.raises(ValueError, match="no samples"):
         acc.samples
     acc.push(np.zeros(1))
@@ -101,17 +101,15 @@ def test_accumulator_capacity_and_time():
 
 
 def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec(kind="nope", y0=np.zeros(2))
-    with pytest.raises(ValueError):
-        KernelSpec(kind="convolution", y0=np.zeros(2))  # missing kernel
+    with pytest.raises(TypeError):
+        KernelSpec(y0=np.zeros(2))  # missing kernel
     ident = identity_kernel(np.zeros(2))
-    assert ident.kind == "identity"
-    conv = convolution_kernel(lambda r: r, np.zeros(2))
-    assert conv.kind == "convolution"
+    assert ident.b is np.ones_like
+    b = lambda r: r
+    assert convolution_kernel(b, np.zeros(2)).b is b
     for tau in (0.0, -0.5, math.nan, math.inf):  # NaN used to pass
         with pytest.raises(ValueError, match="tau must be positive"):
-            HistoryAccumulator(ident, tau, 2, 4)
+            HistoryAccumulator(ident, tau, 4)
 
 
 # Kernels, and whether the accumulator may advance their tables by the
@@ -123,6 +121,9 @@ KERNELS = {
     # geometric to 1e-10 only: the recurrence would be off by more than that
     "exp(-2t+1e-9t^2)": (lambda t: np.exp(-2.0 * t + 1e-9 * t * t), False),
     "cos(3t)": (lambda t: np.cos(3.0 * t), False),
+    # b(0) = 0: geometric only when b = 0 everywhere
+    "0": (np.zeros_like, True),
+    "t": (lambda t: t, False),
 }
 
 
@@ -133,7 +134,7 @@ def test_accumulator_matches_the_oracle_step_by_step(rng, name):
     times = np.linspace(0.0, 3.0, n_steps + 1)
     values = rng.standard_normal((n_steps + 1, 3))
     kernel = convolution_kernel(b, rng.standard_normal(3))
-    acc = HistoryAccumulator(kernel, times[1] - times[0], 3, n_steps)
+    acc = HistoryAccumulator(kernel, times[1] - times[0], n_steps)
     assert acc.geometric == geometric
     for k in range(n_steps + 1):
         acc.push(values[k])
@@ -147,7 +148,7 @@ def test_identity_accumulator_is_the_running_trapezoid_sum(rng):
     n_steps, tau = 500, 1.0 / 300.0
     values = rng.standard_normal((n_steps + 1, 4))
     y0 = rng.standard_normal(4)
-    acc = HistoryAccumulator(identity_kernel(y0), tau, 4, n_steps)
+    acc = HistoryAccumulator(identity_kernel(y0), tau, n_steps)
     integral = np.zeros(4)
     for k in range(n_steps + 1):
         acc.push(values[k])
@@ -161,7 +162,7 @@ def test_long_geometric_run_stays_on_the_oracle(rng):
     times = np.linspace(0.0, 8.0, n_steps + 1)
     values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 3))
     kernel = convolution_kernel(KERNELS["exp(-2t)"][0], np.zeros(3))
-    acc = HistoryAccumulator(kernel, times[1] - times[0], 3, n_steps)
+    acc = HistoryAccumulator(kernel, times[1] - times[0], n_steps)
     assert acc.geometric
     for q in values:
         acc.push(q)
@@ -178,7 +179,7 @@ def test_expression_exponential_kernel_takes_the_recurrence(rng, horizon, n_step
     tau = times[1] - times[0]
     values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 2))
     kernel = convolution_kernel(Expression("exp(-2*t)", ("t",)), np.zeros(2))
-    acc = HistoryAccumulator(kernel, tau, 2, n_steps)
+    acc = HistoryAccumulator(kernel, tau, n_steps)
     assert acc.geometric
     for q in values:
         acc.push(q)
@@ -186,7 +187,7 @@ def test_expression_exponential_kernel_takes_the_recurrence(rng, horizon, n_step
                     rtol=0, atol=1e-10)
     # a kernel geometric only to 1e-10 still takes the dot product
     near = HistoryAccumulator(
-        convolution_kernel(KERNELS["exp(-2t+1e-9t^2)"][0], np.zeros(2)), tau, 2, n_steps
+        convolution_kernel(KERNELS["exp(-2t+1e-9t^2)"][0], np.zeros(2)), tau, n_steps
     )
     assert not near.geometric
 
@@ -200,7 +201,7 @@ def test_near_geometric_kernel_at_the_tolerance_margin(rng, c, geometric):
     times = np.linspace(0.0, 8.0, n_steps + 1)
     values = np.sin(times)[:, None] + 0.1 * rng.standard_normal((n_steps + 1, 2))
     kernel = convolution_kernel(lambda t: np.exp(-2.0 * t + c * t * t), np.zeros(2))
-    acc = HistoryAccumulator(kernel, times[1] - times[0], 2, n_steps)
+    acc = HistoryAccumulator(kernel, times[1] - times[0], n_steps)
     assert acc.geometric == geometric
     for q in values:
         acc.push(q)
@@ -217,7 +218,7 @@ def test_kernels_are_tabulated_by_one_call_each(rng, name):
         calls.append(t)
         return b(t)
 
-    acc = HistoryAccumulator(convolution_kernel(counted, np.zeros(2)), 0.01, 2, 100)
+    acc = HistoryAccumulator(convolution_kernel(counted, np.zeros(2)), 0.01, 100)
     assert len(calls) == 1
     for q in rng.standard_normal((101, 2)):
         acc.push(q)
@@ -264,7 +265,7 @@ def test_held_values_and_push_held_are_the_pushes(rng, name, stacked):
     shape = (3, 4) if stacked else (4,)
     values = rng.standard_normal((20,) + shape)
     values[-1].flat[0] = -0.0
-    pushed, held = (HistoryAccumulator(kernel, tau, 4, n_steps) for _ in range(2))
+    pushed, held = (HistoryAccumulator(kernel, tau, n_steps) for _ in range(2))
     for acc in (pushed, held):
         for q in values:
             acc.push(q)
@@ -288,6 +289,20 @@ def test_held_values_and_push_held_are_the_pushes(rng, name, stacked):
         held.push_held(n_steps)
 
 
+def test_a_zero_kernel_keeps_the_initial_state(rng):
+    # b = 0 fits every ratio, and the accumulator takes r = 1: the history
+    # stays y0 bit for bit through pushes, look-aheads and held pushes.
+    y0 = rng.standard_normal(4)
+    acc = HistoryAccumulator(convolution_kernel(KERNELS["0"][0], y0), 0.05, 60)
+    assert acc.geometric
+    for q in rng.standard_normal((20, 4)):
+        acc.push(q)
+        assert _bits(acc.value(), y0)
+    assert all(_bits(row, y0) for row in acc.held_values(9))
+    acc.push_held(9)
+    assert _bits(acc.value(), y0)
+
+
 @pytest.mark.parametrize("name", ["identity", "exp(-2t)"])
 @pytest.mark.parametrize("stacked", [False, True])
 def test_push_held_after_a_look_ahead_is_the_pushes(rng, name, stacked):
@@ -299,7 +314,7 @@ def test_push_held_after_a_look_ahead_is_the_pushes(rng, name, stacked):
     kernel = _kernel(name, rng.standard_normal(4))
     values = rng.standard_normal((5, 3, 4) if stacked else (5, 4))
     for count in range(1, rows + 3):
-        pushed, held = (HistoryAccumulator(kernel, tau, 4, n_steps) for _ in range(2))
+        pushed, held = (HistoryAccumulator(kernel, tau, n_steps) for _ in range(2))
         for acc in (pushed, held):
             for q in values:
                 acc.push(q)
@@ -350,7 +365,7 @@ def test_follow_is_one_push_at_a_time(rng, name, case):
         values[run.stop] = -0.0
     kernel = _kernel(name, rng.standard_normal(4))
     HeldLog.held = []
-    pushed, followed = HistoryAccumulator(kernel, 0.05, 4, 30), HeldLog(kernel, 0.05, 4, 30)
+    pushed, followed = HistoryAccumulator(kernel, 0.05, 30), HeldLog(kernel, 0.05, 30)
     for acc in (pushed, followed):
         acc.push(values[0])
     for stop in (12, 30):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import histris.qp as qp
+from histris.errors import NumericalFailure
 from histris.qp import (
     KKT_TOL,
     box_qp_kkt_residual,
@@ -485,3 +486,20 @@ def test_stacked_box_qp_matches_per_block_solves(rng, monkeypatch):
         solve_box_qp, scales, mesh.riesz, (cold, lower), [np.zeros(17)] * len(scales))
     assert len(set(per_block)) == len(scales) and min(per_block) > 1
     assert len(sizes) == mark
+
+
+def test_stacked_qp_failure_names_its_member(monkeypatch):
+    # With a cap of one step, the stacked call hands its unfinished
+    # member to a solve alone, whose one monotone step does not finish:
+    # that solve raises.  Members 0 and 2 start at their minimizers.
+    mesh = build_mesh(17)
+    scales = [0.3, 0.03, 3.0]
+    lin = [mesh.mass @ (3.0 * np.sin(k * np.pi * mesh.nodes) - 0.3) for k in (2, 5, 3)]
+    starts = [solve_box_qp(s * mesh.riesz, f, 0.0)[0] for s, f in zip(scales, lin)]
+    starts[1] = np.zeros(17)
+    sizes = _counted_descends(monkeypatch)
+    monkeypatch.setattr(qp, "_cycle_cap", lambda n: 1)
+    with pytest.raises(NumericalFailure, match="box qp exceeded its cycle cap") as info:
+        solve_box_qp(mesh.riesz.stack(scales), np.stack(lin), 0.0, start=np.stack(starts))
+    assert info.value.member == 1
+    assert sizes == [17]

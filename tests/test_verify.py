@@ -226,7 +226,6 @@ def test_lipschitz_experiment_small():
     assert len(res.max_ratio_per_eps) == 2
     assert all(m > 0 for m in res.max_ratio_per_eps)
     assert res.cross_eps_spread >= 1.0
-    assert all(s >= 1.0 for s in res.per_pair_spread)
     assert res.passed == (res.all_finite and res.cross_eps_spread <= res.spread_cap)
 
 

@@ -205,7 +205,7 @@ def test_solve_shapes_and_report():
     assert explicit.dissipation_rates.shape == (50,)
     assert (explicit.balance_residuals <= BALANCE_TOL).all()
     assert explicit.dissipation_rates.max() > 0.0
-    acc = HistoryAccumulator(sc.kernel, sc.tau, 5, 50)
+    acc = HistoryAccumulator(sc.kernel, sc.tau, 50)
     for k, (q, q_next) in enumerate(zip(traj.values, traj.values[1:])):
         acc.push(q)
         want = potential(sc.dissipation, sc.mesh, acc.value(), (q_next - q) / sc.tau)
@@ -606,7 +606,7 @@ def test_explicit_steps_project_exactly_the_forces_outside_the_box(monkeypatch, 
         traj, report = solve_viscous(sc, 0.2, method="explicit", warm_start=warm)
         _assert_same_solve(traj, report, *solve_explicit_per_step(
             sc, 0.2, warm, project, HistoryAccumulator, BALANCE_TOL))
-        acc = HistoryAccumulator(sc.kernel, sc.tau, sc.mesh.n_nodes, sc.n_steps)
+        acc = HistoryAccumulator(sc.kernel, sc.tau, sc.n_steps)
         outside = []
         for k, q in enumerate(traj.values[:-1]):
             acc.push(q)
@@ -997,8 +997,7 @@ def test_a_failing_row_inside_a_window_fails_in_its_turn(monkeypatch, family, ba
             else:
                 # The largest history value at that step: reached there first.
                 traj = solve_levels(clean, eps_values, warm_start=warm)
-                acc = HistoryAccumulator(clean.kernel, clean.tau, clean.mesh.n_nodes,
-                                         clean.n_steps)
+                acc = HistoryAccumulator(clean.kernel, clean.tau, clean.n_steps)
                 for k in range(step):
                     acc.push(np.array([t.values[k] for t, _ in traj]))
                 top = acc.value().max()
